@@ -10,7 +10,6 @@ explicit example families (families), extremal search and violation hunting
 
 from .arith import (
     FactoredNat,
-    ValuationVector,
     divisors,
     factorize,
     gcd_factored,

@@ -18,8 +18,6 @@ from functools import lru_cache
 
 __all__ = [
     "FactoredNat",
-    "ValuationVector",
-    "as_factored",
     "divisors",
     "factorize",
     "gcd_factored",
@@ -214,36 +212,18 @@ def factorize(n: int | FactoredNat) -> FactoredNat:
     return FactoredNat(n, _factor_int(n))
 
 
-as_factored = factorize
-
-
 def valuation(p: int, n: int | FactoredNat) -> int:
     """v_p(n): the largest k with p^k dividing n."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return as_factored(n).valuation(p)
+    return factorize(n).valuation(p)
 
 
-@dataclass(frozen=True)
-class ValuationVector:
-    """All nonzero p-adic valuations of a rational a/N, as (prime, v) pairs."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def get(self, p: int) -> int:
-        for q, v in self.entries:
-            if q == p:
-                return v
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-
-def rational_valuations(a: int | FactoredNat, N: int | FactoredNat) -> ValuationVector:
-    """v_p(a/N) = v_p(a) - v_p(N) at every prime, zero entries omitted."""
-    a = as_factored(a)
-    N = as_factored(N)
+def rational_valuations(a: int | FactoredNat, N: int | FactoredNat) -> dict[int, int]:
+    """{p: v_p(a/N)} for every prime where v_p(a) - v_p(N) is nonzero, in
+    increasing order of p."""
+    a = factorize(a)
+    N = factorize(N)
     vals: dict[int, int] = dict(a.factors)
     for p, e in N.factors:
         v = vals.get(p, 0) - e
@@ -251,7 +231,7 @@ def rational_valuations(a: int | FactoredNat, N: int | FactoredNat) -> Valuation
             vals[p] = v
         else:
             vals.pop(p, None)
-    return ValuationVector(tuple(sorted(vals.items())))
+    return dict(sorted(vals.items()))
 
 
 def primorial(X: int) -> FactoredNat:
@@ -267,12 +247,12 @@ def primorial(X: int) -> FactoredNat:
 
 def is_squarefree(n: int | FactoredNat) -> bool:
     """True iff no prime square divides n."""
-    return all(e == 1 for _, e in as_factored(n).factors)
+    return all(e == 1 for _, e in factorize(n).factors)
 
 
 def radical(n: int | FactoredNat) -> FactoredNat:
     """rad(n): the product of the distinct primes dividing n."""
-    ps = as_factored(n).primes()
+    ps = factorize(n).primes()
     prod = 1
     for p in ps:
         prod *= p
@@ -281,8 +261,8 @@ def radical(n: int | FactoredNat) -> FactoredNat:
 
 def gcd_factored(m: int | FactoredNat, n: int | FactoredNat) -> FactoredNat:
     """gcd computed prime-by-prime as min of valuations."""
-    m = as_factored(m)
-    n = as_factored(n)
+    m = factorize(m)
+    n = factorize(n)
     out = []
     for p, e in m.factors:
         f = n.valuation(p)

@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .arith import as_factored, fraction_of, rational_valuations
+from .arith import fraction_of, rational_valuations
 from .instance import (
     GcdInstance,
     InstanceError,
@@ -43,13 +43,13 @@ from .search import SearchSpace, exhaustive_max, hunt_violations
 from .structure import (
     DefectError,
     InternalConsistencyError,
+    StructuredInstance,
     defect,
     check_pivotal,
     extract_witnesses,
     find_modulus,
     quad_identity_check,
     quad_identity_witnesses,
-    structure_instance,
     valuation_measure,
 )
 from .verify import run_all
@@ -64,15 +64,6 @@ class RunConfig:
     seed: int = 0
     format: str = "json"
     exhaustive_limit: int = 20
-
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "p0": self.p0,
-            "seed": self.seed,
-            "format": self.format,
-            "exhaustive_limit": self.exhaustive_limit,
-        }
 
 
 def _config(args) -> RunConfig:
@@ -121,16 +112,17 @@ def cmd_stats(args) -> tuple[dict, int]:
         summary["bound"] = bound if math.isfinite(bound) else None
         summary["bound_log10"] = theorem1_log10_bound(inst, omega.delta)
         summary["holds"] = theorem1_holds(inst, omega.delta)
-    return make_report("stats", cfg.as_dict(), summary), 0
+    return make_report("stats", asdict(cfg), summary), 0
 
 
 def cmd_structure(args) -> tuple[dict, int]:
     cfg = _config(args)
     inst = _load(args.instance, cfg)
     omega = build_omega_gcd(inst)
-    if not omega.edges:
+    if not omega:
         raise InstanceError("pair set is empty; nothing to structure")
-    si, ms = structure_instance(inst)
+    ms = find_modulus(inst, omega)
+    si = StructuredInstance(inst, omega, ms.n, ms.omega_prime)
     records = []
     for side, elems in (("A", inst.A), ("B", inst.B)):
         deg = si.omega_prime.degrees_left() if side == "A" else si.omega_prime.degrees_right()
@@ -162,7 +154,7 @@ def cmd_structure(args) -> tuple[dict, int]:
     }
     if ms.fraction < Fraction(1, 2):
         summary["warning"] = "pivotal fraction below 1/2 (possible for non-minimal instances)"
-    return make_report("structure", cfg.as_dict(), summary, records), 0
+    return make_report("structure", asdict(cfg), summary, records), 0
 
 
 def cmd_defect(args) -> tuple[dict, int]:
@@ -198,8 +190,8 @@ def cmd_defect(args) -> tuple[dict, int]:
                 )
         else:
             summary["quad_identity"] = None
-            va = rational_valuations(args.a, args.n).as_dict()
-            vb = rational_valuations(args.b, args.n).as_dict()
+            va = rational_valuations(args.a, args.n)
+            vb = rational_valuations(args.b, args.n)
             for p in sorted(va.keys() | vb.keys()):
                 records.append(
                     {
@@ -209,7 +201,7 @@ def cmd_defect(args) -> tuple[dict, int]:
                         "sum_abs": abs(va.get(p, 0)) + abs(vb.get(p, 0)),
                     }
                 )
-    return make_report("defect", cfg.as_dict(), summary, records), 0
+    return make_report("defect", asdict(cfg), summary, records), 0
 
 
 def _measure_summary(rep) -> dict:
@@ -246,7 +238,7 @@ def cmd_measure(args) -> tuple[dict, int]:
             raise InstanceError("--prime is required with --instance")
         inst = _load(args.instance, cfg)
         omega = build_omega_gcd(inst)
-        if not omega.edges:
+        if not omega:
             raise InstanceError("pair set is empty; the edge measure is undefined")
         vm = valuation_measure(inst, omega, args.prime)
         mu, w, lam = from_valuation_measure(vm, epsilon=cfg.epsilon)
@@ -277,7 +269,7 @@ def cmd_measure(args) -> tuple[dict, int]:
         }
     else:
         raise InstanceError("give one of --point-mass, --instance, or --random")
-    return make_report("measure", cfg.as_dict(), summary, records), 0
+    return make_report("measure", asdict(cfg), summary, records), 0
 
 
 def _family_doc(report, A, B, cfg: RunConfig):
@@ -296,29 +288,21 @@ def _family_doc(report, A, B, cfg: RunConfig):
         records.append({"set": "A", "elements": [str(v) for v in A]})
         if B is not None:
             records.append({"set": "B", "elements": [str(v) for v in B]})
-    return make_report("family", cfg.as_dict(), summary, records)
+    return make_report("family", asdict(cfg), summary, records)
 
 
 def _emit_set(path: str, A, B, D, cfg: RunConfig) -> None:
     try:
-        inst = GcdInstance.build(A, B, D, epsilon=cfg.epsilon, p0=cfg.p0)
+        text = instance_to_json(GcdInstance.build(A, B, D, epsilon=cfg.epsilon, p0=cfg.p0))
     except InstanceError:
         # not a dyadic instance; write the sets without X, Y so readers see
         # the range diagnostics on load
         inst = GcdInstance.build(
             A, B, D, min(A), min(B), epsilon=cfg.epsilon, p0=cfg.p0, check_ranges=False
         )
-        text = instance_to_json(inst)
-        import json as _json
-
-        doc = _json.loads(text)
-        del doc["X"]
-        del doc["Y"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        return
+        text = instance_to_json(inst, ranges=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(inst))
+        fh.write(text)
 
 
 def cmd_family(args) -> tuple[dict, int]:
@@ -369,7 +353,7 @@ def cmd_search(args) -> tuple[dict, int]:
         }
         if not res.optimal:
             summary["notice"] = "above the exact cap: value is a lower bound, not a maximum"
-        return make_report("search", cfg.as_dict(), summary), 0
+        return make_report("search", asdict(cfg), summary), 0
     violations = hunt_violations(
         args.scale_limit, cfg.seed, n_structured=args.structured
     )
@@ -379,7 +363,7 @@ def cmd_search(args) -> tuple[dict, int]:
         "violations_found": len(violations),
     }
     records = [{"kind": v.kind, **v.detail} for v in violations]
-    return make_report("hunt", cfg.as_dict(), summary, records), (1 if violations else 0)
+    return make_report("hunt", asdict(cfg), summary, records), (1 if violations else 0)
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -395,7 +379,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "all_ok": ok,
         "mode": "quick" if args.quick else "full",
     }
-    return make_report("verify", cfg.as_dict(), summary, records), (0 if ok else 1)
+    return make_report("verify", asdict(cfg), summary, records), (0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import FactoredNat, _divisors_int, as_factored, fraction_of, is_squarefree
+from .arith import FactoredNat, _divisors_int, factorize, fraction_of, is_squarefree
 
 __all__ = [
     "GcdInstance",
@@ -50,7 +50,7 @@ class InstanceError(ValueError):
 
 def _coerce_elements(S, name: str) -> tuple[FactoredNat, ...]:
     try:
-        elems = sorted({as_factored(x) for x in S})
+        elems = sorted({factorize(x) for x in S})
     except ValueError as exc:
         raise InstanceError(f"field {name}: {exc}") from None
     if not elems:
@@ -140,39 +140,68 @@ def _infer_range(S: tuple[FactoredNat, ...], name: str) -> Fraction:
 
 @dataclass(frozen=True)
 class PairSet:
-    """A set of ordered pairs (a, b) in A x B with its exact density.
+    """A set of ordered pairs (a, b) in A x B with its exact density, stored
+    as one integer bitset over the grid: bit i*|B| + j is set iff (A[i], B[j])
+    is a pair.  Size, density, degrees and the edge list are views of it.
 
-    kind records the predicate the edges were built from: "gcd_geq"
+    kind records the predicate the pairs were built from: "gcd_geq"
     (gcd(a,b) >= threshold) or "ratio_leq" (ab/gcd^2 <= threshold).
     """
 
-    edges: tuple[tuple[FactoredNat, FactoredNat], ...]
-    n_left: int
-    n_right: int
+    A: tuple[FactoredNat, ...]
+    B: tuple[FactoredNat, ...]
+    bits: int
     kind: str = "gcd_geq"
     threshold: Fraction = Fraction(1)
 
+    @property
+    def n_left(self) -> int:
+        return len(self.A)
+
+    @property
+    def n_right(self) -> int:
+        return len(self.B)
+
     def __len__(self) -> int:
-        return len(self.edges)
+        return self.bits.bit_count()
 
     @property
     def delta(self) -> Fraction:
-        return Fraction(len(self.edges), self.n_left * self.n_right)
+        return Fraction(len(self), self.n_left * self.n_right)
+
+    def _grid(self) -> str:
+        # character k is bit k, so row i is the slice [i*|B|, (i+1)*|B|)
+        return format(self.bits, f"0{self.n_left * self.n_right}b")[::-1]
+
+    @property
+    def edges(self) -> tuple[tuple[FactoredNat, FactoredNat], ...]:
+        """The pairs in row-major order: by index in A, then in B."""
+        n = self.n_right
+        return tuple(
+            (self.A[k // n], self.B[k % n]) for k, c in enumerate(self._grid()) if c == "1"
+        )
 
     def degrees_left(self) -> dict[FactoredNat, int]:
-        deg: dict[FactoredNat, int] = defaultdict(int)
-        for a, _ in self.edges:
-            deg[a] += 1
-        return dict(deg)
+        grid, n = self._grid(), self.n_right
+        return {a: d for i, a in enumerate(self.A) if (d := grid.count("1", i * n, i * n + n))}
 
     def degrees_right(self) -> dict[FactoredNat, int]:
-        deg: dict[FactoredNat, int] = defaultdict(int)
-        for _, b in self.edges:
-            deg[b] += 1
-        return dict(deg)
+        grid, n = self._grid(), self.n_right
+        return {b: d for j, b in enumerate(self.B) if (d := grid[j::n].count("1"))}
 
-    def restricted_to(self, keep) -> "PairSet":
-        return replace(self, edges=tuple(e for e in self.edges if keep(e)))
+    def __contains__(self, pair) -> bool:
+        a, b = pair
+        if a not in self.A or b not in self.B:
+            return False
+        return bool(self.bits >> (self.A.index(a) * self.n_right + self.B.index(b)) & 1)
+
+    def cells(self, rows: int, cols: int) -> int:
+        """Grid mask of the cells (A[i], B[j]) with bit i of rows and bit j
+        of cols set."""
+        # bit i of rows moves to bit i*|B|; the product with cols < 2^|B|
+        # is then carry-free, one copy of cols per selected row
+        spread = int(("0" * (self.n_right - 1)).join(format(rows, "b")), 2)
+        return spread * cols
 
     def verify_predicate(self) -> bool:
         if self.kind == "gcd_geq":
@@ -192,13 +221,24 @@ def _gcd_threshold(D) -> int:
     return max(1, math.ceil(fraction_of(D)))
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pair_bits(A, B, row) -> int:
+    """The PairSet bitset of A x B from row(a, bvals), one 0/1 byte per b.
+    Rows run over A from last to first and over B from last to first, so the
+    joined rows read as one binary numeral put (A[i], B[j]) on bit i*|B| + j."""
+    bvals = [b.value for b in reversed(B)]
+    return int(b"".join(row(a.value, bvals) for a in reversed(A)).translate(_BIT_CHARS), 2)
+
+
 def build_omega_gcd(inst: GcdInstance) -> PairSet:
     """All pairs (a, b) in A x B with gcd(a, b) >= D, density exact."""
     t = _gcd_threshold(inst.D)
-    edges = tuple(
-        (a, b) for a in inst.A for b in inst.B if math.gcd(a.value, b.value) >= t
+    bits = _pair_bits(
+        inst.A, inst.B, lambda a, bvals: bytes([math.gcd(a, b) >= t for b in bvals])
     )
-    return PairSet(edges, len(inst.A), len(inst.B), "gcd_geq", fraction_of(inst.D))
+    return PairSet(inst.A, inst.B, bits, "gcd_geq", fraction_of(inst.D))
 
 
 def build_omega_ratio(A, B, Q) -> PairSet:
@@ -206,13 +246,10 @@ def build_omega_ratio(A, B, Q) -> PairSet:
     A = _coerce_elements(A, "A")
     B = _coerce_elements(B, "B")
     Q = fraction_of(Q)
-    edges = tuple(
-        (a, b)
-        for a in A
-        for b in B
-        if Fraction(a.value * b.value, math.gcd(a.value, b.value) ** 2) <= Q
+    bits = _pair_bits(
+        A, B, lambda a, bvals: bytes([Fraction(a * b, math.gcd(a, b) ** 2) <= Q for b in bvals])
     )
-    return PairSet(edges, len(A), len(B), "ratio_leq", Q)
+    return PairSet(A, B, bits, "ratio_leq", Q)
 
 
 def _values(S) -> tuple[int, ...]:
@@ -273,7 +310,7 @@ def count_pairs_geq_fast(A, B, D) -> int:
 
 def prime_sets(S, p0: int) -> tuple[frozenset[int], frozenset[int]]:
     """(P(S), P_sml(S)): primes dividing some element, and those <= p0."""
-    ps = frozenset(p for el in S for p in as_factored(el).primes())
+    ps = frozenset(p for el in S for p in factorize(el).primes())
     return ps, frozenset(p for p in ps if p <= p0)
 
 
@@ -282,35 +319,43 @@ def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _theorem1_log_bound(inst: GcdInstance, delta: Fraction) -> float:
+def _bound(S, p0: int, epsilon: float, delta, scale: Fraction, size: int):
+    """(log B, B or inf, whether size <= B) for B = 1000^(1+#P_sml(S)) *
+    delta^(-2-epsilon) * scale.  log B is rounded down by LOG_GUARD first, so
+    a False verdict is never float noise."""
     delta = fraction_of(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    n_small = len(prime_sets(inst.A + inst.B, inst.p0)[1])
-    return (
+    n_small = len(prime_sets(S, p0)[1])
+    log_bound = (
         (1 + n_small) * math.log(1000.0)
-        - (2.0 + inst.epsilon) * _log_fraction(delta)
-        + _log_fraction(inst.X * inst.Y / (inst.D * inst.D))
+        - (2.0 + epsilon) * _log_fraction(delta)
+        + _log_fraction(scale)
     )
+    try:
+        bound = math.exp(log_bound)
+    except OverflowError:
+        bound = math.inf
+    return log_bound, bound, math.log(size) <= log_bound + LOG_GUARD
+
+
+def _theorem1(inst: GcdInstance, delta):
+    scale = inst.X * inst.Y / (inst.D * inst.D)
+    return _bound(inst.A + inst.B, inst.p0, inst.epsilon, delta, scale, inst.size_product())
 
 
 def theorem1_bound(inst: GcdInstance, delta) -> float:
     """1000^(1+#P_sml(A u B)) * delta^(-2-epsilon) * XY/D^2 (may be inf)."""
-    try:
-        return math.exp(_theorem1_log_bound(inst, delta))
-    except OverflowError:
-        return math.inf
+    return _theorem1(inst, delta)[1]
 
 
 def theorem1_log10_bound(inst: GcdInstance, delta) -> float:
-    return _theorem1_log_bound(inst, delta) / math.log(10.0)
+    return _theorem1(inst, delta)[0] / math.log(10.0)
 
 
 def theorem1_holds(inst: GcdInstance, delta) -> bool:
-    """Whether |A||B| <= the main bound; the bound is rounded down before a
-    violation is declared, so False is never float noise."""
-    lhs = math.log(inst.size_product())
-    return lhs <= _theorem1_log_bound(inst, delta) + LOG_GUARD
+    """Whether |A||B| <= the main bound, never False by float noise."""
+    return _theorem1(inst, delta)[2]
 
 
 def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
@@ -355,17 +400,7 @@ def theorem51_bound(A, B, Q, epsilon: float = 0.5, p0: int = 100):
     delta = omega.delta
     if delta == 0:
         return delta, math.inf, True
-    n_small = len(prime_sets(A + B, p0)[1])
-    log_bound = (
-        (1 + n_small) * math.log(1000.0)
-        - (2.0 + epsilon) * _log_fraction(delta)
-        + _log_fraction(Q / 4)
-    )
-    try:
-        bound = math.exp(log_bound)
-    except OverflowError:
-        bound = math.inf
-    holds = math.log(len(A) * len(B)) <= log_bound + LOG_GUARD
+    _, bound, holds = _bound(A + B, p0, epsilon, delta, Q / 4, len(A) * len(B))
     return delta, bound, holds
 
 
@@ -375,16 +410,18 @@ def theorem51_bound(A, B, Q, epsilon: float = 0.5, p0: int = 100):
 # ---------------------------------------------------------------------------
 
 
-def instance_to_json(inst: GcdInstance) -> str:
+def instance_to_json(inst: GcdInstance, *, ranges: bool = True) -> str:
+    """The instance file text; ranges=False leaves X and Y to be inferred."""
     doc = {
         "A": [str(a.value) for a in inst.A],
         "B": [str(b.value) for b in inst.B],
         "D": str(inst.D),
-        "X": str(inst.X),
-        "Y": str(inst.Y),
         "epsilon": inst.epsilon,
         "p0": inst.p0,
     }
+    if ranges:
+        doc["X"] = str(inst.X)
+        doc["Y"] = str(inst.Y)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

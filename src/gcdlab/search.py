@@ -341,10 +341,10 @@ def random_structured_instance(
             B.add(rng.choice(ub))
         inst = GcdInstance.build(sorted(A), sorted(B), D, X, Y)
         omega = build_omega_gcd(inst)
-        if not omega.edges:
+        if not omega:
             continue
         ms = find_modulus(inst, omega, exhaustive_limit=exhaustive_limit)
-        if not ms.omega_prime.edges:
+        if not ms.omega_prime:
             continue
         return StructuredInstance(inst, omega, ms.n, ms.omega_prime), ms
 

@@ -10,10 +10,10 @@ exact integer arithmetic on factored values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import FactoredNat, as_factored, fraction_of, rational_valuations
+from .arith import FactoredNat, factorize, fraction_of, rational_valuations
 from .instance import GcdInstance, PairSet, build_omega_gcd
 
 __all__ = [
@@ -72,28 +72,35 @@ class ValuationMeasure:
         )
 
 
+def _valuation_classes(S, primes) -> dict[int, dict[int, int]]:
+    """{p: {v: bitmask of the indices i with v_p(S[i]) = v}} for each p in
+    primes, empty classes left out."""
+    out: dict[int, dict[int, int]] = {p: {} for p in primes}
+    for i, el in enumerate(S):
+        for p, e in el.factors:
+            if p in out:
+                out[p][e] = out[p].get(e, 0) | 1 << i
+    for cls in out.values():
+        if rest := ((1 << len(S)) - 1) & ~sum(cls.values()):
+            cls[0] = rest
+    return out
+
+
 def valuation_measure(inst: GcdInstance, omega: PairSet, p: int) -> ValuationMeasure:
     """Exact (alpha, beta, mu) at prime p; omega must be nonempty."""
-    if not omega.edges:
+    if not omega:
         raise ValueError("omega is empty: the edge measure is undefined")
-    alpha: dict[int, Fraction] = {}
-    for a in inst.A:
-        i = a.valuation(p)
-        alpha[i] = alpha.get(i, 0) + 1
-    beta: dict[int, Fraction] = {}
-    for b in inst.B:
-        j = b.valuation(p)
-        beta[j] = beta.get(j, 0) + 1
-    mu: dict[tuple[int, int], Fraction] = {}
-    for a, b in omega.edges:
-        key = (a.valuation(p), b.valuation(p))
-        mu[key] = mu.get(key, 0) + 1
-    nA, nB, nE = len(inst.A), len(inst.B), len(omega.edges)
+    rows, cols = _valuation_classes(omega.A, [p])[p], _valuation_classes(omega.B, [p])[p]
+    nA, nB, nE = len(inst.A), len(inst.B), len(omega)
+    mu = {
+        (i, j): Fraction(c, nE) for i in sorted(rows) for j in sorted(cols)
+        if (c := (omega.bits & omega.cells(rows[i], cols[j])).bit_count())
+    }
     return ValuationMeasure(
         p,
-        {i: Fraction(c, nA) for i, c in sorted(alpha.items())},
-        {j: Fraction(c, nB) for j, c in sorted(beta.items())},
-        {k: Fraction(c, nE) for k, c in sorted(mu.items())},
+        {i: Fraction(rows[i].bit_count(), nA) for i in sorted(rows)},
+        {j: Fraction(cols[j].bit_count(), nB) for j in sorted(cols)},
+        mu,
     )
 
 
@@ -104,9 +111,8 @@ def valuation_measure(inst: GcdInstance, omega: PairSet, p: int) -> ValuationMea
 
 def check_pivotal(a, b, N) -> bool:
     """True iff |v_p(a/N)| + |v_p(b/N)| <= 1 at every prime."""
-    a, b, N = as_factored(a), as_factored(b), as_factored(N)
-    va = rational_valuations(a, N).as_dict()
-    vb = rational_valuations(b, N).as_dict()
+    va = rational_valuations(a, N)
+    vb = rational_valuations(b, N)
     return all(abs(va.get(p, 0)) + abs(vb.get(p, 0)) <= 1 for p in va.keys() | vb.keys())
 
 
@@ -121,25 +127,26 @@ class ModulusSearch:
     strategy: str  # "exhaustive" or "greedy"
 
 
-def _per_prime_masks(inst: GcdInstance, omega: PairSet):
-    elements = inst.A + inst.B
-    pool = sorted({p for el in elements for p in el.primes()})
-    edges = omega.edges
+def _per_prime_masks(omega: PairSet):
+    """(p, lo, hi, masks, freq) per prime of A u B: masks[k] holds the pairs
+    with |v_p(a) - k| + |v_p(b) - k| <= 1; freq counts elements by v_p."""
+    pool = sorted({p for el in omega.A + omega.B for p in el.primes()})
+    rows_by_p = _valuation_classes(omega.A, pool)
+    cols_by_p = _valuation_classes(omega.B, pool)
     out = []
     for p in pool:
-        vals = [el.valuation(p) for el in elements]
-        lo, hi = min(vals), max(vals)
-        edge_vals = [(a.valuation(p), b.valuation(p)) for a, b in edges]
+        rows, cols = rows_by_p[p], cols_by_p[p]
+        freq = {v: rows.get(v, 0).bit_count() + cols.get(v, 0).bit_count()
+                for v in rows.keys() | cols.keys()}
+        lo, hi = min(freq), max(freq)
         masks = {}
         for k in range(lo, hi + 1):
-            m = 0
-            for idx, (i, j) in enumerate(edge_vals):
-                if abs(i - k) + abs(j - k) <= 1:
-                    m |= 1 << idx
-            masks[k] = m
-        freq: dict[int, int] = {}
-        for v in vals:
-            freq[v] = freq.get(v, 0) + 1
+            # v_p(a) = k with v_p(b) within 1 of k, or v_p(a) = k +- 1 with v_p(b) = k
+            near_cols = cols.get(k - 1, 0) | cols.get(k, 0) | cols.get(k + 1, 0)
+            near_rows = rows.get(k - 1, 0) | rows.get(k + 1, 0)
+            masks[k] = omega.bits & (
+                omega.cells(rows.get(k, 0), near_cols) | omega.cells(near_rows, cols.get(k, 0))
+            )
         out.append((p, lo, hi, masks, freq))
     return out
 
@@ -195,10 +202,9 @@ def find_modulus(
     by the valuation mode, then smallest k).  The achieved |Omega'|/|Omega|
     is reported, never asserted to reach 1/2.
     """
-    if not omega.edges:
+    if not omega:
         raise ValueError("omega is empty: nothing to structure")
-    per_prime = _per_prime_masks(inst, omega)
-    full_mask = (1 << len(omega.edges)) - 1
+    per_prime = _per_prime_masks(omega)
     total = 1
     for _, lo, hi, _, _ in per_prime:
         total *= hi - lo + 1
@@ -206,29 +212,22 @@ def find_modulus(
             break
     if total <= exhaustive_limit:
         strategy = "exhaustive"
-        ks = _search_exhaustive(per_prime, full_mask)
+        ks = _search_exhaustive(per_prime, omega.bits)
     else:
         strategy = "greedy"
         ks = _search_greedy(per_prime)
-    mask = full_mask
+    mask = omega.bits
     for (p, lo, hi, masks, _), k in zip(per_prime, ks):
         mask &= masks[k]
-    value = 1
-    factors = []
-    exponents = []
-    for (p, *_), k in zip(per_prime, ks):
-        exponents.append((p, k))
-        if k > 0:
-            value *= p**k
-            factors.append((p, k))
-    n = FactoredNat(value, tuple(factors))
-    kept = tuple(e for idx, e in enumerate(omega.edges) if mask >> idx & 1)
-    omega_prime = PairSet(kept, omega.n_left, omega.n_right, omega.kind, omega.threshold)
+    exponents = tuple((p, k) for (p, *_), k in zip(per_prime, ks))
+    factors = tuple((p, k) for p, k in exponents if k > 0)
+    n = FactoredNat(math.prod(p**k for p, k in factors), factors)
+    omega_prime = replace(omega, bits=mask)
     return ModulusSearch(
         n,
         omega_prime,
-        Fraction(len(kept), len(omega.edges)),
-        tuple(exponents),
+        Fraction(len(omega_prime), len(omega)),
+        exponents,
         strategy,
     )
 
@@ -290,9 +289,9 @@ class DefectDecomposition:
 def defect(a, N) -> DefectDecomposition:
     """Defect decomposition of a relative to N; requires v_p(a/N) in
     {-1, 0, 1} at every prime (DefectError otherwise)."""
-    a, N = as_factored(a), as_factored(N)
+    a, N = factorize(a), factorize(N)
     plus, minus = [], []
-    for p, v in rational_valuations(a, N).entries:
+    for p, v in rational_valuations(a, N).items():
         if v == 1:
             plus.append(p)
         elif v == -1:
@@ -335,12 +334,12 @@ def quad_identity_witnesses(a, b, N) -> tuple[PrimeWitness, ...]:
     """Per-prime table certifying v_p(a*) + v_p(b*) = |v_p(a/N) - v_p(b/N)|.
 
     Requires (a, b) pivotal for N."""
-    a, b, N = as_factored(a), as_factored(b), as_factored(N)
+    a, b, N = factorize(a), factorize(b), factorize(N)
     if not check_pivotal(a, b, N):
         raise ValueError(f"pair ({a}, {b}) is not pivotal for N = {N}")
     da, db = defect(a, N), defect(b, N)
-    va = rational_valuations(a, N).as_dict()
-    vb = rational_valuations(b, N).as_dict()
+    va = rational_valuations(a, N)
+    vb = rational_valuations(b, N)
     pool = sorted(set(va) | set(vb) | set(da.a_star.primes()) | set(db.a_star.primes()))
     return tuple(
         PrimeWitness(
@@ -357,7 +356,7 @@ def quad_identity_witnesses(a, b, N) -> tuple[PrimeWitness, ...]:
 def quad_identity_check(a, b, N) -> bool:
     """Whether a_star * b_star = ab / gcd(a,b)^2 exactly (always true when
     the pivotal precondition holds; kept as a tested invariant)."""
-    a, b, N = as_factored(a), as_factored(b), as_factored(N)
+    a, b, N = factorize(a), factorize(b), factorize(N)
     if not check_pivotal(a, b, N):
         raise ValueError(f"pair ({a}, {b}) is not pivotal for N = {N}")
     da, db = defect(a, N), defect(b, N)
@@ -396,9 +395,9 @@ def defect_census(S, N, X, T) -> DefectCensus:
     """Count elements of S within [X, 2X] whose defect a_star is <= T; the
     count can never exceed 2T, and every counted element obeys the range
     caps a_plus^2 <= 2XT/N and a_minus^2 <= NT/X (verified exactly)."""
-    N = as_factored(N)
+    N = factorize(N)
     X, T = fraction_of(X), fraction_of(T)
-    elems = sorted({as_factored(x) for x in S})
+    elems = sorted({factorize(x) for x in S})
     for el in elems:
         if not X <= el.value <= 2 * X:
             raise ValueError(f"element {el.value} outside [{X}, {2 * X}]")
@@ -462,7 +461,7 @@ def extract_witnesses(si: StructuredInstance) -> WitnessReport:
     neighborhood of the chosen a.  The resulting pair certifies
     |A||B| <= 1000 delta'^-2 XY/D^2.
     """
-    if not si.omega_prime.edges:
+    if not si.omega_prime:
         raise ValueError("omega_prime is empty: no witnesses exist")
     inst = si.base
     nA, nB = len(inst.A), len(inst.B)
@@ -509,7 +508,7 @@ def extract_witnesses(si: StructuredInstance) -> WitnessReport:
     chain_ok = (
         len(tilde_a) >= tilde_a_lower
         and deg[best_a] >= deg_lower
-        and (best_a, best_b) in set(si.omega_prime.edges)
+        and (best_a, best_b) in si.omega_prime
         and Fraction(quad_product) <= quad_cap
     )
     if not chain_ok:

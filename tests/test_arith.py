@@ -91,14 +91,14 @@ def test_valuation_additive(m, n, p):
 
 
 def test_rational_valuations_examples():
-    assert rational_valuations(12, 6).as_dict() == {2: 1}
-    assert rational_valuations(3, 6).as_dict() == {2: -1}
-    assert rational_valuations(6, 6).as_dict() == {}
+    assert rational_valuations(12, 6) == {2: 1}
+    assert rational_valuations(3, 6) == {2: -1}
+    assert rational_valuations(6, 6) == {}
 
 
 def test_rational_valuations_get():
     v = rational_valuations(12, 6)
-    assert v.get(2) == 1 and v.get(3) == 0 and v.get(97) == 0
+    assert v.get(2, 0) == 1 and v.get(3, 0) == 0 and v.get(97, 0) == 0
 
 
 def test_primorial_examples():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,21 @@ def test_build_omega_examples():
 
     inst2 = GcdInstance.build([4, 6, 8], [4, 6, 8], 2, 4, 4)
     assert build_omega_gcd(inst2).delta == 1
+
+
+def test_omega_views_match_naive_census():
+    rng = random.Random(29)
+    for _ in range(30):
+        A = sorted({rng.randint(1, 10**4) for _ in range(rng.randint(1, 40))})
+        B = sorted({rng.randint(1, 10**4) for _ in range(rng.randint(1, 40))})
+        for D in (1, 3, 17, 500):
+            inst = GcdInstance.build(A, B, D, min(A), min(B), check_ranges=False)
+            om = build_omega_gcd(inst)
+            assert len(om) == count_pairs_geq_naive(A, B, D)
+            assert len(om.edges) == len(om)
+            assert om.degrees_left() == Counter(a for a, _ in om.edges)
+            assert om.degrees_right() == Counter(b for _, b in om.edges)
+            assert sum((a, b) in om for a in om.A for b in om.B) == len(om)
 
 
 def test_omega_predicate_reverified():

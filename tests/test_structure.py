@@ -1,10 +1,13 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from gcdlab.families import remark2_family
 from gcdlab.instance import GcdInstance, PairSet, build_omega_gcd
 from gcdlab.structure import (
+    _per_prime_masks,
     DefectError,
     StructuredInstance,
     check_pivotal,
@@ -59,7 +62,7 @@ def test_valuation_measure_sums_random():
 
 def test_valuation_measure_rejects_empty():
     inst = GcdInstance.build([3], [5], 1, 3, 5, check_ranges=False)
-    empty = PairSet((), 1, 1)
+    empty = PairSet(inst.A, inst.B, 0)
     with pytest.raises(ValueError):
         valuation_measure(inst, empty, 2)
 
@@ -110,6 +113,46 @@ def test_find_modulus_greedy_fallback():
     assert ms.strategy == "greedy"
     manual = [e for e in om.edges if check_pivotal(e[0], e[1], ms.n)]
     assert list(ms.omega_prime.edges) == manual
+
+
+def _oracle_instances():
+    """Seeded random instances, then remark2 shapes with and without one
+    element swapped for a non-multiple of D."""
+    rng = random.Random(47)
+    for _ in range(20):
+        A = sorted({rng.randint(8, 40) for _ in range(rng.randint(2, 7))})
+        B = sorted({rng.randint(8, 40) for _ in range(rng.randint(2, 7))})
+        yield GcdInstance.build(A, B, rng.randint(1, 4), min(A), min(B), check_ranges=False)
+    for X, Y, D in ((60, 40, 6), (100, 100, 10), (48, 72, 4)):
+        A, B, _ = remark2_family(X, Y, D)
+        yield GcdInstance.build(A, B, D, X, Y)
+        yield GcdInstance.build(sorted(set(A[1:]) | {X + 1}), B, D, X, Y)
+
+
+def test_per_prime_masks_match_bruteforce():
+    for inst in _oracle_instances():
+        om = build_omega_gcd(inst)
+        for p, lo, hi, masks, _ in _per_prime_masks(om):
+            for k in range(lo, hi + 1):
+                expect = [
+                    (a, b)
+                    for a, b in om.edges
+                    if abs(a.valuation(p) - k) + abs(b.valuation(p) - k) <= 1
+                ]
+                assert list(replace(om, bits=masks[k]).edges) == expect
+
+
+def test_find_modulus_keeps_exactly_the_pivotal_pairs():
+    strategies = set()
+    for inst in _oracle_instances():
+        om = build_omega_gcd(inst)
+        if not om:
+            continue
+        ms = find_modulus(inst, om)
+        strategies.add(ms.strategy)
+        manual = [e for e in om.edges if check_pivotal(e[0], e[1], ms.n)]
+        assert list(ms.omega_prime.edges) == manual
+    assert "exhaustive" in strategies
 
 
 def test_exhaustive_at_least_greedy():
@@ -246,6 +289,8 @@ def test_structured_instance_rejects_non_pivotal_edges():
     om = build_omega_gcd(inst)
     from gcdlab.arith import factorize
 
-    bad = PairSet(((factorize(4), factorize(9)),), 2, 2)
+    # the pair (4, 9) alone: v_2(4/6) = 1 and v_2(9/6) = -1 sum to 2
+    bad = PairSet(om.A, om.B, om.cells(1 << 0, 1 << 1))
+    assert [(a.value, b.value) for a, b in bad.edges] == [(4, 9)]
     with pytest.raises(ValueError, match="pivotal"):
         StructuredInstance(inst, om, factorize(6), bad)
