@@ -7,12 +7,10 @@
 from gcdlab import (
     GcdInstance,
     build_omega_gcd,
-    defect,
     defect_census,
     extract_witnesses,
     find_modulus,
     quad_identity_witnesses,
-    structure_instance,
 )
 
 print("=" * 72)
@@ -22,10 +20,10 @@ print("=" * 72)
 A = list(range(100, 201, 10))
 inst = GcdInstance.build(A, A, D=10, X=100, Y=100)
 omega = build_omega_gcd(inst)
-ms = find_modulus(inst, omega)
+si = find_modulus(inst, omega)
 print(f"A = B = multiples of 10 in [100, 200], delta = {omega.delta}")
-print(f"N = {ms.n.value} = {dict(ms.n.factors)}  ({ms.strategy} search)")
-print(f"pivotal pairs: {len(ms.omega_prime)} of {len(omega)}  (fraction {ms.fraction})")
+print(f"N = {si.n.value} = {dict(si.n.factors)}  ({si.strategy} search)")
+print(f"pivotal pairs: {len(si.omega_prime)} of {len(omega)}  (fraction {si.fraction})")
 print("the 1/2 guarantee binds only minimal counterexamples; real instances")
 print("like this one can land below it, which is why the fraction is reported")
 
@@ -34,14 +32,14 @@ print("=" * 72)
 print("2. Defects relative to N")
 print("=" * 72)
 # only elements appearing in a pivotal pair have all valuations of a/N in
-# {-1, 0, 1}; those are exactly the elements the argument ever decomposes
-si, _ = structure_instance(inst)
+# {-1, 0, 1}; those are exactly the elements the argument ever decomposes,
+# and the structured instance holds each one's defect
 a_prime = sorted(si.omega_prime.degrees_left(), key=lambda el: el.value)
 print(f"A' = elements with a pivotal partner: {[el.value for el in a_prime]}")
 print(f"{'a':>6} {'a+':>6} {'a-':>6} {'a*':>6}")
 for a in a_prime:
-    d = defect(a, si.n)
-    print(f"{a.value:>6} {d.a_plus.value:>6} {d.a_minus.value:>6} {d.a_star.value:>6}")
+    d = si.defects[a]
+    print(f"{a.value:>6} {d.a_plus:>6} {d.a_minus:>6} {d.a_star:>6}")
 
 print()
 print("every pivotal pair satisfies a* b* = ab/gcd(a,b)^2, prime by prime:")

@@ -45,7 +45,6 @@ from .structure import (
     DefectDecomposition,
     DefectError,
     InternalConsistencyError,
-    ModulusSearch,
     StructuredInstance,
     ValuationMeasure,
     check_pivotal,

@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
-from .arith import fraction_of, rational_valuations
+from .arith import fraction_of, is_prime, rational_valuations
 from .instance import (
     GcdInstance,
     InstanceError,
@@ -43,7 +43,6 @@ from .search import SearchSpace, exhaustive_max, hunt_violations
 from .structure import (
     DefectError,
     InternalConsistencyError,
-    StructuredInstance,
     defect,
     check_pivotal,
     extract_witnesses,
@@ -66,16 +65,31 @@ class RunConfig:
     exhaustive_limit: int = 20
 
 
-def _config(args) -> RunConfig:
-    if not 0 < args.epsilon < 1:
-        raise InstanceError(f"field epsilon: {args.epsilon} not strictly inside (0, 1)")
-    return RunConfig(args.epsilon, args.p0, args.seed, args.format, args.exhaustive_limit)
+def _config(args, inst: GcdInstance | None = None) -> RunConfig:
+    """The config of the run: an explicit --epsilon or --p0 wins over the
+    instance file's value, which wins over the default."""
+    fallback = inst or RunConfig
+    epsilon = fallback.epsilon if args.epsilon is None else args.epsilon
+    p0 = fallback.p0 if args.p0 is None else args.p0
+    if not 0 < epsilon < 1:
+        raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
+    if p0 < 0:
+        raise InstanceError(f"field p0: {p0} must be a natural number")
+    return RunConfig(epsilon, p0, args.seed, args.format, args.exhaustive_limit)
 
 
-def _load(path: str, cfg: RunConfig) -> GcdInstance:
+def _load(path: str, args) -> tuple[GcdInstance, RunConfig]:
+    """The instance at path with the run's epsilon and p0, and that config."""
     inst = read_instance(path)
-    # command-line epsilon/p0 are defaults; the file's values win
-    return inst
+    cfg = _config(args, inst)
+    return replace(inst, epsilon=cfg.epsilon, p0=cfg.p0), cfg
+
+
+def _fraction(name: str, text: str) -> Fraction:
+    try:
+        return fraction_of(text)
+    except ZeroDivisionError:
+        raise InstanceError(f"{name}: {text} has a zero denominator") from None
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +98,7 @@ def _load(path: str, cfg: RunConfig) -> GcdInstance:
 
 
 def cmd_stats(args) -> tuple[dict, int]:
-    cfg = _config(args)
-    inst = _load(args.instance, cfg)
+    inst, cfg = _load(args.instance, args)
     omega = build_omega_gcd(inst)
     pset, psml = prime_sets(inst.A + inst.B, inst.p0)
     summary = {
@@ -116,43 +129,41 @@ def cmd_stats(args) -> tuple[dict, int]:
 
 
 def cmd_structure(args) -> tuple[dict, int]:
-    cfg = _config(args)
-    inst = _load(args.instance, cfg)
+    inst, cfg = _load(args.instance, args)
     omega = build_omega_gcd(inst)
     if not omega:
         raise InstanceError("pair set is empty; nothing to structure")
-    ms = find_modulus(inst, omega)
-    si = StructuredInstance(inst, omega, ms.n, ms.omega_prime)
+    si = find_modulus(inst, omega)
     records = []
     for side, elems in (("A", inst.A), ("B", inst.B)):
         deg = si.omega_prime.degrees_left() if side == "A" else si.omega_prime.degrees_right()
         for el in elems:
             if deg.get(el, 0) > 0:
-                d = defect(el, si.n)
+                d = si.defects[el]
                 records.append(
                     {
                         "side": side,
                         "value": str(el.value),
-                        "a_plus": str(d.a_plus.value),
-                        "a_minus": str(d.a_minus.value),
-                        "a_star": str(d.a_star.value),
+                        "a_plus": str(d.a_plus),
+                        "a_minus": str(d.a_minus),
+                        "a_star": str(d.a_star),
                         "degree": deg[el],
                     }
                 )
     witness = extract_witnesses(si)
     summary = {
-        "N": str(ms.n.value),
-        "N_factors": [[p, e] for p, e in ms.n.factors],
-        "strategy": ms.strategy,
+        "N": str(si.n.value),
+        "N_factors": [[p, e] for p, e in si.n.factors],
+        "strategy": si.strategy,
         "omega_size": len(omega),
         "omega_prime_size": len(si.omega_prime),
-        "fraction": ms.fraction,
+        "fraction": si.fraction,
         "delta": omega.delta,
         "delta_prime": si.delta_prime,
         "witness": witness,
         "holds": witness.holds,
     }
-    if ms.fraction < Fraction(1, 2):
+    if si.fraction < Fraction(1, 2):
         summary["warning"] = "pivotal fraction below 1/2 (possible for non-minimal instances)"
     return make_report("structure", asdict(cfg), summary, records), 0
 
@@ -166,9 +177,9 @@ def cmd_defect(args) -> tuple[dict, int]:
     summary = {
         "a": str(args.a),
         "N": str(args.n),
-        "a_plus": str(d.a_plus.value),
-        "a_minus": str(d.a_minus.value),
-        "a_star": str(d.a_star.value),
+        "a_plus": str(d.a_plus),
+        "a_minus": str(d.a_minus),
+        "a_star": str(d.a_star),
     }
     records = []
     if args.b is not None:
@@ -236,7 +247,9 @@ def cmd_measure(args) -> tuple[dict, int]:
     elif args.instance is not None:
         if args.prime is None:
             raise InstanceError("--prime is required with --instance")
-        inst = _load(args.instance, cfg)
+        if not is_prime(args.prime):
+            raise InstanceError(f"--prime {args.prime} is not prime")
+        inst, cfg = _load(args.instance, args)
         omega = build_omega_gcd(inst)
         if not omega:
             raise InstanceError("pair set is empty; the edge measure is undefined")
@@ -311,14 +324,14 @@ def cmd_family(args) -> tuple[dict, int]:
         A, B, report = remark2_family(args.X, args.Y if args.Y else args.X, args.D)
         D = args.D
     elif args.family == "remark3":
-        A, B, report = remark3_family(args.X, args.D, Fraction(args.delta))
+        A, B, report = remark3_family(args.X, args.D, _fraction("--delta", args.delta))
         D = args.D
     elif args.family == "sec5":
         A, report = sec5_family(args.X)
         B = None
         D = 1
     else:
-        A, B, report = squarefree_instance(args.n, fraction_of(args.Q))
+        A, B, report = squarefree_instance(args.n, _fraction("--Q", args.Q))
         D = 1
     if args.emit_set:
         _emit_set(args.emit_set, A, B if B is not None else A, D, cfg)
@@ -328,11 +341,12 @@ def cmd_family(args) -> tuple[dict, int]:
 def cmd_search(args) -> tuple[dict, int]:
     cfg = _config(args)
     if args.action == "exhaustive":
+        target = args.delta_target
         space = SearchSpace(
             X=args.X,
             Y=args.Y if args.Y else args.X,
             D=args.D,
-            delta_target=Fraction(args.delta_target) if args.delta_target else None,
+            delta_target=_fraction("--delta-target", target) if target else None,
             mode=args.mode,
             force_equal=args.force_equal,
             exhaustive_limit=cfg.exhaustive_limit,
@@ -389,8 +403,14 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--epsilon", type=float, default=0.5, help="exponent offset in (0, 1)")
-    common.add_argument("--p0", type=int, default=100, help="small-prime threshold")
+    common.add_argument(
+        "--epsilon", type=float, default=None,
+        help="exponent offset in (0, 1); default the instance file's, else 0.5",
+    )
+    common.add_argument(
+        "--p0", type=int, default=None,
+        help="small-prime threshold; default the instance file's, else 100",
+    )
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized sweeps")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument(
@@ -481,13 +501,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = args.func(args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DefectError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # InstanceError and DefectError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -117,14 +117,6 @@ class GcdInstance:
                 f"field D: {self.D} exceeds min(X, Y) = {min(self.X, self.Y)}"
             )
 
-    @property
-    def q(self) -> float:
-        return 2.0 + self.epsilon
-
-    @property
-    def q_prime(self) -> float:
-        return (2.0 + self.epsilon) / (1.0 + self.epsilon)
-
     def size_product(self) -> int:
         return len(self.A) * len(self.B)
 

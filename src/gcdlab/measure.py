@@ -95,9 +95,6 @@ class Measure2D:
     def total_mass(self):
         return sum(w for _, w in self.weights)
 
-    def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(pt for pt, _ in self.weights)
-
     def coordinate_range(self) -> tuple[int, int]:
         coords = [i for (i, j), _ in self.weights] + [j for (i, j), _ in self.weights]
         return min(coords), max(coords)
@@ -149,18 +146,6 @@ class WeightPair:
     @property
     def is_exact(self) -> bool:
         return self.x_pow is not None and self.y_pow is not None
-
-    def x_at(self, i: int) -> float:
-        for k, v in self.x:
-            if k == i:
-                return v
-        return 0.0
-
-    def y_at(self, j: int) -> float:
-        for k, v in self.y:
-            if k == j:
-                return v
-        return 0.0
 
 
 def _check_lambda(lam: float) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import GcdInstance, build_omega_gcd
-from .structure import InternalConsistencyError, extract_witnesses, find_modulus, StructuredInstance
+from .structure import InternalConsistencyError, extract_witnesses, find_modulus
 
 __all__ = [
     "SearchResult",
@@ -30,6 +30,7 @@ __all__ = [
 
 EXHAUSTIVE_SIDE_LIMIT = 20  # integers per side for the exact searches
 THRESHOLD_SIDE_LIMIT = 12  # stricter cap for the delta < 1 exact mode
+HUNT_EXHAUSTIVE_LIMIT = 4096  # modulus-search budget for hunted instances
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,6 @@ def random_structured_instance(
     *,
     max_scale: int = 40,
     max_side: int = 10,
-    exhaustive_limit: int = 4096,
 ):
     """One seeded random instance passed through the modulus search; retries
     deterministically until the pivotal pair set is nonempty.
@@ -343,10 +343,9 @@ def random_structured_instance(
         omega = build_omega_gcd(inst)
         if not omega:
             continue
-        ms = find_modulus(inst, omega, exhaustive_limit=exhaustive_limit)
-        if not ms.omega_prime:
-            continue
-        return StructuredInstance(inst, omega, ms.n, ms.omega_prime), ms
+        si = find_modulus(inst, omega, exhaustive_limit=HUNT_EXHAUSTIVE_LIMIT)
+        if si.omega_prime:
+            return si
 
 
 def hunt_violations(
@@ -354,8 +353,6 @@ def hunt_violations(
     seed: int = 0,
     *,
     n_structured: int = 10000,
-    max_scale: int = 40,
-    exhaustive_limit: int = 4096,
 ) -> list[Violation]:
     """Hunt for counterexamples to the sharp bounds; the returned list is
     empty on success (violations are data, not errors).
@@ -379,9 +376,7 @@ def hunt_violations(
                 )
     rng = random.Random(seed)
     for _ in range(n_structured):
-        si, ms = random_structured_instance(
-            rng, max_scale=max_scale, exhaustive_limit=exhaustive_limit
-        )
+        si = random_structured_instance(rng)
         inst = si.base
         dprime = si.delta_prime
         bound = 1000 * inst.X * inst.Y / (dprime * dprime * inst.D * inst.D)
@@ -402,7 +397,7 @@ def hunt_violations(
                         "X": str(inst.X),
                         "Y": str(inst.Y),
                         "D": str(inst.D),
-                        "N": ms.n.value,
+                        "N": si.n.value,
                         "delta_prime": str(dprime),
                         "bound": str(bound),
                         "size_product": inst.size_product(),

@@ -4,13 +4,13 @@ defect decompositions a = N * a_plus / a_minus, the defect-count census, and
 extraction of a witness pair certifying the delta^-2 product bound.
 
 All densities and comparisons are exact rationals; defect arithmetic is
-exact integer arithmetic on factored values.
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arith import FactoredNat, factorize, fraction_of, rational_valuations
@@ -21,7 +21,6 @@ __all__ = [
     "DefectDecomposition",
     "DefectError",
     "InternalConsistencyError",
-    "ModulusSearch",
     "PrimeWitness",
     "StructuredInstance",
     "ValuationMeasure",
@@ -116,17 +115,6 @@ def check_pivotal(a, b, N) -> bool:
     return all(abs(va.get(p, 0)) + abs(vb.get(p, 0)) <= 1 for p in va.keys() | vb.keys())
 
 
-@dataclass(frozen=True)
-class ModulusSearch:
-    """Outcome of the search for N = prod p^k_p maximizing the pivotal subset."""
-
-    n: FactoredNat
-    omega_prime: PairSet
-    fraction: Fraction  # |Omega'| / |Omega|, reported rather than asserted >= 1/2
-    exponents: tuple[tuple[int, int], ...]  # every pool prime, zeros included
-    strategy: str  # "exhaustive" or "greedy"
-
-
 def _per_prime_masks(omega: PairSet):
     """(p, lo, hi, masks, freq) per prime of A u B: masks[k] holds the pairs
     with |v_p(a) - k| + |v_p(b) - k| <= 1; freq counts elements by v_p."""
@@ -192,9 +180,10 @@ def find_modulus(
     omega: PairSet,
     *,
     exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT,
-) -> ModulusSearch:
+) -> StructuredInstance:
     """Search for N = prod p^k_p over the primes of A u B maximizing the
-    number of pairs with |v_p(a/N)| + |v_p(b/N)| <= 1 at every prime.
+    number of pairs with |v_p(a/N)| + |v_p(b/N)| <= 1 at every prime, and
+    return the structured instance of that N.
 
     Exact exhaustive search over k_p in [min valuation, max valuation] per
     prime while the product of range sizes stays within exhaustive_limit;
@@ -219,47 +208,57 @@ def find_modulus(
     mask = omega.bits
     for (p, lo, hi, masks, _), k in zip(per_prime, ks):
         mask &= masks[k]
-    exponents = tuple((p, k) for (p, *_), k in zip(per_prime, ks))
-    factors = tuple((p, k) for p, k in exponents if k > 0)
+    factors = tuple((p, k) for (p, *_), k in zip(per_prime, ks) if k > 0)
     n = FactoredNat(math.prod(p**k for p, k in factors), factors)
-    omega_prime = replace(omega, bits=mask)
-    return ModulusSearch(
-        n,
-        omega_prime,
-        Fraction(len(omega_prime), len(omega)),
-        exponents,
-        strategy,
-    )
+    return StructuredInstance(inst, omega, n, replace(omega, bits=mask), strategy)
 
 
 @dataclass(frozen=True, eq=False)
 class StructuredInstance:
-    """An instance together with its pair set, modulus, and pivotal subset."""
+    """An instance with its pair set Omega, a modulus N, the pivotal pairs
+    Omega' of N, and the defect of every element of Omega' (the labelled
+    GCD graph).  strategy names how N was found: "exhaustive" or "greedy".
+
+    Omega' is pivotal iff every element of it has a defect and the two
+    defects a*, b* of every pair in it are coprime."""
 
     base: GcdInstance
     omega: PairSet
     n: FactoredNat
     omega_prime: PairSet
+    strategy: str
+    defects: dict[FactoredNat, DefectDecomposition] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for a, b in self.omega_prime.edges:
-            if not check_pivotal(a, b, self.n):
+        edges = self.omega_prime.edges
+        defects = {}
+        for el in sorted({el for pair in edges for el in pair}):
+            try:
+                defects[el] = defect(el, self.n)
+            except DefectError as exc:
+                raise ValueError(
+                    f"{el} in omega_prime is not pivotal for N = {self.n}: {exc}"
+                ) from None
+        for a, b in edges:
+            if math.gcd(defects[a].a_star, defects[b].a_star) != 1:
                 raise ValueError(
                     f"pair ({a}, {b}) in omega_prime is not pivotal for N = {self.n}"
                 )
+        object.__setattr__(self, "defects", defects)
+
+    @property
+    def fraction(self) -> Fraction:
+        """|Omega'| / |Omega|, reported rather than asserted >= 1/2."""
+        return Fraction(len(self.omega_prime), len(self.omega))
 
     @property
     def delta_prime(self) -> Fraction:
         return self.omega_prime.delta
 
 
-def structure_instance(
-    inst: GcdInstance, *, exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT
-) -> tuple[StructuredInstance, ModulusSearch]:
-    """Build Omega, search for N, and package the pivotal-filtered instance."""
-    omega = build_omega_gcd(inst)
-    ms = find_modulus(inst, omega, exhaustive_limit=exhaustive_limit)
-    return StructuredInstance(inst, omega, ms.n, ms.omega_prime), ms
+def structure_instance(inst: GcdInstance) -> StructuredInstance:
+    """Build Omega and search for N."""
+    return find_modulus(inst, build_omega_gcd(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -273,46 +272,35 @@ class DefectDecomposition:
     product a_star.  a_plus and a_minus are squarefree and coprime, and
     a_plus / a_minus = a / N as rationals."""
 
-    a_plus: FactoredNat
-    a_minus: FactoredNat
-    a_star: FactoredNat
+    a_plus: int
+    a_minus: int
 
     def __post_init__(self) -> None:
-        if any(e != 1 for _, e in self.a_plus.factors + self.a_minus.factors):
-            raise ValueError("a_plus and a_minus must be squarefree")
-        if math.gcd(self.a_plus.value, self.a_minus.value) != 1:
+        if math.gcd(self.a_plus, self.a_minus) != 1:
             raise ValueError("a_plus and a_minus must be coprime")
-        if self.a_star.value != self.a_plus.value * self.a_minus.value:
-            raise ValueError("a_star must equal a_plus * a_minus")
+
+    @property
+    def a_star(self) -> int:
+        return self.a_plus * self.a_minus
 
 
 def defect(a, N) -> DefectDecomposition:
     """Defect decomposition of a relative to N; requires v_p(a/N) in
     {-1, 0, 1} at every prime (DefectError otherwise)."""
     a, N = factorize(a), factorize(N)
-    plus, minus = [], []
+    a_plus = a_minus = 1
     for p, v in rational_valuations(a, N).items():
         if v == 1:
-            plus.append(p)
+            a_plus *= p
         elif v == -1:
-            minus.append(p)
+            a_minus *= p
         else:
             raise DefectError(f"v_{p}({a}/{N}) = {v} outside {{-1, 0, 1}}")
-    a_plus = _squarefree_product(plus)
-    a_minus = _squarefree_product(minus)
-    a_star = _squarefree_product(sorted(plus + minus))
-    if Fraction(a_plus.value, a_minus.value) != Fraction(a.value, N.value):
+    if a_plus * N.value != a.value * a_minus:
         raise InternalConsistencyError(
             f"ratio identity failed: {a_plus}/{a_minus} != {a}/{N}"
         )
-    return DefectDecomposition(a_plus, a_minus, a_star)
-
-
-def _squarefree_product(primes) -> FactoredNat:
-    value = 1
-    for p in primes:
-        value *= p
-    return FactoredNat(value, tuple((p, 1) for p in primes))
+    return DefectDecomposition(a_plus, a_minus)
 
 
 @dataclass(frozen=True)
@@ -340,16 +328,15 @@ def quad_identity_witnesses(a, b, N) -> tuple[PrimeWitness, ...]:
     da, db = defect(a, N), defect(b, N)
     va = rational_valuations(a, N)
     vb = rational_valuations(b, N)
-    pool = sorted(set(va) | set(vb) | set(da.a_star.primes()) | set(db.a_star.primes()))
     return tuple(
         PrimeWitness(
             p,
-            da.a_star.valuation(p),
-            db.a_star.valuation(p),
+            int(da.a_star % p == 0),
+            int(db.a_star % p == 0),
             va.get(p, 0),
             vb.get(p, 0),
         )
-        for p in pool
+        for p in sorted(va.keys() | vb.keys())
     )
 
 
@@ -361,7 +348,7 @@ def quad_identity_check(a, b, N) -> bool:
         raise ValueError(f"pair ({a}, {b}) is not pivotal for N = {N}")
     da, db = defect(a, N), defect(b, N)
     g = math.gcd(a.value, b.value)
-    return da.a_star.value * db.a_star.value * g * g == a.value * b.value
+    return da.a_star * db.a_star * g * g == a.value * b.value
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +395,15 @@ def defect_census(S, N, X, T) -> DefectCensus:
     range_ok = True
     for el in elems:
         d = defect(el, N)
-        counted = d.a_star.value <= T
+        counted = d.a_star <= T
         plus_ok = minus_ok = True
         if counted:
             count += 1
-            plus_ok = Fraction(d.a_plus.value**2) <= plus_cap_sq
-            minus_ok = Fraction(d.a_minus.value**2) <= minus_cap_sq
+            plus_ok = d.a_plus**2 <= plus_cap_sq
+            minus_ok = d.a_minus**2 <= minus_cap_sq
             range_ok = range_ok and plus_ok and minus_ok
         rows.append(
-            CensusRow(
-                el.value, d.a_plus.value, d.a_minus.value, d.a_star.value,
-                counted, plus_ok, minus_ok,
-            )
+            CensusRow(el.value, d.a_plus, d.a_minus, d.a_star, counted, plus_ok, minus_ok)
         )
     return DefectCensus(
         count, 2 * T, count <= 2 * T, plus_cap_sq, minus_cap_sq, range_ok, tuple(rows)
@@ -478,11 +462,9 @@ def extract_witnesses(si: StructuredInstance) -> WitnessReport:
     best_a = None
     best_a_star = None
     for a in tilde_a:
-        d = defect(a, si.n)
-        if d.a_star.value >= a_star_lower and (
-            best_a_star is None or d.a_star.value > best_a_star
-        ):
-            best_a, best_a_star = a, d.a_star.value
+        star = si.defects[a].a_star
+        if star >= a_star_lower and (best_a_star is None or star > best_a_star):
+            best_a, best_a_star = a, star
     if best_a is None:
         raise InternalConsistencyError(
             f"no a in tilde A has a_star >= {a_star_lower}; "
@@ -493,11 +475,9 @@ def extract_witnesses(si: StructuredInstance) -> WitnessReport:
     best_b = None
     best_b_star = None
     for b in tilde_b:
-        d = defect(b, si.n)
-        if d.a_star.value >= b_star_lower and (
-            best_b_star is None or d.a_star.value > best_b_star
-        ):
-            best_b, best_b_star = b, d.a_star.value
+        star = si.defects[b].a_star
+        if star >= b_star_lower and (best_b_star is None or star > best_b_star):
+            best_b, best_b_star = b, star
     if best_b is None:
         raise InternalConsistencyError(
             f"no b adjacent to {best_a} has b_star >= {b_star_lower}"

@@ -193,7 +193,7 @@ def check_defect_census(seed: int = 3003, n_sets: int = 10**3) -> CheckResult:
     failures = []
     for idx in range(n_sets):
         S, N, X = random_structured_set(rng)
-        max_star = max(defect(a, N).a_star.value for a in S)
+        max_star = max(defect(a, N).a_star for a in S)
         t_grid = [Fraction(1, 2)]
         t = Fraction(1)
         while t <= 2 * max_star:
@@ -267,7 +267,7 @@ def check_concentration(
     # certified interval checks on exact valuation-derived configurations
     rng_exact = random.Random(seed + 2)
     for idx in range(n_exact):
-        si, _ = random_structured_instance(rng_exact, max_scale=24, max_side=8)
+        si = random_structured_instance(rng_exact, max_scale=24, max_side=8)
         p = min(p for el in si.base.A + si.base.B for p in el.primes())
         vm = valuation_measure(si.base, si.omega, p)
         mu, w, lam = from_valuation_measure(vm, epsilon=epsilon)

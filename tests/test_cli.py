@@ -1,14 +1,19 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gcdlab.cli as cli
 from gcdlab.reports import to_canonical_json
 from gcdlab.search import Violation
+
+GOLDEN_INSTANCE = str(Path(__file__).resolve().parent / "golden" / "remark2.instance.json")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(argv, capsys):
@@ -211,11 +216,46 @@ def test_bad_arguments_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "squarefree", "--n", "5", "--Q", "1/0"],
+        ["family", "remark3", "--X", "10", "--D", "4", "--delta", "1/0"],
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--mode", "threshold-delta",
+         "--delta-target", "1/0"],
+        ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "0"],
+        ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "4"],
+        ["stats", "{tmp}"],
+    ],
+)
+def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
+    argv = [str(tmp_path) if a == "{tmp}" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_is_the_file_value_unless_a_flag_overrides_it(tmp_path, capsys):
+    doc = json.loads(Path(GOLDEN_INSTANCE).read_text())
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps({**doc, "epsilon": 0.25, "p0": 3}))
+    for flags, expect in (([], (0.25, 3)), (["--epsilon", "0.3", "--p0", "7"], (0.3, 7))):
+        code, out, _ = run_cli(["stats", str(path), *flags], capsys)
+        assert code == 0
+        summary, config = json.loads(out)["summary"], json.loads(out)["config"]
+        assert (config["epsilon"], config["p0"]) == expect
+        assert (summary["epsilon"], summary["p0"]) == expect
+        assert summary["primes_small"] == [p for p in summary["primes"] if p <= expect[1]]
+
+
 def test_module_entry_point():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "gcdlab", "defect", "--a", "12", "--n", "6"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["a_star"] == "2"

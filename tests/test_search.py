@@ -114,7 +114,7 @@ def test_diagonal_sharpness_at_multiples():
 def test_structured_instance_generator():
     rng = random.Random(83)
     for _ in range(20):
-        si, ms = random_structured_instance(rng)
+        si = random_structured_instance(rng)
         assert len(si.omega_prime) >= 1
         assert si.omega_prime.delta <= si.omega.delta
 

@@ -1,9 +1,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from gcdlab.arith import factorize, is_squarefree
 from gcdlab.families import remark2_family
 from gcdlab.instance import GcdInstance, PairSet, build_omega_gcd
 from gcdlab.structure import (
@@ -169,11 +171,11 @@ def test_exhaustive_at_least_greedy():
 
 def test_defect_examples():
     d = defect(12, 6)
-    assert (d.a_plus.value, d.a_minus.value, d.a_star.value) == (2, 1, 2)
+    assert (d.a_plus, d.a_minus, d.a_star) == (2, 1, 2)
     d = defect(3, 6)
-    assert (d.a_plus.value, d.a_minus.value, d.a_star.value) == (1, 2, 2)
+    assert (d.a_plus, d.a_minus, d.a_star) == (1, 2, 2)
     d = defect(6, 6)
-    assert (d.a_plus.value, d.a_minus.value, d.a_star.value) == (1, 1, 1)
+    assert (d.a_plus, d.a_minus, d.a_star) == (1, 1, 1)
 
 
 def test_defect_rejects_high_valuation():
@@ -187,11 +189,10 @@ def test_defect_roundtrip_and_coprimality():
         a, b, N = random_pivotal_triple(rng)
         for v in (a, b):
             d = defect(v, N)
-            assert N * d.a_plus.value == v * d.a_minus.value  # recover a from (a+, a-, N)
-            from math import gcd
-
-            assert gcd(d.a_plus.value, d.a_minus.value) == 1
-            assert d.a_star.value == d.a_plus.value * d.a_minus.value
+            assert N * d.a_plus == v * d.a_minus  # recover a from (a+, a-, N)
+            assert gcd(d.a_plus, d.a_minus) == 1
+            assert d.a_star == d.a_plus * d.a_minus
+            assert is_squarefree(d.a_star)
 
 
 def test_quad_identity_examples():
@@ -246,7 +247,7 @@ def test_defect_census_property_sweep():
     rng = random.Random(59)
     for _ in range(100):
         S, N, X = random_structured_set(rng)
-        star_max = max(defect(a, N).a_star.value for a in S)
+        star_max = max(defect(a, N).a_star for a in S)
         T = Fraction(1)
         while T <= 2 * star_max:
             c = defect_census(S, N, X, T)
@@ -257,7 +258,7 @@ def test_defect_census_property_sweep():
 def test_extract_witnesses_remark2():
     A = list(range(100, 201, 10))
     inst = GcdInstance.build(A, A, 10, 100, 100)
-    si, ms = structure_instance(inst)
+    si = structure_instance(inst)
     rep = extract_witnesses(si)
     assert rep.holds and rep.chain_ok
     assert rep.a_star >= rep.a_star_lower
@@ -267,7 +268,7 @@ def test_extract_witnesses_remark2():
 
 def test_extract_witnesses_single_pair():
     inst = GcdInstance.build([4], [6], 2, 4, 6, check_ranges=False)
-    si, _ = structure_instance(inst)
+    si = structure_instance(inst)
     rep = extract_witnesses(si)
     assert rep.delta_prime == 1
     assert (rep.a, rep.b) == (4, 6)
@@ -279,7 +280,7 @@ def test_extract_witnesses_random_sweep():
 
     rng = random.Random(61)
     for _ in range(100):
-        si, _ = random_structured_instance(rng)
+        si = random_structured_instance(rng)
         rep = extract_witnesses(si)
         assert rep.holds and rep.chain_ok
 
@@ -287,10 +288,36 @@ def test_extract_witnesses_random_sweep():
 def test_structured_instance_rejects_non_pivotal_edges():
     inst = GcdInstance.build([4, 9], [4, 9], 1, 4, 4, check_ranges=False)
     om = build_omega_gcd(inst)
-    from gcdlab.arith import factorize
-
     # the pair (4, 9) alone: v_2(4/6) = 1 and v_2(9/6) = -1 sum to 2
     bad = PairSet(om.A, om.B, om.cells(1 << 0, 1 << 1))
     assert [(a.value, b.value) for a, b in bad.edges] == [(4, 9)]
     with pytest.raises(ValueError, match="pivotal"):
-        StructuredInstance(inst, om, factorize(6), bad)
+        StructuredInstance(inst, om, factorize(6), bad, "exhaustive")
+
+
+def test_structured_instance_accepts_exactly_the_pivotal_subsets():
+    # Omega' built by hand (no pair, each pair alone, all pairs, seeded random
+    # subsets) against moduli with primes outside A u B (7, 11) and exponents
+    # outside the valuation range (2^4, 3^3, and N = 1)
+    A, B = [6, 8, 9, 10, 12], [6, 7, 9, 12, 14, 15]
+    inst = GcdInstance.build(A, B, 1, 6, 6, check_ranges=False)
+    om = build_omega_gcd(inst)
+    n_cells = len(A) * len(B)
+    assert len(om) == n_cells
+    rng = random.Random(67)
+    masks = [0, om.bits] + [1 << k for k in range(n_cells)]
+    masks += [rng.getrandbits(n_cells) & rng.getrandbits(n_cells) for _ in range(60)]
+    for N in (1, 6, 7, 12, 16, 18, 27, 42, 66, 462, 432):
+        verdicts = set()
+        for mask in masks:
+            sub = PairSet(inst.A, inst.B, mask)
+            pivotal = all(check_pivotal(a, b, N) for a, b in sub.edges)
+            verdicts.add(pivotal)
+            if pivotal:
+                si = StructuredInstance(inst, om, factorize(N), sub, "exhaustive")
+                elements = {el for pair in sub.edges for el in pair}
+                assert si.defects == {el: defect(el, N) for el in elements}
+            else:
+                with pytest.raises(ValueError, match="pivotal"):
+                    StructuredInstance(inst, om, factorize(N), sub, "exhaustive")
+        assert verdicts == {True, False}
