@@ -3,9 +3,9 @@ valuations, radicals, and primorials.
 
 Everything here is pure and deterministic.  Values are Python ints, so
 nothing overflows; factorizations are canonical tuples of (prime, exponent)
-pairs sorted by prime.  Trial division against a cached prime sieve covers
-desk-scale inputs, with a Brent-cycle splitting fallback for anything past
-the sieve's reach.
+pairs sorted by prime.  Factorization trial-divides by the primes up to
+TRIAL_LIMIT, then runs Miller-Rabin and Brent's variant of Pollard rho on a
+larger cofactor; the cached prime sieve grows only on demand.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = [
     "valuation",
 ]
 
-# Trial-division sieve cap; larger inputs fall through to Brent splitting.
-DEFAULT_SIEVE_LIMIT = 10**6
+# Trial-division bound: a larger cofactor is prime if <= TRIAL_LIMIT**2, else split.
+TRIAL_LIMIT = 1 << 11
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -59,6 +59,9 @@ def primes_up_to(limit: int) -> list[int]:
     if limit > _sieve_limit:
         _extend_sieve(limit)
     return _primes[: bisect_right(_primes, limit)]
+
+
+_TRIAL_PRIMES = tuple(primes_up_to(TRIAL_LIMIT))
 
 
 def is_prime(n: int) -> bool:
@@ -138,8 +141,7 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"cannot factorize {n}: need n >= 1")
     rem = n
     out = []
-    cap = min(math.isqrt(n), DEFAULT_SIEVE_LIMIT)
-    for p in primes_up_to(cap):
+    for p in _TRIAL_PRIMES:
         if p * p > rem:
             break
         if rem % p == 0:
@@ -150,14 +152,14 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
                 rem //= p
             out.append((p, e))
     if rem > 1:
-        if rem <= DEFAULT_SIEVE_LIMIT * DEFAULT_SIEVE_LIMIT or is_prime(rem):
-            # no prime factor <= min(sqrt(n), sieve cap), so rem is prime
+        if rem <= TRIAL_LIMIT * TRIAL_LIMIT:
+            # no prime factor <= min(sqrt(rem), TRIAL_LIMIT), so rem is prime
             out.append((rem, 1))
         else:
+            # every prime factor of rem exceeds TRIAL_LIMIT, so out stays sorted
             extra: dict[int, int] = {}
             _split(rem, extra)
             out.extend(sorted(extra.items()))
-            out.sort()
     return tuple(out)
 
 
@@ -205,11 +207,19 @@ class FactoredNat:
         return str(self.value)
 
 
+def _trusted(value: int, factors: tuple[tuple[int, int], ...]) -> FactoredNat:
+    """A FactoredNat without __post_init__'s checks, for canonical factors."""
+    nat = object.__new__(FactoredNat)
+    object.__setattr__(nat, "value", value)
+    object.__setattr__(nat, "factors", factors)
+    return nat
+
+
 def factorize(n: int | FactoredNat) -> FactoredNat:
     """Canonical factorization of n >= 1 (FactoredNat inputs pass through)."""
     if isinstance(n, FactoredNat):
         return n
-    return FactoredNat(n, _factor_int(n))
+    return _trusted(n, _factor_int(n))
 
 
 def valuation(p: int, n: int | FactoredNat) -> int:

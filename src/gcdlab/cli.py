@@ -368,6 +368,9 @@ def cmd_search(args) -> tuple[dict, int]:
         if not res.optimal:
             summary["notice"] = "above the exact cap: value is a lower bound, not a maximum"
         return make_report("search", asdict(cfg), summary), 0
+    for flag, count in (("--scale-limit", args.scale_limit), ("--structured", args.structured)):
+        if count < 0:
+            raise InstanceError(f"{flag}: {count} must be a natural number")
     violations = hunt_violations(
         args.scale_limit, cfg.seed, n_structured=args.structured
     )
@@ -382,7 +385,7 @@ def cmd_search(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     cfg = _config(args)
-    results = run_all(quick=args.quick)
+    results = run_all(quick=args.quick, seed_offset=cfg.seed)
     records = [
         {"check": r.name, "ok": r.ok, "detail": r.detail} for r in results
     ]

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdlab.arith import (
+    TRIAL_LIMIT,
     FactoredNat,
     divisors,
     factorize,
@@ -37,6 +42,20 @@ def trial_division(n):
     return tuple(out)
 
 
+def assert_canonical(n, factors):
+    """The invariant oracle: sorted distinct primes, exponents >= 1, product n."""
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes)), (n, factors)
+    assert all(e >= 1 and is_prime(p) for p, e in factors), (n, factors)
+    assert math.prod(p**e for p, e in factors) == n, (n, factors)
+
+
+# the primes just below and just above the trial-division bound, and larger ones
+BELOW = [p for p in range(TRIAL_LIMIT - 200, TRIAL_LIMIT + 1) if is_prime(p)]
+ABOVE = [p for p in range(TRIAL_LIMIT + 1, TRIAL_LIMIT + 400) if is_prime(p)]
+LARGE = [10007, 65537, 104729, 999983, 1000003, 2147483647]
+
+
 def test_factorize_examples():
     assert factorize(1).factors == ()
     assert factorize(12).factors == ((2, 2), (3, 1))
@@ -56,20 +75,85 @@ def test_factorize_matches_trial_division_sample():
 
 
 def test_factorize_beyond_sieve_range():
-    # both prime factors exceed the sieve cap, forcing the splitting path
+    # both prime factors exceed 10^6, far past the trial bound: Brent splitting
     p, q = 1000003, 1000033
     assert factorize(p * q).factors == ((p, 1), (q, 1))
     assert factorize(p * p).factors == ((p, 2),)
 
 
 def test_roundtrip_exhaustive_to_one_million():
-    primes_up_to(1000)
+    # factorize builds its FactoredNat without re-checking primality, so the
+    # whole invariant is checked here, against the sieve
+    primes = set(primes_up_to(10**6))
     for n in range(1, 10**6 + 1):
+        factors = factorize(n).factors
         prod = 1
-        for p, e in factorize(n).factors:
+        last = 1
+        for p, e in factors:
+            if p <= last or e < 1 or p not in primes:
+                pytest.fail(f"factorize({n}) is not canonical: {factors}")
+            last = p
             prod *= p**e
         if prod != n:
             pytest.fail(f"factorize({n}) reconstructs {prod}")
+
+
+def test_factorize_semiprimes_near_trial_limit():
+    near = BELOW[-12:] + ABOVE[:12]
+    for p in near:
+        for q in near:
+            n = p * q
+            assert factorize(n).factors == trial_division(n)
+    for k in (1, 5, 30):  # with trial primes in front of the split factors, or none
+        n = k * ABOVE[0] * ABOVE[-1]
+        assert factorize(n).factors == trial_division(n)
+
+
+def test_factorize_around_trial_limit_squared():
+    sq = TRIAL_LIMIT * TRIAL_LIMIT
+    for n in range(sq - 300, sq + 301):
+        assert factorize(n).factors == trial_division(n)
+    for n in (ABOVE[0] ** 2 - 1, ABOVE[0] ** 2, ABOVE[0] ** 2 + 1):
+        assert factorize(n).factors == trial_division(n)
+
+
+def test_factorize_powers_and_triples_above_trial_limit():
+    for p in ABOVE[:6]:
+        assert factorize(p * p).factors == ((p, 2),)
+        assert factorize(p**3).factors == ((p, 3),)
+        assert factorize(12 * p**3).factors == ((2, 2), (3, 1), (p, 3))
+    for p, q, r in zip(ABOVE, ABOVE[1:], ABOVE[2:8]):
+        assert factorize(p * q * r).factors == trial_division(p * q * r)
+        assert factorize(p * p * r).factors == ((p, 2), (r, 1))
+    for p in LARGE:
+        assert factorize(p**2).factors == ((p, 2),)
+        assert factorize(p**3).factors == ((p, 3),)
+        n = ABOVE[0] * p * LARGE[0]
+        assert_canonical(n, factorize(n).factors)
+        assert {q for q, _ in factorize(n).factors} == {ABOVE[0], p, LARGE[0]}
+
+
+def test_factorize_random_large_values_are_canonical():
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(10**11, 10**15)
+        assert_canonical(n, factorize(n).factors)
+
+
+def test_factorize_never_grows_the_sieve():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from gcdlab import arith\n"
+        "for n in (1000003 * 1000033, 10**15 + 37, 2**61 - 1, 7 * 999983**2):\n"
+        "    arith.factorize(n)\n"
+        "print(arith._sieve_limit)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert int(proc.stdout) <= TRIAL_LIMIT
 
 
 def test_valuation_examples():
@@ -146,6 +230,16 @@ def test_factored_nat_invariants():
         FactoredNat(12, ((3, 1), (2, 2)))  # unsorted
     with pytest.raises(ValueError):
         FactoredNat(4, ((4, 1),))  # non-prime key
+    with pytest.raises(ValueError):
+        FactoredNat(12, ((4, 1), (3, 1)))  # non-prime key, right product
+
+
+def test_factorize_result_equals_validated_construction():
+    for n in (1, 12, 2310, 1000003 * 1000033, 2**61 - 1):
+        f = factorize(n)
+        g = FactoredNat(n, f.factors)
+        assert f == g and hash(f) == hash(g) and not f < g
+        assert {f: 1}[g] == 1
 
 
 def test_ordering_follows_value():

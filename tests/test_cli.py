@@ -11,6 +11,7 @@ import pytest
 import gcdlab.cli as cli
 from gcdlab.reports import to_canonical_json
 from gcdlab.search import Violation
+from gcdlab.verify import CheckResult
 
 GOLDEN_INSTANCE = str(Path(__file__).resolve().parent / "golden" / "remark2.instance.json")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -226,6 +227,8 @@ def test_bad_arguments_exit_2():
         ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "0"],
         ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "4"],
         ["stats", "{tmp}"],
+        ["search", "hunt", "--structured", "-3", "--scale-limit", "2"],
+        ["search", "hunt", "--structured", "0", "--scale-limit", "-1"],
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
@@ -233,6 +236,21 @@ def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_verify_runs_the_battery_with_the_echoed_seed(seed, monkeypatch, capsys):
+    calls = []
+
+    def fake_run_all(**kwargs):
+        calls.append(kwargs)
+        return [CheckResult("stub", True, 0.0, {})]
+
+    monkeypatch.setattr(cli, "run_all", fake_run_all)
+    code, out, _ = run_cli(["verify", "all", "--quick", "--seed", str(seed)], capsys)
+    assert code == 0
+    assert calls == [{"quick": True, "seed_offset": seed}]
+    assert json.loads(out)["config"]["seed"] == seed
 
 
 def test_config_is_the_file_value_unless_a_flag_overrides_it(tmp_path, capsys):

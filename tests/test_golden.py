@@ -1,9 +1,12 @@
 """Report bytes of `stats`, `structure` and `defect` against golden copies.
 
-The files under tests/golden/ were written by the CLI on three small
+The files under tests/golden/ were written by the CLI on four small
 deterministic instances and three defect arguments; any byte that changes
-is a report change.  The sparse instance keeps no pivotal pair, so
-`structure` exits 2 on it.
+is a report change.  The bigint instance has 12x12 elements in
+[10^12, 2*10^12], most with two or three prime factors above 2^11 (and one
+prime, one square and one cube of such primes), so its `stats` primes check
+factorization past the trial-division bound.  The sparse and bigint
+instances keep no pivotal pair, so `structure` exits 2 on them.
 """
 
 from pathlib import Path
@@ -13,12 +16,13 @@ import pytest
 import gcdlab.cli as cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-EXIT_2 = {("sparse", "structure"): "error: omega_prime is empty: no witnesses exist\n"}
+EMPTY = "error: omega_prime is empty: no witnesses exist\n"
+EXIT_2 = {("sparse", "structure"): EMPTY, ("bigint", "structure"): EMPTY}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", ["stats", "structure"])
-@pytest.mark.parametrize("name", ["remark2", "remark2_swapped", "sparse"])
+@pytest.mark.parametrize("name", ["remark2", "remark2_swapped", "sparse", "bigint"])
 def test_report_bytes_match_golden(name, command, fmt, capsys):
     code = cli.main([command, str(GOLDEN / f"{name}.instance.json"), "--format", fmt])
     out = capsys.readouterr()
