@@ -50,6 +50,7 @@ from .structure import (
     check_pivotal,
     defect,
     defect_census,
+    defect_census_sweep,
     extract_witnesses,
     find_modulus,
     quad_identity_check,

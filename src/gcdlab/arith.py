@@ -252,7 +252,7 @@ def primorial(X: int) -> FactoredNat:
     prod = 1
     for p in ps:
         prod *= p
-    return FactoredNat(prod, tuple((p, 1) for p in ps))
+    return _trusted(prod, tuple((p, 1) for p in ps))
 
 
 def is_squarefree(n: int | FactoredNat) -> bool:
@@ -266,7 +266,7 @@ def radical(n: int | FactoredNat) -> FactoredNat:
     prod = 1
     for p in ps:
         prod *= p
-    return FactoredNat(prod, tuple((p, 1) for p in ps))
+    return _trusted(prod, tuple((p, 1) for p in ps))
 
 
 def gcd_factored(m: int | FactoredNat, n: int | FactoredNat) -> FactoredNat:
@@ -281,7 +281,7 @@ def gcd_factored(m: int | FactoredNat, n: int | FactoredNat) -> FactoredNat:
     prod = 1
     for p, e in out:
         prod *= p**e
-    return FactoredNat(prod, tuple(out))
+    return _trusted(prod, tuple(out))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -213,24 +213,59 @@ def _gcd_threshold(D) -> int:
     return max(1, math.ceil(fraction_of(D)))
 
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+def _least_divisors_geq(factors, t: int) -> list[int]:
+    """The divisors d >= t of n = prod p^e over factors whose proper divisors
+    are all < t.  gcd(a, b) >= t iff a and b share one: the least divisor of
+    gcd(a, b) that is >= t is such a d.
+
+    Each d is s * q^k with q its least prime and s * q^(k-1) < t, so the
+    primes are walked in descending order and only the partial products
+    still below t are extended.  For t = 2 these are the primes of n."""
+    if t <= 1:
+        return [1]
+    out = []
+    below = [1]  # divisors of n over the primes walked so far, all < t
+    for p, e in reversed(factors):
+        grown = []
+        for d in below:
+            for _ in range(e):
+                d *= p
+                if d >= t:
+                    out.append(d)
+                    break
+                grown.append(d)
+        below += grown
+    return out
 
 
-def _pair_bits(A, B, row) -> int:
-    """The PairSet bitset of A x B from row(a, bvals), one 0/1 byte per b.
-    Rows run over A from last to first and over B from last to first, so the
-    joined rows read as one binary numeral put (A[i], B[j]) on bit i*|B| + j."""
-    bvals = [b.value for b in reversed(B)]
-    return int(b"".join(row(a.value, bvals) for a in reversed(A)).translate(_BIT_CHARS), 2)
+def _join_rows(rows, width: int) -> int:
+    """The grid integer with rows[i] on bits [i*width, (i+1)*width), joined
+    pairwise so that no intermediate value is larger than the result."""
+    while len(rows) > 1:
+        rows = [
+            rows[k] | rows[k + 1] << width if k + 1 < len(rows) else rows[k]
+            for k in range(0, len(rows), 2)
+        ]
+        width *= 2
+    return rows[0]
 
 
 def build_omega_gcd(inst: GcdInstance) -> PairSet:
-    """All pairs (a, b) in A x B with gcd(a, b) >= D, density exact."""
+    """All pairs (a, b) in A x B with gcd(a, b) >= D, density exact.  Row a
+    is the union of the column masks of a's least divisors >= D, so no pair
+    is tested."""
     t = _gcd_threshold(inst.D)
-    bits = _pair_bits(
-        inst.A, inst.B, lambda a, bvals: bytes([math.gcd(a, b) >= t for b in bvals])
-    )
-    return PairSet(inst.A, inst.B, bits, "gcd_geq", fraction_of(inst.D))
+    cols: dict[int, int] = defaultdict(int)
+    for j, b in enumerate(inst.B):
+        for d in _least_divisors_geq(b.factors, t):
+            cols[d] |= 1 << j
+    rows = []
+    for a in inst.A:
+        row = 0
+        for d in _least_divisors_geq(a.factors, t):
+            row |= cols.get(d, 0)
+        rows.append(row)
+    return PairSet(inst.A, inst.B, _join_rows(rows, len(inst.B)), "gcd_geq", fraction_of(inst.D))
 
 
 def build_omega_ratio(A, B, Q) -> PairSet:
@@ -238,10 +273,12 @@ def build_omega_ratio(A, B, Q) -> PairSet:
     A = _coerce_elements(A, "A")
     B = _coerce_elements(B, "B")
     Q = fraction_of(Q)
-    bits = _pair_bits(
-        A, B, lambda a, bvals: bytes([Fraction(a * b, math.gcd(a, b) ** 2) <= Q for b in bvals])
-    )
-    return PairSet(A, B, bits, "ratio_leq", Q)
+    bvals = [b.value for b in B]
+    rows = [
+        sum(1 << j for j, b in enumerate(bvals) if Fraction(a * b, math.gcd(a, b) ** 2) <= Q)
+        for a in [a.value for a in A]
+    ]
+    return PairSet(A, B, _join_rows(rows, len(B)), "ratio_leq", Q)
 
 
 def _values(S) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ __all__ = [
     "check_pivotal",
     "defect",
     "defect_census",
+    "defect_census_sweep",
     "extract_witnesses",
     "find_modulus",
     "quad_identity_check",
@@ -378,36 +379,58 @@ class DefectCensus:
     rows: tuple[CensusRow, ...]
 
 
+def _element_defects(S, N: FactoredNat, X: Fraction) -> list[tuple[int, DefectDecomposition]]:
+    """(value, defect) for each distinct element of S, in increasing order."""
+    elems = sorted({factorize(x) for x in S})
+    for el in elems:
+        if not X <= el.value <= 2 * X:
+            raise ValueError(f"element {el.value} outside [{X}, {2 * X}]")
+    return [(el.value, defect(el, N)) for el in elems]
+
+
+def _census_at(defects, N: FactoredNat, X: Fraction, T: Fraction) -> DefectCensus:
+    plus_cap_sq = 2 * X * T / N.value
+    minus_cap_sq = Fraction(N.value) * T / X
+    # the compared sides are integers, so comparing with the floors is exact
+    t, plus_cap, minus_cap = math.floor(T), math.floor(plus_cap_sq), math.floor(minus_cap_sq)
+    rows = []
+    count = 0
+    range_ok = True
+    for value, d in defects:
+        a_star = d.a_star
+        counted = a_star <= t
+        plus_ok = minus_ok = True
+        if counted:
+            count += 1
+            plus_ok = d.a_plus**2 <= plus_cap
+            minus_ok = d.a_minus**2 <= minus_cap
+            range_ok = range_ok and plus_ok and minus_ok
+        rows.append(CensusRow(value, d.a_plus, d.a_minus, a_star, counted, plus_ok, minus_ok))
+    return DefectCensus(
+        count, 2 * T, count <= 2 * T, plus_cap_sq, minus_cap_sq, range_ok, tuple(rows)
+    )
+
+
 def defect_census(S, N, X, T) -> DefectCensus:
     """Count elements of S within [X, 2X] whose defect a_star is <= T; the
     count can never exceed 2T, and every counted element obeys the range
     caps a_plus^2 <= 2XT/N and a_minus^2 <= NT/X (verified exactly)."""
     N = factorize(N)
-    X, T = fraction_of(X), fraction_of(T)
-    elems = sorted({factorize(x) for x in S})
-    for el in elems:
-        if not X <= el.value <= 2 * X:
-            raise ValueError(f"element {el.value} outside [{X}, {2 * X}]")
-    plus_cap_sq = 2 * X * T / N.value
-    minus_cap_sq = Fraction(N.value) * T / X
-    rows = []
-    count = 0
-    range_ok = True
-    for el in elems:
-        d = defect(el, N)
-        counted = d.a_star <= T
-        plus_ok = minus_ok = True
-        if counted:
-            count += 1
-            plus_ok = d.a_plus**2 <= plus_cap_sq
-            minus_ok = d.a_minus**2 <= minus_cap_sq
-            range_ok = range_ok and plus_ok and minus_ok
-        rows.append(
-            CensusRow(el.value, d.a_plus, d.a_minus, d.a_star, counted, plus_ok, minus_ok)
-        )
-    return DefectCensus(
-        count, 2 * T, count <= 2 * T, plus_cap_sq, minus_cap_sq, range_ok, tuple(rows)
-    )
+    X = fraction_of(X)
+    return _census_at(_element_defects(S, N, X), N, X, fraction_of(T))
+
+
+def defect_census_sweep(S, N, X) -> tuple[DefectCensus, ...]:
+    """defect_census(S, N, X, T) on the log grid T = 1/2, 1, 2, 4, ... up to
+    twice the largest a_star, from each element's defect computed once."""
+    N = factorize(N)
+    X = fraction_of(X)
+    defects = _element_defects(S, N, X)
+    top = 2 * max((d.a_star for _, d in defects), default=0)
+    grid = [Fraction(1, 2)]
+    while grid[-1] * 2 <= top:
+        grid.append(grid[-1] * 2)
+    return tuple(_census_at(defects, N, X, T) for T in grid)
 
 
 @dataclass(frozen=True)

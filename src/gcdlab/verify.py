@@ -12,7 +12,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import divisors, is_squarefree, radical
 from .families import sec5_family
@@ -38,8 +37,7 @@ from .search import (
 )
 from .structure import (
     check_pivotal,
-    defect,
-    defect_census,
+    defect_census_sweep,
     quad_identity_check,
     quad_identity_witnesses,
     valuation_measure,
@@ -193,17 +191,10 @@ def check_defect_census(seed: int = 3003, n_sets: int = 10**3) -> CheckResult:
     failures = []
     for idx in range(n_sets):
         S, N, X = random_structured_set(rng)
-        max_star = max(defect(a, N).a_star for a in S)
-        t_grid = [Fraction(1, 2)]
-        t = Fraction(1)
-        while t <= 2 * max_star:
-            t_grid.append(t)
-            t *= 2
-        for T in t_grid:
-            census = defect_census(S, N, X, T)
+        for census in defect_census_sweep(S, N, X):
             if not (census.holds and census.range_ok):
                 failures.append(
-                    {"set_index": idx, "N": N, "T": str(T), "count": census.count}
+                    {"set_index": idx, "N": N, "T": str(census.bound / 2), "count": census.count}
                 )
     return CheckResult(
         "defect-count-census",

@@ -242,6 +242,20 @@ def test_factorize_result_equals_validated_construction():
         assert {f: 1}[g] == 1
 
 
+def test_builders_equal_validated_construction():
+    # primorial, radical and gcd_factored skip the constructor's checks
+    rng = random.Random(67)
+    values = list(range(1, 300)) + [rng.randint(1, 10**12) for _ in range(300)]
+    built = [primorial(x) for x in range(1, 300)]
+    for n in values:
+        m = rng.choice(values) * rng.choice((1, 2, 6, 2053))
+        built += [radical(n), gcd_factored(n, m)]
+        assert gcd_factored(n, m).value == math.gcd(n, m)
+    for f in built:
+        g = FactoredNat(f.value, f.factors)
+        assert f == g and hash(f) == hash(g) and f.factors == factorize(f.value).factors
+
+
 def test_ordering_follows_value():
     assert sorted([factorize(10), factorize(3), factorize(7)])[0].value == 3
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcdlab.arith import divisors, factorize
 from gcdlab.instance import (
     GcdInstance,
     InstanceError,
+    _least_divisors_geq,
     build_omega_gcd,
     build_omega_ratio,
     chase_diagonal_bound,
@@ -38,19 +40,67 @@ def test_build_omega_examples():
     assert build_omega_gcd(inst2).delta == 1
 
 
-def test_omega_views_match_naive_census():
+def _omega_cases():
     rng = random.Random(29)
     for _ in range(30):
         A = sorted({rng.randint(1, 10**4) for _ in range(rng.randint(1, 40))})
         B = sorted({rng.randint(1, 10**4) for _ in range(rng.randint(1, 40))})
-        for D in (1, 3, 17, 500):
-            inst = GcdInstance.build(A, B, D, min(A), min(B), check_ranges=False)
-            om = build_omega_gcd(inst)
-            assert len(om) == count_pairs_geq_naive(A, B, D)
-            assert len(om.edges) == len(om)
-            assert om.degrees_left() == Counter(a for a, _ in om.edges)
-            assert om.degrees_right() == Counter(b for _, b in om.edges)
-            assert sum((a, b) in om for a in om.A for b in om.B) == len(om)
+        for D in (1, Fraction(5, 2), 3, 17, 500, 2 * 10**4):
+            yield A, B, D
+    # the element 1, prime powers, and a D above every gcd
+    yield [1, 2, 4, 8, 16], [1, 3, 8, 9, 27, 32], 4
+    yield [1, 2, 4, 8, 16], [1, 3, 8, 9, 27, 32], 1
+    yield [2**k for k in range(12)], [3**k * 2 for k in range(8)], 17
+    yield [49, 343, 2401], [7, 49, 77], Fraction(7, 3)
+    yield [97, 101], [103, 107], 98
+    # remark2-style sets of multiples of D, and a few non-multiples
+    for D in (6, 10, 12):
+        A = list(range(10 * D, 20 * D + 1, D)) + [10 * D + 1]
+        B = list(range(12 * D, 24 * D + 1, D)) + [13 * D - 1]
+        yield A, B, D
+        yield A, B, D + 1
+    # values near 10^12 with two prime factors above 2^11
+    ps = [999979, 999983, 1000003, 1000033, 1000037]
+    near = sorted({p * q for p in ps for q in ps} | {487 * 2053 * p for p in ps})
+    for D in (2053, 487 * 2053 + 1, 10**6 + 40):
+        yield near, near[::2], D
+
+
+def test_omega_views_match_naive_census():
+    for A, B, D in _omega_cases():
+        inst = GcdInstance.build(A, B, D, min(A), min(B), check_ranges=False)
+        om = build_omega_gcd(inst)
+        t = math.ceil(D)
+        naive = [(a, b) for a in om.A for b in om.B if math.gcd(a.value, b.value) >= t]
+        assert list(om.edges) == naive, (A, B, D)
+        assert len(om) == count_pairs_geq_naive(A, B, D)
+        assert om.degrees_left() == Counter(a for a, _ in om.edges)
+        assert om.degrees_right() == Counter(b for _, b in om.edges)
+        assert sum((a, b) in om for a in om.A for b in om.B) == len(om)
+        Q = Fraction(D) * 3
+        ratio = build_omega_ratio(A, B, Q)
+        naive = [
+            (a, b)
+            for a in ratio.A
+            for b in ratio.B
+            if a.value * b.value <= Q * math.gcd(a.value, b.value) ** 2
+        ]
+        assert list(ratio.edges) == naive, (A, B, Q)
+
+
+def test_least_divisors_geq_match_definition():
+    # the divisors d >= t of n whose proper divisors are all < t, i.e. whose
+    # largest proper divisor m(d) is < t; d is in for t in (m(d), d] only,
+    # so the wanted list changes only at t = m(d) + 1 and t = d + 1
+    for n in range(1, 2001):
+        divs = divisors(n)
+        largest = {d: max((e for e in divs if e < d and d % e == 0), default=0) for d in divs}
+        changes = {largest[d] + 1 for d in divs} | {d + 1 for d in divs}
+        factors = factorize(n).factors
+        for t in range(1, n + 2):
+            if t in changes:
+                want = [d for d in divs if d >= t and largest[d] < t]
+            assert sorted(_least_divisors_geq(factors, t)) == want, (n, t)
 
 
 def test_omega_predicate_reverified():

@@ -15,6 +15,7 @@ from gcdlab.structure import (
     check_pivotal,
     defect,
     defect_census,
+    defect_census_sweep,
     extract_witnesses,
     find_modulus,
     quad_identity_check,
@@ -253,6 +254,29 @@ def test_defect_census_property_sweep():
             c = defect_census(S, N, X, T)
             assert c.holds and c.range_ok
             T *= 2
+
+
+def test_defect_census_sweep_equals_per_t_census():
+    rng = random.Random(61)
+    cases = [random_structured_set(rng) for _ in range(60)]
+    cases += [([12, 15, 18], 6, 12), ([10, 11, 12, 14, 15, 20], 10, 10), ([7, 10, 12, 14], 6, 7)]
+    cases += [([6], 6, 6), ([6, 12], 6, 6)]  # largest a_star a power of two
+    for S, N, X in cases:
+        defects = {a: defect(a, N) for a in S}
+        top = 2 * max(d.a_star for d in defects.values())
+        sweep = defect_census_sweep(S, N, X)
+        grid = [c.bound / 2 for c in sweep]
+        assert grid == [Fraction(2**k, 2) for k in range(len(grid))]
+        assert grid[-1] <= top < 2 * grid[-1]
+        for T, c in zip(grid, sweep):
+            assert c == defect_census(S, N, X, T)
+            # recounted from the definitions with Fraction comparisons
+            counted = [d for d in defects.values() if d.a_star <= T]
+            assert c.count == len(counted) and c.holds == (len(counted) <= 2 * T)
+            assert c.range_ok == all(
+                d.a_plus**2 <= 2 * X * T / N and d.a_minus**2 <= Fraction(N) * T / X
+                for d in counted
+            )
 
 
 def test_extract_witnesses_remark2():
