@@ -6,86 +6,112 @@ censuses and bound evaluators (instance), valuation measures, modulus search
 and defect machinery (structure), concentration numerics (measure), the
 explicit example families (families), extremal search and violation hunting
 (search), and a command-line front end (cli).
+
+`import gcdlab` loads no submodule: each exported name is imported from its
+module on first access (PEP 562), so a caller pays only for what it uses.
 """
 
-from .arith import (
-    FactoredNat,
-    divisors,
-    factorize,
-    gcd_factored,
-    is_prime,
-    is_squarefree,
-    primes_up_to,
-    primorial,
-    radical,
-    rational_valuations,
-    valuation,
-)
-from .instance import (
-    GcdInstance,
-    InstanceError,
-    PairSet,
-    build_omega_gcd,
-    build_omega_ratio,
-    chase_diagonal_bound,
-    count_pairs_geq_fast,
-    count_pairs_geq_naive,
-    gcd_census,
-    instance_from_json,
-    instance_to_json,
-    prime_sets,
-    read_instance,
-    theorem1_bound,
-    theorem1_holds,
-    theorem51_bound,
-    write_instance,
-)
-from .structure import (
-    DefectCensus,
-    DefectDecomposition,
-    DefectError,
-    InternalConsistencyError,
-    StructuredInstance,
-    ValuationMeasure,
-    check_pivotal,
-    defect,
-    defect_census,
-    defect_census_sweep,
-    extract_witnesses,
-    find_modulus,
-    quad_identity_check,
-    quad_identity_witnesses,
-    structure_instance,
-    valuation_measure,
-)
-from .measure import (
-    ConcentrationReport,
-    Measure2D,
-    SigmaDecomposition,
-    WeightPair,
-    best_center,
-    concentration_report,
-    from_valuation_measure,
-    min_admissible_c,
-    min_admissible_c_interval,
-    sigma_decomposition,
-    tail_mass,
-)
-from .families import (
-    FamilyReport,
-    remark2_family,
-    remark3_family,
-    sec5_family,
-    squarefree_instance,
-)
-from .search import (
-    SearchResult,
-    SearchSpace,
-    Violation,
-    exhaustive_max,
-    exhaustive_max_bruteforce,
-    hunt_violations,
-    max_pairwise_compatible,
-)
+from importlib import import_module
+
+# The exported names, grouped by the submodule that defines them.
+_EXPORTS = {
+    "arith": (
+        "FactoredNat",
+        "divisors",
+        "factorize",
+        "gcd_factored",
+        "is_prime",
+        "is_squarefree",
+        "primes_up_to",
+        "primorial",
+        "radical",
+        "rational_valuations",
+        "valuation",
+    ),
+    "instance": (
+        "GcdInstance",
+        "InstanceError",
+        "PairSet",
+        "build_omega_gcd",
+        "build_omega_ratio",
+        "chase_diagonal_bound",
+        "count_pairs_geq_fast",
+        "count_pairs_geq_naive",
+        "gcd_census",
+        "instance_from_json",
+        "instance_to_json",
+        "prime_sets",
+        "read_instance",
+        "theorem1_bound",
+        "theorem1_holds",
+        "theorem51_bound",
+        "write_instance",
+    ),
+    "structure": (
+        "DefectCensus",
+        "DefectDecomposition",
+        "DefectError",
+        "InternalConsistencyError",
+        "StructuredInstance",
+        "ValuationMeasure",
+        "check_pivotal",
+        "defect",
+        "defect_census",
+        "defect_census_sweep",
+        "extract_witnesses",
+        "find_modulus",
+        "quad_identity_check",
+        "quad_identity_witnesses",
+        "structure_instance",
+        "valuation_measure",
+    ),
+    "measure": (
+        "ConcentrationReport",
+        "Measure2D",
+        "SigmaDecomposition",
+        "WeightPair",
+        "best_center",
+        "concentration_report",
+        "from_valuation_measure",
+        "min_admissible_c",
+        "min_admissible_c_interval",
+        "sigma_decomposition",
+        "tail_mass",
+    ),
+    "families": (
+        "FamilyReport",
+        "remark2_family",
+        "remark3_family",
+        "sec5_family",
+        "squarefree_instance",
+    ),
+    "search": (
+        "SearchResult",
+        "SearchSpace",
+        "Violation",
+        "exhaustive_max",
+        "exhaustive_max_bruteforce",
+        "hunt_violations",
+        "max_pairwise_compatible",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

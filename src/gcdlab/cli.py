@@ -29,17 +29,7 @@ from .instance import (
     theorem1_holds,
     theorem1_log10_bound,
 )
-from .families import remark2_family, remark3_family, sec5_family, squarefree_instance
-from .measure import (
-    Measure2D,
-    WeightPair,
-    concentration_report,
-    from_valuation_measure,
-    min_admissible_c,
-    random_admissible_config,
-)
 from .reports import make_report, render
-from .search import SearchSpace, exhaustive_max, hunt_violations
 from .structure import (
     DefectError,
     InternalConsistencyError,
@@ -51,7 +41,9 @@ from .structure import (
     quad_identity_witnesses,
     valuation_measure,
 )
-from .verify import run_all
+
+# measure (and with it mpmath), families, search and verify are imported by
+# the subcommands that run them, so a cold start loads only what it uses.
 
 __all__ = ["main", "RunConfig"]
 
@@ -232,6 +224,14 @@ def _measure_summary(rep) -> dict:
 
 
 def cmd_measure(args) -> tuple[dict, int]:
+    from .measure import (
+        Measure2D,
+        WeightPair,
+        concentration_report,
+        from_valuation_measure,
+        random_admissible_config,
+    )
+
     cfg = _config(args)
     records = []
     if args.point_mass is not None:
@@ -319,6 +319,8 @@ def _emit_set(path: str, A, B, D, cfg: RunConfig) -> None:
 
 
 def cmd_family(args) -> tuple[dict, int]:
+    from .families import remark2_family, remark3_family, sec5_family, squarefree_instance
+
     cfg = _config(args)
     if args.family == "remark2":
         A, B, report = remark2_family(args.X, args.Y if args.Y else args.X, args.D)
@@ -339,6 +341,8 @@ def cmd_family(args) -> tuple[dict, int]:
 
 
 def cmd_search(args) -> tuple[dict, int]:
+    from .search import SearchSpace, exhaustive_max, hunt_violations
+
     cfg = _config(args)
     if args.action == "exhaustive":
         target = args.delta_target
@@ -384,6 +388,8 @@ def cmd_search(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    from .verify import run_all
+
     cfg = _config(args)
     results = run_all(quick=args.quick, seed_offset=cfg.seed)
     records = [

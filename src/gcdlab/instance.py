@@ -105,8 +105,10 @@ class GcdInstance:
         for name, S, R in (("A", self.A, self.X), ("B", self.B, self.Y)):
             if R <= 0:
                 raise InstanceError(f"field {'X' if name == 'A' else 'Y'}: {R} must be positive")
+            # elements are integers: R <= v <= 2R iff ceil(R) <= v <= floor(2R)
+            lo, hi = math.ceil(R), math.floor(2 * R)
             for i, el in enumerate(S):
-                if not R <= el.value <= 2 * R:
+                if not lo <= el.value <= hi:
                     raise InstanceError(
                         f"field {name}[{i}]: {el.value} outside [{R}, {2 * R}]"
                     )
@@ -194,18 +196,6 @@ class PairSet:
         # is then carry-free, one copy of cols per selected row
         spread = int(("0" * (self.n_right - 1)).join(format(rows, "b")), 2)
         return spread * cols
-
-    def verify_predicate(self) -> bool:
-        if self.kind == "gcd_geq":
-            t = _gcd_threshold(self.threshold)
-            return all(math.gcd(a.value, b.value) >= t for a, b in self.edges)
-        if self.kind == "ratio_leq":
-            return all(
-                Fraction(a.value * b.value, math.gcd(a.value, b.value) ** 2)
-                <= self.threshold
-                for a, b in self.edges
-            )
-        raise ValueError(f"unknown pair-set kind {self.kind!r}")
 
 
 def _gcd_threshold(D) -> int:

@@ -63,14 +63,6 @@ class ValuationMeasure:
     beta: dict[int, Fraction]
     mu: dict[tuple[int, int], Fraction]
 
-    def check_sums(self) -> bool:
-        one = Fraction(1)
-        return (
-            sum(self.alpha.values()) == one
-            and sum(self.beta.values()) == one
-            and sum(self.mu.values()) == one
-        )
-
 
 def _valuation_classes(S, primes) -> dict[int, dict[int, int]]:
     """{p: {v: bitmask of the indices i with v_p(S[i]) = v}} for each p in

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import gcdlab.cli as cli
+import gcdlab.search
+import gcdlab.verify
 from gcdlab.reports import to_canonical_json
 from gcdlab.search import Violation
 from gcdlab.verify import CheckResult
@@ -80,7 +82,7 @@ def test_exit_2_on_macro_garbage(tmp_path, capsys):
 
 def test_exit_1_on_violation(monkeypatch, capsys):
     fake = [Violation("diagonal-gap-bound", {"X": 4, "D": 2, "set": [1], "allowed": 0})]
-    monkeypatch.setattr(cli, "hunt_violations", lambda *a, **k: fake)
+    monkeypatch.setattr(gcdlab.search, "hunt_violations", lambda *a, **k: fake)
     code, out, _ = run_cli(["search", "hunt", "--scale-limit", "2", "--structured", "1"], capsys)
     assert code == 1
     doc = json.loads(out)
@@ -246,7 +248,7 @@ def test_verify_runs_the_battery_with_the_echoed_seed(seed, monkeypatch, capsys)
         calls.append(kwargs)
         return [CheckResult("stub", True, 0.0, {})]
 
-    monkeypatch.setattr(cli, "run_all", fake_run_all)
+    monkeypatch.setattr(gcdlab.verify, "run_all", fake_run_all)
     code, out, _ = run_cli(["verify", "all", "--quick", "--seed", str(seed)], capsys)
     assert code == 0
     assert calls == [{"quick": True, "seed_offset": seed}]
@@ -277,3 +279,46 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["a_star"] == "2"
+
+
+# Modules only some subcommands need; mpmath comes in with gcdlab.measure.
+OPTIONAL_MODULES = ("mpmath", "gcdlab.measure", "gcdlab.search", "gcdlab.verify", "gcdlab.families")
+
+
+def modules_loaded_by(argv):
+    """Exit code and sorted sys.modules of a fresh interpreter that runs
+    gcdlab.cli.main(argv)."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import gcdlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = gcdlab.cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", GOLDEN_INSTANCE],
+        ["structure", GOLDEN_INSTANCE],
+        ["defect", "--a", "12", "--n", "6"],
+    ],
+)
+def test_core_subcommands_load_no_optional_module(argv):
+    code, modules = modules_loaded_by(argv)
+    assert code == 0
+    assert modules.isdisjoint(OPTIONAL_MODULES), sorted(modules & set(OPTIONAL_MODULES))
+
+
+def test_measure_loads_its_module():
+    code, modules = modules_loaded_by(["measure", "--point-mass", "0", "0", "--lambda", "0.5"])
+    assert code == 0
+    assert {"gcdlab.measure", "mpmath"} <= modules

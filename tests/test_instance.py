@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -103,10 +104,23 @@ def test_least_divisors_geq_match_definition():
             assert sorted(_least_divisors_geq(factors, t)) == want, (n, t)
 
 
+def predicate_holds(om) -> bool:
+    """Every pair of om satisfies the predicate it was built from."""
+    if om.kind == "gcd_geq":
+        t = max(1, math.ceil(om.threshold))
+        return all(math.gcd(a.value, b.value) >= t for a, b in om.edges)
+    if om.kind == "ratio_leq":
+        return all(
+            Fraction(a.value * b.value, math.gcd(a.value, b.value) ** 2) <= om.threshold
+            for a, b in om.edges
+        )
+    raise ValueError(f"unknown pair-set kind {om.kind!r}")
+
+
 def test_omega_predicate_reverified():
     inst = GcdInstance.build([4, 6, 8], [4, 6, 8], 2, 4, 4)
-    assert build_omega_gcd(inst).verify_predicate()
-    assert build_omega_ratio([2, 3, 6], [2, 3, 6], 6).verify_predicate()
+    assert predicate_holds(build_omega_gcd(inst))
+    assert predicate_holds(build_omega_ratio([2, 3, 6], [2, 3, 6], 6))
 
 
 def test_census_examples():
@@ -238,6 +252,56 @@ def test_build_validates_fields():
         GcdInstance.build([2], [2], 1, 2, 2, epsilon=1.0)
     with pytest.raises(InstanceError, match="D"):
         GcdInstance.build([2], [2], 5, 2, 2)
+
+
+def fraction_range_error(inst):
+    """The message of validate_ranges as a Fraction comparison per element,
+    or None when the instance passes."""
+    for name, S, R in (("A", inst.A, inst.X), ("B", inst.B, inst.Y)):
+        if R <= 0:
+            return f"field {'X' if name == 'A' else 'Y'}: {R} must be positive"
+        for i, el in enumerate(S):
+            if not R <= el.value <= 2 * R:
+                return f"field {name}[{i}]: {el.value} outside [{R}, {2 * R}]"
+    if inst.D < 1:
+        return f"field D: {inst.D} must be >= 1"
+    if inst.D > min(inst.X, inst.Y):
+        return f"field D: {inst.D} exceeds min(X, Y) = {min(inst.X, inst.Y)}"
+    return None
+
+
+def range_error(inst):
+    try:
+        inst.validate_ranges()
+    except InstanceError as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_range_check_matches_fraction_comparison():
+    rng = random.Random(61)
+    ranges = [Fraction(7, 2), Fraction(10, 3), Fraction(1, 2), Fraction(4), Fraction(13)]
+    ranges += [Fraction(rng.randint(2, 400), rng.choice([1, 1, 2, 3, 7])) for _ in range(40)]
+    outcomes = Counter()
+    for X in ranges:
+        lo, hi = math.ceil(X), math.floor(2 * X)
+        # the bounds themselves and one beyond each, on either side
+        for A, B in ([lo], [hi]), ([lo - 1], [lo]), ([hi + 1], [hi]), ([lo, hi], [lo - 1, hi + 1]):
+            A, B = [v for v in A if v > 0] or [lo], [v for v in B if v > 0] or [lo]
+            inst = GcdInstance.build(A, B, 1, X, X, check_ranges=False)
+            assert range_error(inst) == fraction_range_error(inst), (X, A, B)
+            outcomes[range_error(inst) is None] += 1
+        for _ in range(5):
+            Y = rng.choice(ranges)
+            A = rng.sample(range(max(1, lo - 2), hi + 3), rng.randint(1, min(6, hi - lo + 3)))
+            B = [rng.randint(max(1, math.ceil(Y) - 1), math.floor(2 * Y) + 1) for _ in range(4)]
+            D = rng.choice([1, Fraction(1, 2), min(X, Y), min(X, Y) + 1])
+            inst = GcdInstance.build(A, B, D, X, Y, check_ranges=False)
+            # unsorted sides, so the reported index is not always the end's
+            inst = replace(inst, A=tuple(rng.sample(inst.A, len(inst.A))))
+            assert range_error(inst) == fraction_range_error(inst), (X, Y, A, B, D)
+            outcomes[range_error(inst) is None] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
 
 
 def test_range_inference_is_checked():

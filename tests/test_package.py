@@ -1,0 +1,47 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gcdlab
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def test_every_export_is_its_modules_object():
+    for module, names in gcdlab._EXPORTS.items():
+        mod = importlib.import_module(f"gcdlab.{module}")
+        for name in names:
+            assert getattr(gcdlab, name) is getattr(mod, name), name
+    namespace = {}
+    exec("from gcdlab import *", namespace)
+    for name in gcdlab.__all__:
+        assert namespace[name] is getattr(gcdlab, name), name
+
+
+def test_export_map_lists_each_name_once():
+    assert len(gcdlab.__all__) == len(set(gcdlab.__all__)) == len(gcdlab._MODULE_OF)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gcdlab.no_such_name
+    assert not hasattr(gcdlab, "__no_such_dunder__")
+
+
+def test_import_loads_no_submodule_and_dir_lists_every_export():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import gcdlab\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gcdlab.')))\n"
+        "print(sorted(set(gcdlab.__all__) - set(dir(gcdlab))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert proc.stdout == "[]\n[]\n"
