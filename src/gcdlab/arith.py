@@ -3,9 +3,14 @@ valuations, radicals, and primorials.
 
 Everything here is pure and deterministic.  Values are Python ints, so
 nothing overflows; factorizations are canonical tuples of (prime, exponent)
-pairs sorted by prime.  Factorization trial-divides by the primes up to
-TRIAL_LIMIT, then runs Miller-Rabin and Brent's variant of Pollard rho on a
-larger cofactor; the cached prime sieve grows only on demand.
+pairs sorted by prime.  Factorization takes one gcd of n with the product of
+the trial primes (those up to TRIAL_LIMIT, or up to about sqrt(n) for a
+smaller n) and divides out only the primes of that gcd; a larger cofactor
+goes to Miller-Rabin and Brent's variant of Pollard rho.  Miller-Rabin uses
+the published witness set proven for n's size, so is_prime is exact below
+psi_13 = 3317044064679887385961981 and raises ValueError above it for a
+number that no witness shows composite.  The cached prime sieve grows only
+on demand.
 """
 
 from __future__ import annotations
@@ -30,11 +35,25 @@ __all__ = [
     "valuation",
 ]
 
-# Trial-division bound: a larger cofactor is prime if <= TRIAL_LIMIT**2, else split.
+# Trial-division bound: a cofactor free of trial primes is prime if <= TRIAL_LIMIT**2.
 TRIAL_LIMIT = 1 << 11
+_TRIAL_SQUARE = TRIAL_LIMIT * TRIAL_LIMIT
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin: the first k prime bases prove every n below
+# psi_k, the least strong pseudoprime to all of them (Jaeschke, Math. Comp.
+# 1993; psi_12 and psi_13 from Sorenson-Webster, Math. Comp. 2017).  Each
+# entry is (psi_k, bases); the last bound is psi_13.
+_MR_TIERS = (
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
 
 _sieve = bytearray(b"\x00\x00\x01\x01")  # _sieve[n] == 1 iff n prime
 _sieve_limit = 3
@@ -62,23 +81,27 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 _TRIAL_PRIMES = tuple(primes_up_to(TRIAL_LIMIT))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+# For a bit length b < 21, _TRIAL_PRODUCTS[b] is the product of the trial
+# primes up to 2**ceil(b/2), which is >= sqrt(n) for every n of b bits.  From
+# b = 21 on that bound reaches TRIAL_LIMIT and _TRIAL_PRODUCT takes its
+# place.  A small n so skips most of the 2,865-bit division of the full gcd.
+_TRIAL_PRODUCTS = tuple(
+    math.prod(_TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, 1 << (b + 1) // 2)]) for b in range(21)
+)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test (sieve lookup, then Miller-Rabin)."""
-    if n < 2:
-        return False
-    if n <= _sieve_limit:
-        return bool(_sieve[n])
-    for p in (2, 3, 5, 7, 11, 13):
-        if n % p == 0:
-            return n == p
+def _miller_rabin(n: int) -> bool:
+    """Proven primality of an odd n > 41, by the witness set of n's tier.
+    At or above psi_13 a composite verdict is still proven, but passing
+    every base is not a proof: ValueError."""
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -88,7 +111,24 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= bound:
+        raise ValueError(f"cannot prove {n} prime: it is a strong probable prime "
+                         f"to the bases up to 41, which decide only n < {bound}")
     return True
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test: sieve lookup, then Miller-Rabin with
+    the witness set proven for n's size.  Raises ValueError for an n >=
+    psi_13 = 3317044064679887385961981 that no witness shows composite."""
+    if n < 2:
+        return False
+    if n <= _sieve_limit:
+        return bool(_sieve[n])
+    for p in (2, 3, 5, 7, 11, 13):
+        if n % p == 0:
+            return False
+    return _miller_rabin(n)
 
 
 def _brent(n: int) -> int:
@@ -125,9 +165,9 @@ def _brent(n: int) -> int:
 
 
 def _split(n: int, acc: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
+    """Add the prime factors of n > 1 to acc.  Every prime factor of n
+    exceeds TRIAL_LIMIT, so n <= TRIAL_LIMIT**2 is prime."""
+    if n <= _TRIAL_SQUARE or _miller_rabin(n):
         acc[n] = acc.get(n, 0) + 1
         return
     d = _brent(n)
@@ -139,26 +179,39 @@ def _split(n: int, acc: dict[int, int]) -> None:
 def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError(f"cannot factorize {n}: need n >= 1")
-    rem = n
     out = []
-    for p in _TRIAL_PRIMES:
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            e = 1
-            rem //= p
-            while rem % p == 0:
-                e += 1
-                rem //= p
-            out.append((p, e))
-    if rem > 1:
-        if rem <= TRIAL_LIMIT * TRIAL_LIMIT:
-            # no prime factor <= min(sqrt(rem), TRIAL_LIMIT), so rem is prime
-            out.append((rem, 1))
+    # g: the product of the distinct primes of n among the trial primes up to
+    # 2**ceil(b/2) (all trial primes from b = 21 on)
+    b = n.bit_length()
+    g = math.gcd(n, _TRIAL_PRODUCTS[b] if b < 21 else _TRIAL_PRODUCT)
+    if g > 1:
+        n //= g  # one copy of each prime of g
+        # take g's primes in increasing order until the rest of g is one prime
+        if g > TRIAL_LIMIT or not _sieve[g]:
+            for p in _TRIAL_PRIMES:
+                if g % p == 0:
+                    g //= p
+                    e = 1
+                    while n % p == 0:
+                        n //= p
+                        e += 1
+                    out.append((p, e))
+                    if g <= TRIAL_LIMIT and _sieve[g]:
+                        break
+        e = 1
+        while n % g == 0:
+            n //= g
+            e += 1
+        out.append((g, e))
+    if n > 1:
+        if n <= _TRIAL_SQUARE:
+            # n has no prime up to the gcd's bound, which is >= sqrt(n) or is
+            # TRIAL_LIMIT, so n is prime
+            out.append((n, 1))
         else:
-            # every prime factor of rem exceeds TRIAL_LIMIT, so out stays sorted
+            # every prime factor of n exceeds TRIAL_LIMIT, so out stays sorted
             extra: dict[int, int] = {}
-            _split(rem, extra)
+            _split(n, extra)
             out.extend(sorted(extra.items()))
     return tuple(out)
 

@@ -54,7 +54,6 @@ class RunConfig:
     p0: int = 100
     seed: int = 0
     format: str = "json"
-    exhaustive_limit: int = 20
 
 
 def _config(args, inst: GcdInstance | None = None) -> RunConfig:
@@ -67,7 +66,7 @@ def _config(args, inst: GcdInstance | None = None) -> RunConfig:
         raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
     if p0 < 0:
         raise InstanceError(f"field p0: {p0} must be a natural number")
-    return RunConfig(epsilon, p0, args.seed, args.format, args.exhaustive_limit)
+    return RunConfig(epsilon, p0, args.seed, args.format)
 
 
 def _load(path: str, args) -> tuple[GcdInstance, RunConfig]:
@@ -353,10 +352,10 @@ def cmd_search(args) -> tuple[dict, int]:
             delta_target=_fraction("--delta-target", target) if target else None,
             mode=args.mode,
             force_equal=args.force_equal,
-            exhaustive_limit=cfg.exhaustive_limit,
+            exhaustive_limit=args.exhaustive_limit,
         )
         try:
-            res = exhaustive_max(space, seed=cfg.seed)
+            res = exhaustive_max(space)
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
         summary = {
@@ -369,9 +368,8 @@ def cmd_search(args) -> tuple[dict, int]:
             "max_product": res.max_product,
             "optimal": res.optimal,
         }
-        if not res.optimal:
-            summary["notice"] = "above the exact cap: value is a lower bound, not a maximum"
-        return make_report("search", asdict(cfg), summary), 0
+        config = {**asdict(cfg), "exhaustive_limit": space.exhaustive_limit}
+        return make_report("search", config, summary), 0
     for flag, count in (("--scale-limit", args.scale_limit), ("--structured", args.structured)):
         if count < 0:
             raise InstanceError(f"{flag}: {count} must be a natural number")
@@ -422,13 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized sweeps")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument(
-        "--exhaustive-limit",
-        type=int,
-        default=20,
-        dest="exhaustive_limit",
-        help="max integers per side for exact searches",
-    )
 
     parser = argparse.ArgumentParser(
         prog="gcdlab",
@@ -491,6 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--mode", choices=("exact-delta-1", "threshold-delta"), default="exact-delta-1")
     ex.add_argument("--delta-target", default=None, dest="delta_target")
     ex.add_argument("--force-equal", action="store_true", dest="force_equal")
+    ex.add_argument(
+        "--exhaustive-limit", type=int, default=20, dest="exhaustive_limit",
+        help="max integers per side for exact searches",
+    )
     ex.set_defaults(func=cmd_search)
     hv = act.add_parser("hunt", parents=[common])
     hv.add_argument("--scale-limit", type=int, default=16, dest="scale_limit")

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_SIDE_LIMIT = 20  # integers per side for the exact searches
-THRESHOLD_SIDE_LIMIT = 12  # stricter cap for the delta < 1 exact mode
+THRESHOLD_SIDE_LIMIT = 12  # cap on X and Y for the delta < 1 exact mode
 HUNT_EXHAUSTIVE_LIMIT = 4096  # modulus-search budget for hunted instances
 
 
@@ -39,8 +39,8 @@ class SearchSpace:
 
     mode "exact-delta-1" maximizes |A||B| with gcd(a, b) >= D required for
     every cross pair; "threshold-delta" requires only a delta_target
-    fraction of good pairs.  force_equal restricts to A = B (diagonal case,
-    needs X == Y)."""
+    fraction of good pairs and allows X, Y <= THRESHOLD_SIDE_LIMIT.
+    force_equal restricts to A = B (diagonal case, needs X == Y)."""
 
     X: int
     Y: int
@@ -64,6 +64,11 @@ class SearchSpace:
         if self.mode == "threshold-delta":
             if self.delta_target is None:
                 raise ValueError("threshold-delta mode needs delta_target")
+            if max(self.X, self.Y) > THRESHOLD_SIDE_LIMIT:
+                raise ValueError(
+                    f"threshold-delta mode is exact only for X, Y <= {THRESHOLD_SIDE_LIMIT}, "
+                    f"got X = {self.X}, Y = {self.Y}"
+                )
         if self.X + 1 > limit + 1 or self.Y + 1 > limit + 1:
             raise ValueError(
                 f"universe too large: {self.X + 1} or {self.Y + 1} integers "
@@ -199,58 +204,10 @@ def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
     return best_pair[0], best_pair[1], best
 
 
-def _threshold_local(
-    ua: list[int], ub: list[int], D: int, target: Fraction, seed: int, iters: int = 4000
-):
-    """Randomized local search for the delta-threshold problem above the
-    exact cap; the result is a lower bound, never claimed optimal."""
-    rng = random.Random(seed)
-    gcd = math.gcd
-
-    def good(aset, bset):
-        return sum(1 for a in aset for b in bset if gcd(a, b) >= D)
-
-    def feasible(aset, bset):
-        return aset and bset and Fraction(good(aset, bset)) >= target * len(aset) * len(bset)
-
-    cur_a = {min(ua, key=lambda a: (a % D, a))}
-    cur_b = {min(ub, key=lambda b: (b % D, b))}
-    if feasible(cur_a, cur_b):
-        best = len(cur_a) * len(cur_b)
-        best_a, best_b = set(cur_a), set(cur_b)
-    else:
-        best = 0
-        best_a, best_b = set(), set()
-    for _ in range(iters):
-        side, pool, cur = (
-            ("a", ua, cur_a) if rng.random() < 0.5 else ("b", ub, cur_b)
-        )
-        v = rng.choice(pool)
-        if v in cur:
-            if len(cur) > 1:
-                cur.discard(v)
-        else:
-            cur.add(v)
-        if not feasible(cur_a, cur_b):
-            # revert
-            if v in cur:
-                cur.discard(v)
-            else:
-                cur.add(v)
-            continue
-        prod = len(cur_a) * len(cur_b)
-        if prod > best:
-            best = prod
-            best_a, best_b = set(cur_a), set(cur_b)
-    return tuple(sorted(best_a)), tuple(sorted(best_b)), best
-
-
-def exhaustive_max(space: SearchSpace, *, seed: int = 0) -> SearchResult:
-    """Maximum of |A||B| over the search space.
-
-    exact-delta-1 results are exact (branch and bound agreeing with plain
-    enumeration); threshold-delta results are exact up to 12 integers per
-    side and a labeled lower bound beyond that."""
+def exhaustive_max(space: SearchSpace) -> SearchResult:
+    """Maximum of |A||B| over the search space, always exact: branch and
+    bound agreeing with plain enumeration for exact-delta-1, enumeration of
+    A for threshold-delta (which check() caps at THRESHOLD_SIDE_LIMIT)."""
     space.check()
     ua, ub = space.universes()
     if space.mode == "exact-delta-1":
@@ -262,11 +219,8 @@ def exhaustive_max(space: SearchSpace, *, seed: int = 0) -> SearchResult:
     target = space.delta_target
     if space.force_equal:
         raise ValueError("threshold-delta mode does not support force_equal")
-    if len(ua) <= THRESHOLD_SIDE_LIMIT + 1 and len(ub) <= THRESHOLD_SIDE_LIMIT + 1:
-        a, b, prod = _threshold_exact(ua, ub, space.D, target)
-        return SearchResult(a, b, prod, True)
-    a, b, prod = _threshold_local(ua, ub, space.D, target, seed)
-    return SearchResult(a, b, prod, False)
+    a, b, prod = _threshold_exact(ua, ub, space.D, target)
+    return SearchResult(a, b, prod, True)
 
 
 def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:

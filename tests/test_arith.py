@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdlab.arith import (
+    _MR_TIERS,
+    _TRIAL_PRIMES,
+    _TRIAL_PRODUCT,
     TRIAL_LIMIT,
     FactoredNat,
+    _miller_rabin,
     divisors,
     factorize,
     gcd_factored,
@@ -118,7 +122,7 @@ def test_factorize_around_trial_limit_squared():
 
 
 def test_factorize_powers_and_triples_above_trial_limit():
-    for p in ABOVE[:6]:
+    for p in [p for p in range(TRIAL_LIMIT + 1, 2 * TRIAL_LIMIT) if is_prime(p)]:
         assert factorize(p * p).factors == ((p, 2),)
         assert factorize(p**3).factors == ((p, 3),)
         assert factorize(12 * p**3).factors == ((2, 2), (3, 1), (p, 3))
@@ -264,3 +268,139 @@ def test_is_prime_against_sieve():
     primes = set(primes_up_to(2000))
     for n in range(2000):
         assert is_prime(n) == (n in primes)
+
+
+# The least strong pseudoprime to the first k prime bases, psi_k, for k = 1..7,
+# 9 and 12 (Jaeschke 1993; Sorenson-Webster 2017).  Each is composite and
+# decides where the witness set of the next tier starts.
+PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
+PSI_13 = 3317044064679887385961981
+
+# The largest prime below each tier bound of _MR_TIERS, in order (checked
+# with an independent prime test; the ones below 10**13 are re-checked here
+# by trial division).
+PRIMES_BELOW_TIERS = [
+    1373639,
+    25325981,
+    3215031749,
+    2152302898729,
+    3474749660329,
+    341550071728289,
+    3825123056546412979,
+    318665857834031151167441,
+    3317044064679887385961813,
+]
+
+
+def strong_probable_prime(n, a):
+    """n passes the strong Fermat test to base a (the definition)."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 1 << i, n) == n - 1 for i in range(r))
+
+
+def odd_trial_prime(n):
+    """Primality by trial division by 2 and the odd numbers up to sqrt(n)."""
+    return n > 1 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_each_tier_bound_passes_its_own_bases():
+    # each tier's bound is a composite that passes all of the tier's bases,
+    # so the bound is exclusive and a smaller witness set would not do
+    for bound, bases in _MR_TIERS:
+        assert bound in PSEUDOPRIMES + [PSI_13]
+        assert all(strong_probable_prime(bound, a) for a in bases)
+    assert [bound for bound, _ in _MR_TIERS] == sorted(bound for bound, _ in _MR_TIERS)
+
+
+def test_pseudoprimes_of_every_tier_are_composite():
+    for n in PSEUDOPRIMES:
+        assert not is_prime(n), n
+        assert not _miller_rabin(n), n
+        factors = factorize(n).factors
+        assert_canonical(n, factors)
+        assert len(factors) > 1 and all(is_prime(p) for p, _ in factors), (n, factors)
+
+
+def test_psi_13_is_not_claimed_prime():
+    assert all(strong_probable_prime(PSI_13, a) for a in _MR_TIERS[-1][1])
+    with pytest.raises(ValueError, match="cannot prove .* prime"):
+        is_prime(PSI_13)
+    with pytest.raises(ValueError, match="cannot prove .* prime"):
+        factorize(PSI_13)
+
+
+def test_composites_above_psi_13_still_factor():
+    # a composite verdict is a proof at any size; the factors are proven prime
+    m31, m61 = 2**31 - 1, 2**61 - 1
+    for n in (m31 * m31 * 1000003, m61 * m31, 2**100 + 1):
+        assert n >= PSI_13
+        assert not is_prime(n)
+    assert factorize(m31 * m31 * 1000003).factors == ((1000003, 1), (m31, 2))
+
+
+def test_primes_just_below_each_tier_bound_stay_prime():
+    assert len(PRIMES_BELOW_TIERS) == len(_MR_TIERS)
+    for p, (bound, _) in zip(PRIMES_BELOW_TIERS, _MR_TIERS):
+        assert p < bound
+        if p < 10**13:
+            assert odd_trial_prime(p), p
+        assert is_prime(p) and _miller_rabin(p), p
+        assert factorize(p).factors == ((p, 1),)
+        assert factorize(2039 * p).factors == ((2039, 1), (p, 1))
+
+
+def test_factorize_by_the_trial_gcd_edge_cases():
+    big = [ABOVE[0], ABOVE[-1], LARGE[-1]]
+    assert factorize(1).factors == ()
+    assert factorize(2**200).factors == ((2, 200),)
+    for p in big:
+        assert factorize(2039**5 * p).factors == ((2039, 5), (p, 1))
+    every = tuple((p, 1) for p in _TRIAL_PRIMES)
+    assert factorize(_TRIAL_PRODUCT).factors == every
+    for p in big:
+        assert factorize(_TRIAL_PRODUCT * p).factors == every + ((p, 1),)
+    assert factorize(_TRIAL_PRODUCT**2 * 2039).factors == tuple(
+        (p, 3 if p == 2039 else 2) for p in _TRIAL_PRIMES
+    )
+    # the trial part is one prime near TRIAL_LIMIT: the gcd is that prime (or
+    # 1, when a small n leaves it to the cofactor) and the loop never runs
+    for q in (2029, 2039):
+        for k in (1, 4):
+            for rest in (1, ABOVE[0], ABOVE[0] * ABOVE[1], LARGE[-1] ** 2):
+                n = q**k * rest
+                assert factorize(n).factors == ((q, k),) + factorize(rest).factors
+                assert_canonical(n, factorize(n).factors)
+        for k in (2, 3, 6, 1024):
+            n = k * q * ABOVE[0]
+            assert factorize(n).factors == trial_division(n)
+    # no trial factor at all
+    for n in (ABOVE[0] * ABOVE[1], ABOVE[0] ** 2, ABOVE[3] ** 3):
+        assert math.gcd(n, _TRIAL_PRODUCT) == 1
+        assert factorize(n).factors == trial_division(n)
+    for n in (LARGE[3] * LARGE[4], LARGE[-1], LARGE[-1] ** 2 * LARGE[0]):
+        assert math.gcd(n, _TRIAL_PRODUCT) == 1
+        assert_canonical(n, factorize(n).factors)
+
+
+def test_factorize_prime_squares_at_every_bit_length():
+    # the gcd for an n of bit length b takes the trial primes up to
+    # 2**ceil(b/2); the square of the largest prime p with p * p < 2**b, or
+    # p times the prime before it, puts its primes at the top of that range
+    for b in range(3, 30):
+        r = math.isqrt((1 << b) - 1)
+        below = [p for p in range(r, 1, -1) if is_prime(p)][:2]
+        for n in (below[0] ** 2, below[0] * below[-1], 3 * below[0] ** 2):
+            assert factorize(n).factors == trial_division(n), (b, n)

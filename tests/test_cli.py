@@ -169,6 +169,19 @@ def test_search_exhaustive(capsys):
     assert doc["summary"]["best_a"] == ["4", "6", "8"]
 
 
+def test_exhaustive_limit_is_a_search_exhaustive_option(capsys):
+    argv = ["search", "exhaustive", "--X", "4", "--D", "2"]
+    code, out, _ = run_cli(argv + ["--exhaustive-limit", "6"], capsys)
+    assert code == 0 and json.loads(out)["config"]["exhaustive_limit"] == 6
+    code, out, err = run_cli(argv + ["--exhaustive-limit", "3"], capsys)
+    assert (code, out) == (2, "") and "exhaustive limit" in err
+    code, out, _ = run_cli(["stats", GOLDEN_INSTANCE], capsys)
+    assert code == 0 and "exhaustive_limit" not in json.loads(out)["config"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stats", GOLDEN_INSTANCE, "--exhaustive-limit", "5"])
+    assert exc.value.code == 2
+
+
 def test_search_hunt_clean(capsys):
     code, out, _ = run_cli(
         ["search", "hunt", "--scale-limit", "6", "--structured", "25", "--seed", "3"],
@@ -231,6 +244,13 @@ def test_bad_arguments_exit_2():
         ["stats", "{tmp}"],
         ["search", "hunt", "--structured", "-3", "--scale-limit", "2"],
         ["search", "hunt", "--structured", "0", "--scale-limit", "-1"],
+        # threshold-delta mode is exact only up to X, Y = 12
+        ["search", "exhaustive", "--X", "13", "--Y", "4", "--D", "2", "--mode", "threshold-delta",
+         "--delta-target", "1/2"],
+        # psi_13: a strong probable prime to the bases up to 41, with no proof either way
+        ["defect", "--a", "3317044064679887385961981", "--n", "1"],
+        # psi_12, a composite that the bases up to 37 alone pass
+        ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "318665857834031151167461"],
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):

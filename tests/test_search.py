@@ -83,12 +83,13 @@ def test_threshold_mode_result_is_feasible():
     assert Fraction(good) >= Fraction(2, 3) * len(res.best_a) * len(res.best_b)
 
 
-def test_threshold_mode_above_cap_is_lower_bound():
-    sp = SearchSpace(X=15, Y=15, D=3, delta_target=Fraction(1, 2), mode="threshold-delta")
-    res = exhaustive_max(sp, seed=5)
-    assert not res.optimal
-    good = sum(1 for a in res.best_a for b in res.best_b if math.gcd(a, b) >= 3)
-    assert Fraction(good) >= Fraction(1, 2) * len(res.best_a) * len(res.best_b)
+def test_threshold_mode_above_cap_is_rejected():
+    half = Fraction(1, 2)
+    for X, Y in ((13, 4), (4, 13), (15, 15), (20, 20)):
+        sp = SearchSpace(X=X, Y=Y, D=3, delta_target=half, mode="threshold-delta")
+        with pytest.raises(ValueError, match="exact only for X, Y <= 12"):
+            exhaustive_max(sp)
+    SearchSpace(X=12, Y=12, D=3, delta_target=half, mode="threshold-delta").check()
 
 
 def test_universe_cap_enforced():
