@@ -6,7 +6,8 @@ nothing overflows; factorizations are canonical tuples of (prime, exponent)
 pairs sorted by prime.  Factorization takes one gcd of n with the product of
 the trial primes (those up to TRIAL_LIMIT, or up to about sqrt(n) for a
 smaller n) and divides out only the primes of that gcd; a larger cofactor
-goes to Miller-Rabin and Brent's variant of Pollard rho.  Miller-Rabin uses
+goes to Miller-Rabin, perfect-power roots, and Brent's variant of Pollard
+rho.  Miller-Rabin uses
 the published witness set proven for n's size, so is_prime is exact below
 psi_13 = 3317044064679887385961981 and raises ValueError above it for a
 number that no witness shows composite.  The cached prime sieve grows only
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "FactoredNat",
@@ -164,15 +165,36 @@ def _brent(n: int) -> int:
         c += 1  # cycle degenerated; retry with the next polynomial
 
 
-def _split(n: int, acc: dict[int, int]) -> None:
-    """Add the prime factors of n > 1 to acc.  Every prime factor of n
-    exceeds TRIAL_LIMIT, so n <= TRIAL_LIMIT**2 is prime."""
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1 and k >= 2, exactly."""
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)  # a power of two >= the root
+    while True:
+        # Newton's step decreases strictly from above the root down to its floor
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _split(n: int, acc: dict[int, int], mult: int = 1) -> None:
+    """Add the prime factors of n > 1 to acc, each exponent times mult.
+    Every prime factor of n exceeds TRIAL_LIMIT, so n <= TRIAL_LIMIT**2 is
+    prime, and n = r**k needs k <= n.bit_length() // 11.  A perfect power is
+    split by its root: rho needs about sqrt(p) steps to split p**k."""
     if n <= _TRIAL_SQUARE or _miller_rabin(n):
-        acc[n] = acc.get(n, 0) + 1
+        acc[n] = acc.get(n, 0) + mult
         return
+    # a k-th power is a q-th power for each prime q dividing k
+    for k in _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, n.bit_length() // 11)]:
+        r = _iroot(n, k)
+        if r**k == n:
+            _split(r, acc, mult * k)
+            return
     d = _brent(n)
-    _split(d, acc)
-    _split(n // d, acc)
+    _split(d, acc, mult)
+    _split(n // d, acc, mult)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -216,21 +238,25 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class FactoredNat:
+class FactoredNat(NamedTuple):
     """A natural number >= 1 carrying its canonical prime factorization.
 
     Ordering and equality follow the integer value; the factor tuple is
-    sorted by prime with all exponents >= 1.
+    sorted by prime with all exponents >= 1.  The constructor trusts its
+    arguments; checked() validates factors from outside the package.
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def checked(cls, value: int, factors) -> "FactoredNat":
+        """FactoredNat(value, factors) after checking that factors is sorted
+        by distinct primes, with exponents >= 1, and multiplies to value."""
+        factors = tuple(factors)
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if e < 1:
                 raise ValueError(f"exponent {e} of prime {p} must be >= 1")
             if p <= last:
@@ -239,8 +265,9 @@ class FactoredNat:
                 raise ValueError(f"{p} is not prime")
             last = p
             prod *= p**e
-        if prod != self.value:
-            raise ValueError(f"factors multiply to {prod}, not {self.value}")
+        if prod != value:
+            raise ValueError(f"factors multiply to {prod}, not {value}")
+        return cls(value, factors)
 
     def valuation(self, p: int) -> int:
         for q, e in self.factors:
@@ -260,19 +287,11 @@ class FactoredNat:
         return str(self.value)
 
 
-def _trusted(value: int, factors: tuple[tuple[int, int], ...]) -> FactoredNat:
-    """A FactoredNat without __post_init__'s checks, for canonical factors."""
-    nat = object.__new__(FactoredNat)
-    object.__setattr__(nat, "value", value)
-    object.__setattr__(nat, "factors", factors)
-    return nat
-
-
 def factorize(n: int | FactoredNat) -> FactoredNat:
     """Canonical factorization of n >= 1 (FactoredNat inputs pass through)."""
     if isinstance(n, FactoredNat):
         return n
-    return _trusted(n, _factor_int(n))
+    return FactoredNat(n, _factor_int(n))
 
 
 def valuation(p: int, n: int | FactoredNat) -> int:
@@ -305,7 +324,7 @@ def primorial(X: int) -> FactoredNat:
     prod = 1
     for p in ps:
         prod *= p
-    return _trusted(prod, tuple((p, 1) for p in ps))
+    return FactoredNat(prod, tuple((p, 1) for p in ps))
 
 
 def is_squarefree(n: int | FactoredNat) -> bool:
@@ -319,7 +338,7 @@ def radical(n: int | FactoredNat) -> FactoredNat:
     prod = 1
     for p in ps:
         prod *= p
-    return _trusted(prod, tuple((p, 1) for p in ps))
+    return FactoredNat(prod, tuple((p, 1) for p in ps))
 
 
 def gcd_factored(m: int | FactoredNat, n: int | FactoredNat) -> FactoredNat:
@@ -334,7 +353,7 @@ def gcd_factored(m: int | FactoredNat, n: int | FactoredNat) -> FactoredNat:
     prod = 1
     for p, e in out:
         prod *= p**e
-    return _trusted(prod, tuple(out))
+    return FactoredNat(prod, tuple(out))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import fraction_of, is_prime, rational_valuations
 from .instance import (
@@ -48,8 +48,7 @@ from .structure import (
 __all__ = ["main", "RunConfig"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     epsilon: float = 0.5
     p0: int = 100
     seed: int = 0
@@ -59,7 +58,7 @@ class RunConfig:
 def _config(args, inst: GcdInstance | None = None) -> RunConfig:
     """The config of the run: an explicit --epsilon or --p0 wins over the
     instance file's value, which wins over the default."""
-    fallback = inst or RunConfig
+    fallback = inst or RunConfig()
     epsilon = fallback.epsilon if args.epsilon is None else args.epsilon
     p0 = fallback.p0 if args.p0 is None else args.p0
     if not 0 < epsilon < 1:
@@ -73,7 +72,7 @@ def _load(path: str, args) -> tuple[GcdInstance, RunConfig]:
     """The instance at path with the run's epsilon and p0, and that config."""
     inst = read_instance(path)
     cfg = _config(args, inst)
-    return replace(inst, epsilon=cfg.epsilon, p0=cfg.p0), cfg
+    return inst._replace(epsilon=cfg.epsilon, p0=cfg.p0), cfg
 
 
 def _fraction(name: str, text: str) -> Fraction:
@@ -112,11 +111,11 @@ def cmd_stats(args) -> tuple[dict, int]:
         summary["bound_log10"] = None
         summary["holds"] = None
     else:
-        bound = theorem1_bound(inst, omega.delta)
+        bound = theorem1_bound(inst, omega.delta, psml)
         summary["bound"] = bound if math.isfinite(bound) else None
-        summary["bound_log10"] = theorem1_log10_bound(inst, omega.delta)
-        summary["holds"] = theorem1_holds(inst, omega.delta)
-    return make_report("stats", asdict(cfg), summary), 0
+        summary["bound_log10"] = theorem1_log10_bound(inst, omega.delta, psml)
+        summary["holds"] = theorem1_holds(inst, omega.delta, psml)
+    return make_report("stats", cfg._asdict(), summary), 0
 
 
 def cmd_structure(args) -> tuple[dict, int]:
@@ -156,7 +155,7 @@ def cmd_structure(args) -> tuple[dict, int]:
     }
     if si.fraction < Fraction(1, 2):
         summary["warning"] = "pivotal fraction below 1/2 (possible for non-minimal instances)"
-    return make_report("structure", asdict(cfg), summary, records), 0
+    return make_report("structure", cfg._asdict(), summary, records), 0
 
 
 def cmd_defect(args) -> tuple[dict, int]:
@@ -203,7 +202,7 @@ def cmd_defect(args) -> tuple[dict, int]:
                         "sum_abs": abs(va.get(p, 0)) + abs(vb.get(p, 0)),
                     }
                 )
-    return make_report("defect", asdict(cfg), summary, records), 0
+    return make_report("defect", cfg._asdict(), summary, records), 0
 
 
 def _measure_summary(rep) -> dict:
@@ -281,7 +280,7 @@ def cmd_measure(args) -> tuple[dict, int]:
         }
     else:
         raise InstanceError("give one of --point-mass, --instance, or --random")
-    return make_report("measure", asdict(cfg), summary, records), 0
+    return make_report("measure", cfg._asdict(), summary, records), 0
 
 
 def _family_doc(report, A, B, cfg: RunConfig):
@@ -300,7 +299,7 @@ def _family_doc(report, A, B, cfg: RunConfig):
         records.append({"set": "A", "elements": [str(v) for v in A]})
         if B is not None:
             records.append({"set": "B", "elements": [str(v) for v in B]})
-    return make_report("family", asdict(cfg), summary, records)
+    return make_report("family", cfg._asdict(), summary, records)
 
 
 def _emit_set(path: str, A, B, D, cfg: RunConfig) -> None:
@@ -368,7 +367,9 @@ def cmd_search(args) -> tuple[dict, int]:
             "max_product": res.max_product,
             "optimal": res.optimal,
         }
-        config = {**asdict(cfg), "exhaustive_limit": space.exhaustive_limit}
+        # the search is deterministic, so its config echoes no seed
+        config = {k: v for k, v in cfg._asdict().items() if k != "seed"}
+        config["exhaustive_limit"] = space.exhaustive_limit
         return make_report("search", config, summary), 0
     for flag, count in (("--scale-limit", args.scale_limit), ("--structured", args.structured)):
         if count < 0:
@@ -382,7 +383,7 @@ def cmd_search(args) -> tuple[dict, int]:
         "violations_found": len(violations),
     }
     records = [{"kind": v.kind, **v.detail} for v in violations]
-    return make_report("hunt", asdict(cfg), summary, records), (1 if violations else 0)
+    return make_report("hunt", cfg._asdict(), summary, records), (1 if violations else 0)
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -400,7 +401,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "all_ok": ok,
         "mode": "quick" if args.quick else "full",
     }
-    return make_report("verify", asdict(cfg), summary, records), (0 if ok else 1)
+    return make_report("verify", cfg._asdict(), summary, records), (0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ report is emitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import fraction_of, is_squarefree, primes_up_to, primorial
 from .instance import count_pairs_geq_fast, theorem51_bound
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     family: str
     parameters: dict
     set_sizes: tuple[int, int]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import FactoredNat, _divisors_int, factorize, fraction_of, is_squarefree
 
@@ -58,8 +58,7 @@ def _coerce_elements(S, name: str) -> tuple[FactoredNat, ...]:
     return tuple(elems)
 
 
-@dataclass(frozen=True)
-class GcdInstance:
+class GcdInstance(NamedTuple):
     """The tuple (A, B, X, Y, D, epsilon, p0) with A in [X,2X], B in [Y,2Y]."""
 
     A: tuple[FactoredNat, ...]
@@ -132,14 +131,16 @@ def _infer_range(S: tuple[FactoredNat, ...], name: str) -> Fraction:
     return Fraction(lo)
 
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(NamedTuple):
     """A set of ordered pairs (a, b) in A x B with its exact density, stored
     as one integer bitset over the grid: bit i*|B| + j is set iff (A[i], B[j])
     is a pair.  Size, density, degrees and the edge list are views of it.
 
     kind records the predicate the pairs were built from: "gcd_geq"
     (gcd(a,b) >= threshold) or "ratio_leq" (ab/gcd^2 <= threshold).
+
+    len() is the number of pairs, not of fields, so _replace and _make
+    raise TypeError; masked() builds a copy with other bits.
     """
 
     A: tuple[FactoredNat, ...]
@@ -158,6 +159,10 @@ class PairSet:
 
     def __len__(self) -> int:
         return self.bits.bit_count()
+
+    def masked(self, bits: int) -> "PairSet":
+        """The pair set over the same grid with the given bits."""
+        return PairSet(self.A, self.B, bits, self.kind, self.threshold)
 
     @property
     def delta(self) -> Fraction:
@@ -338,14 +343,13 @@ def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _bound(S, p0: int, epsilon: float, delta, scale: Fraction, size: int):
-    """(log B, B or inf, whether size <= B) for B = 1000^(1+#P_sml(S)) *
+def _bound(n_small: int, epsilon: float, delta, scale: Fraction, size: int):
+    """(log B, B or inf, whether size <= B) for B = 1000^(1+n_small) *
     delta^(-2-epsilon) * scale.  log B is rounded down by LOG_GUARD first, so
     a False verdict is never float noise."""
     delta = fraction_of(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    n_small = len(prime_sets(S, p0)[1])
     log_bound = (
         (1 + n_small) * math.log(1000.0)
         - (2.0 + epsilon) * _log_fraction(delta)
@@ -358,23 +362,28 @@ def _bound(S, p0: int, epsilon: float, delta, scale: Fraction, size: int):
     return log_bound, bound, math.log(size) <= log_bound + LOG_GUARD
 
 
-def _theorem1(inst: GcdInstance, delta):
+def _theorem1(inst: GcdInstance, delta, small_primes):
+    if small_primes is None:
+        small_primes = prime_sets(inst.A + inst.B, inst.p0)[1]
     scale = inst.X * inst.Y / (inst.D * inst.D)
-    return _bound(inst.A + inst.B, inst.p0, inst.epsilon, delta, scale, inst.size_product())
+    return _bound(len(small_primes), inst.epsilon, delta, scale, inst.size_product())
 
 
-def theorem1_bound(inst: GcdInstance, delta) -> float:
-    """1000^(1+#P_sml(A u B)) * delta^(-2-epsilon) * XY/D^2 (may be inf)."""
-    return _theorem1(inst, delta)[1]
+def theorem1_bound(inst: GcdInstance, delta, small_primes=None) -> float:
+    """1000^(1+#P_sml(A u B)) * delta^(-2-epsilon) * XY/D^2 (may be inf).
+
+    small_primes, if given, is P_sml(A u B) = prime_sets(A + B, p0)[1]: a
+    caller that has it spares this and the next two functions a scan."""
+    return _theorem1(inst, delta, small_primes)[1]
 
 
-def theorem1_log10_bound(inst: GcdInstance, delta) -> float:
-    return _theorem1(inst, delta)[0] / math.log(10.0)
+def theorem1_log10_bound(inst: GcdInstance, delta, small_primes=None) -> float:
+    return _theorem1(inst, delta, small_primes)[0] / math.log(10.0)
 
 
-def theorem1_holds(inst: GcdInstance, delta) -> bool:
+def theorem1_holds(inst: GcdInstance, delta, small_primes=None) -> bool:
     """Whether |A||B| <= the main bound, never False by float noise."""
-    return _theorem1(inst, delta)[2]
+    return _theorem1(inst, delta, small_primes)[2]
 
 
 def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
@@ -419,7 +428,8 @@ def theorem51_bound(A, B, Q, epsilon: float = 0.5, p0: int = 100):
     delta = omega.delta
     if delta == 0:
         return delta, math.inf, True
-    _, bound, holds = _bound(A + B, p0, epsilon, delta, Q / 4, len(A) * len(B))
+    n_small = len(prime_sets(A + B, p0)[1])
+    _, bound, holds = _bound(n_small, epsilon, delta, Q / 4, len(A) * len(B))
     return delta, bound, holds
 
 

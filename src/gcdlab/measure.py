@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from mpmath import iv
 
@@ -53,39 +53,36 @@ def _is_exact(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-@dataclass(frozen=True, eq=False)
-class Measure2D:
+class Measure2D(NamedTuple):
     """Finitely supported probability measure on Z^2.
 
     Weights are floats or exact Fractions; total mass must be 1 exactly in
-    the rational backing and within 1e-12 otherwise.  Zero weights are
-    dropped, support is kept sorted.
+    the rational backing and within 1e-12 otherwise (from_dict checks it).
+    Zero weights are dropped, support is kept sorted.
     """
 
     weights: tuple[tuple[tuple[int, int], object], ...]
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def from_dict(cls, mapping) -> "Measure2D":
+        mu = cls(
+            tuple(((int(i), int(j)), w) for (i, j), w in sorted(mapping.items()) if w != 0)
+        )
         total = 0
-        for (i, j), w in self.weights:
+        for (i, j), w in mu.weights:
             if w < 0:
                 raise ValueError(f"negative weight {w} at {(i, j)}")
             total += w
-        if self.is_exact:
+        if mu.is_exact:
             if total != 1:
                 raise ValueError(f"total mass {total} != 1")
         elif abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"total mass {total} off 1 by more than {NORM_TOL}")
-
-    @classmethod
-    def from_dict(cls, mapping) -> "Measure2D":
-        items = tuple(
-            ((int(i), int(j)), w) for (i, j), w in sorted(mapping.items()) if w != 0
-        )
-        return cls(items)
+        return mu
 
     @classmethod
     def point_mass(cls, i: int, j: int) -> "Measure2D":
-        return cls((((i, j), Fraction(1)),))
+        return cls.from_dict({(i, j): Fraction(1)})
 
     @property
     def is_exact(self) -> bool:
@@ -100,8 +97,7 @@ class Measure2D:
         return min(coords), max(coords)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightPair:
+class WeightPair(NamedTuple):
     """Nonnegative sequences x, y with unit l^q' norm.
 
     x_pow/y_pow, when present, hold the exact q'-th powers (the relative
@@ -259,8 +255,7 @@ def _sigma_class(i: int, j: int, k: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class SigmaDecomposition:
+class SigmaDecomposition(NamedTuple):
     """Masses of the six regions partitioning Z^2 around the center (k, k):
     off-diagonal generic, the two axes at distance >= 2, the four unit
     neighbors, the punctured diagonal, and the center itself."""
@@ -286,8 +281,7 @@ def sigma_decomposition(mu: Measure2D, w: WeightPair, k: int) -> SigmaDecomposit
     return SigmaDecomposition(k, tuple(sums), 1.0 - sup)
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     c_min: float
     c_interval: tuple[float, float] | None
     c_lower_ok: bool  # no certified violation of c >= 1/9

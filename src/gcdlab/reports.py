@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import is_dataclass, fields
 from fractions import Fraction
 
 __all__ = ["jsonable", "make_report", "render", "to_canonical_json", "to_canonical_csv"]
@@ -20,7 +19,8 @@ __all__ = ["jsonable", "make_report", "render", "to_canonical_json", "to_canonic
 
 def jsonable(value):
     """Recursively convert to JSON-native values.  Fractions become 'p/q'
-    strings, non-finite floats become strings, dataclasses become dicts."""
+    strings, non-finite floats become strings, records (NamedTuples) become
+    dicts of their fields."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, bool) or value is None:
@@ -33,15 +33,13 @@ def jsonable(value):
         return value
     if isinstance(value, str):
         return value
-    if is_dataclass(value):
-        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: jsonable(v) for name, v in zip(value._fields, value)}
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
         return [jsonable(v) for v in items]
-    if hasattr(value, "value") and isinstance(getattr(value, "value"), int):
-        return str(value.value)  # factored naturals as decimal strings
     raise TypeError(f"cannot serialize {value!r} into a report")
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instance import GcdInstance, build_omega_gcd
 from .structure import InternalConsistencyError, extract_witnesses, find_modulus
@@ -33,8 +33,7 @@ THRESHOLD_SIDE_LIMIT = 12  # cap on X and Y for the delta < 1 exact mode
 HUNT_EXHAUSTIVE_LIMIT = 4096  # modulus-search budget for hunted instances
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(NamedTuple):
     """Search domain: A ranges over subsets of [X, 2X], B over [Y, 2Y].
 
     mode "exact-delta-1" maximizes |A||B| with gcd(a, b) >= D required for
@@ -78,8 +77,7 @@ class SearchSpace:
             raise ValueError("force_equal needs X == Y")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     best_a: tuple[int, ...]
     best_b: tuple[int, ...]
     max_product: int
@@ -260,8 +258,7 @@ def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: dict
 

@@ -10,8 +10,8 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import FactoredNat, factorize, fraction_of, rational_valuations
 from .instance import GcdInstance, PairSet, build_omega_gcd
@@ -52,8 +52,7 @@ class InternalConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ValuationMeasure:
+class ValuationMeasure(NamedTuple):
     """Relative densities at a prime p: alpha_i = |A_i|/|A| for the slices
     A_i = {a : v_p(a) = i}, beta_j likewise for B, and the edge measure
     mu(i, j) = |Omega restricted to A_i x B_j| / |Omega|."""
@@ -202,42 +201,44 @@ def find_modulus(
     for (p, lo, hi, masks, _), k in zip(per_prime, ks):
         mask &= masks[k]
     factors = tuple((p, k) for (p, *_), k in zip(per_prime, ks) if k > 0)
-    n = FactoredNat(math.prod(p**k for p, k in factors), factors)
-    return StructuredInstance(inst, omega, n, replace(omega, bits=mask), strategy)
+    n = FactoredNat.checked(math.prod(p**k for p, k in factors), factors)
+    return StructuredInstance.build(inst, omega, n, omega.masked(mask), strategy)
 
 
-@dataclass(frozen=True, eq=False)
-class StructuredInstance:
+class StructuredInstance(NamedTuple):
     """An instance with its pair set Omega, a modulus N, the pivotal pairs
     Omega' of N, and the defect of every element of Omega' (the labelled
     GCD graph).  strategy names how N was found: "exhaustive" or "greedy".
 
     Omega' is pivotal iff every element of it has a defect and the two
-    defects a*, b* of every pair in it are coprime."""
+    defects a*, b* of every pair in it are coprime; build() checks this."""
 
     base: GcdInstance
     omega: PairSet
     n: FactoredNat
     omega_prime: PairSet
     strategy: str
-    defects: dict[FactoredNat, DefectDecomposition] = field(init=False, repr=False)
+    defects: dict[FactoredNat, DefectDecomposition]
 
-    def __post_init__(self) -> None:
-        edges = self.omega_prime.edges
+    @classmethod
+    def build(cls, base, omega, n, omega_prime, strategy) -> "StructuredInstance":
+        """The structured instance with the defects of Omega' computed;
+        ValueError if Omega' is not pivotal for n."""
+        edges = omega_prime.edges
         defects = {}
         for el in sorted({el for pair in edges for el in pair}):
             try:
-                defects[el] = defect(el, self.n)
+                defects[el] = defect(el, n)
             except DefectError as exc:
                 raise ValueError(
-                    f"{el} in omega_prime is not pivotal for N = {self.n}: {exc}"
+                    f"{el} in omega_prime is not pivotal for N = {n}: {exc}"
                 ) from None
         for a, b in edges:
             if math.gcd(defects[a].a_star, defects[b].a_star) != 1:
                 raise ValueError(
-                    f"pair ({a}, {b}) in omega_prime is not pivotal for N = {self.n}"
+                    f"pair ({a}, {b}) in omega_prime is not pivotal for N = {n}"
                 )
-        object.__setattr__(self, "defects", defects)
+        return cls(base, omega, n, omega_prime, strategy, defects)
 
     @property
     def fraction(self) -> Fraction:
@@ -259,18 +260,13 @@ def structure_instance(inst: GcdInstance) -> StructuredInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DefectDecomposition:
+class DefectDecomposition(NamedTuple):
     """a_plus = prod of primes with v_p(a/N) = +1, a_minus for -1, and their
     product a_star.  a_plus and a_minus are squarefree and coprime, and
     a_plus / a_minus = a / N as rationals."""
 
     a_plus: int
     a_minus: int
-
-    def __post_init__(self) -> None:
-        if math.gcd(self.a_plus, self.a_minus) != 1:
-            raise ValueError("a_plus and a_minus must be coprime")
 
     @property
     def a_star(self) -> int:
@@ -293,11 +289,12 @@ def defect(a, N) -> DefectDecomposition:
         raise InternalConsistencyError(
             f"ratio identity failed: {a_plus}/{a_minus} != {a}/{N}"
         )
+    if math.gcd(a_plus, a_minus) != 1:
+        raise InternalConsistencyError(f"a_plus = {a_plus} and a_minus = {a_minus} share a prime")
     return DefectDecomposition(a_plus, a_minus)
 
 
-@dataclass(frozen=True)
-class PrimeWitness:
+class PrimeWitness(NamedTuple):
     """One row of the per-prime defect-identity table."""
 
     p: int
@@ -349,8 +346,7 @@ def quad_identity_check(a, b, N) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     value: int
     a_plus: int
     a_minus: int
@@ -360,8 +356,7 @@ class CensusRow:
     minus_ok: bool  # a_minus <= sqrt(NT/X), checked for counted rows
 
 
-@dataclass(frozen=True)
-class DefectCensus:
+class DefectCensus(NamedTuple):
     count: int
     bound: Fraction  # 2T
     holds: bool
@@ -425,8 +420,7 @@ def defect_census_sweep(S, N, X) -> tuple[DefectCensus, ...]:
     return tuple(_census_at(defects, N, X, T) for T in grid)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Witness pair (a, b) with large defects, plus the verified chain that
     forces |A||B| <= 1000 * delta'^-2 * XY/D^2 for the filtered density
     delta' = |Omega'| / (|A||B|)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import divisors, is_squarefree, radical
 from .families import sec5_family
@@ -61,8 +61,7 @@ __all__ = [
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     elapsed: float

@@ -15,6 +15,7 @@ from gcdlab.arith import (
     _TRIAL_PRODUCT,
     TRIAL_LIMIT,
     FactoredNat,
+    _iroot,
     _miller_rabin,
     divisors,
     factorize,
@@ -227,27 +228,32 @@ def test_divisors_sorted_and_complete():
 
 def test_factored_nat_invariants():
     with pytest.raises(ValueError):
-        FactoredNat(12, ((2, 1), (3, 1)))  # product mismatch
+        FactoredNat.checked(12, ((2, 1), (3, 1)))  # product mismatch
     with pytest.raises(ValueError):
-        FactoredNat(8, ((2, 0), (4, 1)))  # zero exponent
+        FactoredNat.checked(8, ((2, 0), (4, 1)))  # zero exponent
     with pytest.raises(ValueError):
-        FactoredNat(12, ((3, 1), (2, 2)))  # unsorted
+        FactoredNat.checked(12, ((3, 1), (2, 2)))  # unsorted
     with pytest.raises(ValueError):
-        FactoredNat(4, ((4, 1),))  # non-prime key
+        FactoredNat.checked(4, ((4, 1),))  # non-prime key
     with pytest.raises(ValueError):
-        FactoredNat(12, ((4, 1), (3, 1)))  # non-prime key, right product
+        FactoredNat.checked(12, ((4, 1), (3, 1)))  # non-prime key, right product
+
+
+def test_checked_accepts_canonical_factors():
+    assert FactoredNat.checked(12, [(2, 2), (3, 1)]) == factorize(12)
+    assert FactoredNat.checked(1, ()) == factorize(1)
 
 
 def test_factorize_result_equals_validated_construction():
     for n in (1, 12, 2310, 1000003 * 1000033, 2**61 - 1):
         f = factorize(n)
-        g = FactoredNat(n, f.factors)
+        g = FactoredNat.checked(n, f.factors)
         assert f == g and hash(f) == hash(g) and not f < g
         assert {f: 1}[g] == 1
 
 
 def test_builders_equal_validated_construction():
-    # primorial, radical and gcd_factored skip the constructor's checks
+    # primorial, radical and gcd_factored skip FactoredNat.checked
     rng = random.Random(67)
     values = list(range(1, 300)) + [rng.randint(1, 10**12) for _ in range(300)]
     built = [primorial(x) for x in range(1, 300)]
@@ -256,7 +262,7 @@ def test_builders_equal_validated_construction():
         built += [radical(n), gcd_factored(n, m)]
         assert gcd_factored(n, m).value == math.gcd(n, m)
     for f in built:
-        g = FactoredNat(f.value, f.factors)
+        g = FactoredNat.checked(f.value, f.factors)
         assert f == g and hash(f) == hash(g) and f.factors == factorize(f.value).factors
 
 
@@ -349,6 +355,40 @@ def test_composites_above_psi_13_still_factor():
         assert n >= PSI_13
         assert not is_prime(n)
     assert factorize(m31 * m31 * 1000003).factors == ((1000003, 1), (m31, 2))
+
+
+def test_prime_powers_above_the_trial_bound_factor_promptly():
+    # rho alone needs about sqrt(p) steps to split p**k; a regression would
+    # hang, so each case runs in its own interpreter with a timeout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    m31, m61 = 2**31 - 1, 2**61 - 1
+    cases = {
+        m61**2 * 1000003: ((1000003, 1), (m61, 2)),
+        m61**3: ((m61, 3),),
+        m31**5 * m61**2: ((m31, 5), (m61, 2)),
+        2053**12 * 2063**6: ((2053, 12), (2063, 6)),
+    }
+    for n, expect in cases.items():
+        code = f"from gcdlab.arith import factorize\nprint(factorize({n}).factors)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            check=True, timeout=20,
+        )
+        assert proc.stdout == f"{expect}\n", n
+
+
+def test_iroot_is_the_exact_floor():
+    rng = random.Random(71)
+    for k in (2, 3, 5, 7, 13):
+        for _ in range(200):
+            n = rng.randint(1, 1 << rng.randint(1, 300))
+            r = _iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+        assert _iroot(1, k) == 1
+        for r in (2, 2**61 - 1, 3**50):
+            assert _iroot(r**k, k) == r and _iroot(r**k - 1, k) == r - 1
 
 
 def test_primes_just_below_each_tier_bound_stay_prime():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gcdlab.cli as cli
+import gcdlab.instance
 import gcdlab.search
 import gcdlab.verify
 from gcdlab.reports import to_canonical_json
@@ -167,6 +168,49 @@ def test_search_exhaustive(capsys):
     doc = json.loads(out)
     assert doc["summary"]["max_product"] == 9
     assert doc["summary"]["best_a"] == ["4", "6", "8"]
+
+
+def test_search_exhaustive_config_echoes_no_seed(capsys):
+    # the search is deterministic, so a seed in its config would mislead
+    for extra in ([], ["--seed", "7"]):
+        code, out, _ = run_cli(["search", "exhaustive", "--X", "4", "--D", "2"] + extra, capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "epsilon": 0.5, "exhaustive_limit": 20, "format": "json", "p0": 100
+        }
+    code, out, _ = run_cli(["search", "hunt", "--scale-limit", "2", "--structured", "1",
+                            "--seed", "7"], capsys)
+    assert code == 0 and json.loads(out)["config"]["seed"] == 7
+
+
+def test_stats_scans_for_primes_once(monkeypatch, capsys):
+    calls = []
+    real = gcdlab.instance.prime_sets
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gcdlab.instance, "prime_sets", counting)
+    monkeypatch.setattr(cli, "prime_sets", counting)
+    code, out, _ = run_cli(["stats", GOLDEN_INSTANCE], capsys)
+    assert code == 0 and json.loads(out)["summary"]["holds"] is True
+    assert len(calls) == 1
+
+
+def test_defect_of_a_large_prime_square_ends():
+    # a = (2^61 - 1)^2 once sent the factorization into a rho walk of about
+    # 2^30 steps; v_p(a/1) = 2 is an input fault, v_p(a/p) = 1 a defect
+    p = 2**61 - 1
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "gcdlab", "defect", "--a", str(p * p)]
+    proc = subprocess.run(argv + ["--n", "1"], capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and f"v_{p}" in proc.stderr
+    proc = subprocess.run(argv + ["--n", str(p)], capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["summary"]["a_plus"] == str(p)
 
 
 def test_exhaustive_limit_is_a_search_exhaustive_option(capsys):
@@ -336,6 +380,10 @@ def test_core_subcommands_load_no_optional_module(argv):
     code, modules = modules_loaded_by(argv)
     assert code == 0
     assert modules.isdisjoint(OPTIONAL_MODULES), sorted(modules & set(OPTIONAL_MODULES))
+    # records are NamedTuples: no dataclass machinery at start-up
+    assert modules.isdisjoint(("dataclasses", "inspect")), sorted(
+        modules & {"dataclasses", "inspect"}
+    )
 
 
 def test_measure_loads_its_module():

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,9 +19,11 @@ from gcdlab.instance import (
     count_pairs_geq_naive,
     instance_from_json,
     instance_to_json,
+    PairSet,
     prime_sets,
     theorem1_bound,
     theorem1_holds,
+    theorem1_log10_bound,
     theorem51_bound,
 )
 
@@ -87,6 +88,22 @@ def test_omega_views_match_naive_census():
             if a.value * b.value <= Q * math.gcd(a.value, b.value) ** 2
         ]
         assert list(ratio.edges) == naive, (A, B, Q)
+
+
+def test_masked_copy_keeps_the_grid_and_predicate():
+    # len() of a PairSet is its pair count, so NamedTuple._replace (which
+    # checks len() against the field count) cannot make these copies
+    inst = GcdInstance.build([4, 6, 8], [4, 6, 8, 9], 2, 4, 4, check_ranges=False)
+    om = build_omega_gcd(inst)
+    assert len(om) != 5
+    grid = PairSet(om.A, om.B, (1 << 12) - 1).edges
+    for bits in (0, 1, om.bits, om.bits & 0b101101, (1 << 12) - 1):
+        sub = om.masked(bits)
+        assert sub == PairSet(om.A, om.B, bits, om.kind, om.threshold)
+        assert len(sub) == bits.bit_count() != 5
+        assert list(sub.edges) == [e for k, e in enumerate(grid) if bits >> k & 1]
+    with pytest.raises(TypeError):
+        om._replace(bits=1)
 
 
 def test_least_divisors_geq_match_definition():
@@ -186,6 +203,18 @@ def test_theorem1_bound_examples():
     i3 = GcdInstance.build([1], [1], 1, 1, 1, epsilon=0.5, check_ranges=False)
     assert theorem1_bound(i3, Fraction(1, 2)) == pytest.approx(1000 * 2**2.5)
     assert theorem1_holds(i3, Fraction(1, 2))
+
+
+def test_theorem1_with_given_small_primes_matches_its_own_scan():
+    rng = random.Random(83)
+    for _ in range(30):
+        A = rng.sample(range(500, 1001), rng.randint(1, 12))
+        B = rng.sample(range(700, 1401), rng.randint(1, 12))
+        inst = GcdInstance.build(A, B, rng.randint(1, 50), 500, 700, p0=rng.choice((0, 3, 30)))
+        psml = prime_sets(inst.A + inst.B, inst.p0)[1]
+        delta = Fraction(rng.randint(1, 9), 10)
+        for fn in (theorem1_bound, theorem1_log10_bound, theorem1_holds):
+            assert fn(inst, delta, psml) == fn(inst, delta)
 
 
 def test_theorem1_rejects_zero_delta():
@@ -298,7 +327,7 @@ def test_integer_range_check_matches_fraction_comparison():
             D = rng.choice([1, Fraction(1, 2), min(X, Y), min(X, Y) + 1])
             inst = GcdInstance.build(A, B, D, X, Y, check_ranges=False)
             # unsorted sides, so the reported index is not always the end's
-            inst = replace(inst, A=tuple(rng.sample(inst.A, len(inst.A))))
+            inst = inst._replace(A=tuple(rng.sample(inst.A, len(inst.A))))
             assert range_error(inst) == fraction_range_error(inst), (X, Y, A, B, D)
             outcomes[range_error(inst) is None] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50, outcomes

@@ -45,3 +45,9 @@ def test_import_loads_no_submodule_and_dir_lists_every_export():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     assert proc.stdout == "[]\n[]\n"
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples, so a cold start pays for no dataclass codegen
+    for path in sorted(Path(SRC, "gcdlab").rglob("*.py")):
+        assert "dataclasses" not in path.read_text(encoding="utf-8"), path

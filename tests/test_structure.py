@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -152,7 +151,7 @@ def test_per_prime_masks_match_bruteforce():
                     for a, b in om.edges
                     if abs(a.valuation(p) - k) + abs(b.valuation(p) - k) <= 1
                 ]
-                assert list(replace(om, bits=masks[k]).edges) == expect
+                assert list(om.masked(masks[k]).edges) == expect
 
 
 def test_find_modulus_keeps_exactly_the_pivotal_pairs():
@@ -326,7 +325,7 @@ def test_structured_instance_rejects_non_pivotal_edges():
     bad = PairSet(om.A, om.B, om.cells(1 << 0, 1 << 1))
     assert [(a.value, b.value) for a, b in bad.edges] == [(4, 9)]
     with pytest.raises(ValueError, match="pivotal"):
-        StructuredInstance(inst, om, factorize(6), bad, "exhaustive")
+        StructuredInstance.build(inst, om, factorize(6), bad, "exhaustive")
 
 
 def test_structured_instance_accepts_exactly_the_pivotal_subsets():
@@ -348,10 +347,10 @@ def test_structured_instance_accepts_exactly_the_pivotal_subsets():
             pivotal = all(check_pivotal(a, b, N) for a, b in sub.edges)
             verdicts.add(pivotal)
             if pivotal:
-                si = StructuredInstance(inst, om, factorize(N), sub, "exhaustive")
+                si = StructuredInstance.build(inst, om, factorize(N), sub, "exhaustive")
                 elements = {el for pair in sub.edges for el in pair}
                 assert si.defects == {el: defect(el, N) for el in elements}
             else:
                 with pytest.raises(ValueError, match="pivotal"):
-                    StructuredInstance(inst, om, factorize(N), sub, "exhaustive")
+                    StructuredInstance.build(inst, om, factorize(N), sub, "exhaustive")
         assert verdicts == {True, False}
