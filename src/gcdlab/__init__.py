@@ -3,9 +3,10 @@ statistics on dyadic integer sets.
 
 The package provides exact arithmetic (arith), the instance model with pair
 censuses and bound evaluators (instance), valuation measures, modulus search
-and defect machinery (structure), concentration numerics (measure), the
-explicit example families (families), extremal search and violation hunting
-(search), and a command-line front end (cli).
+and defect machinery (structure, with the search itself in modulus),
+concentration numerics (measure), the explicit example families (families),
+extremal search and violation hunting (search), and a command-line front end
+(cli).
 
 `import gcdlab` loads no submodule: each exported name is imported from its
 module on first access (PEP 562), so a caller pays only for what it uses.

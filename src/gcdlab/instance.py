@@ -180,13 +180,24 @@ class PairSet(NamedTuple):
             (self.A[k // n], self.B[k % n]) for k, c in enumerate(self._grid()) if c == "1"
         )
 
+    def row_bits(self) -> list[int]:
+        """Row i of the grid as an integer: bit j is set iff (A[i], B[j])
+        is a pair."""
+        s, n = format(self.bits, f"0{self.n_left * self.n_right}b"), self.n_right
+        return [int(s[k : k + n], 2) for k in range(0, len(s), n)][::-1]
+
+    def col_bits(self) -> list[int]:
+        """Column j of the grid as an integer: bit i is set iff (A[i], B[j])
+        is a pair."""
+        s, n = format(self.bits, f"0{self.n_left * self.n_right}b"), self.n_right
+        # character len(s) - 1 - k is bit k, so column j reads from n - 1 - j
+        return [int(s[n - 1 - j :: n], 2) for j in range(n)]
+
     def degrees_left(self) -> dict[FactoredNat, int]:
-        grid, n = self._grid(), self.n_right
-        return {a: d for i, a in enumerate(self.A) if (d := grid.count("1", i * n, i * n + n))}
+        return {a: d for a, r in zip(self.A, self.row_bits()) if (d := r.bit_count())}
 
     def degrees_right(self) -> dict[FactoredNat, int]:
-        grid, n = self._grid(), self.n_right
-        return {b: d for j, b in enumerate(self.B) if (d := grid[j::n].count("1"))}
+        return {b: d for b, c in zip(self.B, self.col_bits()) if (d := c.bit_count())}
 
     def __contains__(self, pair) -> bool:
         a, b = pair
@@ -194,13 +205,10 @@ class PairSet(NamedTuple):
             return False
         return bool(self.bits >> (self.A.index(a) * self.n_right + self.B.index(b)) & 1)
 
-    def cells(self, rows: int, cols: int) -> int:
-        """Grid mask of the cells (A[i], B[j]) with bit i of rows and bit j
-        of cols set."""
-        # bit i of rows moves to bit i*|B|; the product with cols < 2^|B|
-        # is then carry-free, one copy of cols per selected row
-        spread = int(("0" * (self.n_right - 1)).join(format(rows, "b")), 2)
-        return spread * cols
+    def spread(self, rows: int) -> int:
+        """The grid mask of bit 0 of each row i set in rows; times a mask C
+        below 2^|B| it is carry-free, the cells (A[i], B[j]) with j in C."""
+        return int(("0" * (self.n_right - 1)).join(format(rows, "b")), 2)
 
 
 def _gcd_threshold(D) -> int:
@@ -231,6 +239,11 @@ def _least_divisors_geq(factors, t: int) -> list[int]:
                 grown.append(d)
         below += grown
     return out
+
+
+def _indices(mask: int) -> list[int]:
+    """The indices of the set bits of mask, in increasing order."""
+    return [i for i, c in enumerate(reversed(format(mask, "b"))) if c == "1"]
 
 
 def _join_rows(rows, width: int) -> int:

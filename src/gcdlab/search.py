@@ -328,17 +328,16 @@ def hunt_violations(
     rng = random.Random(seed)
     for _ in range(n_structured):
         si = random_structured_instance(rng)
-        inst = si.base
-        dprime = si.delta_prime
-        bound = 1000 * inst.X * inst.Y / (dprime * dprime * inst.D * inst.D)
-        ok = Fraction(inst.size_product()) <= bound
         try:
             report = extract_witnesses(si)
-            chain_ok = report.chain_ok and report.holds
-        except InternalConsistencyError as exc:
-            chain_ok = False
+        except InternalConsistencyError:
             report = None
-        if not (ok and chain_ok):
+        if report is None or not (report.chain_ok and report.holds):
+            inst, dprime = si.base, si.delta_prime
+            if report is None:
+                bound = 1000 * inst.X * inst.Y / (dprime * dprime * inst.D * inst.D)
+            else:
+                bound = report.prop_bound
             violations.append(
                 Violation(
                     "structured-product-bound",

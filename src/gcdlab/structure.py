@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import FactoredNat, factorize, fraction_of, rational_valuations
-from .instance import GcdInstance, PairSet, build_omega_gcd
+from .instance import GcdInstance, PairSet, _indices, build_omega_gcd
 
 __all__ = [
     "DefectCensus",
@@ -63,35 +63,22 @@ class ValuationMeasure(NamedTuple):
     mu: dict[tuple[int, int], Fraction]
 
 
-def _valuation_classes(S, primes) -> dict[int, dict[int, int]]:
-    """{p: {v: bitmask of the indices i with v_p(S[i]) = v}} for each p in
-    primes, empty classes left out."""
-    out: dict[int, dict[int, int]] = {p: {} for p in primes}
-    for i, el in enumerate(S):
-        for p, e in el.factors:
-            if p in out:
-                out[p][e] = out[p].get(e, 0) | 1 << i
-    for cls in out.values():
-        if rest := ((1 << len(S)) - 1) & ~sum(cls.values()):
-            cls[0] = rest
-    return out
-
-
 def valuation_measure(inst: GcdInstance, omega: PairSet, p: int) -> ValuationMeasure:
-    """Exact (alpha, beta, mu) at prime p; omega must be nonempty."""
+    """Exact (alpha, beta, mu) at prime p; omega must be nonempty.  mu comes
+    from one count per pair of valuation classes."""
+    from .modulus import class_counts, prime_table
+
     if not omega:
         raise ValueError("omega is empty: the edge measure is undefined")
-    rows, cols = _valuation_classes(omega.A, [p])[p], _valuation_classes(omega.B, [p])[p]
+    table = prime_table(omega, [p])
+    _, _, rows, cols = table[p]
+    counts = class_counts(omega, table, omega.row_bits())[p]
     nA, nB, nE = len(inst.A), len(inst.B), len(omega)
-    mu = {
-        (i, j): Fraction(c, nE) for i in sorted(rows) for j in sorted(cols)
-        if (c := (omega.bits & omega.cells(rows[i], cols[j])).bit_count())
-    }
     return ValuationMeasure(
         p,
         {i: Fraction(rows[i].bit_count(), nA) for i in sorted(rows)},
         {j: Fraction(cols[j].bit_count(), nB) for j in sorted(cols)},
-        mu,
+        {ij: Fraction(c, nE) for ij, c in sorted(counts.items()) if c},
     )
 
 
@@ -107,66 +94,6 @@ def check_pivotal(a, b, N) -> bool:
     return all(abs(va.get(p, 0)) + abs(vb.get(p, 0)) <= 1 for p in va.keys() | vb.keys())
 
 
-def _per_prime_masks(omega: PairSet):
-    """(p, lo, hi, masks, freq) per prime of A u B: masks[k] holds the pairs
-    with |v_p(a) - k| + |v_p(b) - k| <= 1; freq counts elements by v_p."""
-    pool = sorted({p for el in omega.A + omega.B for p in el.primes()})
-    rows_by_p = _valuation_classes(omega.A, pool)
-    cols_by_p = _valuation_classes(omega.B, pool)
-    out = []
-    for p in pool:
-        rows, cols = rows_by_p[p], cols_by_p[p]
-        freq = {v: rows.get(v, 0).bit_count() + cols.get(v, 0).bit_count()
-                for v in rows.keys() | cols.keys()}
-        lo, hi = min(freq), max(freq)
-        masks = {}
-        for k in range(lo, hi + 1):
-            # v_p(a) = k with v_p(b) within 1 of k, or v_p(a) = k +- 1 with v_p(b) = k
-            near_cols = cols.get(k - 1, 0) | cols.get(k, 0) | cols.get(k + 1, 0)
-            near_rows = rows.get(k - 1, 0) | rows.get(k + 1, 0)
-            masks[k] = omega.bits & (
-                omega.cells(rows.get(k, 0), near_cols) | omega.cells(near_rows, cols.get(k, 0))
-            )
-        out.append((p, lo, hi, masks, freq))
-    return out
-
-
-def _search_exhaustive(per_prime, full_mask: int) -> list[int]:
-    best_count = -1
-    best: list[int] = []
-
-    def rec(i: int, mask: int, acc: list[int]) -> None:
-        nonlocal best_count, best
-        if mask.bit_count() <= best_count:
-            return
-        if i == len(per_prime):
-            best_count = mask.bit_count()
-            best = list(acc)
-            return
-        _, lo, hi, masks, _ = per_prime[i]
-        for k in range(lo, hi + 1):
-            acc.append(k)
-            rec(i + 1, mask & masks[k], acc)
-            acc.pop()
-
-    rec(0, full_mask, [])
-    return best
-
-
-def _search_greedy(per_prime) -> list[int]:
-    chosen = []
-    for _, lo, hi, masks, freq in per_prime:
-        counts = {k: masks[k].bit_count() for k in range(lo, hi + 1)}
-        top = max(counts.values())
-        cands = [k for k, c in counts.items() if c == top]
-        if len(cands) > 1:
-            # tie-break toward the mode of the valuation distribution
-            top_freq = max(freq.get(k, 0) for k in cands)
-            cands = [k for k in cands if freq.get(k, 0) == top_freq]
-        chosen.append(min(cands))
-    return chosen
-
-
 def find_modulus(
     inst: GcdInstance,
     omega: PairSet,
@@ -178,31 +105,21 @@ def find_modulus(
     return the structured instance of that N.
 
     Exact exhaustive search over k_p in [min valuation, max valuation] per
-    prime while the product of range sizes stays within exhaustive_limit;
-    otherwise greedy per prime (independently optimal centers, ties broken
-    by the valuation mode, then smallest k).  The achieved |Omega'|/|Omega|
-    is reported, never asserted to reach 1/2.
+    prime while the product of range sizes over all primes stays within
+    exhaustive_limit, with grid masks only for the primes whose lowest k
+    loses a pair; otherwise greedy per prime (independently optimal
+    centers, ties broken by the valuation mode, then smallest k) from
+    class-pair counts, with no grid-wide mask (modulus.search).  The
+    achieved |Omega'|/|Omega| is reported, never asserted to reach 1/2.
     """
+    from .modulus import search
+
     if not omega:
         raise ValueError("omega is empty: nothing to structure")
-    per_prime = _per_prime_masks(omega)
-    total = 1
-    for _, lo, hi, _, _ in per_prime:
-        total *= hi - lo + 1
-        if total > exhaustive_limit:
-            break
-    if total <= exhaustive_limit:
-        strategy = "exhaustive"
-        ks = _search_exhaustive(per_prime, omega.bits)
-    else:
-        strategy = "greedy"
-        ks = _search_greedy(per_prime)
-    mask = omega.bits
-    for (p, lo, hi, masks, _), k in zip(per_prime, ks):
-        mask &= masks[k]
-    factors = tuple((p, k) for (p, *_), k in zip(per_prime, ks) if k > 0)
+    strategy, ks, bits = search(omega, exhaustive_limit)
+    factors = tuple((p, k) for p, k in ks.items() if k > 0)
     n = FactoredNat.checked(math.prod(p**k for p, k in factors), factors)
-    return StructuredInstance.build(inst, omega, n, omega.masked(mask), strategy)
+    return StructuredInstance.build(inst, omega, n, omega.masked(bits), strategy)
 
 
 class StructuredInstance(NamedTuple):
@@ -453,73 +370,67 @@ def extract_witnesses(si: StructuredInstance) -> WitnessReport:
     a_star >= delta'|A|/8, and symmetrically on the right within the
     neighborhood of the chosen a.  The resulting pair certifies
     |A||B| <= 1000 delta'^-2 XY/D^2.
+
+    With m = |Omega'| = delta'|A||B|, every threshold is an integer
+    comparison on Omega''s row bits: deg >= delta'|B|/4 iff 4|A| deg >= m,
+    and so on.
     """
     if not si.omega_prime:
         raise ValueError("omega_prime is empty: no witnesses exist")
-    inst = si.base
-    nA, nB = len(inst.A), len(inst.B)
-    dprime = si.omega_prime.delta
-    deg = si.omega_prime.degrees_left()
-    deg_lower = dprime * nB / 4
-    tilde_a = sorted(a for a, d in deg.items() if d >= deg_lower)
-    tilde_a_lower = dprime * nA / 4
-    if len(tilde_a) < tilde_a_lower:
+    inst, m, rows = si.base, len(si.omega_prime), si.omega_prime.row_bits()
+    nA, nB, size = len(inst.A), len(inst.B), inst.size_product()
+
+    def largest_star(S, indices, scale: int):
+        # the first of indices with the largest a_star among those with scale * a_star >= m
+        stars = {i: si.defects[S[i]].a_star for i in indices}
+        return max((i for i in stars if scale * stars[i] >= m), key=stars.get, default=None)
+
+    tilde_a = [i for i, r in enumerate(rows) if 4 * nA * r.bit_count() >= m]
+    if 4 * nB * len(tilde_a) < m:
         raise InternalConsistencyError(
-            f"averaging failed: |tilde A| = {len(tilde_a)} < {tilde_a_lower}"
+            f"averaging failed: |tilde A| = {len(tilde_a)} < {Fraction(m, 4 * nB)}"
         )
-    a_star_lower = dprime * nA / 8
-    best_a = None
-    best_a_star = None
-    for a in tilde_a:
-        star = si.defects[a].a_star
-        if star >= a_star_lower and (best_a_star is None or star > best_a_star):
-            best_a, best_a_star = a, star
-    if best_a is None:
+    ia = largest_star(inst.A, tilde_a, 8 * nB)
+    if ia is None:
         raise InternalConsistencyError(
-            f"no a in tilde A has a_star >= {a_star_lower}; "
+            f"no a in tilde A has a_star >= {Fraction(m, 8 * nB)}; "
             "the defect-count bound should make this impossible"
         )
-    tilde_b = sorted(b for a, b in si.omega_prime.edges if a == best_a)
-    b_star_lower = dprime * nB / 8
-    best_b = None
-    best_b_star = None
-    for b in tilde_b:
-        star = si.defects[b].a_star
-        if star >= b_star_lower and (best_b_star is None or star > best_b_star):
-            best_b, best_b_star = b, star
-    if best_b is None:
+    ib = largest_star(inst.B, _indices(rows[ia]), 8 * nA)
+    if ib is None:
         raise InternalConsistencyError(
-            f"no b adjacent to {best_a} has b_star >= {b_star_lower}"
+            f"no b adjacent to {inst.A[ia]} has b_star >= {Fraction(m, 8 * nA)}"
         )
+    a_star, b_star = si.defects[inst.A[ia]].a_star, si.defects[inst.B[ib]].a_star
     quad_cap = 4 * inst.X * inst.Y / (inst.D * inst.D)
-    quad_product = best_a_star * best_b_star
-    prop_bound = 1000 * inst.X * inst.Y / (dprime * dprime * inst.D * inst.D)
+    quad_product = a_star * b_star
+    deg_a = rows[ia].bit_count()
     chain_ok = (
-        len(tilde_a) >= tilde_a_lower
-        and deg[best_a] >= deg_lower
-        and (best_a, best_b) in si.omega_prime
-        and Fraction(quad_product) <= quad_cap
+        4 * nB * len(tilde_a) >= m
+        and 4 * nA * deg_a >= m
+        and rows[ia] >> ib & 1 == 1
+        and quad_product <= quad_cap
     )
     if not chain_ok:
         raise InternalConsistencyError("witness chain failed to verify")
-    holds = Fraction(nA * nB) <= prop_bound
+    prop_bound = quad_cap * Fraction(250 * size * size, m * m)  # 1000 XY / (delta'^2 D^2)
     return WitnessReport(
-        a=best_a.value,
-        b=best_b.value,
-        a_star=best_a_star,
-        b_star=best_b_star,
-        delta_prime=dprime,
+        a=inst.A[ia].value,
+        b=inst.B[ib].value,
+        a_star=a_star,
+        b_star=b_star,
+        delta_prime=Fraction(m, size),
         delta_omega=si.omega.delta,
         tilde_a_size=len(tilde_a),
-        tilde_a_lower=tilde_a_lower,
-        deg_a=deg[best_a],
-        deg_lower=deg_lower,
-        a_star_lower=a_star_lower,
-        b_star_lower=b_star_lower,
+        tilde_a_lower=Fraction(m, 4 * nB),
+        deg_a=deg_a,
+        deg_lower=Fraction(m, 4 * nA),
+        a_star_lower=Fraction(m, 8 * nB),
+        b_star_lower=Fraction(m, 8 * nA),
         quad_product=quad_product,
         quad_cap=quad_cap,
-        size_product=nA * nB,
+        size_product=size,
         prop_bound=prop_bound,
-        holds=holds,
+        holds=size <= prop_bound,
         chain_ok=chain_ok,
     )

@@ -386,6 +386,18 @@ def test_core_subcommands_load_no_optional_module(argv):
     )
 
 
+def test_only_structure_loads_the_modulus_search():
+    # gcdlab.structure imports gcdlab.modulus on first use, so the commands
+    # that never search a modulus do not compile it
+    for argv, loads in (
+        (["stats", GOLDEN_INSTANCE], False),
+        (["defect", "--a", "12", "--n", "6"], False),
+        (["structure", GOLDEN_INSTANCE], True),
+    ):
+        code, modules = modules_loaded_by(argv)
+        assert code == 0 and ("gcdlab.modulus" in modules) == loads, argv
+
+
 def test_measure_loads_its_module():
     code, modules = modules_loaded_by(["measure", "--point-mass", "0", "0", "--lambda", "0.5"])
     assert code == 0

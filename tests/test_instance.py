@@ -78,6 +78,13 @@ def test_omega_views_match_naive_census():
         assert len(om) == count_pairs_geq_naive(A, B, D)
         assert om.degrees_left() == Counter(a for a, _ in om.edges)
         assert om.degrees_right() == Counter(b for _, b in om.edges)
+        edges = set(om.edges)
+        assert om.row_bits() == [
+            sum(1 << j for j, b in enumerate(om.B) if (a, b) in edges) for a in om.A
+        ]
+        assert om.col_bits() == [
+            sum(1 << i for i, a in enumerate(om.A) if (a, b) in edges) for b in om.B
+        ]
         assert sum((a, b) in om for a in om.A for b in om.B) == len(om)
         Q = Fraction(D) * 3
         ratio = build_omega_ratio(A, B, Q)
@@ -104,6 +111,18 @@ def test_masked_copy_keeps_the_grid_and_predicate():
         assert list(sub.edges) == [e for k, e in enumerate(grid) if bits >> k & 1]
     with pytest.raises(TypeError):
         om._replace(bits=1)
+
+
+def test_spread_times_a_column_mask_is_the_cells():
+    inst = GcdInstance.build([4, 6, 8, 9, 10], [4, 6, 8], 2, 4, 4, check_ranges=False)
+    om = build_omega_gcd(inst)
+    grid = PairSet(om.A, om.B, (1 << 15) - 1).edges
+    for rows in range(1 << 5):
+        for cols in range(1 << 3):
+            cells = PairSet(om.A, om.B, om.spread(rows) * cols).edges
+            assert list(cells) == [
+                e for k, e in enumerate(grid) if rows >> (k // 3) & 1 and cols >> (k % 3) & 1
+            ]
 
 
 def test_least_divisors_geq_match_definition():

@@ -124,6 +124,32 @@ def test_hunt_small_run_clean():
     assert hunt_violations(scale_limit=10, seed=7, n_structured=150) == []
 
 
+def test_hunt_violation_detail_carries_the_product_bound(monkeypatch):
+    # a chain that raises gets the bound 1000 XY / (delta'^2 D^2) computed for
+    # its detail; a report that does not hold brings its own prop_bound
+    import gcdlab.search as search
+    from gcdlab.structure import InternalConsistencyError, extract_witnesses
+
+    def raising(si):
+        raise InternalConsistencyError("forced")
+
+    def failing(si):
+        return extract_witnesses(si)._replace(holds=False, prop_bound=Fraction(7, 3))
+
+    for fake in (raising, failing):
+        monkeypatch.setattr(search, "extract_witnesses", fake)
+        found = hunt_violations(scale_limit=2, seed=3, n_structured=5)
+        rng = random.Random(3)
+        assert len(found) == 5
+        for v in found:
+            si = random_structured_instance(rng)
+            inst, d = si.base, si.delta_prime
+            bound = 1000 * inst.X * inst.Y / (d * d * inst.D * inst.D)
+            assert v.kind == "structured-product-bound"
+            assert v.detail["N"] == si.n.value and v.detail["delta_prime"] == str(d)
+            assert v.detail["bound"] == str(bound if fake is raising else Fraction(7, 3))
+
+
 def test_hunt_is_deterministic():
     a = hunt_violations(scale_limit=6, seed=11, n_structured=40)
     b = hunt_violations(scale_limit=6, seed=11, n_structured=40)

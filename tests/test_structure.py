@@ -1,14 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from gcdlab.arith import factorize, is_squarefree
 from gcdlab.families import remark2_family
 from gcdlab.instance import GcdInstance, PairSet, build_omega_gcd
+from gcdlab.modulus import _per_prime_masks, prime_table
 from gcdlab.structure import (
-    _per_prime_masks,
+    EXHAUSTIVE_LIMIT_DEFAULT,
     DefectError,
     StructuredInstance,
     check_pivotal,
@@ -141,17 +143,122 @@ def _oracle_instances():
         yield GcdInstance.build(sorted(set(A[1:]) | {X + 1}), B, D, X, Y)
 
 
+def _kept_by(om, p, k) -> list:
+    """The pairs of om kept at p by k, from the definition."""
+    return [
+        (a, b) for a, b in om.edges if abs(a.valuation(p) - k) + abs(b.valuation(p) - k) <= 1
+    ]
+
+
+def _ranges(om) -> dict[int, range]:
+    """{p: range of v_p over A u B} for every prime of A u B, in order."""
+    pool = sorted({p for el in om.A + om.B for p in el.primes()})
+    vals = {p: [el.valuation(p) for el in om.A + om.B] for p in pool}
+    return {p: range(min(v), max(v) + 1) for p, v in vals.items()}
+
+
 def test_per_prime_masks_match_bruteforce():
+    # masks are built for the binding primes alone, and a prime is dropped
+    # exactly when its lowest k keeps every pair
+    dropped = kept = 0
     for inst in _oracle_instances():
         om = build_omega_gcd(inst)
-        for p, lo, hi, masks, _ in _per_prime_masks(om):
-            for k in range(lo, hi + 1):
-                expect = [
-                    (a, b)
-                    for a, b in om.edges
-                    if abs(a.valuation(p) - k) + abs(b.valuation(p) - k) <= 1
-                ]
-                assert list(om.masked(masks[k]).edges) == expect
+        ranges = _ranges(om)
+        masks = _per_prime_masks(om, om.row_bits(), prime_table(om))
+        binding = [p for p, *_ in masks]
+        assert binding == [p for p, r in ranges.items() if _kept_by(om, p, r[0]) != list(om.edges)]
+        for p, lo, hi, by_k in masks:
+            assert range(lo, hi + 1) == ranges[p] and list(by_k) == list(ranges[p])
+            for k in ranges[p]:
+                assert list(om.masked(by_k[k]).edges) == _kept_by(om, p, k)
+        dropped += len(ranges) - len(binding)
+        kept += len(binding)
+    assert dropped and kept
+
+
+def _reference_modulus(om, exhaustive_limit):
+    """(N, strategy, Omega' bits) over every prime of A u B: the first k
+    vector in lexicographic order keeping the most pairs when the product
+    of the valuation ranges is within exhaustive_limit, else each prime's
+    best k on its own, ties broken by the valuation mode, then smallest k."""
+    edges = list(om.edges)
+    nB = len(om.B)
+    cell = {(a, b): 1 << (i * nB + j) for i, a in enumerate(om.A) for j, b in enumerate(om.B)}
+    pool, ranges = zip(*_ranges(om).items())
+    kept = [{k: sum(cell[e] for e in _kept_by(om, p, k)) for k in r} for p, r in zip(pool, ranges)]
+    if prod(len(r) for r in ranges) <= exhaustive_limit:
+        strategy, best, best_count = "exhaustive", None, -1
+        for ks in itertools.product(*ranges):
+            bits = om.bits
+            for by_k, k in zip(kept, ks):
+                bits &= by_k[k]
+            if bits.bit_count() > best_count:
+                best, best_count = ks, bits.bit_count()
+        ks = best
+    else:
+        strategy, ks = "greedy", []
+        for p, by_k in zip(pool, kept):
+            freq = {k: sum(el.valuation(p) == k for el in om.A + om.B) for k in by_k}
+            ks.append(min(by_k, key=lambda k: (-by_k[k].bit_count(), -freq[k], k)))
+    bits, n = om.bits, prod(p**k for p, k in zip(pool, ks))
+    for by_k, k in zip(kept, ks):
+        bits &= by_k[k]
+    assert bits == sum(cell[e] for e in edges if check_pivotal(*e, n))
+    return n, strategy, bits
+
+
+def _search_instances():
+    """Seeded small instances whose valuation ranges multiply to at most
+    3000, so that every k vector can be tried, plus the oracle instances."""
+    rng = random.Random(71)
+    out = []
+    while len(out) < 150:
+        X, Y = rng.randint(4, 40), rng.randint(4, 40)
+        A = sorted({rng.randint(X, 2 * X) for _ in range(rng.randint(1, 7))})
+        B = sorted({rng.randint(Y, 2 * Y) for _ in range(rng.randint(1, 7))})
+        if rng.random() < 0.3:
+            m = rng.choice([2, 3, 4, 6, 9])
+            A, B = [a * m for a in A], [b * m for b in B]
+        inst = GcdInstance.build(A, B, rng.randint(1, 5), min(A), min(B), check_ranges=False)
+        om = build_omega_gcd(inst)
+        if om and prod(len(r) for r in _ranges(om).values()) <= 3000:
+            out.append((inst, om))
+    return out + [(inst, build_omega_gcd(inst)) for inst in _oracle_instances()]
+
+
+def test_find_modulus_equals_the_reference_search():
+    strategies = set()
+    for inst, om in _search_instances():
+        if not om:
+            continue
+        for limit in (1, 16, EXHAUSTIVE_LIMIT_DEFAULT):
+            if limit >= prod(len(r) for r in _ranges(om).values()) > 3000:
+                continue  # too many k vectors to try one by one
+            ms = find_modulus(inst, om, exhaustive_limit=limit)
+            n, strategy, bits = _reference_modulus(om, limit)
+            assert (ms.n.value, ms.strategy, ms.omega_prime.bits) == (n, strategy, bits)
+            strategies.add(strategy)
+    assert strategies == {"exhaustive", "greedy"}
+
+
+def test_greedy_takes_the_modal_k_when_two_keep_every_pair():
+    # every pair joins v_2 = 1 (A) to v_2 = 0 (B), so k = 0 and k = 1 both
+    # keep all of them at p = 2; 26 has v_2 = 1 and no pair, which makes
+    # v_2 = 1 the mode (5 elements against 4), so greedy picks k = 1
+    inst = GcdInstance.build([6, 10, 14, 22], [9, 15, 21, 26, 33], 3, 6, 9, check_ranges=False)
+    om = build_omega_gcd(inst)
+    assert prime_table(om, [2])[2][0] == 0  # lo = 0 at p = 2
+    assert _kept_by(om, 2, 0) == _kept_by(om, 2, 1) == list(om.edges)
+    binding = _per_prime_masks(om, om.row_bits(), prime_table(om))
+    assert 2 not in [p for p, *_ in binding]
+    ms = find_modulus(inst, om, exhaustive_limit=1)
+    assert ms.strategy == "greedy" and ms.n.value % 4 == 2
+    assert (ms.n.value, ms.strategy, ms.omega_prime.bits) == _reference_modulus(om, 1)
+    exact = find_modulus(inst, om)
+    assert exact.strategy == "exhaustive" and exact.n.value % 2 == 1
+    assert (exact.n.value, exact.strategy, exact.omega_prime.bits) == _reference_modulus(
+        om, EXHAUSTIVE_LIMIT_DEFAULT
+    )
 
 
 def test_find_modulus_keeps_exactly_the_pivotal_pairs():
@@ -322,7 +429,7 @@ def test_structured_instance_rejects_non_pivotal_edges():
     inst = GcdInstance.build([4, 9], [4, 9], 1, 4, 4, check_ranges=False)
     om = build_omega_gcd(inst)
     # the pair (4, 9) alone: v_2(4/6) = 1 and v_2(9/6) = -1 sum to 2
-    bad = PairSet(om.A, om.B, om.cells(1 << 0, 1 << 1))
+    bad = PairSet(om.A, om.B, 1 << 1)  # cell (A[0], B[1])
     assert [(a.value, b.value) for a, b in bad.edges] == [(4, 9)]
     with pytest.raises(ValueError, match="pivotal"):
         StructuredInstance.build(inst, om, factorize(6), bad, "exhaustive")
