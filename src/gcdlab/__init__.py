@@ -46,7 +46,6 @@ _EXPORTS = {
         "theorem1_bound",
         "theorem1_holds",
         "theorem51_bound",
-        "write_instance",
     ),
     "structure": (
         "DefectCensus",

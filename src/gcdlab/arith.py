@@ -169,7 +169,12 @@ def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 1 and k >= 2, exactly."""
     if k == 2:
         return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # a power of two >= the root
+    # a float seed, rounded up; by AM-GM one Newton step from any positive
+    # start lands at or above the floor of the root
+    log2_root = math.log2(n) / k
+    shift = max(int(log2_root) - 60, 0)
+    x = (int(2.0 ** (log2_root - shift)) + 1) << shift
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
     while True:
         # Newton's step decreases strictly from above the root down to its floor
         y = ((k - 1) * x + n // x ** (k - 1)) // k

@@ -22,6 +22,7 @@ from .instance import (
     GcdInstance,
     InstanceError,
     build_omega_gcd,
+    epsilon_fraction,
     instance_to_json,
     prime_sets,
     read_instance,
@@ -42,8 +43,8 @@ from .structure import (
     valuation_measure,
 )
 
-# measure (and with it mpmath), families, search and verify are imported by
-# the subcommands that run them, so a cold start loads only what it uses.
+# measure, families, search and verify are imported by the subcommands that
+# run them, so a cold start loads only what it uses.
 
 __all__ = ["main", "RunConfig"]
 
@@ -61,8 +62,7 @@ def _config(args, inst: GcdInstance | None = None) -> RunConfig:
     fallback = inst or RunConfig()
     epsilon = fallback.epsilon if args.epsilon is None else args.epsilon
     p0 = fallback.p0 if args.p0 is None else args.p0
-    if not 0 < epsilon < 1:
-        raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
+    epsilon_fraction(epsilon)
     if p0 < 0:
         raise InstanceError(f"field p0: {p0} must be a natural number")
     return RunConfig(epsilon, p0, args.seed, args.format)

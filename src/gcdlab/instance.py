@@ -2,9 +2,10 @@
 exact density, prime sets, pair censuses (naive double loop as the oracle,
 divisor recursion as the fast path), and the bound evaluators.
 
-Densities are exact rationals throughout.  Bound comparisons at the
-irrational exponent -2-epsilon happen in log space with a one-sided guard
-band, so a reported violation is never a rounding artifact.
+Densities are exact rationals throughout.  With epsilon = a/b, a bound
+at the exponent -2-epsilon holds iff its b-th power does, which is an
+integer comparison, so a reported violation is never a rounding artifact;
+the bound's value is reported as a float for display only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "chase_diagonal_bound",
     "count_pairs_geq_fast",
     "count_pairs_geq_naive",
+    "epsilon_fraction",
     "gcd_census",
     "instance_from_json",
     "instance_to_json",
@@ -36,16 +38,29 @@ __all__ = [
     "theorem1_holds",
     "theorem1_log10_bound",
     "theorem51_bound",
-    "write_instance",
 ]
 
-# One-sided relative guard in log space: a bound violation is declared only
-# if it survives rounding the bound down by this much.
-LOG_GUARD = 1e-9
+EPSILON_MAX_DENOMINATOR = 1000  # the largest b of an epsilon = a/b
 
 
 class InstanceError(ValueError):
     """Invalid instance data, with a field-level diagnostic message."""
+
+
+def epsilon_fraction(epsilon) -> Fraction:
+    """epsilon = a/b as the fraction its shortest decimal text names (the
+    float 0.1 is 1/10, not the binary double nearest it).  InstanceError
+    unless 0 < epsilon < 1 and b <= EPSILON_MAX_DENOMINATOR: the exact
+    verdicts raise to powers up to 2b + a."""
+    if not 0 < epsilon < 1:
+        raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
+    eps = Fraction(repr(float(epsilon)))
+    if eps.denominator > EPSILON_MAX_DENOMINATOR:
+        raise InstanceError(
+            f"field epsilon: {epsilon} has denominator {eps.denominator}"
+            f" above {EPSILON_MAX_DENOMINATOR}"
+        )
+    return eps
 
 
 def _coerce_elements(S, name: str) -> tuple[FactoredNat, ...]:
@@ -91,8 +106,7 @@ class GcdInstance(NamedTuple):
             X = _infer_range(A, "A")
         if Y is None:
             Y = _infer_range(B, "B")
-        if not 0 < epsilon < 1:
-            raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
+        epsilon_fraction(epsilon)
         if p0 < 0:
             raise InstanceError(f"field p0: {p0} must be a natural number")
         inst = cls(A, B, fraction_of(X), fraction_of(Y), fraction_of(D), float(epsilon), int(p0))
@@ -358,8 +372,9 @@ def _log_fraction(q: Fraction) -> float:
 
 def _bound(n_small: int, epsilon: float, delta, scale: Fraction, size: int):
     """(log B, B or inf, whether size <= B) for B = 1000^(1+n_small) *
-    delta^(-2-epsilon) * scale.  log B is rounded down by LOG_GUARD first, so
-    a False verdict is never float noise."""
+    delta^(-2-epsilon) * scale.  log B and B are floats for display; with
+    epsilon = a/b the verdict is the exact
+    size^b * delta^(2b+a) <= (1000^(1+n_small) * scale)^b."""
     delta = fraction_of(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -372,7 +387,9 @@ def _bound(n_small: int, epsilon: float, delta, scale: Fraction, size: int):
         bound = math.exp(log_bound)
     except OverflowError:
         bound = math.inf
-    return log_bound, bound, math.log(size) <= log_bound + LOG_GUARD
+    eps = epsilon_fraction(epsilon)
+    a, b = eps.numerator, eps.denominator
+    return log_bound, bound, size**b * delta ** (2 * b + a) <= (1000 ** (1 + n_small) * scale) ** b
 
 
 def _theorem1(inst: GcdInstance, delta, small_primes):
@@ -395,7 +412,7 @@ def theorem1_log10_bound(inst: GcdInstance, delta, small_primes=None) -> float:
 
 
 def theorem1_holds(inst: GcdInstance, delta, small_primes=None) -> bool:
-    """Whether |A||B| <= the main bound, never False by float noise."""
+    """Whether |A||B| <= the main bound, decided exactly."""
     return _theorem1(inst, delta, small_primes)[2]
 
 
@@ -514,11 +531,6 @@ def instance_from_json(text: str) -> GcdInstance:
     if not isinstance(p0, int) or isinstance(p0, bool) or p0 < 0:
         raise InstanceError(f"field p0: {p0!r} is not a natural number")
     return GcdInstance.build(A, B, D, X, Y, epsilon=float(epsilon), p0=p0)
-
-
-def write_instance(inst: GcdInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(inst))
 
 
 def read_instance(path) -> GcdInstance:

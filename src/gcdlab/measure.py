@@ -3,9 +3,10 @@ Z^2 under the hypothesis mu(i,j) <= c * lambda^|i-j| * x_i * y_j with
 l^q'-normalized weight sequences x, y.
 
 Two backings coexist: plain floats for sweeps, and exact rationals for
-measures coming from valuation statistics, where x_i = alpha_i^(1/q') is
-irrational and order verdicts go through interval arithmetic with outward
-rounding (mpmath.iv) so that no <=/>= decision rests on float noise.
+measures coming from valuation statistics.  There x_i = alpha_i^(1/q') is
+irrational, but with epsilon = a/b every c_ij^(2b+a) is rational, so the
+verdict c_min >= 1/9 is an integer comparison and the reported enclosure of
+c_min comes from an integer root: no order decision rests on float noise.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from mpmath import iv
-
-from .arith import fraction_of
+from .arith import _iroot, fraction_of
+from .instance import epsilon_fraction
 
 __all__ = [
     "ConcentrationReport",
@@ -45,6 +45,7 @@ LAMBDA_MAX = 0.8  # the lemma's hypothesis lambda <= 4/5
 NORM_TOL = 1e-12
 GUARD = 1e-9
 C_FLOOR = Fraction(1, 9)
+_ROOT_BITS = 160  # fractional bits of the integer root that encloses c_min
 
 _CALIBRATION_RESOURCE = "concentration_calibration.json"
 
@@ -164,9 +165,10 @@ def min_admissible_c(mu: Measure2D, w: WeightPair, lam: float) -> float:
     return best
 
 
-def _iv_fraction(q: Fraction):
-    q = fraction_of(q)
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def _float_down(num: int, shift: int) -> float:
+    """The largest float <= num / 2^shift, for a positive int num."""
+    excess = max(num.bit_length() - 53, 0)
+    return math.ldexp(num >> excess, excess - shift)
 
 
 def min_admissible_c_interval(
@@ -176,54 +178,44 @@ def min_admissible_c_interval(
     lam=None,
     p: int | None = None,
     epsilon: float = 0.5,
-    dps: int = 40,
-) -> tuple[float, float]:
-    """Certified enclosure [lo, hi] of the minimal admissible c, for exact
-    measures and density-backed weights.
+) -> tuple[float, float, bool]:
+    """(lo, hi, ok): a certified float enclosure [lo, hi] of the minimal
+    admissible c, and whether c_min >= 1/9 exactly, for exact measures and
+    density-backed weights.
 
     lambda may be given as an exact number, or derived as p^(-1/q) from a
-    prime p with q = 2 + epsilon.  Endpoints are nudged outward, so
-    lo <= c_min <= hi holds rigorously.
+    prime p with q = 2 + epsilon.  With epsilon = a/b and n = 2b + a, each
+    c_ij^n = mu_ij^n lambda^(-n|i-j|) (alpha_i beta_j)^-(a+b) is rational
+    (lambda^n = p^-b), so R = c_min^n is an exact maximum and ok is
+    R 9^n >= 1.  The integer r with r^n <= R 2^(160n) < (r+1)^n gives
+    r 2^-160 <= c_min < (r+1) 2^-160; both ends are truncated to floats and
+    nudged outward.
     """
     if not (mu.is_exact and w.is_exact):
         raise ValueError("interval mode needs exact measure weights and densities")
     if (lam is None) == (p is None):
         raise ValueError("give exactly one of lam= or p=")
-    old_dps = iv.dps
-    iv.dps = dps
-    try:
-        eps = fraction_of(epsilon)
-        q = _iv_fraction(2 + eps)
-        qp = _iv_fraction((2 + eps) / (1 + eps))
-        if p is not None:
-            lam_iv = iv.mpf(p) ** (iv.mpf(-1) / q)
-        else:
-            lam_iv = _iv_fraction(fraction_of(lam))
-        inv_qp = iv.mpf(1) / qp
-        xp, yp = dict(w.x_pow), dict(w.y_pow)
-        lo_end = None
-        hi_end = None
-        for (i, j), wt in mu.weights:
-            ai = xp.get(i)
-            bj = yp.get(j)
-            if ai is None or bj is None:
-                return math.inf, math.inf
-            denom = (
-                lam_iv ** abs(i - j)
-                * _iv_fraction(ai) ** inv_qp
-                * _iv_fraction(bj) ** inv_qp
-            )
-            ratio = _iv_fraction(fraction_of(wt)) / denom
-            if lo_end is None or ratio.a > lo_end:
-                lo_end = ratio.a
-            if hi_end is None or ratio.b > hi_end:
-                hi_end = ratio.b
-        return (
-            math.nextafter(float(lo_end), -math.inf),
-            math.nextafter(float(hi_end), math.inf),
-        )
-    finally:
-        iv.dps = old_dps
+    eps = epsilon_fraction(epsilon)
+    a, b = eps.numerator, eps.denominator
+    n = 2 * b + a
+    lam_n = Fraction(1, p**b) if p is not None else fraction_of(lam) ** n
+    xp, yp = dict(w.x_pow), dict(w.y_pow)
+    R = Fraction(0)
+    for (i, j), wt in mu.weights:
+        ai = xp.get(i)
+        bj = yp.get(j)
+        if ai is None or bj is None:
+            return math.inf, math.inf, True
+        R = max(R, fraction_of(wt) ** n / (lam_n ** abs(i - j) * (ai * bj) ** (a + b)))
+    scaled = (R.numerator << _ROOT_BITS * n) // R.denominator
+    r = _iroot(scaled, n)
+    if not r**n <= scaled < (r + 1) ** n:
+        raise ArithmeticError(f"{r} is not the integer {n}-th root of {scaled}")
+    return (
+        math.nextafter(_float_down(r, _ROOT_BITS), -math.inf),
+        math.nextafter(_float_down(r + 1, _ROOT_BITS), math.inf),
+        R >= C_FLOOR**n,
+    )
 
 
 def tail_mass(mu: Measure2D, k: int):
@@ -284,7 +276,7 @@ def sigma_decomposition(mu: Measure2D, w: WeightPair, k: int) -> SigmaDecomposit
 class ConcentrationReport(NamedTuple):
     c_min: float
     c_interval: tuple[float, float] | None
-    c_lower_ok: bool  # no certified violation of c >= 1/9
+    c_lower_ok: bool  # c >= 1/9: exact with exact backings, else 1e-9 guarded
     k: int
     tail: float
     ratio: float  # tail / lambda^(q + epsilon)
@@ -306,14 +298,14 @@ def concentration_report(
     epsilon: float = 0.5,
     *,
     p: int | None = None,
-    dps: int = 40,
 ) -> ConcentrationReport:
     """Bundle (c_min, best center, tail, tail/lambda^(q+eps), sigma split).
 
     c >= 1/9 is the unconditional conclusion whenever the hypothesis is
-    satisfiable with the given witness; with exact backings the verdict is
-    certified by interval arithmetic, otherwise it carries a 1e-9 guard.
-    When p is given, lambda is cross-checked as p^(-1/q).
+    satisfiable with the given witness.  With exact backings the verdict is
+    an integer comparison and c_interval a certified enclosure (see
+    min_admissible_c_interval); otherwise the verdict carries a 1e-9 guard.
+    When p is given, lambda is taken as exactly p^(-1/q).
     """
     _check_lambda(lam)
     if q is None:
@@ -323,14 +315,9 @@ def concentration_report(
         raise ValueError("hypothesis unsatisfiable: mu charges a point with x_i y_j = 0")
     interval = None
     if mu.is_exact and w.is_exact:
-        if p is not None:
-            interval = min_admissible_c_interval(mu, w, p=p, epsilon=epsilon, dps=dps)
-        else:
-            interval = min_admissible_c_interval(
-                mu, w, lam=fraction_of(lam), epsilon=epsilon, dps=dps
-            )
-    if interval is not None:
-        ok = not (interval[1] < float(C_FLOOR))
+        exact_lam = None if p is not None else fraction_of(lam)
+        lo, hi, ok = min_admissible_c_interval(mu, w, lam=exact_lam, p=p, epsilon=epsilon)
+        interval = (lo, hi)
     else:
         ok = c >= float(C_FLOOR) - GUARD
     k = best_center(mu)

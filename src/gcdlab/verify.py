@@ -209,7 +209,7 @@ def check_concentration(
     n_exact: int = 50,
 ) -> CheckResult:
     """Minimal admissible c >= 1/9 on every seeded admissible configuration
-    (guarded float sweep plus certified interval checks on exact-valued
+    (guarded float sweep plus exact verdicts on exact-valued
     configurations), and tail/lambda^(q+eps) never exceeding the frozen
     calibration constant K."""
     start = time.perf_counter()
@@ -254,7 +254,7 @@ def check_concentration(
                 failures.append(
                     {"lambda": lam, "config": idx, "ratio": ratio, "reason": "ratio above K_capped"}
                 )
-    # certified interval checks on exact valuation-derived configurations
+    # exact verdicts on valuation-derived configurations
     rng_exact = random.Random(seed + 2)
     for idx in range(n_exact):
         si = random_structured_instance(rng_exact, max_scale=24, max_side=8)

@@ -270,6 +270,18 @@ def test_epsilon_domain_rejected(capsys):
     assert "epsilon" in err
 
 
+def test_an_instance_epsilon_past_the_denominator_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps({**json.loads(Path(GOLDEN_INSTANCE).read_text()), "epsilon": 0.1234}))
+    for argv in (["stats", str(path)], ["measure", "--instance", str(path), "--prime", "2"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: field epsilon: 0.1234 has denominator 5000 above 1000\n", argv
+    # 0.999 = 999/1000 is the largest denominator allowed
+    code, _, _ = run_cli(["stats", GOLDEN_INSTANCE, "--epsilon", "0.999"], capsys)
+    assert code == 0
+
+
 def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "exhaustive", "--X", "nope", "--D", "2"])
@@ -295,6 +307,9 @@ def test_bad_arguments_exit_2():
         ["defect", "--a", "3317044064679887385961981", "--n", "1"],
         # psi_12, a composite that the bases up to 37 alone pass
         ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "318665857834031151167461"],
+        # epsilon = 617/5000: its denominator is past the cap of 1000
+        ["measure", "--point-mass", "0", "0", "--lambda", "0.5", "--epsilon", "0.1234"],
+        ["stats", GOLDEN_INSTANCE, "--epsilon", "0.1234"],
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
@@ -345,7 +360,8 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["summary"]["a_star"] == "2"
 
 
-# Modules only some subcommands need; mpmath comes in with gcdlab.measure.
+# Modules only some subcommands need.  mpmath is a test-only dependency that
+# no subcommand may load.
 OPTIONAL_MODULES = ("mpmath", "gcdlab.measure", "gcdlab.search", "gcdlab.verify", "gcdlab.families")
 
 
@@ -401,4 +417,14 @@ def test_only_structure_loads_the_modulus_search():
 def test_measure_loads_its_module():
     code, modules = modules_loaded_by(["measure", "--point-mass", "0", "0", "--lambda", "0.5"])
     assert code == 0
-    assert {"gcdlab.measure", "mpmath"} <= modules
+    assert "gcdlab.measure" in modules and "mpmath" not in modules
+
+
+def test_verify_imports_no_mpmath():
+    # every battery check process imports gcdlab.verify
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gcdlab.verify; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert proc.stdout == "False\n"

@@ -10,7 +10,9 @@ instances keep no pivotal pair, so `structure` exits 2 on them.  The two
 remark2 instances take the exhaustive modulus search; remark2_greedy (the
 51x61 structure-dense rung of perfbench/gen.py at seed 1: multiples of
 D = 52 with a tenth of each side swapped for non-multiples) takes the
-greedy one and keeps 638 of its 2538 pairs.
+greedy one and keeps 638 of its 2538 pairs.  The `measure` goldens are the
+concentration reports of remark2's valuation measures at p = 2 and p = 5,
+with their certified c_interval.
 """
 
 from pathlib import Path
@@ -50,3 +52,13 @@ def test_defect_report_bytes_match_golden(args, fmt, capsys):
     assert code == 0 and out.err == ""
     name = "defect_" + "_".join(map(str, args))
     assert out.out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("prime", [2, 5])
+def test_measure_report_bytes_match_golden(prime, fmt, capsys):
+    instance = str(GOLDEN / "remark2.instance.json")
+    code = cli.main(["measure", "--instance", instance, "--prime", str(prime), "--format", fmt])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert out.out.encode() == (GOLDEN / f"remark2.measure_p{prime}.{fmt}").read_bytes()

@@ -236,6 +236,14 @@ def test_theorem1_with_given_small_primes_matches_its_own_scan():
             assert fn(inst, delta, psml) == fn(inst, delta)
 
 
+def test_theorem1_verdict_is_exact_at_the_bound():
+    # 1000 * (1/4)^-2.5 * XY/D^2 = 32000 XY: with Y = 1/32000 the bound is
+    # X itself, and a size of 1 meets X = 1 but not X one part in 10^12 less
+    for X, expect in ((Fraction(1), True), (1 - Fraction(1, 10**12), False)):
+        inst = GcdInstance.build([1], [1], 1, X, Fraction(1, 32000), p0=0, check_ranges=False)
+        assert theorem1_holds(inst, Fraction(1, 4)) is expect
+
+
 def test_theorem1_rejects_zero_delta():
     inst = GcdInstance.build([1], [1], 1, 1, 1, check_ranges=False)
     with pytest.raises(ValueError):
@@ -298,6 +306,8 @@ def test_build_validates_fields():
         GcdInstance.build([5, 30], [7], 2, 5, 7)
     with pytest.raises(InstanceError, match="epsilon"):
         GcdInstance.build([2], [2], 1, 2, 2, epsilon=1.0)
+    with pytest.raises(InstanceError, match="denominator 10000 above 1000"):
+        GcdInstance.build([2], [2], 1, 2, 2, epsilon=0.0001)
     with pytest.raises(InstanceError, match="D"):
         GcdInstance.build([2], [2], 5, 2, 2)
 

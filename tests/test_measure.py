@@ -1,10 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gcdlab.instance import GcdInstance, build_omega_gcd
+from gcdlab.arith import fraction_of
+from gcdlab.instance import GcdInstance, build_omega_gcd, epsilon_fraction, read_instance
 from gcdlab.measure import (
     Measure2D,
     WeightPair,
@@ -21,9 +24,11 @@ from gcdlab.measure import (
     sigma_decomposition,
     tail_mass,
 )
+from gcdlab.search import random_structured_instance
 from gcdlab.structure import valuation_measure
 
 QP = 5 / 3  # conjugate index at epsilon = 1/2
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def unit_weights(idx):
@@ -145,7 +150,8 @@ def test_interval_encloses_float_value():
         {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (2, 1): Fraction(1, 4)}
     )
     lam = Fraction(1, 2)
-    lo, hi = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+    lo, hi, ok = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+    assert ok
     c = min_admissible_c(mu, w, float(lam))
     assert lo <= c <= hi
     assert hi - lo < 1e-12
@@ -154,8 +160,91 @@ def test_interval_encloses_float_value():
 def test_interval_point_mass_exact():
     w = WeightPair.from_densities({0: Fraction(1)}, {0: Fraction(1)}, Fraction(5, 3))
     mu = Measure2D.point_mass(0, 0)
-    lo, hi = min_admissible_c_interval(mu, w, lam=Fraction(1, 2), epsilon=0.5)
-    assert lo <= 1.0 <= hi and hi - lo < 1e-14
+    lo, hi, ok = min_admissible_c_interval(mu, w, lam=Fraction(1, 2), epsilon=0.5)
+    assert lo <= 1.0 <= hi and hi - lo < 1e-14 and ok
+
+
+def test_exact_verdict_at_the_floor():
+    # a lambda past the lemma's 4/5 (concentration_report refuses it) puts
+    # c_min = 1/lambda at the floor 1/9, then 10^-30 below it
+    w = WeightPair.from_densities({0: Fraction(1)}, {1: Fraction(1)}, Fraction(5, 3))
+    mu = Measure2D.point_mass(0, 1)
+    for lam, expect in ((Fraction(9), True), (9 + Fraction(1, 10**30), False)):
+        lo, hi, ok = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+        assert ok is expect
+        assert Fraction(lo) <= 1 / lam <= Fraction(hi)
+
+
+def mpmath_interval(iv, mu, w, p, eps: Fraction, dps: int = 40):
+    """The reference enclosure of c_min: mpmath interval arithmetic at dps
+    digits with lambda = p^(-1/(2+eps)), endpoints converted to floats and
+    nudged outward."""
+
+    def iv_fraction(q):
+        q = fraction_of(q)
+        return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+    old_dps = iv.dps
+    iv.dps = dps
+    try:
+        lam = iv.mpf(p) ** (iv.mpf(-1) / iv_fraction(2 + eps))
+        inv_qp = iv.mpf(1) / iv_fraction((2 + eps) / (1 + eps))
+        x = {i: iv_fraction(a) ** inv_qp for i, a in w.x_pow}
+        y = {j: iv_fraction(b) ** inv_qp for j, b in w.y_pow}
+        lo = hi = None
+        for (i, j), wt in mu.weights:
+            denom = lam ** abs(i - j) * x[i] * y[j]
+            ratio = iv_fraction(wt) / denom
+            lo = ratio.a if lo is None else max(lo, ratio.a)
+            hi = ratio.b if hi is None else max(hi, ratio.b)
+        return (
+            math.nextafter(float(lo), -math.inf),
+            math.nextafter(float(hi), math.inf),
+        )
+    finally:
+        iv.dps = old_dps
+
+
+def test_exact_enclosure_matches_the_mpmath_reference():
+    iv = pytest.importorskip("mpmath").iv
+    rng = random.Random(89)
+    epsilons = (0.5, 0.25, 0.1, 0.3, 0.75)
+    configs = 0
+    while configs < 2000:
+        si = random_structured_instance(rng, max_scale=24, max_side=8)
+        primes = sorted({p for el in si.base.A + si.base.B for p in el.primes()})
+        for p in primes[:3]:
+            epsilon = epsilons[configs % len(epsilons)]
+            eps = epsilon_fraction(epsilon)
+            n = 2 * eps.denominator + eps.numerator
+            mu, w, _ = from_valuation_measure(valuation_measure(si.base, si.omega, p), epsilon)
+            lo, hi, ok = min_admissible_c_interval(mu, w, p=p, epsilon=epsilon)
+            # c_min^n exactly: lambda^n = p^-b and x_i^n = alpha_i^(a+b)
+            alpha, beta = dict(w.x_pow), dict(w.y_pow)
+            c_pow = max(
+                wt**n * p ** (eps.denominator * abs(i - j))
+                / (alpha[i] * beta[j]) ** (eps.numerator + eps.denominator)
+                for (i, j), wt in mu.weights
+            )
+            assert Fraction(lo) ** n <= c_pow <= Fraction(hi) ** n
+            assert ok == (c_pow >= Fraction(1, 9) ** n)
+            ref_lo, ref_hi = mpmath_interval(iv, mu, w, p, eps)
+            assert lo in (ref_lo, math.nextafter(ref_lo, math.inf)), (p, epsilon)
+            assert hi in (ref_hi, math.nextafter(ref_hi, -math.inf)), (p, epsilon)
+            assert ok == (not ref_hi < 1 / 9)
+            configs += 1
+
+
+def test_epsilon_near_one_certifies_remark2_in_under_a_second():
+    # epsilon = 999/1000 raises to the power n = 2999, the largest the cap allows
+    inst = read_instance(GOLDEN / "remark2.instance.json")
+    vm = valuation_measure(inst, build_omega_gcd(inst), 2)
+    mu, w, lam = from_valuation_measure(vm, epsilon=0.999)
+    start = time.perf_counter()
+    rep = concentration_report(mu, w, lam, epsilon=0.999, p=2)
+    assert time.perf_counter() - start < 1.0
+    lo, hi = rep.c_interval
+    assert rep.c_lower_ok and 1 / 9 < lo < hi < lo + 1e-15
 
 
 def test_concentration_lower_bound_sweep():
