@@ -62,7 +62,6 @@ _EXPORTS = {
         "find_modulus",
         "quad_identity_check",
         "quad_identity_witnesses",
-        "structure_instance",
         "valuation_measure",
     ),
     "measure": (
@@ -90,7 +89,6 @@ _EXPORTS = {
         "SearchSpace",
         "Violation",
         "exhaustive_max",
-        "exhaustive_max_bruteforce",
         "hunt_violations",
         "max_pairwise_compatible",
     ),

@@ -39,6 +39,7 @@ __all__ = [
 # Trial-division bound: a cofactor free of trial primes is prime if <= TRIAL_LIMIT**2.
 TRIAL_LIMIT = 1 << 11
 _TRIAL_SQUARE = TRIAL_LIMIT * TRIAL_LIMIT
+_END = (math.inf, 0)  # rational_valuations' sentinel past the last prime of N
 
 # Deterministic Miller-Rabin: the first k prime bases prove every n below
 # psi_k, the least strong pseudoprime to all of them (Jaeschke, Math. Comp.
@@ -308,17 +309,24 @@ def valuation(p: int, n: int | FactoredNat) -> int:
 
 def rational_valuations(a: int | FactoredNat, N: int | FactoredNat) -> dict[int, int]:
     """{p: v_p(a/N)} for every prime where v_p(a) - v_p(N) is nonzero, in
-    increasing order of p."""
-    a = factorize(a)
-    N = factorize(N)
-    vals: dict[int, int] = dict(a.factors)
-    for p, e in N.factors:
-        v = vals.get(p, 0) - e
-        if v:
-            vals[p] = v
+    increasing order of p: one merge of the two sorted factor tuples."""
+    vals: dict[int, int] = {}
+    rest = iter(factorize(N).factors)
+    q, f = next(rest, _END)
+    for p, e in factorize(a).factors:
+        while q < p:
+            vals[q] = -f
+            q, f = next(rest, _END)
+        if q == p:
+            if e != f:
+                vals[p] = e - f
+            q, f = next(rest, _END)
         else:
-            vals.pop(p, None)
-    return dict(sorted(vals.items()))
+            vals[p] = e
+    if f:  # exponents are >= 1, so f = 0 only at the end
+        vals[q] = -f
+        vals.update((q, -f) for q, f in rest)
+    return vals
 
 
 def primorial(X: int) -> FactoredNat:

@@ -213,12 +213,6 @@ class PairSet(NamedTuple):
     def degrees_right(self) -> dict[FactoredNat, int]:
         return {b: d for b, c in zip(self.B, self.col_bits()) if (d := c.bit_count())}
 
-    def __contains__(self, pair) -> bool:
-        a, b = pair
-        if a not in self.A or b not in self.B:
-            return False
-        return bool(self.bits >> (self.A.index(a) * self.n_right + self.B.index(b)) & 1)
-
     def spread(self, rows: int) -> int:
         """The grid mask of bit 0 of each row i set in rows; times a mask C
         below 2^|B| it is carry-free, the cells (A[i], B[j]) with j in C."""

@@ -178,10 +178,11 @@ def min_admissible_c_interval(
     lam=None,
     p: int | None = None,
     epsilon: float = 0.5,
-) -> tuple[float, float, bool]:
-    """(lo, hi, ok): a certified float enclosure [lo, hi] of the minimal
-    admissible c, and whether c_min >= 1/9 exactly, for exact measures and
-    density-backed weights.
+) -> tuple[float, float, bool, float]:
+    """(lo, hi, ok, c) for exact measures and density-backed weights: a
+    certified float enclosure [lo, hi] of the minimal admissible c, whether
+    c_min >= 1/9 exactly, and the float c nearest to r 2^-160 (r below),
+    which lies in [lo, hi].
 
     lambda may be given as an exact number, or derived as p^(-1/q) from a
     prime p with q = 2 + epsilon.  With epsilon = a/b and n = 2b + a, each
@@ -205,7 +206,7 @@ def min_admissible_c_interval(
         ai = xp.get(i)
         bj = yp.get(j)
         if ai is None or bj is None:
-            return math.inf, math.inf, True
+            return math.inf, math.inf, True, math.inf
         R = max(R, fraction_of(wt) ** n / (lam_n ** abs(i - j) * (ai * bj) ** (a + b)))
     scaled = (R.numerator << _ROOT_BITS * n) // R.denominator
     r = _iroot(scaled, n)
@@ -215,6 +216,7 @@ def min_admissible_c_interval(
         math.nextafter(_float_down(r, _ROOT_BITS), -math.inf),
         math.nextafter(_float_down(r + 1, _ROOT_BITS), math.inf),
         R >= C_FLOOR**n,
+        r / (1 << _ROOT_BITS),  # int division rounds correctly
     )
 
 
@@ -226,11 +228,14 @@ def tail_mass(mu: Measure2D, k: int):
 
 def best_center(mu: Measure2D) -> int:
     """The k minimizing tail_mass over [min coord - 1, max coord + 1]
-    (outside this range the tail is the whole mass); smallest k on ties."""
-    lo, hi = mu.coordinate_range()
+    (outside this range the tail is the whole mass); smallest k on ties.
+    Only a k with (k, k) within L1 distance 1 of a support point keeps any
+    mass; every other k sums the whole mass as k = lo - 1 does, so it is
+    not evaluated."""
+    lo, _ = mu.coordinate_range()
     best_k = lo - 1
     best_tail = tail_mass(mu, best_k)
-    for k in range(lo, hi + 2):
+    for k in sorted({k for (i, j), _ in mu.weights if abs(i - j) <= 1 for k in (i, j)}):
         t = tail_mass(mu, k)
         if t < best_tail:
             best_k, best_tail = k, t
@@ -303,23 +308,24 @@ def concentration_report(
 
     c >= 1/9 is the unconditional conclusion whenever the hypothesis is
     satisfiable with the given witness.  With exact backings the verdict is
-    an integer comparison and c_interval a certified enclosure (see
-    min_admissible_c_interval); otherwise the verdict carries a 1e-9 guard.
+    an integer comparison, and c_interval and c_min come from one integer
+    root (see min_admissible_c_interval); otherwise the verdict carries a
+    1e-9 guard.
     When p is given, lambda is taken as exactly p^(-1/q).
     """
     _check_lambda(lam)
     if q is None:
         q = 2.0 + epsilon
-    c = min_admissible_c(mu, w, lam)
-    if math.isinf(c):
-        raise ValueError("hypothesis unsatisfiable: mu charges a point with x_i y_j = 0")
     interval = None
     if mu.is_exact and w.is_exact:
         exact_lam = None if p is not None else fraction_of(lam)
-        lo, hi, ok = min_admissible_c_interval(mu, w, lam=exact_lam, p=p, epsilon=epsilon)
+        lo, hi, ok, c = min_admissible_c_interval(mu, w, lam=exact_lam, p=p, epsilon=epsilon)
         interval = (lo, hi)
     else:
+        c = min_admissible_c(mu, w, lam)
         ok = c >= float(C_FLOOR) - GUARD
+    if math.isinf(c):
+        raise ValueError("hypothesis unsatisfiable: mu charges a point with x_i y_j = 0")
     k = best_center(mu)
     tail = float(tail_mass(mu, k))
     ratio = tail / lam ** (q + epsilon)
@@ -332,8 +338,9 @@ def from_valuation_measure(vm, epsilon: float = 0.5):
     mu, the densities give x_i = alpha_i^(1/q'), and lambda = p^(-1/q).
 
     Returns (mu, weights, lam); pass p=vm.p to concentration_report for the
-    certified verdict."""
-    eps = fraction_of(epsilon)
+    certified verdict.  epsilon is read as its decimal value, as the
+    verdict reads it (instance.epsilon_fraction)."""
+    eps = epsilon_fraction(epsilon)
     qp = (2 + eps) / (1 + eps)
     mu = Measure2D.from_dict(vm.mu)
     w = WeightPair.from_densities(vm.alpha, vm.beta, qp)

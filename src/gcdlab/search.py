@@ -22,7 +22,6 @@ __all__ = [
     "SearchSpace",
     "Violation",
     "exhaustive_max",
-    "exhaustive_max_bruteforce",
     "hunt_violations",
     "max_pairwise_compatible",
     "random_structured_instance",
@@ -219,38 +218,6 @@ def exhaustive_max(space: SearchSpace) -> SearchResult:
         raise ValueError("threshold-delta mode does not support force_equal")
     a, b, prod = _threshold_exact(ua, ub, space.D, target)
     return SearchResult(a, b, prod, True)
-
-
-def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:
-    """Independent oracle: plain enumeration with the optimal counterpart
-    side computed from the definition.  Only for small spaces."""
-    space.check()
-    ua, ub = space.universes()
-    if space.mode != "exact-delta-1":
-        raise ValueError("oracle covers the exact-delta-1 mode")
-    gcd = math.gcd
-    best = 0
-    best_pair = ((), ())
-    if space.force_equal:
-        for mask in range(1, 1 << len(ua)):
-            sub = _subset(ua, mask)
-            if all(
-                gcd(sub[i], sub[j]) >= space.D
-                for i in range(len(sub))
-                for j in range(i + 1, len(sub))
-            ):
-                if len(sub) ** 2 > best:
-                    best = len(sub) ** 2
-                    best_pair = (sub, sub)
-        return SearchResult(best_pair[0], best_pair[1], best, True)
-    for mask in range(1, 1 << len(ua)):
-        sub = _subset(ua, mask)
-        bmax = tuple(b for b in ub if all(gcd(a, b) >= space.D for a in sub))
-        prod = len(sub) * len(bmax)
-        if prod > best:
-            best = prod
-            best_pair = (sub, bmax)
-    return SearchResult(best_pair[0], best_pair[1], best, True)
 
 
 # ---------------------------------------------------------------------------

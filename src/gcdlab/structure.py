@@ -10,11 +10,13 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .arith import FactoredNat, factorize, fraction_of, rational_valuations
-from .instance import GcdInstance, PairSet, _indices, build_omega_gcd
+from .instance import GcdInstance, PairSet, _indices
 
 __all__ = [
     "DefectCensus",
@@ -32,7 +34,6 @@ __all__ = [
     "find_modulus",
     "quad_identity_check",
     "quad_identity_witnesses",
-    "structure_instance",
     "valuation_measure",
 ]
 
@@ -89,9 +90,17 @@ def valuation_measure(inst: GcdInstance, omega: PairSet, p: int) -> ValuationMea
 
 def check_pivotal(a, b, N) -> bool:
     """True iff |v_p(a/N)| + |v_p(b/N)| <= 1 at every prime."""
-    va = rational_valuations(a, N)
-    vb = rational_valuations(b, N)
-    return all(abs(va.get(p, 0)) + abs(vb.get(p, 0)) <= 1 for p in va.keys() | vb.keys())
+    return _pivotal(rational_valuations(a, N), rational_valuations(b, N))
+
+
+def _pivotal(va: dict[int, int], vb: dict[int, int]) -> bool:
+    # the valuations are nonzero, so the sum is <= 1 at every prime iff each
+    # is +-1 and no prime carries both
+    return (
+        all(-1 <= v <= 1 for v in va.values())
+        and all(-1 <= v <= 1 for v in vb.values())
+        and va.keys().isdisjoint(vb)
+    )
 
 
 def find_modulus(
@@ -140,21 +149,35 @@ class StructuredInstance(NamedTuple):
     @classmethod
     def build(cls, base, omega, n, omega_prime, strategy) -> "StructuredInstance":
         """The structured instance with the defects of Omega' computed;
-        ValueError if Omega' is not pivotal for n."""
-        edges = omega_prime.edges
+        ValueError, naming the first offender, if Omega' is not pivotal for
+        n.  Defects are taken in increasing order for the elements with a
+        nonzero row or column; then row i clashes, in row-major order, where
+        it meets the column masks of the primes of a*, each the columns
+        whose b* that prime divides."""
+        A, B = omega_prime.A, omega_prime.B
+        rows = omega_prime.row_bits()
+        left = [i for i, r in enumerate(rows) if r]
+        right = [j for j, c in enumerate(omega_prime.col_bits()) if c]
         defects = {}
-        for el in sorted({el for pair in edges for el in pair}):
+        for el in sorted({A[i] for i in left} | {B[j] for j in right}):
             try:
                 defects[el] = defect(el, n)
             except DefectError as exc:
                 raise ValueError(
                     f"{el} in omega_prime is not pivotal for N = {n}: {exc}"
                 ) from None
-        for a, b in edges:
-            if math.gcd(defects[a].a_star, defects[b].a_star) != 1:
-                raise ValueError(
-                    f"pair ({a}, {b}) in omega_prime is not pivotal for N = {n}"
-                )
+        masks: dict[int, int] = {}  # prime -> columns j with p | b*_j
+        for j in right:
+            for p in rational_valuations(B[j], n):
+                masks[p] = masks.get(p, 0) | 1 << j
+        for i in left:
+            clash = 0
+            for p in rational_valuations(A[i], n):
+                clash |= masks.get(p, 0)
+            clash &= rows[i]
+            if clash:
+                b = B[(clash & -clash).bit_length() - 1]
+                raise ValueError(f"pair ({A[i]}, {b}) in omega_prime is not pivotal for N = {n}")
         return cls(base, omega, n, omega_prime, strategy, defects)
 
     @property
@@ -165,11 +188,6 @@ class StructuredInstance(NamedTuple):
     @property
     def delta_prime(self) -> Fraction:
         return self.omega_prime.delta
-
-
-def structure_instance(inst: GcdInstance) -> StructuredInstance:
-    """Build Omega and search for N."""
-    return find_modulus(inst, build_omega_gcd(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +212,13 @@ def defect(a, N) -> DefectDecomposition:
     """Defect decomposition of a relative to N; requires v_p(a/N) in
     {-1, 0, 1} at every prime (DefectError otherwise)."""
     a, N = factorize(a), factorize(N)
+    return _defect_from(a, N, rational_valuations(a, N))
+
+
+def _defect_from(a: FactoredNat, N: FactoredNat, vals: dict[int, int]) -> DefectDecomposition:
+    """The defect of a relative to N from vals = rational_valuations(a, N)."""
     a_plus = a_minus = 1
-    for p, v in rational_valuations(a, N).items():
+    for p, v in vals.items():
         if v == 1:
             a_plus *= p
         elif v == -1:
@@ -225,16 +248,21 @@ class PrimeWitness(NamedTuple):
         return self.v_a_star + self.v_b_star == abs(self.v_a_over_n - self.v_b_over_n)
 
 
+def _pivotal_defects(a, b, N):
+    """(v(a/N), v(b/N), defect of a, defect of b), each valuation map
+    computed once; ValueError unless (a, b) is pivotal for N."""
+    a, b, N = factorize(a), factorize(b), factorize(N)
+    va, vb = rational_valuations(a, N), rational_valuations(b, N)
+    if not _pivotal(va, vb):
+        raise ValueError(f"pair ({a}, {b}) is not pivotal for N = {N}")
+    return va, vb, _defect_from(a, N, va), _defect_from(b, N, vb)
+
+
 def quad_identity_witnesses(a, b, N) -> tuple[PrimeWitness, ...]:
     """Per-prime table certifying v_p(a*) + v_p(b*) = |v_p(a/N) - v_p(b/N)|.
 
     Requires (a, b) pivotal for N."""
-    a, b, N = factorize(a), factorize(b), factorize(N)
-    if not check_pivotal(a, b, N):
-        raise ValueError(f"pair ({a}, {b}) is not pivotal for N = {N}")
-    da, db = defect(a, N), defect(b, N)
-    va = rational_valuations(a, N)
-    vb = rational_valuations(b, N)
+    va, vb, da, db = _pivotal_defects(a, b, N)
     return tuple(
         PrimeWitness(
             p,
@@ -243,19 +271,16 @@ def quad_identity_witnesses(a, b, N) -> tuple[PrimeWitness, ...]:
             va.get(p, 0),
             vb.get(p, 0),
         )
-        for p in sorted(va.keys() | vb.keys())
+        for p in sorted([*va, *vb])  # pivotal: no prime is in both
     )
 
 
 def quad_identity_check(a, b, N) -> bool:
     """Whether a_star * b_star = ab / gcd(a,b)^2 exactly (always true when
     the pivotal precondition holds; kept as a tested invariant)."""
-    a, b, N = factorize(a), factorize(b), factorize(N)
-    if not check_pivotal(a, b, N):
-        raise ValueError(f"pair ({a}, {b}) is not pivotal for N = {N}")
-    da, db = defect(a, N), defect(b, N)
-    g = math.gcd(a.value, b.value)
-    return da.a_star * db.a_star * g * g == a.value * b.value
+    _, _, da, db = _pivotal_defects(a, b, N)
+    g = math.gcd(int(a), int(b))
+    return da.a_star * db.a_star * g * g == int(a) * int(b)
 
 
 # ---------------------------------------------------------------------------
@@ -263,56 +288,49 @@ def quad_identity_check(a, b, N) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class CensusRow(NamedTuple):
-    value: int
-    a_plus: int
-    a_minus: int
-    a_star: int
-    counted: bool  # a_star <= T
-    plus_ok: bool  # a_plus <= sqrt(2XT/N), checked for counted rows
-    minus_ok: bool  # a_minus <= sqrt(NT/X), checked for counted rows
-
-
 class DefectCensus(NamedTuple):
+    """The census at one threshold T: count is the number of elements with
+    a_star <= T, holds is count <= 2T, and range_ok says that every counted
+    element has a_plus^2 <= 2XT/N and a_minus^2 <= NT/X."""
+
     count: int
     bound: Fraction  # 2T
     holds: bool
-    a_plus_cap_sq: Fraction  # 2XT/N
-    a_minus_cap_sq: Fraction  # NT/X
     range_ok: bool
-    rows: tuple[CensusRow, ...]
 
 
-def _element_defects(S, N: FactoredNat, X: Fraction) -> list[tuple[int, DefectDecomposition]]:
-    """(value, defect) for each distinct element of S, in increasing order."""
+def _census_table(S, N: FactoredNat, X: Fraction) -> tuple[list[int], list[int], list[int]]:
+    """The defects of the distinct elements of S, which must lie in
+    [X, 2X], sorted by a_star: the a_star values and the prefix maxima of
+    a_plus^2 and of a_minus^2."""
     elems = sorted({factorize(x) for x in S})
+    xn, xd = X.numerator, X.denominator
     for el in elems:
-        if not X <= el.value <= 2 * X:
+        if not xn <= el.value * xd <= 2 * xn:
             raise ValueError(f"element {el.value} outside [{X}, {2 * X}]")
-    return [(el.value, defect(el, N)) for el in elems]
-
-
-def _census_at(defects, N: FactoredNat, X: Fraction, T: Fraction) -> DefectCensus:
-    plus_cap_sq = 2 * X * T / N.value
-    minus_cap_sq = Fraction(N.value) * T / X
-    # the compared sides are integers, so comparing with the floors is exact
-    t, plus_cap, minus_cap = math.floor(T), math.floor(plus_cap_sq), math.floor(minus_cap_sq)
-    rows = []
-    count = 0
-    range_ok = True
-    for value, d in defects:
-        a_star = d.a_star
-        counted = a_star <= t
-        plus_ok = minus_ok = True
-        if counted:
-            count += 1
-            plus_ok = d.a_plus**2 <= plus_cap
-            minus_ok = d.a_minus**2 <= minus_cap
-            range_ok = range_ok and plus_ok and minus_ok
-        rows.append(CensusRow(value, d.a_plus, d.a_minus, a_star, counted, plus_ok, minus_ok))
-    return DefectCensus(
-        count, 2 * T, count <= 2 * T, plus_cap_sq, minus_cap_sq, range_ok, tuple(rows)
+    ds = sorted((d.a_star, d.a_plus**2, d.a_minus**2) for d in [defect(el, N) for el in elems])
+    return (
+        [star for star, _, _ in ds],
+        list(accumulate((plus for _, plus, _ in ds), max)),
+        list(accumulate((minus for _, _, minus in ds), max)),
     )
+
+
+def _census_at(table, n: int, X: Fraction, bound: Fraction) -> DefectCensus:
+    """The census at T = bound/2 from _census_table's sorted defects: count
+    is one bisection, and the counted elements obey the range caps iff the
+    prefix maxima at the last of them do."""
+    stars, plus, minus = table
+    bn, bd = bound.numerator, bound.denominator  # T = bn / (2 bd)
+    xn, xd = X.numerator, X.denominator
+    count = bisect_right(stars, bn // (2 * bd))
+    # the compared sides are integers, so comparing with the floors of
+    # 2XT/N and NT/X is exact
+    range_ok = count == 0 or (
+        plus[count - 1] <= xn * bn // (xd * bd * n)
+        and minus[count - 1] <= n * bn * xd // (2 * bd * xn)
+    )
+    return DefectCensus(count, bound, count * bd <= bn, range_ok)
 
 
 def defect_census(S, N, X, T) -> DefectCensus:
@@ -321,20 +339,22 @@ def defect_census(S, N, X, T) -> DefectCensus:
     caps a_plus^2 <= 2XT/N and a_minus^2 <= NT/X (verified exactly)."""
     N = factorize(N)
     X = fraction_of(X)
-    return _census_at(_element_defects(S, N, X), N, X, fraction_of(T))
+    return _census_at(_census_table(S, N, X), N.value, X, 2 * fraction_of(T))
 
 
 def defect_census_sweep(S, N, X) -> tuple[DefectCensus, ...]:
     """defect_census(S, N, X, T) on the log grid T = 1/2, 1, 2, 4, ... up to
-    twice the largest a_star, from each element's defect computed once."""
+    twice the largest a_star.  Each element's defect is computed once, and
+    the defects are sorted by a_star once; every T is then a bisection and
+    two integer comparisons with prefix maxima, O((|S| + grid) log |S|) in
+    all."""
     N = factorize(N)
     X = fraction_of(X)
-    defects = _element_defects(S, N, X)
-    top = 2 * max((d.a_star for _, d in defects), default=0)
-    grid = [Fraction(1, 2)]
-    while grid[-1] * 2 <= top:
-        grid.append(grid[-1] * 2)
-    return tuple(_census_at(defects, N, X, T) for T in grid)
+    table = _census_table(S, N, X)
+    top = 4 * max(table[0], default=0)  # 2T runs over the powers of two up to top
+    return tuple(
+        _census_at(table, N.value, X, Fraction(1 << k)) for k in range(max(top.bit_length(), 1))
+    )
 
 
 class WitnessReport(NamedTuple):

@@ -85,7 +85,6 @@ def test_omega_views_match_naive_census():
         assert om.col_bits() == [
             sum(1 << i for i, a in enumerate(om.A) if (a, b) in edges) for b in om.B
         ]
-        assert sum((a, b) in om for a in om.A for b in om.B) == len(om)
         Q = Fraction(D) * 3
         ratio = build_omega_ratio(A, B, Q)
         naive = [

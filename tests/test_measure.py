@@ -105,6 +105,28 @@ def test_best_center_is_argmin():
             assert tk <= tail_mass(mu, other) + 1e-15
 
 
+def full_scan_center(mu: Measure2D) -> int:
+    """The reference best_center: every k over [min coord - 1, max coord + 1],
+    smallest k on ties."""
+    lo, hi = mu.coordinate_range()
+    return min(range(lo - 1, hi + 2), key=lambda k: tail_mass(mu, k))
+
+
+def test_best_center_equals_the_full_scan():
+    rng = random.Random(83)
+    near = 0
+    for n in range(3000):
+        span = (1, 2, 6)[n % 3]
+        mu = random_measure(rng, span=span)
+        if n % 2:  # the same support with exact weights
+            raw = [Fraction(rng.randint(1, 20)) for _ in mu.weights]
+            mu = Measure2D.from_dict({pt: v / sum(raw) for (pt, _), v in zip(mu.weights, raw)})
+        k = best_center(mu)
+        assert k == full_scan_center(mu)
+        near += k >= mu.coordinate_range()[0]
+    assert near > 1000  # most measures keep some mass near their center
+
+
 def test_sigma_examples():
     w = WeightPair.from_weights({0: 1.0}, {0: 1.0}, QP)
     sig = sigma_decomposition(Measure2D.point_mass(0, 0), w, 0)
@@ -150,18 +172,18 @@ def test_interval_encloses_float_value():
         {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (2, 1): Fraction(1, 4)}
     )
     lam = Fraction(1, 2)
-    lo, hi, ok = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+    lo, hi, ok, c_root = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
     assert ok
     c = min_admissible_c(mu, w, float(lam))
-    assert lo <= c <= hi
+    assert lo <= c <= hi and lo <= c_root <= hi
     assert hi - lo < 1e-12
 
 
 def test_interval_point_mass_exact():
     w = WeightPair.from_densities({0: Fraction(1)}, {0: Fraction(1)}, Fraction(5, 3))
     mu = Measure2D.point_mass(0, 0)
-    lo, hi, ok = min_admissible_c_interval(mu, w, lam=Fraction(1, 2), epsilon=0.5)
-    assert lo <= 1.0 <= hi and hi - lo < 1e-14 and ok
+    lo, hi, ok, c = min_admissible_c_interval(mu, w, lam=Fraction(1, 2), epsilon=0.5)
+    assert lo <= 1.0 <= hi and hi - lo < 1e-14 and ok and c == 1.0
 
 
 def test_exact_verdict_at_the_floor():
@@ -170,7 +192,7 @@ def test_exact_verdict_at_the_floor():
     w = WeightPair.from_densities({0: Fraction(1)}, {1: Fraction(1)}, Fraction(5, 3))
     mu = Measure2D.point_mass(0, 1)
     for lam, expect in ((Fraction(9), True), (9 + Fraction(1, 10**30), False)):
-        lo, hi, ok = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+        lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
         assert ok is expect
         assert Fraction(lo) <= 1 / lam <= Fraction(hi)
 
@@ -218,7 +240,7 @@ def test_exact_enclosure_matches_the_mpmath_reference():
             eps = epsilon_fraction(epsilon)
             n = 2 * eps.denominator + eps.numerator
             mu, w, _ = from_valuation_measure(valuation_measure(si.base, si.omega, p), epsilon)
-            lo, hi, ok = min_admissible_c_interval(mu, w, p=p, epsilon=epsilon)
+            lo, hi, ok, _ = min_admissible_c_interval(mu, w, p=p, epsilon=epsilon)
             # c_min^n exactly: lambda^n = p^-b and x_i^n = alpha_i^(a+b)
             alpha, beta = dict(w.x_pow), dict(w.y_pow)
             c_pow = max(
@@ -233,6 +255,33 @@ def test_exact_enclosure_matches_the_mpmath_reference():
             assert hi in (ref_hi, math.nextafter(ref_hi, -math.inf)), (p, epsilon)
             assert ok == (not ref_hi < 1 / 9)
             configs += 1
+
+
+def test_reported_c_min_lies_in_its_interval():
+    # c_min comes from the integer root behind c_interval; the float maximum
+    # over the rounded x_i fell outside on 225 of these 2,001 configurations
+    rng = random.Random(5)
+    configs = 0
+    while configs < 2001:
+        si = random_structured_instance(rng, max_scale=24, max_side=8)
+        primes = sorted({p for el in si.base.A + si.base.B for p in el.primes()})
+        for p in primes[:3]:
+            mu, w, lam = from_valuation_measure(valuation_measure(si.base, si.omega, p))
+            rep = concentration_report(mu, w, lam, p=p)
+            lo, hi = rep.c_interval
+            assert lo <= rep.c_min <= hi, (configs, p)
+            configs += 1
+
+
+def test_valuation_bridge_reads_epsilon_as_its_decimal():
+    # at epsilon = 0.55 the binary value of the float gives another q'
+    inst = read_instance(GOLDEN / "remark2.instance.json")
+    vm = valuation_measure(inst, build_omega_gcd(inst), 3)
+    _, w, lam = from_valuation_measure(vm, epsilon=0.55)
+    decimal, binary = Fraction(11, 20), Fraction(0.55)
+    assert w.q_prime == float((2 + decimal) / (1 + decimal))
+    assert w.q_prime != float((2 + binary) / (1 + binary))
+    assert lam == 3.0 ** (-1.0 / float(2 + decimal))
 
 
 def test_epsilon_near_one_certifies_remark2_in_under_a_second():

@@ -2,14 +2,14 @@ import json
 from fractions import Fraction
 
 from gcdlab.arith import factorize
-from gcdlab.instance import GcdInstance
+from gcdlab.instance import GcdInstance, build_omega_gcd
 from gcdlab.reports import jsonable, make_report, to_canonical_json
-from gcdlab.structure import extract_witnesses, structure_instance
+from gcdlab.structure import extract_witnesses, find_modulus
 
 
 def test_witness_report_renders_as_a_dict_of_its_fields():
     inst = GcdInstance.build([4, 6, 8], [4, 6, 8], 2, 4, 4)
-    rep = extract_witnesses(structure_instance(inst))
+    rep = extract_witnesses(find_modulus(inst, build_omega_gcd(inst)))
     doc = jsonable(rep)
     assert list(doc) == list(rep._fields)
     for name, value in zip(rep._fields, rep):

@@ -5,13 +5,40 @@ from fractions import Fraction
 import pytest
 
 from gcdlab.search import (
+    SearchResult,
     SearchSpace,
     exhaustive_max,
-    exhaustive_max_bruteforce,
     hunt_violations,
     max_pairwise_compatible,
     random_structured_instance,
 )
+
+
+def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:
+    """Independent oracle: plain enumeration with the optimal counterpart
+    side computed from the definition.  Only for small spaces."""
+    space.check()
+    ua, ub = space.universes()
+    if space.mode != "exact-delta-1":
+        raise ValueError("oracle covers the exact-delta-1 mode")
+    best = 0
+    best_pair = ((), ())
+    for mask in range(1, 1 << len(ua)):
+        sub = tuple(v for i, v in enumerate(ua) if mask >> i & 1)
+        if space.force_equal:
+            if all(
+                math.gcd(sub[i], sub[j]) >= space.D
+                for i in range(len(sub))
+                for j in range(i + 1, len(sub))
+            ) and len(sub) ** 2 > best:
+                best = len(sub) ** 2
+                best_pair = (sub, sub)
+            continue
+        bmax = tuple(b for b in ub if all(math.gcd(a, b) >= space.D for a in sub))
+        if len(sub) * len(bmax) > best:
+            best = len(sub) * len(bmax)
+            best_pair = (sub, bmax)
+    return SearchResult(best_pair[0], best_pair[1], best, True)
 
 
 def test_acceptance_witness():

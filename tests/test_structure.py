@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gcdlab.arith import factorize, is_squarefree
+from gcdlab.arith import factorize, is_squarefree, rational_valuations
 from gcdlab.families import remark2_family
 from gcdlab.instance import GcdInstance, PairSet, build_omega_gcd
 from gcdlab.modulus import _per_prime_masks, prime_table
@@ -21,7 +23,6 @@ from gcdlab.structure import (
     find_modulus,
     quad_identity_check,
     quad_identity_witnesses,
-    structure_instance,
     valuation_measure,
 )
 from gcdlab.verify import random_pivotal_triple, random_structured_set
@@ -312,6 +313,79 @@ def test_defect_roundtrip_and_coprimality():
             assert is_squarefree(d.a_star)
 
 
+def reference_valuations(a, N) -> dict[int, int]:
+    """{p: v_p(a/N)} built in a dict and sorted: the kernels' reference."""
+    vals = dict(factorize(a).factors)
+    for p, e in factorize(N).factors:
+        v = vals.get(p, 0) - e
+        if v:
+            vals[p] = v
+        else:
+            vals.pop(p, None)
+    return dict(sorted(vals.items()))
+
+
+def reference_defect(a, N) -> tuple[int, int]:
+    a_plus = a_minus = 1
+    for p, v in reference_valuations(a, N).items():
+        if v == 1:
+            a_plus *= p
+        elif v == -1:
+            a_minus *= p
+        else:
+            raise DefectError(f"v_{p}({a}/{N}) = {v} outside {{-1, 0, 1}}")
+    return a_plus, a_minus
+
+
+_KERNEL_PRIMES = (2, 3, 5, 7, 11, 1000003)
+
+
+@st.composite
+def near_triples(draw):
+    """(a, b, N) with each exponent of a and b within 2 of N's, so that
+    pivotal pairs, non-pivotal pairs and undefined defects all occur."""
+    width = len(_KERNEL_PRIMES)
+    n_exp = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+    shifts = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+
+    def near():
+        d = draw(st.lists(shifts, min_size=width, max_size=width))
+        return prod(p ** max(e + x, 0) for p, e, x in zip(_KERNEL_PRIMES, n_exp, d))
+
+    return near(), near(), prod(p**e for p, e in zip(_KERNEL_PRIMES, n_exp))
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_triples())
+def test_merge_kernels_equal_the_dict_reference(triple):
+    a, b, N = triple
+    va, vb = reference_valuations(a, N), reference_valuations(b, N)
+    assert list(rational_valuations(a, N).items()) == list(va.items())
+    assert list(rational_valuations(b, N).items()) == list(vb.items())
+    for x in (a, b):
+        try:
+            expect = reference_defect(x, N)
+        except DefectError as exc:
+            with pytest.raises(DefectError) as info:
+                defect(x, N)
+            assert str(info.value) == str(exc)
+        else:
+            assert tuple(defect(x, N)) == expect
+    pivotal = all(abs(va.get(p, 0)) + abs(vb.get(p, 0)) <= 1 for p in va.keys() | vb.keys())
+    assert check_pivotal(a, b, N) == pivotal
+    if pivotal:
+        assert quad_identity_check(a, b, N)
+        rows = quad_identity_witnesses(a, b, N)
+        assert [(r.p, r.v_a_over_n, r.v_b_over_n) for r in rows] == [
+            (p, va.get(p, 0), vb.get(p, 0)) for p in sorted(va.keys() | vb.keys())
+        ]
+        assert all(r.ok for r in rows)
+    else:
+        for kernel in (quad_identity_check, quad_identity_witnesses):
+            with pytest.raises(ValueError, match="is not pivotal"):
+                kernel(a, b, N)
+
+
 def test_quad_identity_examples():
     assert quad_identity_check(12, 18, 6)
     assert quad_identity_check(6, 6, 6)
@@ -351,8 +425,7 @@ def test_defect_census_examples():
     c = defect_census([12, 15, 18], 6, 12, 3)
     assert c.count == 2
     assert c.holds and c.range_ok
-    stars = {r.value: r.a_star for r in c.rows}
-    assert stars == {12: 2, 15: 10, 18: 3}
+    assert {a: defect(a, 6).a_star for a in (12, 15, 18)} == {12: 2, 15: 10, 18: 3}
 
 
 def test_defect_census_rejects_bad_window():
@@ -377,6 +450,13 @@ def test_defect_census_sweep_equals_per_t_census():
     cases = [random_structured_set(rng) for _ in range(60)]
     cases += [([12, 15, 18], 6, 12), ([10, 11, 12, 14, 15, 20], 10, 10), ([7, 10, 12, 14], 6, 7)]
     cases += [([6], 6, 6), ([6, 12], 6, 6)]  # largest a_star a power of two
+    # the same sets below 2 min(S), against a non-integer X: any X strictly
+    # inside [max(S)/2, min(S)]
+    for S, N, _ in cases[:60]:
+        S = [a for a in S if a < 2 * min(S)]
+        lo, hi = Fraction(max(S), 2), Fraction(min(S))
+        cases.append((S, N, lo + (hi - lo) * Fraction(rng.randint(1, 6), 7)))
+    assert sum(Fraction(X).denominator > 1 for _, _, X in cases) >= 50
     for S, N, X in cases:
         defects = {a: defect(a, N) for a in S}
         top = 2 * max(d.a_star for d in defects.values())
@@ -393,12 +473,24 @@ def test_defect_census_sweep_equals_per_t_census():
                 d.a_plus**2 <= 2 * X * T / N and d.a_minus**2 <= Fraction(N) * T / X
                 for d in counted
             )
+        # thresholds off the grid, where T, 2XT/N and NT/X are not integers
+        for T in (Fraction(1, 3), Fraction(5, 2), Fraction(22, 7), Fraction(top, 3)):
+            counted = [d for d in defects.values() if d.a_star <= T]
+            assert defect_census(S, N, X, T) == (
+                len(counted),
+                2 * T,
+                len(counted) <= 2 * T,
+                all(
+                    d.a_plus**2 <= 2 * X * T / N and d.a_minus**2 <= Fraction(N) * T / X
+                    for d in counted
+                ),
+            )
 
 
 def test_extract_witnesses_remark2():
     A = list(range(100, 201, 10))
     inst = GcdInstance.build(A, A, 10, 100, 100)
-    si = structure_instance(inst)
+    si = find_modulus(inst, build_omega_gcd(inst))
     rep = extract_witnesses(si)
     assert rep.holds and rep.chain_ok
     assert rep.a_star >= rep.a_star_lower
@@ -408,7 +500,7 @@ def test_extract_witnesses_remark2():
 
 def test_extract_witnesses_single_pair():
     inst = GcdInstance.build([4], [6], 2, 4, 6, check_ranges=False)
-    si = structure_instance(inst)
+    si = find_modulus(inst, build_omega_gcd(inst))
     rep = extract_witnesses(si)
     assert rep.delta_prime == 1
     assert (rep.a, rep.b) == (4, 6)
@@ -461,3 +553,62 @@ def test_structured_instance_accepts_exactly_the_pivotal_subsets():
                 with pytest.raises(ValueError, match="pivotal"):
                     StructuredInstance.build(inst, om, factorize(N), sub, "exhaustive")
         assert verdicts == {True, False}
+
+
+def pair_walk_error(omega_prime, n) -> str | None:
+    """The ValueError text of the pair-by-pair pivotality check over
+    omega_prime.edges, or None when Omega' is pivotal for n."""
+    edges = omega_prime.edges
+    for el in sorted({el for pair in edges for el in pair}):
+        try:
+            defect(el, n)
+        except DefectError as exc:
+            return f"{el} in omega_prime is not pivotal for N = {n}: {exc}"
+    for a, b in edges:
+        if gcd(defect(a, n).a_star, defect(b, n).a_star) != 1:
+            return f"pair ({a}, {b}) in omega_prime is not pivotal for N = {n}"
+    return None
+
+
+def has_defect(el, n) -> bool:
+    try:
+        defect(el, n)
+    except DefectError:
+        return False
+    return True
+
+
+def test_corrupted_omega_prime_reports_the_pair_walks_first_offender():
+    # against the N found, N times p and N over p for two of its primes:
+    # every pair of Omega between elements with a defect (clashes over many
+    # rows), then Omega' plus random pairs of Omega outside it
+    rng = random.Random(73)
+    messages = set()
+    for inst in _oracle_instances():
+        om = build_omega_gcd(inst)
+        if not om:
+            continue
+        si = find_modulus(inst, om)
+        outside = om.bits & ~si.omega_prime.bits
+        ns = [si.n]
+        ns += [factorize(si.n.value * p) for p, _ in si.n.factors[:2]]
+        ns += [factorize(si.n.value // p) for p, _ in si.n.factors[:2]]
+        for n in ns:
+            rows = sum(1 << i for i, a in enumerate(om.A) if has_defect(a, n))
+            cols = sum(1 << j for j, b in enumerate(om.B) if has_defect(b, n))
+            corrupted = [om.bits & om.spread(rows) * cols]
+            corrupted += [
+                si.omega_prime.bits | outside & rng.getrandbits(len(om.A) * len(om.B))
+                for _ in range(10)
+            ]
+            for bits in corrupted:
+                sub = om.masked(bits)
+                expect = pair_walk_error(sub, n)
+                if expect is None:
+                    StructuredInstance.build(inst, om, n, sub, "exhaustive")
+                    continue
+                with pytest.raises(ValueError) as info:
+                    StructuredInstance.build(inst, om, n, sub, "exhaustive")
+                assert str(info.value) == expect
+                messages.add(expect.startswith("pair"))
+    assert messages == {True, False}  # clashing pairs and undefined defects both occur
