@@ -262,6 +262,8 @@ def cmd_measure(args) -> tuple[dict, int]:
     elif args.random:
         import random as _random
 
+        if args.random < 0:
+            raise InstanceError(f"--random: {args.random} must be a natural number")
         rng = _random.Random(cfg.seed)
         worst_c = math.inf
         worst_ratio = 0.0

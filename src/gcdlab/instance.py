@@ -216,7 +216,12 @@ class PairSet(NamedTuple):
     def spread(self, rows: int) -> int:
         """The grid mask of bit 0 of each row i set in rows; times a mask C
         below 2^|B| it is carry-free, the cells (A[i], B[j]) with j in C."""
-        return int(("0" * (self.n_right - 1)).join(format(rows, "b")), 2)
+        grid = bytearray(-(-self.n_left * self.n_right // 8))
+        while rows:
+            k = ((rows & -rows).bit_length() - 1) * self.n_right
+            grid[k >> 3] |= 1 << (k & 7)
+            rows &= rows - 1
+        return int.from_bytes(grid, "little")
 
 
 def _gcd_threshold(D) -> int:

@@ -3,9 +3,9 @@ classes it shares with structure.valuation_measure.
 
 Everything works on the pair set's bit layout (see instance.PairSet): the
 valuation classes of A and B at a prime are bitmasks over their indices,
-and Omega's rows are integers over B.  Grid-wide products are formed only
-for the primes that bind, and only in the exhaustive search; the greedy
-search reads each exponent's pair count from class-pair counts.
+and Omega's rows are integers over B.  The search is exact: it tries every
+exponent of the primes that bind, with one grid mask per exponent, and
+gives every other prime its lowest exponent.
 
 The structure module imports this one on first use, so the commands that
 never search (stats, defect) do not compile it.
@@ -13,10 +13,9 @@ never search (stats, defect) do not compile it.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 
-from .instance import PairSet, _indices, _join_rows
+from .instance import PairSet
 
 
 def prime_table(omega: PairSet, pool=None) -> dict[int, tuple]:
@@ -67,6 +66,23 @@ def class_counts(omega: PairSet, table, orows) -> dict[int, dict[tuple[int, int]
     return counts
 
 
+def _cells(spread: int, cols: int, width: int) -> int:
+    """spread * cols, the cells of spread's rows in the columns of cols (see
+    PairSet.spread).  A product passes over spread once per 30-bit digit of
+    cols and a shifted copy about twice, so when cols or its complement has
+    at most width/60 bits, shifted copies of spread are summed instead."""
+    few, size = width // 60, cols.bit_count()
+    if size > width - few:
+        return (spread << width) - spread - _cells(spread, (1 << width) - 1 - cols, width)
+    if size > few:
+        return spread * cols
+    out = 0
+    while cols:
+        out += spread << (cols & -cols).bit_length() - 1
+        cols &= cols - 1
+    return out
+
+
 def _per_prime_masks(omega: PairSet, orows, table):
     """(p, lo, hi, masks) for each prime of the table that binds, with
     masks[k] the pairs kept at p by k.
@@ -77,7 +93,8 @@ def _per_prime_masks(omega: PairSet, orows, table):
     grid-wide product.  The cells of A_v x C are spread(A_v) * C; one
     spread per class of rows serves every k, and class 0's is the full
     spread minus the others."""
-    paired, full_b = 0, (1 << omega.n_right) - 1  # the columns with a pair, all columns
+    width = omega.n_right
+    paired, full_b = 0, (1 << width) - 1  # the columns with a pair, all columns
     for row in orows:
         paired |= row
     binding = {
@@ -100,81 +117,49 @@ def _per_prime_masks(omega: PairSet, orows, table):
             # v_p(a) = k with v_p(b) within 1 of k, or v_p(a) = k +- 1 with v_p(b) = k
             near = cols.get(k - 1, 0) | cols.get(k, 0) | cols.get(k + 1, 0)
             off = spread.get(k - 1, 0) + spread.get(k + 1, 0)
-            masks[k] = omega.bits & (spread.get(k, 0) * near + off * cols.get(k, 0))
+            kept = _cells(spread.get(k, 0), near, width) + _cells(off, cols.get(k, 0), width)
+            masks[k] = omega.bits & kept
         out.append((p, lo, hi, masks))
     return out
 
 
 def _search_exhaustive(per_prime, full_mask: int) -> tuple[dict[int, int], int]:
     """The first k vector in lexicographic order that keeps the most pairs,
-    and those pairs: depth first, cutting each branch that cannot beat the
-    best leaf."""
-    best = [-1, {}, 0]
-
-    def rec(i: int, mask: int, acc: dict[int, int]) -> None:
-        if mask.bit_count() <= best[0]:
-            return
-        if i == len(per_prime):
-            best[:] = mask.bit_count(), acc, mask
-            return
-        p, lo, hi, masks = per_prime[i]
-        for k in range(lo, hi + 1):
-            rec(i + 1, mask & masks[k], acc | {p: k})
-
-    rec(0, full_mask, {})
-    return best[1], best[2]
-
-
-def _search_greedy(table, counts) -> dict[int, int]:
-    chosen = {}
-    for p, (lo, hi, rows, cols) in table.items():
-        kept = dict.fromkeys(range(lo, hi + 1), 0)
-        for (i, j), c in counts[p].items():
-            if abs(i - j) <= 1:  # class (i, j) is kept by k = i and by k = j
-                kept[i] += c
-                if i != j:
-                    kept[j] += c
-        top = max(kept.values())
-        cands = [k for k, c in kept.items() if c == top]
-        if len(cands) > 1:
-            # tie-break toward the mode of the valuation distribution
-            freq = {k: rows.get(k, 0).bit_count() + cols.get(k, 0).bit_count() for k in cands}
-            cands = [k for k in cands if freq[k] == max(freq.values())]
-        chosen[p] = min(cands)
-    return chosen
+    and those pairs: depth first, without recursion, cutting each branch
+    that cannot beat the best leaf.  path holds (mask, size) from the root
+    to the node of the k values ks; a child that cuts no pair is stored as
+    its parent, so only a cut costs a count and memory."""
+    best_count, best_ks, best_mask = -1, (), 0
+    ks, path = [], [(full_mask, full_mask.bit_count())]
+    while True:
+        mask, count = path[-1]
+        if count > best_count and len(ks) < len(per_prime):
+            ks.append(per_prime[len(ks)][1] - 1)  # descend; the step below tries lo
+        else:
+            if count > best_count:
+                best_count, best_ks, best_mask = count, tuple(ks), mask
+            path.pop()
+            while ks and ks[-1] == per_prime[len(ks) - 1][2]:  # no k left: back up
+                ks.pop()
+                path.pop()
+            if not ks:
+                return {p: k for (p, *_), k in zip(per_prime, best_ks)}, best_mask
+        ks[-1] += 1
+        mask, count = path[-1]
+        child = mask & per_prime[len(ks) - 1][3][ks[-1]]
+        path.append((mask, count) if child == mask else (child, child.bit_count()))
 
 
-def _pivotal_bits(omega: PairSet, orows, table, ks) -> int:
-    """Omega' of the exponents ks, row by row: at each prime, a row with
-    v_p = k keeps the columns with v_p within 1 of k, a row with
-    v_p = k +- 1 those with v_p = k, and any other row none."""
-    full, out = (1 << omega.n_right) - 1, list(orows)
-    for p, (_, _, rows, cols) in table.items():
-        k = ks[p]
-        near = cols.get(k - 1, 0) | cols.get(k, 0) | cols.get(k + 1, 0)
-        for v, R in rows.items():
-            keep = near if v == k else cols.get(k, 0) if abs(v - k) == 1 else 0
-            for r in _indices(R) if keep != full else ():
-                out[r] &= keep
-    return _join_rows(out, omega.n_right)
+def search(omega: PairSet) -> tuple[dict[int, int], int]:
+    """({p: k_p}, Omega' bits) for the N = prod p^k_p over the primes of
+    A u B that keeps the most pairs with |v_p(a/N)| + |v_p(b/N)| <= 1 at
+    every prime, the first such N with the primes in increasing order and
+    each k_p tried in increasing order; omega must be nonempty.
 
-
-def search(omega: PairSet, exhaustive_limit: int) -> tuple[str, dict[int, int], int]:
-    """(strategy, {p: k_p}, Omega' bits) for the N = prod p^k_p over the
-    primes of A u B that keeps the most pairs with |v_p(a/N)| + |v_p(b/N)|
-    <= 1 at every prime; omega must be nonempty.
-
-    "exhaustive": every k_p in [lo, hi] while the range sizes of all primes
-    multiply to at most exhaustive_limit, masks built for the binding
-    primes only.  A free prime's lowest k keeps every pair, so its branch is
-    the subtree without it, no other k beats it, and the first maximizer in
-    lexicographic order is unchanged; it gets k = lo.  "greedy": each
-    prime's best k on its own from the class-pair counts, ties broken by
-    the valuation mode, then the smallest k; Omega' is then built once,
-    row by row."""
-    orows, table = omega.row_bits(), prime_table(omega)
-    if math.prod(hi - lo + 1 for lo, hi, *_ in table.values()) <= exhaustive_limit:
-        best, bits = _search_exhaustive(_per_prime_masks(omega, orows, table), omega.bits)
-        return "exhaustive", {p: lo for p, (lo, *_) in table.items()} | best, bits
-    ks = _search_greedy(table, class_counts(omega, table, orows))
-    return "greedy", ks, _pivotal_bits(omega, orows, table, ks)
+    Every k_p in [lo, hi] is tried for the binding primes, with their grid
+    masks.  A free prime's lowest k keeps every pair, so its branch is the
+    subtree without it, no other k beats it, and the first maximizer in
+    lexicographic order is unchanged; it gets k = lo."""
+    table = prime_table(omega)
+    best, bits = _search_exhaustive(_per_prime_masks(omega, omega.row_bits(), table), omega.bits)
+    return {p: lo for p, (lo, *_) in table.items()} | best, bits

@@ -29,7 +29,6 @@ __all__ = [
 
 EXHAUSTIVE_SIDE_LIMIT = 20  # integers per side for the exact searches
 THRESHOLD_SIDE_LIMIT = 12  # cap on X and Y for the delta < 1 exact mode
-HUNT_EXHAUSTIVE_LIMIT = 4096  # modulus-search budget for hunted instances
 
 
 class SearchSpace(NamedTuple):
@@ -58,6 +57,8 @@ class SearchSpace(NamedTuple):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.D < 1:
             raise ValueError("D must be >= 1")
+        if self.X < 1 or self.Y < 1:
+            raise ValueError("X and Y must be >= 1")
         limit = self.exhaustive_limit
         if self.mode == "threshold-delta":
             if self.delta_target is None:
@@ -261,7 +262,7 @@ def random_structured_instance(
         omega = build_omega_gcd(inst)
         if not omega:
             continue
-        si = find_modulus(inst, omega, exhaustive_limit=HUNT_EXHAUSTIVE_LIMIT)
+        si = find_modulus(inst, omega)
         if si.omega_prime:
             return si
 

@@ -37,8 +37,6 @@ __all__ = [
     "valuation_measure",
 ]
 
-EXHAUSTIVE_LIMIT_DEFAULT = 10**6
-
 
 class DefectError(ValueError):
     """Some |v_p(a/N)| >= 2, so the (a_plus, a_minus) split is undefined."""
@@ -103,38 +101,32 @@ def _pivotal(va: dict[int, int], vb: dict[int, int]) -> bool:
     )
 
 
-def find_modulus(
-    inst: GcdInstance,
-    omega: PairSet,
-    *,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT,
-) -> StructuredInstance:
+def find_modulus(inst: GcdInstance, omega: PairSet) -> StructuredInstance:
     """Search for N = prod p^k_p over the primes of A u B maximizing the
     number of pairs with |v_p(a/N)| + |v_p(b/N)| <= 1 at every prime, and
     return the structured instance of that N.
 
-    Exact exhaustive search over k_p in [min valuation, max valuation] per
-    prime while the product of range sizes over all primes stays within
-    exhaustive_limit, with grid masks only for the primes whose lowest k
-    loses a pair; otherwise greedy per prime (independently optimal
-    centers, ties broken by the valuation mode, then smallest k) from
-    class-pair counts, with no grid-wide mask (modulus.search).  The
-    achieved |Omega'|/|Omega| is reported, never asserted to reach 1/2.
+    Exact: depth first over k_p in [min valuation, max valuation] for the
+    primes whose lowest k loses a pair, each with its grid masks; every
+    other prime keeps its lowest k (modulus.search).  Ties go to the first
+    maximizer with the primes in increasing order.  The achieved
+    |Omega'|/|Omega| is reported, never asserted to reach 1/2.
     """
     from .modulus import search
 
     if not omega:
         raise ValueError("omega is empty: nothing to structure")
-    strategy, ks, bits = search(omega, exhaustive_limit)
+    ks, bits = search(omega)
     factors = tuple((p, k) for p, k in ks.items() if k > 0)
     n = FactoredNat.checked(math.prod(p**k for p, k in factors), factors)
-    return StructuredInstance.build(inst, omega, n, omega.masked(bits), strategy)
+    return StructuredInstance.build(inst, omega, n, omega.masked(bits), "exhaustive")
 
 
 class StructuredInstance(NamedTuple):
     """An instance with its pair set Omega, a modulus N, the pivotal pairs
     Omega' of N, and the defect of every element of Omega' (the labelled
-    GCD graph).  strategy names how N was found: "exhaustive" or "greedy".
+    GCD graph).  strategy names how N was found; the search is exact, so it
+    is always "exhaustive".
 
     Omega' is pivotal iff every element of it has a defect and the two
     defects a*, b* of every pair in it are coprime; build() checks this."""

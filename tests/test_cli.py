@@ -300,6 +300,9 @@ def test_bad_arguments_exit_2():
         ["stats", "{tmp}"],
         ["search", "hunt", "--structured", "-3", "--scale-limit", "2"],
         ["search", "hunt", "--structured", "0", "--scale-limit", "-1"],
+        ["measure", "--random", "-3"],
+        ["search", "exhaustive", "--X", "-3", "--D", "1"],
+        ["search", "exhaustive", "--X", "4", "--Y", "-1", "--D", "1"],
         # threshold-delta mode is exact only up to X, Y = 12
         ["search", "exhaustive", "--X", "13", "--Y", "4", "--D", "2", "--mode", "threshold-delta",
          "--delta-target", "1/2"],

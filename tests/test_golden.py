@@ -5,14 +5,14 @@ deterministic instances and three defect arguments; any byte that changes
 is a report change.  The bigint instance has 12x12 elements in
 [10^12, 2*10^12], most with two or three prime factors above 2^11 (and one
 prime, one square and one cube of such primes), so its `stats` primes check
-factorization past the trial-division bound.  The sparse and bigint
-instances keep no pivotal pair, so `structure` exits 2 on them.  The two
-remark2 instances take the exhaustive modulus search; remark2_greedy (the
-51x61 structure-dense rung of perfbench/gen.py at seed 1: multiples of
-D = 52 with a tenth of each side swapped for non-multiples) takes the
-greedy one and keeps 638 of its 2538 pairs.  The `measure` goldens are the
-concentration reports of remark2's valuation measures at p = 2 and p = 5,
-with their certified c_interval.
+factorization past the trial-division bound.  The exact modulus search
+keeps 7 of the sparse instance's 49 pairs (N = 7) and 4 of the bigint
+instance's 35 (N = 2053).  remark2_greedy is the 51x61 structure-dense rung
+of perfbench/gen.py at seed 1 (multiples of D = 52 with a tenth of each side
+swapped for non-multiples); the search keeps 638 of its 2538 pairs, the
+count a per-prime greedy choice also reached.  The `measure` goldens are
+the concentration reports of remark2's valuation measures at p = 2 and
+p = 5, with their certified c_interval.
 """
 
 from pathlib import Path
@@ -22,8 +22,6 @@ import pytest
 import gcdlab.cli as cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-EMPTY = "error: omega_prime is empty: no witnesses exist\n"
-EXIT_2 = {("sparse", "structure"): EMPTY, ("bigint", "structure"): EMPTY}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -34,11 +32,8 @@ EXIT_2 = {("sparse", "structure"): EMPTY, ("bigint", "structure"): EMPTY}
 def test_report_bytes_match_golden(name, command, fmt, capsys):
     code = cli.main([command, str(GOLDEN / f"{name}.instance.json"), "--format", fmt])
     out = capsys.readouterr()
-    if (name, command) in EXIT_2:
-        assert (code, out.out, out.err) == (2, "", EXIT_2[name, command])
-    else:
-        assert code == 0 and out.err == ""
-        assert out.out.encode() == (GOLDEN / f"{name}.{command}.{fmt}").read_bytes()
+    assert code == 0 and out.err == ""
+    assert out.out.encode() == (GOLDEN / f"{name}.{command}.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -124,6 +124,9 @@ def test_universe_cap_enforced():
         exhaustive_max(SearchSpace(X=40, Y=5, D=2))
     with pytest.raises(ValueError):
         exhaustive_max(SearchSpace(X=5, Y=5, D=2, force_equal=True, mode="nonsense"))
+    for X, Y in ((-3, 5), (5, 0)):  # an empty universe has no extremal set
+        with pytest.raises(ValueError, match="X and Y must be >= 1"):
+            exhaustive_max(SearchSpace(X=X, Y=Y, D=1))
 
 
 def test_diagonal_sharpness_at_multiples():

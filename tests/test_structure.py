@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,9 @@ from hypothesis import strategies as st
 
 from gcdlab.arith import factorize, is_squarefree, rational_valuations
 from gcdlab.families import remark2_family
-from gcdlab.instance import GcdInstance, PairSet, build_omega_gcd
-from gcdlab.modulus import _per_prime_masks, prime_table
+from gcdlab.instance import GcdInstance, PairSet, build_omega_gcd, read_instance
+from gcdlab.modulus import _cells, _per_prime_masks, prime_table
 from gcdlab.structure import (
-    EXHAUSTIVE_LIMIT_DEFAULT,
     DefectError,
     StructuredInstance,
     check_pivotal,
@@ -26,6 +26,8 @@ from gcdlab.structure import (
     valuation_measure,
 )
 from gcdlab.verify import random_pivotal_triple, random_structured_set
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def sums_to_one(vm) -> bool:
@@ -119,17 +121,6 @@ def test_find_modulus_short_cofactor_window():
         assert ms.fraction == expect_frac
 
 
-def test_find_modulus_greedy_fallback():
-    # exhaustive_limit 1 forces the greedy path; the filter must still be
-    # exactly the pivotal set of the returned N
-    inst = GcdInstance.build([100, 110, 120, 150], [100, 120, 140], 10, 100, 100)
-    om = build_omega_gcd(inst)
-    ms = find_modulus(inst, om, exhaustive_limit=1)
-    assert ms.strategy == "greedy"
-    manual = [e for e in om.edges if check_pivotal(e[0], e[1], ms.n)]
-    assert list(ms.omega_prime.edges) == manual
-
-
 def _oracle_instances():
     """Seeded random instances, then remark2 shapes with and without one
     element swapped for a non-multiple of D."""
@@ -177,40 +168,57 @@ def test_per_prime_masks_match_bruteforce():
     assert dropped and kept
 
 
-def _reference_modulus(om, exhaustive_limit):
-    """(N, strategy, Omega' bits) over every prime of A u B: the first k
-    vector in lexicographic order keeping the most pairs when the product
-    of the valuation ranges is within exhaustive_limit, else each prime's
-    best k on its own, ties broken by the valuation mode, then smallest k."""
-    edges = list(om.edges)
+def test_cells_equal_the_product():
+    # a spread has bit i*width for each row i; _cells sums shifted copies of
+    # it in place of the product when the columns, or their complement, are
+    # at most width/60
+    rng = random.Random(59)
+    for width in (7, 61, 130, 300):
+        A, B = range(10, 30), range(width, 2 * width)
+        om = build_omega_gcd(GcdInstance.build(A, B, 1, 10, width, check_ranges=False))
+        for _ in range(30):
+            rows = rng.getrandbits(om.n_left)
+            spread = om.spread(rows)
+            assert spread == sum(1 << (i * width) for i in range(om.n_left) if rows >> i & 1)
+            few = sum(1 << j for j in rng.sample(range(width), rng.randint(0, width // 60 + 1)))
+            for cols in (few, (1 << width) - 1 - few, rng.getrandbits(width)):
+                assert _cells(spread, cols, width) == spread * cols
+
+
+def _reference_modulus(om):
+    """(N, Omega' bits) over every prime of A u B: the first k vector in
+    lexicographic order that keeps the most pairs, from every k vector."""
     nB = len(om.B)
     cell = {(a, b): 1 << (i * nB + j) for i, a in enumerate(om.A) for j, b in enumerate(om.B)}
     pool, ranges = zip(*_ranges(om).items())
     kept = [{k: sum(cell[e] for e in _kept_by(om, p, k)) for k in r} for p, r in zip(pool, ranges)]
-    if prod(len(r) for r in ranges) <= exhaustive_limit:
-        strategy, best, best_count = "exhaustive", None, -1
-        for ks in itertools.product(*ranges):
-            bits = om.bits
-            for by_k, k in zip(kept, ks):
-                bits &= by_k[k]
-            if bits.bit_count() > best_count:
-                best, best_count = ks, bits.bit_count()
-        ks = best
-    else:
-        strategy, ks = "greedy", []
-        for p, by_k in zip(pool, kept):
-            freq = {k: sum(el.valuation(p) == k for el in om.A + om.B) for k in by_k}
-            ks.append(min(by_k, key=lambda k: (-by_k[k].bit_count(), -freq[k], k)))
-    bits, n = om.bits, prod(p**k for p, k in zip(pool, ks))
-    for by_k, k in zip(kept, ks):
-        bits &= by_k[k]
-    assert bits == sum(cell[e] for e in edges if check_pivotal(*e, n))
-    return n, strategy, bits
+    best, best_bits = None, None
+    for ks in itertools.product(*ranges):
+        bits = om.bits
+        for by_k, k in zip(kept, ks):
+            bits &= by_k[k]
+        if best is None or bits.bit_count() > best_bits.bit_count():
+            best, best_bits = ks, bits
+    n = prod(p**k for p, k in zip(pool, best))
+    assert best_bits == sum(cell[e] for e in om.edges if check_pivotal(*e, n))
+    return n, best_bits
+
+
+def _golden_instances():
+    """The five instances of the report goldens."""
+    names = ("remark2", "remark2_swapped", "remark2_greedy", "sparse", "bigint")
+    return [read_instance(GOLDEN / f"{name}.instance.json") for name in names]
+
+
+def _k_vectors(om) -> int:
+    """How many k vectors the reference search tries on om."""
+    return prod(len(r) for r in _ranges(om).values())
 
 
 def _search_instances():
     """Seeded small instances whose valuation ranges multiply to at most
-    3000, so that every k vector can be tried, plus the oracle instances."""
+    3000, so that every k vector can be tried, plus the oracle and golden
+    instances within that."""
     rng = random.Random(71)
     out = []
     while len(out) < 150:
@@ -222,69 +230,79 @@ def _search_instances():
             A, B = [a * m for a in A], [b * m for b in B]
         inst = GcdInstance.build(A, B, rng.randint(1, 5), min(A), min(B), check_ranges=False)
         om = build_omega_gcd(inst)
-        if om and prod(len(r) for r in _ranges(om).values()) <= 3000:
+        if om and _k_vectors(om) <= 3000:
             out.append((inst, om))
-    return out + [(inst, build_omega_gcd(inst)) for inst in _oracle_instances()]
+    more = [(inst, build_omega_gcd(inst)) for inst in [*_oracle_instances(), *_golden_instances()]]
+    return out + [(inst, om) for inst, om in more if om and _k_vectors(om) <= 3000]
 
 
 def test_find_modulus_equals_the_reference_search():
-    strategies = set()
     for inst, om in _search_instances():
-        if not om:
-            continue
-        for limit in (1, 16, EXHAUSTIVE_LIMIT_DEFAULT):
-            if limit >= prod(len(r) for r in _ranges(om).values()) > 3000:
-                continue  # too many k vectors to try one by one
-            ms = find_modulus(inst, om, exhaustive_limit=limit)
-            n, strategy, bits = _reference_modulus(om, limit)
-            assert (ms.n.value, ms.strategy, ms.omega_prime.bits) == (n, strategy, bits)
-            strategies.add(strategy)
-    assert strategies == {"exhaustive", "greedy"}
+        ms = find_modulus(inst, om)
+        assert (ms.n.value, ms.omega_prime.bits) == _reference_modulus(om)
+        assert ms.strategy == "exhaustive"
 
 
-def test_greedy_takes_the_modal_k_when_two_keep_every_pair():
+def test_a_free_prime_takes_its_lowest_k():
     # every pair joins v_2 = 1 (A) to v_2 = 0 (B), so k = 0 and k = 1 both
-    # keep all of them at p = 2; 26 has v_2 = 1 and no pair, which makes
-    # v_2 = 1 the mode (5 elements against 4), so greedy picks k = 1
+    # keep all of them at p = 2: 2 binds nowhere, takes its lowest k = 0,
+    # and N is odd
     inst = GcdInstance.build([6, 10, 14, 22], [9, 15, 21, 26, 33], 3, 6, 9, check_ranges=False)
     om = build_omega_gcd(inst)
     assert prime_table(om, [2])[2][0] == 0  # lo = 0 at p = 2
     assert _kept_by(om, 2, 0) == _kept_by(om, 2, 1) == list(om.edges)
     binding = _per_prime_masks(om, om.row_bits(), prime_table(om))
     assert 2 not in [p for p, *_ in binding]
-    ms = find_modulus(inst, om, exhaustive_limit=1)
-    assert ms.strategy == "greedy" and ms.n.value % 4 == 2
-    assert (ms.n.value, ms.strategy, ms.omega_prime.bits) == _reference_modulus(om, 1)
     exact = find_modulus(inst, om)
-    assert exact.strategy == "exhaustive" and exact.n.value % 2 == 1
-    assert (exact.n.value, exact.strategy, exact.omega_prime.bits) == _reference_modulus(
-        om, EXHAUSTIVE_LIMIT_DEFAULT
-    )
+    assert exact.n.value % 2 == 1
+    assert (exact.n.value, exact.omega_prime.bits) == _reference_modulus(om)
 
 
 def test_find_modulus_keeps_exactly_the_pivotal_pairs():
-    strategies = set()
-    for inst in _oracle_instances():
+    for inst in list(_oracle_instances()) + _golden_instances():
         om = build_omega_gcd(inst)
         if not om:
             continue
         ms = find_modulus(inst, om)
-        strategies.add(ms.strategy)
         manual = [e for e in om.edges if check_pivotal(e[0], e[1], ms.n)]
         assert list(ms.omega_prime.edges) == manual
-    assert "exhaustive" in strategies
 
 
-def test_exhaustive_at_least_greedy():
-    rng = random.Random(43)
-    for _ in range(25):
-        A = sorted({rng.randint(8, 40) for _ in range(rng.randint(2, 7))})
-        B = sorted({rng.randint(8, 40) for _ in range(rng.randint(2, 7))})
-        inst = GcdInstance.build(A, B, 1, min(A), min(B), check_ranges=False)
-        om = build_omega_gcd(inst)
-        exact = find_modulus(inst, om)
-        greedy = find_modulus(inst, om, exhaustive_limit=1)
-        assert exact.fraction >= greedy.fraction
+def _large_instances():
+    """The golden instances and a seeded 80x80 sparse set near 10^4 that
+    have too many k vectors for the reference search."""
+    rng = random.Random(53)
+    A = sorted(rng.sample(range(9000, 18001), 80))
+    B = sorted(rng.sample(range(12000, 24001), 80))
+    more = [(inst, build_omega_gcd(inst)) for inst in _golden_instances()]
+    more.append((inst := GcdInstance.build(A, B, 8, 9000, 12000), build_omega_gcd(inst)))
+    return [(inst, om) for inst, om in more if _k_vectors(om) > 3000]
+
+
+def test_find_modulus_is_locally_optimal():
+    # from the definition: changing one prime's k to another value of its
+    # range never keeps more pairs than the N found
+    cases = _large_instances()
+    assert len(cases) == 5
+    for inst, om in cases:
+        ms = find_modulus(inst, om)
+        ranges = _ranges(om)
+        ks = {p: ms.n.valuation(p) for p in ranges}
+        vals = {el: dict(el.factors) for el in om.A + om.B}
+
+        def kept(a, b, p, k):
+            return abs(vals[a].get(p, 0) - k) + abs(vals[b].get(p, 0) - k) <= 1
+
+        fails = {}  # pair -> the primes where N loses it
+        for a, b in om.edges:
+            near = vals[a].keys() | vals[b].keys() | {p for p, k in ks.items() if k}
+            fails[a, b] = {p for p in near if not kept(a, b, p, ks[p])}
+        best = len(ms.omega_prime)
+        assert best == sum(not f for f in fails.values())
+        for p, r in ranges.items():
+            movable = [e for e, f in fails.items() if f <= {p}]
+            for k in r:
+                assert sum(kept(a, b, p, k) for a, b in movable) <= best, (p, k)
 
 
 def test_defect_examples():
