@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 # Concentration numerics: measures on Z^2 dominated by c * lambda^|i-j| *
 # x_i * y_j concentrate near a diagonal point (k, k) once c is small.  This
-# demo runs the minimal-c evaluator, the tail and six-region decomposition,
-# and the exact interval mode on a measure derived from real valuations.
+# demo runs the exact minimal-c verdict, the tail and six-region
+# decomposition, and the same verdict on a measure derived from real
+# valuations.  Masses and densities are integers over a total throughout.
 
 import random
+from fractions import Fraction
 
 from gcdlab import (
     GcdInstance,
@@ -14,44 +16,39 @@ from gcdlab import (
     build_omega_gcd,
     concentration_report,
     from_valuation_measure,
-    min_admissible_c,
+    min_admissible_c_interval,
     sigma_decomposition,
     tail_mass,
     valuation_measure,
 )
-from gcdlab.measure import load_calibration, random_admissible_config
-
-QP = 5 / 3  # conjugate index for epsilon = 1/2
+from gcdlab.measure import load_calibration, random_admissible_config, root_float, sweep_extremes
 
 print("=" * 72)
 print("1. Hand-built measures")
 print("=" * 72)
 
-mu = Measure2D.from_dict({(0, 0): 0.6, (0, 1): 0.25, (3, 3): 0.15})
-w = WeightPair.from_weights(
-    {0: 0.9 ** (3 / 5), 3: 0.1 ** (3 / 5)},
-    {0: 0.8 ** (3 / 5), 1: 0.15 ** (3 / 5), 3: 0.05 ** (3 / 5)},
-    QP,
-)
-for lam in (0.8, 0.4, 0.1):
-    c = min_admissible_c(mu, w, lam)
-    print(f"lambda = {lam:4.2f}: minimal admissible c = {c:8.4f}")
+# counts over a total of 20; x_i = alpha_i^(3/5) at epsilon = 1/2, alpha over 20 too
+mu = Measure2D.from_dict({(0, 0): 12, (0, 1): 5, (3, 3): 3})
+w = WeightPair.from_densities({0: 18, 3: 2}, {0: 16, 1: 3, 3: 1})
+for lam in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 10)):
+    lo, hi, ok, c = min_admissible_c_interval(mu, w, lam=lam)
+    print(f"lambda = {lam}: minimal admissible c = {c:8.4f} in [{lo:.6f}, {hi:.6f}], >= 1/9: {ok}")
 
 k = best_center(mu)
-print(f"best center k = {k}, tail mass {tail_mass(mu, k):.4f}")
-sig = sigma_decomposition(mu, w, k)
-print(f"six-region masses around ({k}, {k}): {[round(float(s), 4) for s in sig.sigma]}")
+print(f"best center k = {k}, tail mass {tail_mass(mu, k)}/{mu.total}")
+sig = sigma_decomposition(mu, k)
+print(f"six-region masses around ({k}, {k}), over {mu.total}: {list(sig.sigma)}")
 
 print()
 print("=" * 72)
 print("2. The c >= 1/9 floor on random admissible configurations")
 print("=" * 72)
 rng = random.Random(2024)
-worst = float("inf")
-for _ in range(2000):
-    mu_r, w_r, lam_r = random_admissible_config(rng)
-    worst = min(worst, min_admissible_c(mu_r, w_r, lam_r))
-print(f"smallest minimal-c over 2000 seeded configurations: {worst:.6f} (floor 1/9 = {1/9:.6f})")
+least, _, _ = sweep_extremes([random_admissible_config(rng) for _ in range(2000)], Fraction(1, 2))
+print(
+    f"smallest minimal-c over 2000 seeded configurations: {root_float(*least, 5):.6f}"
+    f" (floor 1/9 = {1/9:.6f}; decided exactly as c^5 >= 9^-5: {least[0] * 9**5 >= least[1]})"
+)
 
 cal = load_calibration()
 print(f"frozen tail constants from the committed calibration (seed {cal['seed']}):")

@@ -72,7 +72,6 @@ _EXPORTS = {
         "best_center",
         "concentration_report",
         "from_valuation_measure",
-        "min_admissible_c",
         "min_admissible_c_interval",
         "sigma_decomposition",
         "tail_mass",

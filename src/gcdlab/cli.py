@@ -22,6 +22,7 @@ from .instance import (
     GcdInstance,
     InstanceError,
     build_omega_gcd,
+    decimal_fraction,
     epsilon_fraction,
     instance_to_json,
     prime_sets,
@@ -205,46 +206,63 @@ def cmd_defect(args) -> tuple[dict, int]:
     return make_report("defect", cfg._asdict(), summary, records), 0
 
 
+def _finite(x: float) -> float | None:
+    """x, or None past the float range (as stats reports its bound)."""
+    return x if math.isfinite(x) else None
+
+
 def _measure_summary(rep) -> dict:
     return {
-        "c_min": rep.c_min,
-        "c_interval": list(rep.c_interval) if rep.c_interval else None,
+        "c_min": _finite(rep.c_min),
+        "c_interval": [_finite(v) for v in rep.c_interval],
         "c_lower_ok": rep.c_lower_ok,
         "k": rep.k,
         "tail": rep.tail,
-        "ratio": rep.ratio,
+        "ratio": _finite(rep.ratio),
         "lambda": rep.lam,
         "q": rep.q,
         "epsilon": rep.epsilon,
         "gamma": rep.gamma,
-        "sigma": [float(s) for s in rep.sigma.sigma],
+        "sigma": [s / rep.sigma.total for s in rep.sigma.sigma],
     }
 
 
 def cmd_measure(args) -> tuple[dict, int]:
     from .measure import (
+        C_FLOOR,
         Measure2D,
         WeightPair,
         concentration_report,
         from_valuation_measure,
         random_admissible_config,
+        root_float,
+        sweep_extremes,
     )
 
     cfg = _config(args)
+    modes = {"--point-mass": args.point_mass, "--instance": args.instance, "--random": args.random}
+    given = [flag for flag, value in modes.items() if value is not None]
+    if len(given) != 1:
+        raise InstanceError("give exactly one of --point-mass, --instance, or --random")
+    for flag, value, mode in (
+        ("--lambda", args.lam, "--point-mass"),
+        ("--prime", args.prime, "--instance"),
+    ):
+        if (value is not None) != (given[0] == mode):
+            verb = "is required with" if value is None else "applies only to"
+            raise InstanceError(f"{flag} {verb} {mode}")
     records = []
     if args.point_mass is not None:
         i, j = args.point_mass
-        if args.lam is None:
-            raise InstanceError("--lambda is required with --point-mass")
-        mu = Measure2D.point_mass(i, j)
-        qp = (2 + cfg.epsilon) / (1 + cfg.epsilon)
-        w = WeightPair.from_weights({i: 1.0}, {j: 1.0}, qp)
-        rep = concentration_report(mu, w, args.lam, epsilon=cfg.epsilon)
+        try:
+            lam = decimal_fraction(args.lam)
+        except ValueError:
+            raise InstanceError(f"--lambda: {args.lam} is not a finite number") from None
+        w = WeightPair.from_densities({i: 1}, {j: 1})
+        rep = concentration_report(Measure2D.point_mass(i, j), w, lam, epsilon=cfg.epsilon)
         summary = _measure_summary(rep)
         summary["source"] = f"point-mass ({i}, {j})"
     elif args.instance is not None:
-        if args.prime is None:
-            raise InstanceError("--prime is required with --instance")
         if not is_prime(args.prime):
             raise InstanceError(f"--prime {args.prime} is not prime")
         inst, cfg = _load(args.instance, args)
@@ -259,29 +277,22 @@ def cmd_measure(args) -> tuple[dict, int]:
         records = [
             {"i": i, "j": j, "weight": w_} for (i, j), w_ in vm.mu.items()
         ]
-    elif args.random:
+    else:
         import random as _random
 
-        if args.random < 0:
-            raise InstanceError(f"--random: {args.random} must be a natural number")
+        if args.random < 1:
+            raise InstanceError(f"--random: {args.random} must be a positive count")
         rng = _random.Random(cfg.seed)
-        worst_c = math.inf
-        worst_ratio = 0.0
-        all_ok = True
-        for _ in range(args.random):
-            mu, w, lam = random_admissible_config(rng, epsilon=cfg.epsilon)
-            rep = concentration_report(mu, w, lam, epsilon=cfg.epsilon)
-            worst_c = min(worst_c, rep.c_min)
-            worst_ratio = max(worst_ratio, rep.ratio)
-            all_ok = all_ok and rep.c_lower_ok
+        eps = epsilon_fraction(cfg.epsilon)
+        n = 2 * eps.denominator + eps.numerator
+        configs = (random_admissible_config(rng) for _ in range(args.random))
+        least, _, top = sweep_extremes(configs, eps)
         summary = {
             "source": f"random sweep ({args.random} configs)",
-            "min_c_seen": worst_c,
-            "max_ratio_seen": worst_ratio,
-            "all_c_lower_ok": all_ok,
+            "min_c_seen": root_float(*least, n),
+            "max_ratio_seen": root_float(*top, eps.denominator),
+            "all_c_lower_ok": least[0] * C_FLOOR**n >= least[1],
         }
-    else:
-        raise InstanceError("give one of --point-mass, --instance, or --random")
     return make_report("measure", cfg._asdict(), summary, records), 0
 
 
@@ -367,7 +378,6 @@ def cmd_search(args) -> tuple[dict, int]:
             "best_a": [str(v) for v in res.best_a],
             "best_b": [str(v) for v in res.best_b],
             "max_product": res.max_product,
-            "optimal": res.optimal,
         }
         # the search is deterministic, so its config echoes no seed
         config = {k: v for k, v in cfg._asdict().items() if k != "seed"}
@@ -411,6 +421,13 @@ def cmd_verify(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -424,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized sweeps")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcdlab",
         description="Exact census, structure, and search laboratory for GCD-pair statistics",
     )
@@ -449,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--instance", default=None, help="derive the edge measure from an instance")
     p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--random", type=int, default=0, help="seeded random sweep of n configs")
+    p.add_argument("--random", type=int, default=None, help="seeded random sweep of n configs")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("family", parents=[common], help="construct and verify an example family")

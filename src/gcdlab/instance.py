@@ -28,6 +28,7 @@ __all__ = [
     "chase_diagonal_bound",
     "count_pairs_geq_fast",
     "count_pairs_geq_naive",
+    "decimal_fraction",
     "epsilon_fraction",
     "gcd_census",
     "instance_from_json",
@@ -47,14 +48,19 @@ class InstanceError(ValueError):
     """Invalid instance data, with a field-level diagnostic message."""
 
 
+def decimal_fraction(x) -> Fraction:
+    """The fraction that the shortest decimal text of the float x names
+    (0.1 is 1/10, not the binary double nearest it)."""
+    return Fraction(repr(float(x)))
+
+
 def epsilon_fraction(epsilon) -> Fraction:
-    """epsilon = a/b as the fraction its shortest decimal text names (the
-    float 0.1 is 1/10, not the binary double nearest it).  InstanceError
-    unless 0 < epsilon < 1 and b <= EPSILON_MAX_DENOMINATOR: the exact
-    verdicts raise to powers up to 2b + a."""
+    """epsilon = a/b as the fraction its decimal text names
+    (decimal_fraction).  InstanceError unless 0 < epsilon < 1 and b <=
+    EPSILON_MAX_DENOMINATOR: the exact verdicts raise to powers up to 2b + a."""
     if not 0 < epsilon < 1:
         raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
-    eps = Fraction(repr(float(epsilon)))
+    eps = decimal_fraction(epsilon)
     if eps.denominator > EPSILON_MAX_DENOMINATOR:
         raise InstanceError(
             f"field epsilon: {epsilon} has denominator {eps.denominator}"

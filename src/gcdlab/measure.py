@@ -1,12 +1,15 @@
 """Numerics for concentration of finitely supported probability measures on
 Z^2 under the hypothesis mu(i,j) <= c * lambda^|i-j| * x_i * y_j with
-l^q'-normalized weight sequences x, y.
+l^q'-normalized weight sequences x, y and q' = (2 + eps)/(1 + eps).
 
-Two backings coexist: plain floats for sweeps, and exact rationals for
-measures coming from valuation statistics.  There x_i = alpha_i^(1/q') is
-irrational, but with epsilon = a/b every c_ij^(2b+a) is rational, so the
-verdict c_min >= 1/9 is an integer comparison and the reported enclosure of
-c_min comes from an integer root: no order decision rests on float noise.
+Every object has one exact form: a measure is integer masses over one
+integer total, and each weight sequence is its q'-th powers alpha_i as
+integers over a total (x_i = alpha_i^(1/q') is only displayed), so valuation
+measures, counts over |Omega|, |A| and |B|, map on directly.  With epsilon =
+a/b every c_ij^(2b+a) is rational: the verdicts c_min >= 1/9 and c_min <= 1
+compare cross-multiplied integers, and the reported c_min and its enclosure
+come from one integer root.  Floats are displayed values, and the capped
+generator's caps, whose c <= 1 the exact test certifies.
 """
 
 from __future__ import annotations
@@ -18,80 +21,77 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from .arith import _iroot, fraction_of
-from .instance import epsilon_fraction
+from .arith import _iroot
+from .instance import decimal_fraction, epsilon_fraction
 
 __all__ = [
+    "C_FLOOR",
     "ConcentrationReport",
+    "EXACT_BITS_MAX",
     "LAMBDA_MAX",
     "Measure2D",
     "SigmaDecomposition",
     "WeightPair",
     "best_center",
+    "calibrate_tail_constant",
+    "calibration_configs",
     "capped_admissible_config",
     "concentration_report",
     "from_valuation_measure",
     "load_calibration",
-    "calibrate_tail_constant",
-    "min_admissible_c",
     "min_admissible_c_interval",
     "random_admissible_config",
     "random_measure",
+    "root_float",
     "sigma_decomposition",
+    "sweep_extremes",
     "tail_mass",
 ]
 
-LAMBDA_MAX = 0.8  # the lemma's hypothesis lambda <= 4/5
-NORM_TOL = 1e-12
-GUARD = 1e-9
-C_FLOOR = Fraction(1, 9)
+LAMBDA_MAX = Fraction(4, 5)  # the lemma's hypothesis lambda <= 4/5
+C_FLOOR = 9  # the lemma's conclusion c >= 1/9
+# the most bits lambda^(n|i - j|) may take in an exact verdict, counted as
+# n|i - j| times the bit length of lambda's larger part (b|i - j| for p^-b)
+EXACT_BITS_MAX = 10**5
 _ROOT_BITS = 160  # fractional bits of the integer root that encloses c_min
+_CAPPED_MASS = 10**9  # total mass of a capped configuration
 
 _CALIBRATION_RESOURCE = "concentration_calibration.json"
 
 
-def _is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction))
+def _over_total(mapping, name: str):
+    """Nonnegative ints or Fractions as (sorted ((key, integer), ...), total):
+    each value is scaled by the lcm of the denominators, zeros dropped."""
+    items = sorted((key, v) for key, v in mapping.items() if v)
+    for key, v in items:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{name} at {key}: {v!r} is not an int or Fraction")
+        if v < 0:
+            raise ValueError(f"{name} has a negative entry {v} at {key}")
+    scale = math.lcm(*(v.denominator for _, v in items))
+    ints = tuple((key, v.numerator * (scale // v.denominator)) for key, v in items)
+    total = sum(m for _, m in ints)
+    if not total:
+        raise ValueError(f"{name} has no positive entry")
+    return ints, total
 
 
 class Measure2D(NamedTuple):
-    """Finitely supported probability measure on Z^2.
+    """Finitely supported probability measure on Z^2: mu(i, j) = m / total
+    for the positive integer masses m in weights, sorted by point."""
 
-    Weights are floats or exact Fractions; total mass must be 1 exactly in
-    the rational backing and within 1e-12 otherwise (from_dict checks it).
-    Zero weights are dropped, support is kept sorted.
-    """
-
-    weights: tuple[tuple[tuple[int, int], object], ...]
+    weights: tuple[tuple[tuple[int, int], int], ...]
+    total: int
 
     @classmethod
     def from_dict(cls, mapping) -> "Measure2D":
-        mu = cls(
-            tuple(((int(i), int(j)), w) for (i, j), w in sorted(mapping.items()) if w != 0)
-        )
-        total = 0
-        for (i, j), w in mu.weights:
-            if w < 0:
-                raise ValueError(f"negative weight {w} at {(i, j)}")
-            total += w
-        if mu.is_exact:
-            if total != 1:
-                raise ValueError(f"total mass {total} != 1")
-        elif abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"total mass {total} off 1 by more than {NORM_TOL}")
-        return mu
+        """The measure proportional to mapping's nonnegative ints or
+        Fractions (counts, or probabilities summing to 1)."""
+        return cls(*_over_total(mapping, "mu"))
 
     @classmethod
     def point_mass(cls, i: int, j: int) -> "Measure2D":
-        return cls.from_dict({(i, j): Fraction(1)})
-
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(w) for _, w in self.weights)
-
-    @property
-    def total_mass(self):
-        return sum(w for _, w in self.weights)
+        return cls((((i, j), 1),), 1)
 
     def coordinate_range(self) -> tuple[int, int]:
         coords = [i for (i, j), _ in self.weights] + [j for (i, j), _ in self.weights]
@@ -99,76 +99,86 @@ class Measure2D(NamedTuple):
 
 
 class WeightPair(NamedTuple):
-    """Nonnegative sequences x, y with unit l^q' norm.
+    """Nonnegative sequences of unit l^q' norm, kept as their q'-th powers:
+    x_i = (alpha_i / alpha_total)^(1/q'), y_j = (beta_j / beta_total)^(1/q'),
+    with q' = (2 + eps)/(1 + eps) at the report's epsilon."""
 
-    x_pow/y_pow, when present, hold the exact q'-th powers (the relative
-    densities alpha_i, beta_j), which makes the pair exact-comparable."""
-
-    x: tuple[tuple[int, float], ...]
-    y: tuple[tuple[int, float], ...]
-    q_prime: float
-    x_pow: tuple[tuple[int, Fraction], ...] | None = None
-    y_pow: tuple[tuple[int, Fraction], ...] | None = None
+    alpha: tuple[tuple[int, int], ...]
+    alpha_total: int
+    beta: tuple[tuple[int, int], ...]
+    beta_total: int
 
     @classmethod
-    def from_weights(cls, x, y, q_prime: float) -> "WeightPair":
-        if q_prime <= 1:
-            raise ValueError(f"q' = {q_prime} must exceed 1")
-        xs = tuple((int(i), float(v)) for i, v in sorted(x.items()) if v != 0)
-        ys = tuple((int(j), float(v)) for j, v in sorted(y.items()) if v != 0)
-        for name, seq in (("x", xs), ("y", ys)):
-            norm = sum(v**q_prime for _, v in seq)
-            if abs(norm - 1.0) > NORM_TOL:
-                raise ValueError(f"l^q' norm of {name} is {norm**(1/q_prime)}, not 1")
-            if any(v < 0 for _, v in seq):
-                raise ValueError(f"{name} has a negative entry")
-        return cls(xs, ys, float(q_prime))
-
-    @classmethod
-    def from_densities(cls, alpha, beta, q_prime) -> "WeightPair":
-        """Exact mode: x_i = alpha_i^(1/q') with sum alpha_i = 1 exactly."""
-        qp = fraction_of(q_prime)
-        xp = tuple((int(i), fraction_of(v)) for i, v in sorted(alpha.items()) if v != 0)
-        yp = tuple((int(j), fraction_of(v)) for j, v in sorted(beta.items()) if v != 0)
-        for name, seq in (("alpha", xp), ("beta", yp)):
-            if sum(v for _, v in seq) != 1:
-                raise ValueError(f"{name} densities must sum to 1 exactly")
-            if any(v < 0 for _, v in seq):
-                raise ValueError(f"{name} has a negative entry")
-        inv = 1.0 / float(qp)
-        xs = tuple((i, float(v) ** inv) for i, v in xp)
-        ys = tuple((j, float(v) ** inv) for j, v in yp)
-        return cls(xs, ys, float(qp), xp, yp)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.x_pow is not None and self.y_pow is not None
+    def from_densities(cls, alpha, beta) -> "WeightPair":
+        """The pair whose q'-th powers are proportional to alpha and beta
+        (nonnegative ints or Fractions)."""
+        return cls(*_over_total(alpha, "alpha"), *_over_total(beta, "beta"))
 
 
-def _check_lambda(lam: float) -> None:
-    if not 0 < lam <= LAMBDA_MAX:
-        raise ValueError(f"lambda = {lam} outside (0, {LAMBDA_MAX}]")
+def _lambda_fraction(lam) -> Fraction:
+    """lambda exactly: a float is read as its decimal text, as epsilon is."""
+    return decimal_fraction(lam) if isinstance(lam, float) else Fraction(lam)
 
 
-def min_admissible_c(mu: Measure2D, w: WeightPair, lam: float) -> float:
-    """Smallest c with mu(i,j) <= c lambda^|i-j| x_i y_j everywhere, i.e.
-    the max of mu(i,j) / (lambda^|i-j| x_i y_j) over the support; inf when
-    some support point has x_i y_j = 0."""
-    _check_lambda(lam)
-    xd, yd = dict(w.x), dict(w.y)
-    best = 0.0
-    for (i, j), wt in mu.weights:
-        denom = lam ** abs(i - j) * xd.get(i, 0.0) * yd.get(j, 0.0)
-        if denom == 0.0:
-            return math.inf
-        best = max(best, float(wt) / denom)
-    return best
+def _c_pow(
+    mu: Measure2D, w: WeightPair, ln: int, ld: int, k: int, n: int, e: int
+) -> tuple[int, int]:
+    """(num, den) with num/den = c_min^n, given lambda^n = (ln/ld)^k and
+    x_i^n = (alpha_i / alpha_total)^e: c_ij^n = m^n lambda^(-n|i-j|)
+    (alpha_total beta_total)^e / (total^n (alpha_i beta_j)^e).  The maximum
+    is taken on cross-multiplied integers; the factors shared by every term
+    are applied once at the end.  ValueError when a term's power of lambda
+    would pass EXACT_BITS_MAX."""
+    alpha, beta = dict(w.alpha), dict(w.beta)
+    lam_bits = k * max(ln.bit_length(), ld.bit_length())
+    num, den = 0, 1
+    for (i, j), m in mu.weights:
+        if i not in alpha or j not in beta:
+            raise ValueError("hypothesis unsatisfiable: mu charges a point with x_i y_j = 0")
+        d = abs(i - j)
+        if d * lam_bits > EXACT_BITS_MAX:
+            raise ValueError(
+                f"lambda^(n|i - j|) at |i - j| = {d} takes {d * lam_bits} bits of exact work,"
+                f" above EXACT_BITS_MAX = {EXACT_BITS_MAX}"
+            )
+        t_num = m**n * ld ** (k * d)
+        t_den = ln ** (k * d) * (alpha[i] * beta[j]) ** e
+        if t_num * den > num * t_den:
+            num, den = t_num, t_den
+    return num * (w.alpha_total * w.beta_total) ** e, den * mu.total**n
 
 
 def _float_down(num: int, shift: int) -> float:
     """The largest float <= num / 2^shift, for a positive int num."""
     excess = max(num.bit_length() - 53, 0)
     return math.ldexp(num >> excess, excess - shift)
+
+
+def _root_floats(num: int, den: int, n: int) -> tuple[float, float, float]:
+    """(lo, hi, c) for the n-th root of num/den >= 0.  The integer r with
+    r^n <= num 2^(160n) / den < (r+1)^n gives r 2^-160 <= root <
+    (r+1) 2^-160; lo and hi truncate both ends to floats and nudge them
+    outward, and c is the float nearest r 2^-160.  Past the float range
+    lo is the largest float and hi = c = inf."""
+    if not num:
+        return 0.0, 0.0, 0.0
+    scaled = (num << _ROOT_BITS * n) // den
+    r = _iroot(scaled, n)
+    if not r**n <= scaled < (r + 1) ** n:
+        raise ArithmeticError(f"{r} is not the integer {n}-th root of {scaled}")
+    try:
+        return (
+            math.nextafter(_float_down(r, _ROOT_BITS), -math.inf),
+            math.nextafter(_float_down(r + 1, _ROOT_BITS), math.inf),
+            r / (1 << _ROOT_BITS),  # int division rounds correctly
+        )
+    except OverflowError:
+        return math.nextafter(math.inf, 0.0), math.inf, math.inf
+
+
+def root_float(num: int, den: int, n: int) -> float:
+    """The float nearest (num/den)^(1/n), for display."""
+    return _root_floats(num, den, n)[2]
 
 
 def min_admissible_c_interval(
@@ -179,67 +189,52 @@ def min_admissible_c_interval(
     p: int | None = None,
     epsilon: float = 0.5,
 ) -> tuple[float, float, bool, float]:
-    """(lo, hi, ok, c) for exact measures and density-backed weights: a
-    certified float enclosure [lo, hi] of the minimal admissible c, whether
-    c_min >= 1/9 exactly, and the float c nearest to r 2^-160 (r below),
-    which lies in [lo, hi].
+    """(lo, hi, ok, c): a certified float enclosure [lo, hi] of the minimal
+    admissible c, whether c_min >= 1/9 exactly, and the float c in [lo, hi]
+    nearest its integer root (_root_floats).
 
-    lambda may be given as an exact number, or derived as p^(-1/q) from a
-    prime p with q = 2 + epsilon.  With epsilon = a/b and n = 2b + a, each
-    c_ij^n = mu_ij^n lambda^(-n|i-j|) (alpha_i beta_j)^-(a+b) is rational
-    (lambda^n = p^-b), so R = c_min^n is an exact maximum and ok is
-    R 9^n >= 1.  The integer r with r^n <= R 2^(160n) < (r+1)^n gives
-    r 2^-160 <= c_min < (r+1) 2^-160; both ends are truncated to floats and
-    nudged outward.
+    lambda is exact (lam, a float read as its decimal) or p^(-1/q) for a
+    prime p, q = 2 + epsilon.  With epsilon = a/b and n = 2b + a, R = c_min^n
+    is an exact rational (lambda^n = p^-b, x_i^n = alpha_i^(a+b)) and ok is
+    R 9^n >= 1.  ValueError when mu charges a point with x_i y_j = 0 (no c
+    is admissible), or past EXACT_BITS_MAX.
     """
-    if not (mu.is_exact and w.is_exact):
-        raise ValueError("interval mode needs exact measure weights and densities")
     if (lam is None) == (p is None):
         raise ValueError("give exactly one of lam= or p=")
     eps = epsilon_fraction(epsilon)
     a, b = eps.numerator, eps.denominator
     n = 2 * b + a
-    lam_n = Fraction(1, p**b) if p is not None else fraction_of(lam) ** n
-    xp, yp = dict(w.x_pow), dict(w.y_pow)
-    R = Fraction(0)
-    for (i, j), wt in mu.weights:
-        ai = xp.get(i)
-        bj = yp.get(j)
-        if ai is None or bj is None:
-            return math.inf, math.inf, True, math.inf
-        R = max(R, fraction_of(wt) ** n / (lam_n ** abs(i - j) * (ai * bj) ** (a + b)))
-    scaled = (R.numerator << _ROOT_BITS * n) // R.denominator
-    r = _iroot(scaled, n)
-    if not r**n <= scaled < (r + 1) ** n:
-        raise ArithmeticError(f"{r} is not the integer {n}-th root of {scaled}")
-    return (
-        math.nextafter(_float_down(r, _ROOT_BITS), -math.inf),
-        math.nextafter(_float_down(r + 1, _ROOT_BITS), math.inf),
-        R >= C_FLOOR**n,
-        r / (1 << _ROOT_BITS),  # int division rounds correctly
-    )
+    if p is not None:
+        num, den = _c_pow(mu, w, 1, p, b, n, a + b)
+    else:
+        lam = _lambda_fraction(lam)
+        num, den = _c_pow(mu, w, lam.numerator, lam.denominator, n, n, a + b)
+    lo, hi, c = _root_floats(num, den, n)
+    return lo, hi, num * C_FLOOR**n >= den, c
 
 
-def tail_mass(mu: Measure2D, k: int):
-    """Mass outside the L1 ball of radius 1 around (k, k); exact when the
-    measure is rational-backed."""
-    return sum(w for (i, j), w in mu.weights if abs(i - k) + abs(j - k) >= 2)
+def tail_mass(mu: Measure2D, k: int) -> int:
+    """Mass outside the L1 ball of radius 1 around (k, k), over mu.total."""
+    return sum(m for (i, j), m in mu.weights if abs(i - k) + abs(j - k) >= 2)
 
 
-def best_center(mu: Measure2D) -> int:
-    """The k minimizing tail_mass over [min coord - 1, max coord + 1]
-    (outside this range the tail is the whole mass); smallest k on ties.
-    Only a k with (k, k) within L1 distance 1 of a support point keeps any
-    mass; every other k sums the whole mass as k = lo - 1 does, so it is
-    not evaluated."""
+def _best_tail(mu: Measure2D) -> tuple[int, int]:
+    """(k, tail_mass(mu, k)) for the k of best_center.  Only a k with (k, k)
+    within L1 distance 1 of a support point keeps any mass; every other k
+    sums the whole mass as k = lo - 1 does, so it is not evaluated."""
     lo, _ = mu.coordinate_range()
-    best_k = lo - 1
-    best_tail = tail_mass(mu, best_k)
+    best_k, best_tail = lo - 1, mu.total
     for k in sorted({k for (i, j), _ in mu.weights if abs(i - j) <= 1 for k in (i, j)}):
         t = tail_mass(mu, k)
         if t < best_tail:
             best_k, best_tail = k, t
-    return best_k
+    return best_k, best_tail
+
+
+def best_center(mu: Measure2D) -> int:
+    """The k minimizing tail_mass over [min coord - 1, max coord + 1]
+    (outside this range the tail is the whole mass); smallest k on ties."""
+    return _best_tail(mu)[0]
 
 
 def _sigma_class(i: int, j: int, k: int) -> int:
@@ -253,35 +248,30 @@ def _sigma_class(i: int, j: int, k: int) -> int:
 
 
 class SigmaDecomposition(NamedTuple):
-    """Masses of the six regions partitioning Z^2 around the center (k, k):
-    off-diagonal generic, the two axes at distance >= 2, the four unit
-    neighbors, the punctured diagonal, and the center itself."""
+    """Masses (over the measure's total) of the six regions partitioning Z^2
+    around the center (k, k): off-diagonal generic, the two axes at distance
+    >= 2, the four unit neighbors, the punctured diagonal, and the center
+    itself."""
 
     k: int
-    sigma: tuple
-    gamma: float
+    sigma: tuple[int, ...]
 
     @property
-    def total(self):
+    def total(self) -> int:
         return sum(self.sigma)
 
 
-def sigma_decomposition(mu: Measure2D, w: WeightPair, k: int) -> SigmaDecomposition:
+def sigma_decomposition(mu: Measure2D, k: int) -> SigmaDecomposition:
     sums = [0, 0, 0, 0, 0, 0]
-    for (i, j), wt in mu.weights:
-        sums[_sigma_class(i, j, k) - 1] += wt
-    xd, yd = dict(w.x), dict(w.y)
-    sup = 0.0
-    for i, xv in xd.items():
-        yv = yd.get(i, 0.0)
-        sup = max(sup, xv * yv)
-    return SigmaDecomposition(k, tuple(sums), 1.0 - sup)
+    for (i, j), m in mu.weights:
+        sums[_sigma_class(i, j, k) - 1] += m
+    return SigmaDecomposition(k, tuple(sums))
 
 
 class ConcentrationReport(NamedTuple):
-    c_min: float
-    c_interval: tuple[float, float] | None
-    c_lower_ok: bool  # c >= 1/9: exact with exact backings, else 1e-9 guarded
+    c_min: float  # inf past the float range
+    c_interval: tuple[float, float]
+    c_lower_ok: bool  # c >= 1/9, decided exactly
     k: int
     tail: float
     ratio: float  # tail / lambda^(q + epsilon)
@@ -289,16 +279,13 @@ class ConcentrationReport(NamedTuple):
     lam: float
     q: float
     epsilon: float
-
-    @property
-    def gamma(self) -> float:
-        return self.sigma.gamma
+    gamma: float  # 1 - sup_i x_i y_i
 
 
 def concentration_report(
     mu: Measure2D,
     w: WeightPair,
-    lam: float,
+    lam,
     q: float | None = None,
     epsilon: float = 0.5,
     *,
@@ -307,45 +294,69 @@ def concentration_report(
     """Bundle (c_min, best center, tail, tail/lambda^(q+eps), sigma split).
 
     c >= 1/9 is the unconditional conclusion whenever the hypothesis is
-    satisfiable with the given witness.  With exact backings the verdict is
-    an integer comparison, and c_interval and c_min come from one integer
-    root (see min_admissible_c_interval); otherwise the verdict carries a
-    1e-9 guard.
-    When p is given, lambda is taken as exactly p^(-1/q).
+    satisfiable with the given witness.  The verdict is an integer
+    comparison, and c_interval and c_min come from one integer root (see
+    min_admissible_c_interval).  lam is an int, a Fraction or a float read
+    as its decimal text, in (0, 4/5]; when p is given, lambda is exactly
+    p^(-1/q) and lam is only displayed.
     """
-    _check_lambda(lam)
+    if not 0 < _lambda_fraction(lam) <= LAMBDA_MAX:
+        raise ValueError(f"lambda = {lam} outside (0, 4/5]")
     if q is None:
         q = 2.0 + epsilon
-    interval = None
-    if mu.is_exact and w.is_exact:
-        exact_lam = None if p is not None else fraction_of(lam)
-        lo, hi, ok, c = min_admissible_c_interval(mu, w, lam=exact_lam, p=p, epsilon=epsilon)
-        interval = (lo, hi)
-    else:
-        c = min_admissible_c(mu, w, lam)
-        ok = c >= float(C_FLOOR) - GUARD
-    if math.isinf(c):
-        raise ValueError("hypothesis unsatisfiable: mu charges a point with x_i y_j = 0")
-    k = best_center(mu)
-    tail = float(tail_mass(mu, k))
-    ratio = tail / lam ** (q + epsilon)
-    sig = sigma_decomposition(mu, w, k)
-    return ConcentrationReport(c, interval, ok, k, tail, ratio, sig, lam, q, epsilon)
+    lo, hi, ok, c = min_admissible_c_interval(
+        mu, w, lam=None if p is not None else lam, p=p, epsilon=epsilon
+    )
+    k, tail = _best_tail(mu)
+    tail /= mu.total
+    lam = float(lam)
+    eps = epsilon_fraction(epsilon)
+    inv = 1.0 / float((2 + eps) / (1 + eps))  # x_i = alpha_i^(1/q')
+    x = {i: (a / w.alpha_total) ** inv for i, a in w.alpha}
+    sup = max((x[j] * (b / w.beta_total) ** inv for j, b in w.beta if j in x), default=0.0)
+    scale = lam ** (q + epsilon)  # 0.0 once it underflows
+    ratio = tail / scale if scale else (math.inf if tail else 0.0)
+    return ConcentrationReport(
+        c, (lo, hi), ok, k, tail, ratio, sigma_decomposition(mu, k), lam, q, epsilon, 1.0 - sup
+    )
 
 
 def from_valuation_measure(vm, epsilon: float = 0.5):
     """Bridge from per-prime valuation statistics: the edge measure becomes
-    mu, the densities give x_i = alpha_i^(1/q'), and lambda = p^(-1/q).
+    mu, the densities alpha, beta give x_i = alpha_i^(1/q'), and lambda =
+    p^(-1/q).
 
-    Returns (mu, weights, lam); pass p=vm.p to concentration_report for the
-    certified verdict.  epsilon is read as its decimal value, as the
-    verdict reads it (instance.epsilon_fraction)."""
+    Returns (mu, weights, lam) with lam a float for display; pass p=vm.p to
+    concentration_report for the certified verdict.  epsilon is read as its
+    decimal value, as the verdict reads it (instance.epsilon_fraction)."""
     eps = epsilon_fraction(epsilon)
-    qp = (2 + eps) / (1 + eps)
     mu = Measure2D.from_dict(vm.mu)
-    w = WeightPair.from_densities(vm.alpha, vm.beta, qp)
+    w = WeightPair.from_densities(vm.alpha, vm.beta)
     lam = float(vm.p) ** (-1.0 / float(2 + eps))
     return mu, w, lam
+
+
+def sweep_extremes(configs, eps: Fraction):
+    """(least, most, top) over (mu, weights, lambda) configurations with
+    rational lambda and epsilon = a/b: the least and the largest c_min^n,
+    n = 2b + a, and the largest (tail / lambda^(2 + 2 eps))^b at the best
+    center, each an exact (num, den) kept by comparing cross-multiplied
+    integers; root_float displays them.  configs must not be empty."""
+    a, b = eps.numerator, eps.denominator
+    n, e = 2 * b + a, a + b
+    least, most, top = (1, 0), (0, 1), (0, 1)
+    for mu, w, lam in configs:
+        ln, ld = lam.numerator, lam.denominator
+        cn, cd = _c_pow(mu, w, ln, ld, n, n, e)
+        rn = _best_tail(mu)[1] ** b * ld ** (2 * e)
+        rd = mu.total**b * ln ** (2 * e)
+        if cn * least[1] < least[0] * cd:
+            least = (cn, cd)
+        if cn * most[1] > most[0] * cd:
+            most = (cn, cd)
+        if rn * top[1] > top[0] * rd:
+            top = (rn, rd)
+    return least, most, top
 
 
 # ---------------------------------------------------------------------------
@@ -354,90 +365,83 @@ def from_valuation_measure(vm, epsilon: float = 0.5):
 
 
 def random_measure(rng: random.Random, *, span: int = 6, max_points: int = 8) -> Measure2D:
-    """Random float-backed probability measure on [-span, span]^2."""
+    """Random measure on [-span, span]^2 with integer masses in [50, 1000]."""
     n = rng.randint(1, max_points)
     pts = set()
     while len(pts) < n:
         pts.add((rng.randint(-span, span), rng.randint(-span, span)))
-    raw = {pt: rng.uniform(0.05, 1.0) for pt in sorted(pts)}
-    total = sum(raw.values())
-    return Measure2D.from_dict({pt: v / total for pt, v in raw.items()})
+    weights = tuple((pt, rng.randint(50, 1000)) for pt in sorted(pts))
+    return Measure2D(weights, sum(m for _, m in weights))
 
 
-def _random_weight_seq(rng: random.Random, span: int, max_points: int, q_prime: float):
-    n = rng.randint(1, max_points)
-    idx = sorted(rng.sample(range(-span, span + 1), n))
-    raw = [rng.uniform(0.05, 1.0) for _ in idx]
-    norm = sum(v**q_prime for v in raw) ** (1.0 / q_prime)
-    return {i: v / norm for i, v in zip(idx, raw)}
+def _random_densities(rng: random.Random, span: int, max_points: int):
+    idx = sorted(rng.sample(range(-span, span + 1), rng.randint(1, max_points)))
+    seq = tuple((i, rng.randint(50, 1000)) for i in idx)
+    return seq, sum(v for _, v in seq)
 
 
-def random_admissible_config(
-    rng: random.Random,
-    *,
-    epsilon: float = 0.5,
-    span: int = 5,
-    max_points: int = 6,
-):
-    """Random (mu, weights, lambda) with mu supported inside supp(x) x
-    supp(y), so the minimal admissible c is finite."""
-    qp = (2.0 + epsilon) / (1.0 + epsilon)
-    x = _random_weight_seq(rng, span, max_points, qp)
-    y = _random_weight_seq(rng, span, max_points, qp)
-    w = WeightPair.from_weights(x, y, qp)
-    grid = [(i, j) for i in sorted(x) for j in sorted(y)]
-    m = rng.randint(1, min(len(grid), 12))
-    pts = sorted(rng.sample(grid, m))
-    raw = [rng.uniform(0.05, 1.0) for _ in pts]
-    total = sum(raw)
-    mu = Measure2D.from_dict({pt: v / total for pt, v in zip(pts, raw)})
-    lam = rng.uniform(0.05, LAMBDA_MAX)
-    return mu, w, lam
+def random_admissible_config(rng: random.Random, *, span: int = 5, max_points: int = 6):
+    """Random (mu, weights, lambda) with integer masses and densities in
+    [50, 1000], lambda = l/1000 for l in [50, 800], and mu supported inside
+    supp(x) x supp(y), so the minimal admissible c is finite."""
+    alpha, alpha_total = _random_densities(rng, span, max_points)
+    beta, beta_total = _random_densities(rng, span, max_points)
+    grid = [(i, j) for i, _ in alpha for j, _ in beta]
+    pts = sorted(rng.sample(grid, rng.randint(1, min(len(grid), 12))))
+    weights = tuple((pt, rng.randint(50, 1000)) for pt in pts)
+    mu = Measure2D(weights, sum(m for _, m in weights))
+    w = WeightPair(alpha, alpha_total, beta, beta_total)
+    return mu, w, Fraction(rng.randint(50, 800), 1000)
 
 
-def capped_admissible_config(
-    rng: random.Random,
-    lam: float,
-    *,
-    epsilon: float = 0.5,
-    span: int = 4,
-):
-    """(mu, weights) achieving c <= 1: mu is a greedy fill under the cap
-    lambda^|i-j| x_i y_j, which is possible whenever the cap's total W is
-    at least 1.  Concentration of x, y is escalated until W >= 1; the point
-    mass at (0, 0) is the exact boundary fallback."""
-    qp = (2.0 + epsilon) / (1.0 + epsilon)
+def capped_admissible_config(rng: random.Random, lam, *, epsilon: float = 0.5):
+    """(mu, weights) meant to achieve c <= 1: mu greedily fills 10^9 units
+    under the caps lambda^|i-j| x_i y_j, each computed in floats and rounded
+    down with one unit of margin (the exact test certifies c <= 1).  The
+    densities weigh 0 and equally 1..n_side, escalating the weight on 0
+    until the caps suffice; the point mass at (0, 0) is the fallback."""
+    inv = (1.0 + epsilon) / (2.0 + epsilon)  # x_i = alpha_i^(1/q')
+    lam = float(lam)
     for attempt in range(12):
-        head = 1.0 - 0.5 ** (attempt + 1) * rng.uniform(0.3, 1.0)
-        rest = 1.0 - head
+        unit = 1000 << (attempt + 1)
+        side = rng.randint(300, 1000)
         n_side = rng.randint(1, 3)
-        x_pow = {0: head}
-        for t in range(n_side):
-            x_pow[t + 1] = rest / n_side
-        norm = sum(x_pow.values()) ** (1.0 / qp)
-        x = {i: v ** (1.0 / qp) / norm for i, v in x_pow.items()}
-        y = dict(x)
-        cap = {}
-        for i in x:
-            for j in y:
-                cap[(i, j)] = lam ** abs(i - j) * x[i] * y[j]
-        W = sum(cap.values())
-        if W < 1.0 + 1e-9:
+        alpha = ((0, n_side * (unit - side)),) + tuple((t, side) for t in range(1, n_side + 1))
+        total = n_side * unit
+        x = {i: (v / total) ** inv for i, v in alpha}
+        cap = {
+            (i, j): int(lam ** abs(i - j) * x[i] * x[j] * _CAPPED_MASS) - 1 for i in x for j in x
+        }
+        if sum(v for v in cap.values() if v > 0) < _CAPPED_MASS:
             continue
-        remaining = 1.0
+        remaining = _CAPPED_MASS
         weights = {}
         for pt in sorted(cap, key=lambda t: (-cap[t], t)):
-            take = min(cap[pt], remaining)
-            if take > 0:
-                weights[pt] = take
-            remaining -= take
-            if remaining <= 0:
+            weights[pt] = min(cap[pt], remaining)
+            remaining -= weights[pt]
+            if not remaining:
                 break
-        total = sum(weights.values())
-        mu = Measure2D.from_dict({pt: v / total for pt, v in weights.items()})
-        return mu, WeightPair.from_weights(x, y, qp)
-    x = {0: 1.0}
-    return Measure2D.point_mass(0, 0), WeightPair.from_weights(x, dict(x), qp)
+        mu = Measure2D(tuple(sorted(weights.items())), _CAPPED_MASS)
+        return mu, WeightPair(alpha, total, alpha, total)
+    return Measure2D.point_mass(0, 0), WeightPair(((0, 1),), 1, ((0, 1),), 1)
+
+
+def calibration_configs(cal: dict) -> dict:
+    """The two families of (mu, weights, lambda) that a calibration record
+    (seed, epsilon, n_random, family_per_lambda, lambda_grid) names, each a
+    lazy stream: "random" drawn from Random(seed), "capped" (per lambda of
+    the grid, read as its decimal) from Random(seed + 1).  The streams are
+    independent, so a shorter replay of one cannot shift the other."""
+    rng, rng_capped = random.Random(cal["seed"]), random.Random(cal["seed"] + 1)
+    grid = [decimal_fraction(lam) for lam in cal["lambda_grid"]]
+    return {
+        "random": (random_admissible_config(rng) for _ in range(cal["n_random"])),
+        "capped": (
+            (*capped_admissible_config(rng_capped, lam, epsilon=cal["epsilon"]), lam)
+            for lam in grid
+            for _ in range(cal["family_per_lambda"])
+        ),
+    }
 
 
 def calibrate_tail_constant(
@@ -448,41 +452,32 @@ def calibrate_tail_constant(
     lambda_grid=(0.8, 0.4, 0.2, 0.1, 0.05),
     epsilon: float = 0.5,
 ) -> dict:
-    """Measure the largest observed tail / lambda^(q+eps) over the seeded
-    random-admissible sweep and the capped (c <= 1) family on the lambda
-    grid.  The frozen constants are calibration artifacts: the paper's
-    concentration statement has an unspecified implied constant, so K (all
-    configurations) and K_capped (the c <= 1 family, where the lemma's tail
-    scaling is meaningful) just pin these generators at this seed.
-
-    The two sweeps use independent child streams of the seed, so a shorter
-    replay of one cannot shift the other."""
-    q = 2.0 + epsilon
-    rng = random.Random(seed)
-    max_random = 0.0
-    for _ in range(n_random):
-        mu, w, lam = random_admissible_config(rng, epsilon=epsilon)
-        tail = float(tail_mass(mu, best_center(mu)))
-        max_random = max(max_random, tail / lam ** (q + epsilon))
-    rng = random.Random(seed + 1)
-    max_capped = 0.0
-    for lam in lambda_grid:
-        for _ in range(family_per_lambda):
-            mu, w = capped_admissible_config(rng, lam, epsilon=epsilon)
-            tail = float(tail_mass(mu, best_center(mu)))
-            max_capped = max(max_capped, tail / lam ** (q + epsilon))
-    observed = max(max_random, max_capped)
-    return {
+    """Measure the largest tail / lambda^(q+eps), q = 2 + eps, over each
+    family of calibration_configs.  The frozen constants are calibration
+    artifacts: the paper's concentration statement has an unspecified
+    implied constant, so K (all configurations) and K_capped (the c <= 1
+    family, where the lemma's tail scaling is meaningful) just pin these
+    generators at this seed.  The maxima are exact (sweep_extremes) and
+    displayed through one root each."""
+    cal = {
         "seed": seed,
         "epsilon": epsilon,
         "n_random": n_random,
         "family_per_lambda": family_per_lambda,
         "lambda_grid": list(lambda_grid),
-        "max_ratio_random": max_random,
-        "max_ratio_capped": max_capped,
+    }
+    eps = epsilon_fraction(epsilon)
+    top = {
+        family: root_float(*sweep_extremes(configs, eps)[2], eps.denominator)
+        for family, configs in calibration_configs(cal).items()
+    }
+    return {
+        **cal,
+        "max_ratio_random": top["random"],
+        "max_ratio_capped": top["capped"],
         # frozen with a hair of headroom so exact replays sit strictly inside
-        "K": float(f"{observed * 1.0001:.4g}"),
-        "K_capped": float(f"{max_capped * 1.0001:.4g}"),
+        "K": float(f"{max(top.values()) * 1.0001:.4g}"),
+        "K_capped": float(f"{top['capped'] * 1.0001:.4g}"),
     }
 
 

@@ -81,7 +81,6 @@ class SearchResult(NamedTuple):
     best_a: tuple[int, ...]
     best_b: tuple[int, ...]
     max_product: int
-    optimal: bool
 
 
 def _subset(universe: list[int], mask: int) -> tuple[int, ...]:
@@ -211,14 +210,14 @@ def exhaustive_max(space: SearchSpace) -> SearchResult:
     if space.mode == "exact-delta-1":
         if space.force_equal:
             a = max_pairwise_compatible(space.X, space.D, use_cap=True)
-            return SearchResult(a, a, len(a) ** 2, True)
+            return SearchResult(a, a, len(a) ** 2)
         a, b, prod = _bipartite_max(ua, ub, space.D)
-        return SearchResult(a, b, prod, True)
+        return SearchResult(a, b, prod)
     target = space.delta_target
     if space.force_equal:
         raise ValueError("threshold-delta mode does not support force_equal")
     a, b, prod = _threshold_exact(ua, ub, space.D, target)
-    return SearchResult(a, b, prod, True)
+    return SearchResult(a, b, prod)
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,23 @@ from __future__ import annotations
 import math
 import random
 import time
+from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import divisors, is_squarefree, radical
 from .families import sec5_family
-from .instance import count_pairs_geq_fast, count_pairs_geq_naive
+from .instance import count_pairs_geq_fast, count_pairs_geq_naive, epsilon_fraction
 from .measure import (
-    WeightPair,
+    C_FLOOR,
     best_center,
-    capped_admissible_config,
+    calibration_configs,
     concentration_report,
     from_valuation_measure,
     load_calibration,
-    min_admissible_c,
-    random_admissible_config,
     random_measure,
+    root_float,
     sigma_decomposition,
+    sweep_extremes,
     tail_mass,
 )
 from .search import (
@@ -208,10 +209,11 @@ def check_concentration(
     n_random: int | None = None,
     n_exact: int = 50,
 ) -> CheckResult:
-    """Minimal admissible c >= 1/9 on every seeded admissible configuration
-    (guarded float sweep plus exact verdicts on exact-valued
-    configurations), and tail/lambda^(q+eps) never exceeding the frozen
-    calibration constant K."""
+    """On every seeded admissible configuration c_min >= 1/9, on the capped
+    family 1/9 <= c_min <= 1, and tail/lambda^(q+eps) never above the frozen
+    calibration constants K and K_capped: each decided exactly on the
+    family's extremes (measure.sweep_extremes).  Then the certified verdict
+    on valuation-derived configurations."""
     start = time.perf_counter()
     cal = load_calibration()
     if seed is None:
@@ -219,41 +221,23 @@ def check_concentration(
     if n_random is None:
         n_random = cal["n_random"]
     epsilon = cal["epsilon"]
-    K = cal["K"]
-    K_capped = cal["K_capped"]
-    q = 2.0 + epsilon
-    guard = 1e-9
-    rng = random.Random(seed)
+    eps = epsilon_fraction(epsilon)
+    n, b = 2 * eps.denominator + eps.numerator, eps.denominator
     failures = []
-    worst_c = math.inf
-    worst_ratio = 0.0
-    for idx in range(n_random):
-        mu, w, lam = random_admissible_config(rng, epsilon=epsilon)
-        c = min_admissible_c(mu, w, lam)
-        worst_c = min(worst_c, c)
-        if c < 1 / 9 - guard:
-            failures.append({"config": idx, "c": c, "reason": "c below 1/9"})
-        tail = float(tail_mass(mu, best_center(mu)))
-        ratio = tail / lam ** (q + epsilon)
-        worst_ratio = max(worst_ratio, ratio)
-        if ratio > K:
-            failures.append({"config": idx, "ratio": ratio, "reason": "ratio above K"})
-    rng = random.Random(seed + 1)
-    for lam in cal["lambda_grid"]:
-        for idx in range(cal["family_per_lambda"]):
-            mu, w = capped_admissible_config(rng, lam, epsilon=epsilon)
-            c = min_admissible_c(mu, w, lam)
-            if c < 1 / 9 - guard or c > 1.0 + 1e-9:
-                failures.append(
-                    {"lambda": lam, "config": idx, "c": c, "reason": "capped c range"}
-                )
-            tail = float(tail_mass(mu, best_center(mu)))
-            ratio = tail / lam ** (q + epsilon)
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio > K_capped:
-                failures.append(
-                    {"lambda": lam, "config": idx, "ratio": ratio, "reason": "ratio above K_capped"}
-                )
+    seen_c, seen_ratio = [], []
+    families = calibration_configs({**cal, "seed": seed, "n_random": n_random})
+    for family, configs in families.items():
+        least, most, top = sweep_extremes(configs, eps)
+        bound = "K" if family == "random" else "K_capped"
+        kn, kd = (Fraction(cal[bound]) ** b).as_integer_ratio()
+        seen_c.append(root_float(*least, n))
+        seen_ratio.append(root_float(*top, b))
+        if least[0] * C_FLOOR**n < least[1]:
+            failures.append({"family": family, "c": seen_c[-1], "reason": "c below 1/9"})
+        if family == "capped" and most[0] > most[1]:
+            failures.append({"family": family, "c": root_float(*most, n), "reason": "c above 1"})
+        if top[0] * kd > kn * top[1]:
+            failures.append({"family": family, "ratio": seen_ratio[-1], "reason": f"above {bound}"})
     # exact verdicts on valuation-derived configurations
     rng_exact = random.Random(seed + 2)
     for idx in range(n_exact):
@@ -273,9 +257,9 @@ def check_concentration(
         {
             "configs": n_random,
             "exact_configs": n_exact,
-            "K": K,
-            "min_c_seen": worst_c,
-            "max_ratio_seen": worst_ratio,
+            "K": cal["K"],
+            "min_c_seen": min(seen_c),
+            "max_ratio_seen": max(seen_ratio),
             "failures": failures[:5],
         },
     )
@@ -330,24 +314,20 @@ def check_search_and_hunt(
 
 
 def check_measure_partition(seed: int = 7007, n_measures: int = 10**3) -> CheckResult:
-    """The six regions partition the support (masses summing to the total
-    within 1e-12) for every center, and best_center is a true argmin."""
+    """The six regions partition the mass exactly for every center, and
+    best_center is a true argmin."""
     start = time.perf_counter()
     rng = random.Random(seed)
-    dummy_w = WeightPair.from_weights({0: 1.0}, {0: 1.0}, 5 / 3)
     failures = []
     for idx in range(n_measures):
         mu = random_measure(rng)
         lo, hi = mu.coordinate_range()
-        total = float(mu.total_mass)
         tails = {}
         for k in range(lo - 1, hi + 2):
-            sig = sigma_decomposition(mu, dummy_w, k)
-            if abs(float(sig.total) - total) > 1e-12:
+            if sigma_decomposition(mu, k).total != mu.total:
                 failures.append({"measure": idx, "k": k, "reason": "partition sum"})
-            tails[k] = float(tail_mass(mu, k))
-        k_star = best_center(mu)
-        if tails[k_star] > min(tails.values()) + 1e-15:
+            tails[k] = tail_mass(mu, k)
+        if tails[best_center(mu)] > min(tails.values()):
             failures.append({"measure": idx, "reason": "best_center not argmin"})
     return CheckResult(
         "measure-partition",

@@ -44,8 +44,9 @@ def test_criterion_3_defect_census():
 
 
 def test_criterion_4_concentration():
-    # c >= 1/9 on 1e4 seeded admissible configurations (guarded float sweep
-    # plus certified interval checks), tails within the frozen K fixture
+    # c >= 1/9 on 1e4 seeded admissible configurations and 1/9 <= c <= 1 on
+    # the capped family, decided in integers, plus certified verdicts on
+    # valuation measures; tails within the frozen K fixture
     report(4, check_concentration(), 60.0)
 
 
@@ -61,6 +62,6 @@ def test_criterion_6_sharpness_and_hunt():
 
 
 def test_criterion_7_measure_partition():
-    # six-region split sums to the total within 1e-12 for every center over
+    # six-region split sums exactly to the total for every center over
     # 1e3 random measures; best_center is an argmin by exhaustive comparison
     report(7, check_measure_partition(n_measures=10**3), 10.0)

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gcdlab.cli as cli
 import gcdlab.instance
@@ -137,6 +139,29 @@ def test_measure_point_mass(capsys):
     doc = json.loads(out)
     assert doc["summary"]["tail"] == 0.0
     assert doc["summary"]["c_min"] == 1.0
+
+
+def test_measure_point_mass_far_off_the_diagonal_keeps_its_exact_verdict(capsys):
+    # c_min = 20^300 = 10^390 is past the float range; 0.05**300 underflowing
+    # to 0.0 once made this report "hypothesis unsatisfiable"
+    code, out, err = run_cli(["measure", "--point-mass", "0", "300", "--lambda", "0.05"], capsys)
+    assert (code, err) == (0, "")
+    summary = json.loads(out)["summary"]
+    assert summary["c_lower_ok"] is True
+    assert summary["c_interval"] == [1.7976931348623157e308, None]
+    assert summary["c_min"] is None
+
+
+def test_measure_exact_work_budget_boundary(capsys):
+    # lambda = 1/2 counts 2 bits and n = 5, so |i - j| = 10000 counts 10^5 bits
+    code, out, _ = run_cli(["measure", "--point-mass", "0", "10000", "--lambda", "0.5"], capsys)
+    assert code == 0 and json.loads(out)["summary"]["c_lower_ok"] is True
+    code, out, err = run_cli(["measure", "--point-mass", "0", "10001", "--lambda", "0.5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: lambda^(n|i - j|) at |i - j| = 10001 takes 100010 bits of exact work,"
+        " above EXACT_BITS_MAX = 100000\n"
+    )
 
 
 def test_measure_from_instance(remark2_file, capsys):
@@ -282,10 +307,19 @@ def test_an_instance_epsilon_past_the_denominator_cap_exits_2(tmp_path, capsys):
     assert code == 0
 
 
-def test_bad_arguments_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "exhaustive", "--X", "nope", "--D", "2"])
-    assert exc.value.code == 2
+def test_bad_arguments_exit_2(capsys):
+    # argparse usage errors print one line, not the usage block
+    for argv in (
+        ["search", "exhaustive", "--X", "nope", "--D", "2"],
+        ["measure", "--random", "x"],
+        ["stats"],
+        ["no-such-command"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: gcdlab") and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -313,6 +347,16 @@ def test_bad_arguments_exit_2():
         # epsilon = 617/5000: its denominator is past the cap of 1000
         ["measure", "--point-mass", "0", "0", "--lambda", "0.5", "--epsilon", "0.1234"],
         ["stats", GOLDEN_INSTANCE, "--epsilon", "0.1234"],
+        # a flag that the chosen mode would ignore
+        ["measure", "--point-mass", "0", "0", "--lambda", "0.5", "--random", "5"],
+        ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "2", "--lambda", "0.3"],
+        ["measure", "--random", "3", "--prime", "5"],
+        ["measure", "--point-mass", "0", "0"],
+        ["measure", "--instance", GOLDEN_INSTANCE],
+        ["measure", "--random", "0"],
+        ["measure", "--point-mass", "0", "0", "--lambda", "nan"],
+        # lambda^2999 of the random sweep at epsilon = 999/1000 is past EXACT_BITS_MAX
+        ["measure", "--random", "5", "--epsilon", "0.999"],
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
@@ -320,6 +364,62 @@ def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_MALFORMED = st.sampled_from(["x", "", "1/2", "nan", "inf", "-0.3", "0", "1e-300", "1e400"])
+
+
+def _one(strategy):
+    return st.one_of(strategy, _MALFORMED).map(lambda t: [t])
+
+
+# each flag's values: well-formed ones and malformed text
+_MEASURE_FLAGS = {
+    "--point-mass": st.one_of(
+        st.lists(st.integers(-60, 60).map(str), min_size=2, max_size=2),
+        st.lists(st.one_of(st.integers(-(10**5), 10**5).map(str), _MALFORMED), max_size=3),
+    ),
+    "--lambda": _one(
+        st.one_of(st.sampled_from(["0.05", "0.5", "0.8", "0.81"]), st.floats(-1, 2).map(repr))
+    ),
+    "--epsilon": _one(st.sampled_from(["0.5", "0.25", "0.999", "0.1", "0.1234", "1"])),
+    "--instance": _one(
+        st.sampled_from([GOLDEN_INSTANCE, str(Path(GOLDEN_INSTANCE).parent), "no-such-file.json"])
+    ),
+    "--prime": _one(st.sampled_from(["2", "3", "4", "5", "7"])),
+    "--random": _one(st.integers(-2, 4).map(str)),
+    "--seed": _one(st.integers(0, 9).map(str)),
+    "--format": _one(st.sampled_from(["json", "csv"])),
+}
+
+
+@st.composite
+def measure_argv(draw):
+    """A mode with the flag it needs, plus up to two other flags."""
+    modes = [["--point-mass", "--lambda"], ["--instance", "--prime"], ["--random"]]
+    mode = draw(st.sampled_from(modes))
+    extra = draw(st.lists(st.sampled_from(sorted(_MEASURE_FLAGS)), max_size=2))
+    argv = ["measure"]
+    for flag in dict.fromkeys(mode + extra):
+        argv += [flag, *draw(_MEASURE_FLAGS[flag])]
+    return argv
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=measure_argv())
+def test_measure_fuzz_ends_in_an_exit_code_and_one_line(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1, argv
+    else:
+        assert out.err == "" and out.out, argv
 
 
 @pytest.mark.parametrize("seed", [0, 5])

@@ -12,7 +12,9 @@ of perfbench/gen.py at seed 1 (multiples of D = 52 with a tenth of each side
 swapped for non-multiples); the search keeps 638 of its 2538 pairs, the
 count a per-prime greedy choice also reached.  The `measure` goldens are
 the concentration reports of remark2's valuation measures at p = 2 and
-p = 5, with their certified c_interval.
+p = 5, with their certified c_interval, of a point mass off the diagonal
+(c_min = 1/lambda exactly) and of a seeded random sweep, whose extremes
+come from exact integer comparisons.
 """
 
 from pathlib import Path
@@ -57,3 +59,18 @@ def test_measure_report_bytes_match_golden(prime, fmt, capsys):
     out = capsys.readouterr()
     assert code == 0 and out.err == ""
     assert out.out.encode() == (GOLDEN / f"remark2.measure_p{prime}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("point_mass_0_1", ["--point-mass", "0", "1", "--lambda", "0.5"]),
+        ("random_20_seed_3", ["--random", "20", "--seed", "3"]),
+    ],
+)
+def test_measure_sweep_and_point_mass_bytes_match_golden(name, argv, fmt, capsys):
+    code = cli.main(["measure", *argv, "--format", fmt])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert out.out.encode() == (GOLDEN / f"{name}.measure.{fmt}").read_bytes()

@@ -17,81 +17,87 @@ from gcdlab.measure import (
     concentration_report,
     from_valuation_measure,
     load_calibration,
-    min_admissible_c,
     min_admissible_c_interval,
     random_admissible_config,
     random_measure,
     sigma_decomposition,
+    sweep_extremes,
     tail_mass,
 )
 from gcdlab.search import random_structured_instance
 from gcdlab.structure import valuation_measure
 
-QP = 5 / 3  # conjugate index at epsilon = 1/2
 GOLDEN = Path(__file__).resolve().parent / "golden"
+HALF = Fraction(1, 2)
+EPS = Fraction(1, 2)  # n = 2b + a = 5, x_i^5 = alpha_i^3
 
 
-def unit_weights(idx):
-    n = len(idx)
-    v = n ** (-1 / QP)
-    return {i: v for i in idx}
+def unit(*idx) -> WeightPair:
+    """x = y = the uniform unit vector on idx."""
+    return WeightPair.from_densities(dict.fromkeys(idx, 1), dict.fromkeys(idx, 1))
+
+
+def c_min(mu, w, lam) -> float:
+    lo, hi, _, c = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+    assert lo <= c <= hi
+    return c
 
 
 def test_min_c_point_mass():
     mu = Measure2D.point_mass(0, 0)
-    w = WeightPair.from_weights({0: 1.0}, {0: 1.0}, QP)
-    for lam in (0.05, 0.4, 0.8):
-        assert min_admissible_c(mu, w, lam) == 1.0
+    for lam in (Fraction(1, 20), Fraction(2, 5), Fraction(4, 5)):
+        assert c_min(mu, unit(0), lam) == 1.0
 
 
 def test_min_c_two_point_diagonal():
-    mu = Measure2D.from_dict({(0, 0): 0.5, (1, 1): 0.5})
-    w = WeightPair.from_weights(unit_weights([0, 1]), unit_weights([0, 1]), QP)
-    c = min_admissible_c(mu, w, 0.5)
-    assert c == pytest.approx(2 ** (2 / QP - 1))
-    assert c == pytest.approx(2 ** (1 / 5))
+    # c = (1/2) / x_0^2 with x_0 = (1/2)^(3/5), so c^5 = 2 exactly
+    mu = Measure2D.from_dict({(0, 0): 1, (1, 1): 1})
+    lo, hi, ok, c = min_admissible_c_interval(mu, unit(0, 1), lam=HALF, epsilon=0.5)
+    assert ok and c == pytest.approx(2 ** (1 / 5))
+    assert Fraction(lo) ** 5 <= 2 <= Fraction(hi) ** 5
 
 
 def test_min_c_off_diagonal():
-    mu = Measure2D.from_dict({(0, 1): 1.0})
-    w = WeightPair.from_weights({0: 1.0}, {1: 1.0}, QP)
-    assert min_admissible_c(mu, w, 0.5) == pytest.approx(2.0)
+    mu = Measure2D.from_dict({(0, 1): 1})
+    w = WeightPair.from_densities({0: 1}, {1: 1})
+    assert c_min(mu, w, HALF) == 2.0
 
 
 def test_min_c_unbounded():
-    mu = Measure2D.from_dict({(0, 0): 0.5, (3, 3): 0.5})
-    w = WeightPair.from_weights({0: 1.0}, {0: 1.0}, QP)
-    assert math.isinf(min_admissible_c(mu, w, 0.5))
+    mu = Measure2D.from_dict({(0, 0): 1, (3, 3): 1})
     with pytest.raises(ValueError, match="unsatisfiable"):
-        concentration_report(mu, w, 0.5)
+        min_admissible_c_interval(mu, unit(0), lam=HALF)
+    with pytest.raises(ValueError, match="unsatisfiable"):
+        concentration_report(mu, unit(0), HALF)
 
 
 def test_lambda_domain():
     mu = Measure2D.point_mass(0, 0)
-    w = WeightPair.from_weights({0: 1.0}, {0: 1.0}, QP)
-    for bad in (0.0, -0.1, 0.81, 1.0):
-        with pytest.raises(ValueError):
-            min_admissible_c(mu, w, bad)
-    assert min_admissible_c(mu, w, 0.8) == 1.0  # boundary included
+    for bad in (0, Fraction(-1, 10), Fraction(81, 100), 1, 0.81):
+        with pytest.raises(ValueError, match="outside"):
+            concentration_report(mu, unit(0), bad)
+    # the boundary is included, and the float 0.8 is read as 4/5
+    for lam in (Fraction(4, 5), 0.8):
+        assert concentration_report(mu, unit(0), lam).c_min == 1.0
 
 
 def test_tail_mass_examples():
     assert tail_mass(Measure2D.point_mass(5, 5), 5) == 0
-    mu = Measure2D.from_dict({(0, 0): 0.8, (2, 2): 0.2})
-    assert tail_mass(mu, 0) == pytest.approx(0.2)
-    mu2 = Measure2D.from_dict({(0, 0): 0.5, (0, 1): 0.3, (5, 7): 0.2})
-    assert tail_mass(mu2, 0) == pytest.approx(0.2)
+    mu = Measure2D.from_dict({(0, 0): 8, (2, 2): 2})
+    assert (tail_mass(mu, 0), mu.total) == (2, 10)
+    mu2 = Measure2D.from_dict({(0, 0): 5, (0, 1): 3, (5, 7): 2})
+    assert (tail_mass(mu2, 0), mu2.total) == (2, 10)
 
 
 def test_tail_mass_exact_backing():
     mu = Measure2D.from_dict({(0, 0): Fraction(1, 3), (4, 4): Fraction(2, 3)})
-    assert tail_mass(mu, 0) == Fraction(2, 3)
+    assert Fraction(tail_mass(mu, 0), mu.total) == Fraction(2, 3)
 
 
 def test_best_center_examples():
     assert best_center(Measure2D.point_mass(7, 7)) == 7
-    assert best_center(Measure2D.from_dict({(3, 3): 0.9, (0, 5): 0.1})) == 3
-    assert best_center(Measure2D.from_dict({(0, 0): 0.5, (1, 1): 0.5})) == 0
+    assert best_center(Measure2D.from_dict({(3, 3): 9, (0, 5): 1})) == 3
+    assert best_center(Measure2D.from_dict({(0, 0): 1, (1, 1): 1})) == 0
 
 
 def test_best_center_is_argmin():
@@ -102,7 +108,7 @@ def test_best_center_is_argmin():
         k = best_center(mu)
         tk = tail_mass(mu, k)
         for other in range(lo - 1, hi + 2):
-            assert tk <= tail_mass(mu, other) + 1e-15
+            assert tk <= tail_mass(mu, other)
 
 
 def full_scan_center(mu: Measure2D) -> int:
@@ -118,9 +124,11 @@ def test_best_center_equals_the_full_scan():
     for n in range(3000):
         span = (1, 2, 6)[n % 3]
         mu = random_measure(rng, span=span)
-        if n % 2:  # the same support with exact weights
-            raw = [Fraction(rng.randint(1, 20)) for _ in mu.weights]
-            mu = Measure2D.from_dict({pt: v / sum(raw) for (pt, _), v in zip(mu.weights, raw)})
+        if n % 2:  # the same support with probabilities as Fractions
+            raw = [rng.randint(1, 20) for _ in mu.weights]
+            mu = Measure2D.from_dict(
+                {pt: Fraction(v, sum(raw)) for (pt, _), v in zip(mu.weights, raw)}
+            )
         k = best_center(mu)
         assert k == full_scan_center(mu)
         near += k >= mu.coordinate_range()[0]
@@ -128,73 +136,82 @@ def test_best_center_equals_the_full_scan():
 
 
 def test_sigma_examples():
-    w = WeightPair.from_weights({0: 1.0}, {0: 1.0}, QP)
-    sig = sigma_decomposition(Measure2D.point_mass(0, 0), w, 0)
+    sig = sigma_decomposition(Measure2D.point_mass(0, 0), 0)
     assert sig.sigma[5] == 1
 
-    mu = Measure2D.from_dict({(0, 0): 0.5, (0, 1): 0.3, (5, 7): 0.2})
-    sig = sigma_decomposition(mu, w, 0)
-    assert sig.sigma[5] == pytest.approx(0.5)  # center
-    assert sig.sigma[3] == pytest.approx(0.3)  # unit neighbor
-    assert sig.sigma[0] == pytest.approx(0.2)  # generic off-diagonal
+    mu = Measure2D.from_dict({(0, 0): 5, (0, 1): 3, (5, 7): 2})
+    sig = sigma_decomposition(mu, 0)
+    assert sig.sigma[5] == 5  # center
+    assert sig.sigma[3] == 3  # unit neighbor
+    assert sig.sigma[0] == 2  # generic off-diagonal
 
-    sig = sigma_decomposition(Measure2D.from_dict({(1, 1): 1.0}), w, 0)
+    sig = sigma_decomposition(Measure2D.from_dict({(1, 1): 1}), 0)
     assert sig.sigma[4] == 1  # punctured diagonal
 
 
 def test_sigma_partition_random():
     rng = random.Random(71)
-    w = WeightPair.from_weights({0: 1.0}, {0: 1.0}, QP)
     for _ in range(100):
         mu = random_measure(rng)
         lo, hi = mu.coordinate_range()
         for k in range(lo - 1, hi + 2):
-            sig = sigma_decomposition(mu, w, k)
-            assert abs(float(sig.total) - float(mu.total_mass)) <= 1e-12
+            sig = sigma_decomposition(mu, k)
+            assert sig.total == mu.total
             assert all(s >= 0 for s in sig.sigma)
 
 
 def test_measure_validation():
-    with pytest.raises(ValueError, match="total mass"):
+    with pytest.raises(ValueError, match="negative"):
+        Measure2D.from_dict({(0, 0): 3, (1, 1): -1})
+    with pytest.raises(ValueError, match="no positive entry"):
+        Measure2D.from_dict({(0, 0): 0})
+    with pytest.raises(TypeError, match="not an int or Fraction"):
         Measure2D.from_dict({(0, 0): 0.7})
     with pytest.raises(ValueError, match="negative"):
-        Measure2D.from_dict({(0, 0): 1.5, (1, 1): -0.5})
-    with pytest.raises(ValueError, match="total mass"):
-        Measure2D.from_dict({(0, 0): Fraction(1, 3)})
-    with pytest.raises(ValueError, match="norm"):
-        WeightPair.from_weights({0: 0.5}, {0: 1.0}, QP)
+        WeightPair.from_densities({0: Fraction(-1, 2)}, {0: 1})
+    # probabilities and counts give the same measure, on a common total
+    mu = Measure2D.from_dict({(0, 0): Fraction(1, 3), (1, 2): Fraction(1, 2), (2, 2): 0})
+    assert mu == Measure2D.from_dict({(0, 0): 2, (1, 2): 3}) == Measure2D(
+        (((0, 0), 2), ((1, 2), 3)), 5
+    )
 
 
 def test_interval_encloses_float_value():
-    alpha = {0: Fraction(2, 5), 1: Fraction(2, 5), 2: Fraction(1, 5)}
-    w = WeightPair.from_densities(alpha, alpha, Fraction(5, 3))
-    mu = Measure2D.from_dict(
-        {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (2, 1): Fraction(1, 4)}
-    )
-    lam = Fraction(1, 2)
-    lo, hi, ok, c_root = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+    w = WeightPair.from_densities({0: 2, 1: 2, 2: 1}, {0: 2, 1: 2, 2: 1})
+    mu = Measure2D.from_dict({(0, 0): 2, (0, 1): 1, (2, 1): 1})
+    lo, hi, ok, c_root = min_admissible_c_interval(mu, w, lam=HALF, epsilon=0.5)
     assert ok
-    c = min_admissible_c(mu, w, float(lam))
+    x = {0: 0.4 ** 0.6, 1: 0.4 ** 0.6, 2: 0.2 ** 0.6}  # x_i = alpha_i^(1/q'), q' = 5/3
+    c = max(m / 4 / (0.5 ** abs(i - j) * x[i] * x[j]) for (i, j), m in mu.weights)
     assert lo <= c <= hi and lo <= c_root <= hi
     assert hi - lo < 1e-12
 
 
 def test_interval_point_mass_exact():
-    w = WeightPair.from_densities({0: Fraction(1)}, {0: Fraction(1)}, Fraction(5, 3))
     mu = Measure2D.point_mass(0, 0)
-    lo, hi, ok, c = min_admissible_c_interval(mu, w, lam=Fraction(1, 2), epsilon=0.5)
+    lo, hi, ok, c = min_admissible_c_interval(mu, unit(0), lam=HALF, epsilon=0.5)
     assert lo <= 1.0 <= hi and hi - lo < 1e-14 and ok and c == 1.0
 
 
 def test_exact_verdict_at_the_floor():
     # a lambda past the lemma's 4/5 (concentration_report refuses it) puts
     # c_min = 1/lambda at the floor 1/9, then 10^-30 below it
-    w = WeightPair.from_densities({0: Fraction(1)}, {1: Fraction(1)}, Fraction(5, 3))
+    w = WeightPair.from_densities({0: 1}, {1: 1})
     mu = Measure2D.point_mass(0, 1)
     for lam, expect in ((Fraction(9), True), (9 + Fraction(1, 10**30), False)):
         lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
         assert ok is expect
         assert Fraction(lo) <= 1 / lam <= Fraction(hi)
+
+
+def test_a_c_min_past_the_float_range_keeps_an_exact_verdict():
+    # c = 20^300 = 10^390: the verdict and the lower end stay exact, and
+    # the float ends past the range are infinite
+    mu = Measure2D.point_mass(0, 300)
+    w = WeightPair.from_densities({0: 1}, {300: 1})
+    rep = concentration_report(mu, w, Fraction(1, 20))
+    assert rep.c_lower_ok and rep.c_interval == (1.7976931348623157e308, math.inf)
+    assert rep.c_min == math.inf
 
 
 def mpmath_interval(iv, mu, w, p, eps: Fraction, dps: int = 40):
@@ -211,12 +228,12 @@ def mpmath_interval(iv, mu, w, p, eps: Fraction, dps: int = 40):
     try:
         lam = iv.mpf(p) ** (iv.mpf(-1) / iv_fraction(2 + eps))
         inv_qp = iv.mpf(1) / iv_fraction((2 + eps) / (1 + eps))
-        x = {i: iv_fraction(a) ** inv_qp for i, a in w.x_pow}
-        y = {j: iv_fraction(b) ** inv_qp for j, b in w.y_pow}
+        x = {i: iv_fraction(Fraction(a, w.alpha_total)) ** inv_qp for i, a in w.alpha}
+        y = {j: iv_fraction(Fraction(b, w.beta_total)) ** inv_qp for j, b in w.beta}
         lo = hi = None
-        for (i, j), wt in mu.weights:
+        for (i, j), m in mu.weights:
             denom = lam ** abs(i - j) * x[i] * y[j]
-            ratio = iv_fraction(wt) / denom
+            ratio = iv_fraction(Fraction(m, mu.total)) / denom
             lo = ratio.a if lo is None else max(lo, ratio.a)
             hi = ratio.b if hi is None else max(hi, ratio.b)
         return (
@@ -242,11 +259,12 @@ def test_exact_enclosure_matches_the_mpmath_reference():
             mu, w, _ = from_valuation_measure(valuation_measure(si.base, si.omega, p), epsilon)
             lo, hi, ok, _ = min_admissible_c_interval(mu, w, p=p, epsilon=epsilon)
             # c_min^n exactly: lambda^n = p^-b and x_i^n = alpha_i^(a+b)
-            alpha, beta = dict(w.x_pow), dict(w.y_pow)
+            alpha = {i: Fraction(a, w.alpha_total) for i, a in w.alpha}
+            beta = {j: Fraction(b, w.beta_total) for j, b in w.beta}
             c_pow = max(
-                wt**n * p ** (eps.denominator * abs(i - j))
+                Fraction(m, mu.total) ** n * p ** (eps.denominator * abs(i - j))
                 / (alpha[i] * beta[j]) ** (eps.numerator + eps.denominator)
-                for (i, j), wt in mu.weights
+                for (i, j), m in mu.weights
             )
             assert Fraction(lo) ** n <= c_pow <= Fraction(hi) ** n
             assert ok == (c_pow >= Fraction(1, 9) ** n)
@@ -277,11 +295,17 @@ def test_valuation_bridge_reads_epsilon_as_its_decimal():
     # at epsilon = 0.55 the binary value of the float gives another q'
     inst = read_instance(GOLDEN / "remark2.instance.json")
     vm = valuation_measure(inst, build_omega_gcd(inst), 3)
-    _, w, lam = from_valuation_measure(vm, epsilon=0.55)
+    mu, w, lam = from_valuation_measure(vm, epsilon=0.55)
     decimal, binary = Fraction(11, 20), Fraction(0.55)
-    assert w.q_prime == float((2 + decimal) / (1 + decimal))
-    assert w.q_prime != float((2 + binary) / (1 + binary))
     assert lam == 3.0 ** (-1.0 / float(2 + decimal))
+    inv = {e: 1.0 / float((2 + e) / (1 + e)) for e in (decimal, binary)}
+    assert inv[decimal] != inv[binary]
+    gamma = 1.0 - max(
+        float(a) ** inv[decimal] * float(vm.beta[i]) ** inv[decimal]
+        for i, a in vm.alpha.items()
+        if i in vm.beta
+    )
+    assert concentration_report(mu, w, lam, epsilon=0.55, p=3).gamma == gamma
 
 
 def test_epsilon_near_one_certifies_remark2_in_under_a_second():
@@ -298,18 +322,36 @@ def test_epsilon_near_one_certifies_remark2_in_under_a_second():
 
 def test_concentration_lower_bound_sweep():
     rng = random.Random(73)
-    for _ in range(2000):
-        mu, w, lam = random_admissible_config(rng)
-        assert min_admissible_c(mu, w, lam) >= 1 / 9 - 1e-9
+    configs = [random_admissible_config(rng) for _ in range(2000)]
+    (cn, cd), _, _ = sweep_extremes(configs, EPS)
+    assert cn * 9**5 >= cd  # c^5 >= (1/9)^5 at the least c_min
+    assert all(min_admissible_c_interval(mu, w, lam=lam)[2] for mu, w, lam in configs[:200])
 
 
 def test_capped_family_achieves_c_at_most_one():
     rng = random.Random(79)
-    for lam in (0.8, 0.4, 0.2, 0.1, 0.05):
-        for _ in range(50):
-            mu, w = capped_admissible_config(rng, lam)
-            c = min_admissible_c(mu, w, lam)
-            assert 1 / 9 - 1e-9 <= c <= 1 + 1e-9
+    for lam in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
+        configs = [(*capped_admissible_config(rng, lam), lam) for _ in range(50)]
+        least, most, _ = sweep_extremes(configs, EPS)
+        assert least[1] <= least[0] * 9**5 and most[0] <= most[1]
+        for mu, w, _ in configs:
+            lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+            assert ok and lo <= 1.0
+
+
+def test_sweep_extremes_match_the_report():
+    # c^5 and ratio^2 in integers against the interval and the float ratio
+    rng = random.Random(97)
+    for _ in range(200):
+        mu, w, lam = random_admissible_config(rng)
+        (cn, cd), most, (rn, rd) = sweep_extremes([(mu, w, lam)], EPS)
+        assert most == (cn, cd)
+        rep = concentration_report(mu, w, lam)
+        lo, hi = rep.c_interval
+        assert Fraction(lo) ** 5 <= Fraction(cn, cd) <= Fraction(hi) ** 5
+        ratio = Fraction(tail_mass(mu, rep.k), mu.total) / lam**3
+        assert Fraction(rn, rd) == ratio**2
+        assert rep.ratio == pytest.approx(float(ratio))
 
 
 def test_valuation_bridge_point_mass():
@@ -337,7 +379,7 @@ def test_valuation_bridge_general_instance():
     assert lam == pytest.approx(2 ** (-1 / 2.5))
     rep = concentration_report(mu, w, lam, p=2)
     assert rep.c_lower_ok
-    assert abs(sum(float(s) for s in rep.sigma.sigma) - 1) < 1e-12
+    assert rep.sigma.total == mu.total
 
 
 def test_calibration_fixture_reproducible():

@@ -38,14 +38,13 @@ def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:
         if len(sub) * len(bmax) > best:
             best = len(sub) * len(bmax)
             best_pair = (sub, bmax)
-    return SearchResult(best_pair[0], best_pair[1], best, True)
+    return SearchResult(best_pair[0], best_pair[1], best)
 
 
 def test_acceptance_witness():
     res = exhaustive_max(SearchSpace(X=4, Y=4, D=2))
     assert res.max_product == 9
     assert set(res.best_a) == {4, 6, 8} and set(res.best_b) == {4, 6, 8}
-    assert res.optimal
 
 
 def test_no_constraint_gives_full_intervals():
@@ -90,7 +89,6 @@ def test_threshold_mode_exact_matches_definition():
     target = Fraction(1, 2)
     sp = SearchSpace(X=4, Y=4, D=2, delta_target=target, mode="threshold-delta")
     res = exhaustive_max(sp)
-    assert res.optimal
     ua = list(range(4, 9))
     best = 0
     for am in range(1, 1 << 5):
