@@ -43,7 +43,13 @@ for a in a_prime:
 
 print()
 print("every pivotal pair satisfies a* b* = ab/gcd(a,b)^2, prime by prime:")
-a, b = si.omega_prime.edges[1]
+# the second pivotal pair in row-major order: by index in A, then in B
+a, b = [
+    (a, b)
+    for a, row in zip(si.omega_prime.A, si.omega_prime.row_bits())
+    for j, b in enumerate(si.omega_prime.B)
+    if row >> j & 1
+][1]
 print(f"take (a, b) = ({a.value}, {b.value}):")
 for row in quad_identity_witnesses(a, b, si.n):
     print(

@@ -21,7 +21,12 @@ from gcdlab import (
     tail_mass,
     valuation_measure,
 )
-from gcdlab.measure import load_calibration, random_admissible_config, root_float, sweep_extremes
+from gcdlab.measure import (
+    capped_admissible_config,
+    random_admissible_config,
+    root_float,
+    sweep_extremes,
+)
 
 print("=" * 72)
 print("1. Hand-built measures")
@@ -50,9 +55,18 @@ print(
     f" (floor 1/9 = {1/9:.6f}; decided exactly as c^5 >= 9^-5: {least[0] * 9**5 >= least[1]})"
 )
 
-cal = load_calibration()
-print(f"frozen tail constants from the committed calibration (seed {cal['seed']}):")
-print(f"  K = {cal['K']} overall, K_capped = {cal['K_capped']} on the c <= 1 family")
+# the lemma leaves the tail constant unspecified, so the capped family's
+# largest tail/lambda^(q+eps) is an observation per lambda, not a check
+print("capped family (c <= 1), 200 seeded configurations per lambda:")
+rng = random.Random(2025)
+for lam in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
+    configs = [(*capped_admissible_config(rng, lam), lam) for _ in range(200)]
+    _, most, top = sweep_extremes(configs, Fraction(1, 2))
+    c_max, ratio = root_float(*most, 5), root_float(*top, 2)
+    print(
+        f"  lambda = {float(lam):<4}: largest c = {c_max:.6f} (<= 1: {most[0] <= most[1]}),"
+        f" largest tail/lambda^3 = {ratio:.4f}"
+    )
 
 print()
 print("=" * 72)

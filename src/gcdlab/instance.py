@@ -154,7 +154,8 @@ def _infer_range(S: tuple[FactoredNat, ...], name: str) -> Fraction:
 class PairSet(NamedTuple):
     """A set of ordered pairs (a, b) in A x B with its exact density, stored
     as one integer bitset over the grid: bit i*|B| + j is set iff (A[i], B[j])
-    is a pair.  Size, density, degrees and the edge list are views of it.
+    is a pair.  Size, density, degrees and the row and column bitsets are
+    views of it.
 
     kind records the predicate the pairs were built from: "gcd_geq"
     (gcd(a,b) >= threshold) or "ratio_leq" (ab/gcd^2 <= threshold).
@@ -187,18 +188,6 @@ class PairSet(NamedTuple):
     @property
     def delta(self) -> Fraction:
         return Fraction(len(self), self.n_left * self.n_right)
-
-    def _grid(self) -> str:
-        # character k is bit k, so row i is the slice [i*|B|, (i+1)*|B|)
-        return format(self.bits, f"0{self.n_left * self.n_right}b")[::-1]
-
-    @property
-    def edges(self) -> tuple[tuple[FactoredNat, FactoredNat], ...]:
-        """The pairs in row-major order: by index in A, then in B."""
-        n = self.n_right
-        return tuple(
-            (self.A[k // n], self.B[k % n]) for k, c in enumerate(self._grid()) if c == "1"
-        )
 
     def row_bits(self) -> list[int]:
         """Row i of the grid as an integer: bit j is set iff (A[i], B[j])
@@ -370,23 +359,18 @@ def prime_sets(S, p0: int) -> tuple[frozenset[int], frozenset[int]]:
     return ps, frozenset(p for p in ps if p <= p0)
 
 
-def _log_fraction(q: Fraction) -> float:
-    q = fraction_of(q)
-    return math.log(q.numerator) - math.log(q.denominator)
-
-
 def _bound(n_small: int, epsilon: float, delta, scale: Fraction, size: int):
     """(log B, B or inf, whether size <= B) for B = 1000^(1+n_small) *
     delta^(-2-epsilon) * scale.  log B and B are floats for display; with
     epsilon = a/b the verdict is the exact
     size^b * delta^(2b+a) <= (1000^(1+n_small) * scale)^b."""
-    delta = fraction_of(delta)
+    delta, scale = fraction_of(delta), fraction_of(scale)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     log_bound = (
         (1 + n_small) * math.log(1000.0)
-        - (2.0 + epsilon) * _log_fraction(delta)
-        + _log_fraction(scale)
+        - (2.0 + epsilon) * (math.log(delta.numerator) - math.log(delta.denominator))
+        + (math.log(scale.numerator) - math.log(scale.denominator))
     )
     try:
         bound = math.exp(log_bound)

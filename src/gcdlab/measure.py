@@ -7,18 +7,20 @@ integer total, and each weight sequence is its q'-th powers alpha_i as
 integers over a total (x_i = alpha_i^(1/q') is only displayed), so valuation
 measures, counts over |Omega|, |A| and |B|, map on directly.  With epsilon =
 a/b every c_ij^(2b+a) is rational: the verdicts c_min >= 1/9 and c_min <= 1
-compare cross-multiplied integers, and the reported c_min and its enclosure
-come from one integer root.  Floats are displayed values, and the capped
-generator's caps, whose c <= 1 the exact test certifies.
+compare cross-multiplied integers, and the reported c_min, its enclosure and
+the tail ratio tail / lambda^(q + eps) each come from one integer root.
+Floats are displayed values, and the capped generator's caps, whose c <= 1
+the exact test certifies.
+
+The lemma leaves the tail ratio's constant unspecified, so the ratio is
+reported and never checked against a bound.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from fractions import Fraction
-from importlib import resources
 from typing import NamedTuple
 
 from .arith import _iroot
@@ -33,12 +35,9 @@ __all__ = [
     "SigmaDecomposition",
     "WeightPair",
     "best_center",
-    "calibrate_tail_constant",
-    "calibration_configs",
     "capped_admissible_config",
     "concentration_report",
     "from_valuation_measure",
-    "load_calibration",
     "min_admissible_c_interval",
     "random_admissible_config",
     "random_measure",
@@ -55,8 +54,6 @@ C_FLOOR = 9  # the lemma's conclusion c >= 1/9
 EXACT_BITS_MAX = 10**5
 _ROOT_BITS = 160  # fractional bits of the integer root that encloses c_min
 _CAPPED_MASS = 10**9  # total mass of a capped configuration
-
-_CALIBRATION_RESOURCE = "concentration_calibration.json"
 
 
 def _over_total(mapping, name: str):
@@ -282,42 +279,48 @@ class ConcentrationReport(NamedTuple):
     gamma: float  # 1 - sup_i x_i y_i
 
 
+def _ratio_pow(tail: int, total: int, ln: int, ld: int, k: int, e: int) -> tuple[int, int]:
+    """(num, den) with num/den = ratio^k, ratio = (tail / total) /
+    lambda^(2 + 2 eps), given lambda^(k (2 + 2 eps)) = (ln/ld)^(2e)."""
+    return tail**k * ld ** (2 * e), total**k * ln ** (2 * e)
+
+
 def concentration_report(
     mu: Measure2D,
     w: WeightPair,
     lam,
-    q: float | None = None,
     epsilon: float = 0.5,
     *,
     p: int | None = None,
 ) -> ConcentrationReport:
-    """Bundle (c_min, best center, tail, tail/lambda^(q+eps), sigma split).
+    """Bundle (c_min, best center, tail, tail/lambda^(q+eps), sigma split),
+    q = 2 + eps.
 
     c >= 1/9 is the unconditional conclusion whenever the hypothesis is
     satisfiable with the given witness.  The verdict is an integer
-    comparison, and c_interval and c_min come from one integer root (see
-    min_admissible_c_interval).  lam is an int, a Fraction or a float read
-    as its decimal text, in (0, 4/5]; when p is given, lambda is exactly
-    p^(-1/q) and lam is only displayed.
+    comparison; c_interval and c_min come from one integer root (see
+    min_admissible_c_interval), and so does the ratio.  lam is an int, a
+    Fraction or a float read as its decimal text, in (0, 4/5]; when p is
+    given, lambda is exactly p^(-1/q) and lam is only displayed.
     """
-    if not 0 < _lambda_fraction(lam) <= LAMBDA_MAX:
+    exact = _lambda_fraction(lam)
+    if not 0 < exact <= LAMBDA_MAX:
         raise ValueError(f"lambda = {lam} outside (0, 4/5]")
-    if q is None:
-        q = 2.0 + epsilon
     lo, hi, ok, c = min_admissible_c_interval(
-        mu, w, lam=None if p is not None else lam, p=p, epsilon=epsilon
+        mu, w, lam=None if p is not None else exact, p=p, epsilon=epsilon
     )
     k, tail = _best_tail(mu)
-    tail /= mu.total
-    lam = float(lam)
     eps = epsilon_fraction(epsilon)
+    a, b = eps.numerator, eps.denominator
+    # ratio^deg is rational: deg = b at lambda = ln/ld, deg = n at p^(-1/q)
+    ln, ld, deg = (1, p, 2 * b + a) if p is not None else (exact.numerator, exact.denominator, b)
+    ratio = root_float(*_ratio_pow(tail, mu.total, ln, ld, deg, a + b), deg)
     inv = 1.0 / float((2 + eps) / (1 + eps))  # x_i = alpha_i^(1/q')
-    x = {i: (a / w.alpha_total) ** inv for i, a in w.alpha}
-    sup = max((x[j] * (b / w.beta_total) ** inv for j, b in w.beta if j in x), default=0.0)
-    scale = lam ** (q + epsilon)  # 0.0 once it underflows
-    ratio = tail / scale if scale else (math.inf if tail else 0.0)
+    x = {i: (v / w.alpha_total) ** inv for i, v in w.alpha}
+    sup = max((x[j] * (v / w.beta_total) ** inv for j, v in w.beta if j in x), default=0.0)
+    sigma, lam = sigma_decomposition(mu, k), float(lam)
     return ConcentrationReport(
-        c, (lo, hi), ok, k, tail, ratio, sigma_decomposition(mu, k), lam, q, epsilon, 1.0 - sup
+        c, (lo, hi), ok, k, tail / mu.total, ratio, sigma, lam, 2.0 + epsilon, epsilon, 1.0 - sup
     )
 
 
@@ -348,8 +351,7 @@ def sweep_extremes(configs, eps: Fraction):
     for mu, w, lam in configs:
         ln, ld = lam.numerator, lam.denominator
         cn, cd = _c_pow(mu, w, ln, ld, n, n, e)
-        rn = _best_tail(mu)[1] ** b * ld ** (2 * e)
-        rd = mu.total**b * ln ** (2 * e)
+        rn, rd = _ratio_pow(_best_tail(mu)[1], mu.total, ln, ld, b, e)
         if cn * least[1] < least[0] * cd:
             least = (cn, cd)
         if cn * most[1] > most[0] * cd:
@@ -360,7 +362,7 @@ def sweep_extremes(configs, eps: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# Seeded generators and the tail-constant calibration
+# Seeded generators
 # ---------------------------------------------------------------------------
 
 
@@ -424,64 +426,3 @@ def capped_admissible_config(rng: random.Random, lam, *, epsilon: float = 0.5):
         mu = Measure2D(tuple(sorted(weights.items())), _CAPPED_MASS)
         return mu, WeightPair(alpha, total, alpha, total)
     return Measure2D.point_mass(0, 0), WeightPair(((0, 1),), 1, ((0, 1),), 1)
-
-
-def calibration_configs(cal: dict) -> dict:
-    """The two families of (mu, weights, lambda) that a calibration record
-    (seed, epsilon, n_random, family_per_lambda, lambda_grid) names, each a
-    lazy stream: "random" drawn from Random(seed), "capped" (per lambda of
-    the grid, read as its decimal) from Random(seed + 1).  The streams are
-    independent, so a shorter replay of one cannot shift the other."""
-    rng, rng_capped = random.Random(cal["seed"]), random.Random(cal["seed"] + 1)
-    grid = [decimal_fraction(lam) for lam in cal["lambda_grid"]]
-    return {
-        "random": (random_admissible_config(rng) for _ in range(cal["n_random"])),
-        "capped": (
-            (*capped_admissible_config(rng_capped, lam, epsilon=cal["epsilon"]), lam)
-            for lam in grid
-            for _ in range(cal["family_per_lambda"])
-        ),
-    }
-
-
-def calibrate_tail_constant(
-    seed: int,
-    *,
-    n_random: int = 10000,
-    family_per_lambda: int = 200,
-    lambda_grid=(0.8, 0.4, 0.2, 0.1, 0.05),
-    epsilon: float = 0.5,
-) -> dict:
-    """Measure the largest tail / lambda^(q+eps), q = 2 + eps, over each
-    family of calibration_configs.  The frozen constants are calibration
-    artifacts: the paper's concentration statement has an unspecified
-    implied constant, so K (all configurations) and K_capped (the c <= 1
-    family, where the lemma's tail scaling is meaningful) just pin these
-    generators at this seed.  The maxima are exact (sweep_extremes) and
-    displayed through one root each."""
-    cal = {
-        "seed": seed,
-        "epsilon": epsilon,
-        "n_random": n_random,
-        "family_per_lambda": family_per_lambda,
-        "lambda_grid": list(lambda_grid),
-    }
-    eps = epsilon_fraction(epsilon)
-    top = {
-        family: root_float(*sweep_extremes(configs, eps)[2], eps.denominator)
-        for family, configs in calibration_configs(cal).items()
-    }
-    return {
-        **cal,
-        "max_ratio_random": top["random"],
-        "max_ratio_capped": top["capped"],
-        # frozen with a hair of headroom so exact replays sit strictly inside
-        "K": float(f"{max(top.values()) * 1.0001:.4g}"),
-        "K_capped": float(f"{top['capped'] * 1.0001:.4g}"),
-    }
-
-
-def load_calibration() -> dict:
-    """The committed tail-constant fixture (seed, generator sizes, K)."""
-    text = resources.files("gcdlab.data").joinpath(_CALIBRATION_RESOURCE).read_text()
-    return json.loads(text)

@@ -1,10 +1,11 @@
 """Exhaustive and branch-and-bound search for extremal sets on small dyadic
-universes, plus a violation hunter for the sharp constituent bounds (the
-diagonal gap bound and the delta^-2 product bound on structured instances).
+universes, plus a violation hunter for two constituent bounds (the diagonal
+gap bound and the delta^-2 product bound on structured instances).
 
 The headline inequality with its 1000^(1+#P_sml) factor is deliberately not
-hunted: at desk scale that constant makes the check vacuous, so the hunter
-targets the bounds that are actually tight.
+hunted: at desk scale that constant makes the check vacuous.  The product
+bound keeps a factor 1000, so a clean hunt says no instance broke it, not
+how close one came.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ def test_criterion_3_defect_census():
 def test_criterion_4_concentration():
     # c >= 1/9 on 1e4 seeded admissible configurations and 1/9 <= c <= 1 on
     # the capped family, decided in integers, plus certified verdicts on
-    # valuation measures; tails within the frozen K fixture
+    # valuation measures
     report(4, check_concentration(), 60.0)
 
 

@@ -26,13 +26,14 @@ from gcdlab.instance import (
     theorem1_log10_bound,
     theorem51_bound,
 )
+from pairset_views import edges
 
 
 def test_build_omega_examples():
     inst = GcdInstance.build([1, 2, 3, 4], [1, 2, 3, 4], 2, 1, 1, check_ranges=False)
     om = build_omega_gcd(inst)
-    edges = {(a.value, b.value) for a, b in om.edges}
-    assert edges == {(2, 2), (2, 4), (4, 2), (4, 4), (3, 3)}
+    pairs = {(a.value, b.value) for a, b in edges(om)}
+    assert pairs == {(2, 2), (2, 4), (4, 2), (4, 4), (3, 3)}
     assert om.delta == Fraction(5, 16)
 
     inst1 = GcdInstance.build([1, 2, 3, 4], [1, 2, 3, 4], 1, 1, 1, check_ranges=False)
@@ -74,16 +75,16 @@ def test_omega_views_match_naive_census():
         om = build_omega_gcd(inst)
         t = math.ceil(D)
         naive = [(a, b) for a in om.A for b in om.B if math.gcd(a.value, b.value) >= t]
-        assert list(om.edges) == naive, (A, B, D)
+        assert list(edges(om)) == naive, (A, B, D)
         assert len(om) == count_pairs_geq_naive(A, B, D)
-        assert om.degrees_left() == Counter(a for a, _ in om.edges)
-        assert om.degrees_right() == Counter(b for _, b in om.edges)
-        edges = set(om.edges)
+        assert om.degrees_left() == Counter(a for a, _ in edges(om))
+        assert om.degrees_right() == Counter(b for _, b in edges(om))
+        pairs = set(edges(om))
         assert om.row_bits() == [
-            sum(1 << j for j, b in enumerate(om.B) if (a, b) in edges) for a in om.A
+            sum(1 << j for j, b in enumerate(om.B) if (a, b) in pairs) for a in om.A
         ]
         assert om.col_bits() == [
-            sum(1 << i for i, a in enumerate(om.A) if (a, b) in edges) for b in om.B
+            sum(1 << i for i, a in enumerate(om.A) if (a, b) in pairs) for b in om.B
         ]
         Q = Fraction(D) * 3
         ratio = build_omega_ratio(A, B, Q)
@@ -93,7 +94,7 @@ def test_omega_views_match_naive_census():
             for b in ratio.B
             if a.value * b.value <= Q * math.gcd(a.value, b.value) ** 2
         ]
-        assert list(ratio.edges) == naive, (A, B, Q)
+        assert list(edges(ratio)) == naive, (A, B, Q)
 
 
 def test_masked_copy_keeps_the_grid_and_predicate():
@@ -102,12 +103,12 @@ def test_masked_copy_keeps_the_grid_and_predicate():
     inst = GcdInstance.build([4, 6, 8], [4, 6, 8, 9], 2, 4, 4, check_ranges=False)
     om = build_omega_gcd(inst)
     assert len(om) != 5
-    grid = PairSet(om.A, om.B, (1 << 12) - 1).edges
+    grid = edges(PairSet(om.A, om.B, (1 << 12) - 1))
     for bits in (0, 1, om.bits, om.bits & 0b101101, (1 << 12) - 1):
         sub = om.masked(bits)
         assert sub == PairSet(om.A, om.B, bits, om.kind, om.threshold)
         assert len(sub) == bits.bit_count() != 5
-        assert list(sub.edges) == [e for k, e in enumerate(grid) if bits >> k & 1]
+        assert list(edges(sub)) == [e for k, e in enumerate(grid) if bits >> k & 1]
     with pytest.raises(TypeError):
         om._replace(bits=1)
 
@@ -115,10 +116,10 @@ def test_masked_copy_keeps_the_grid_and_predicate():
 def test_spread_times_a_column_mask_is_the_cells():
     inst = GcdInstance.build([4, 6, 8, 9, 10], [4, 6, 8], 2, 4, 4, check_ranges=False)
     om = build_omega_gcd(inst)
-    grid = PairSet(om.A, om.B, (1 << 15) - 1).edges
+    grid = edges(PairSet(om.A, om.B, (1 << 15) - 1))
     for rows in range(1 << 5):
         for cols in range(1 << 3):
-            cells = PairSet(om.A, om.B, om.spread(rows) * cols).edges
+            cells = edges(PairSet(om.A, om.B, om.spread(rows) * cols))
             assert list(cells) == [
                 e for k, e in enumerate(grid) if rows >> (k // 3) & 1 and cols >> (k % 3) & 1
             ]
@@ -143,11 +144,11 @@ def predicate_holds(om) -> bool:
     """Every pair of om satisfies the predicate it was built from."""
     if om.kind == "gcd_geq":
         t = max(1, math.ceil(om.threshold))
-        return all(math.gcd(a.value, b.value) >= t for a, b in om.edges)
+        return all(math.gcd(a.value, b.value) >= t for a, b in edges(om))
     if om.kind == "ratio_leq":
         return all(
             Fraction(a.value * b.value, math.gcd(a.value, b.value) ** 2) <= om.threshold
-            for a, b in om.edges
+            for a, b in edges(om)
         )
     raise ValueError(f"unknown pair-set kind {om.kind!r}")
 

@@ -12,11 +12,9 @@ from gcdlab.measure import (
     Measure2D,
     WeightPair,
     best_center,
-    calibrate_tail_constant,
     capped_admissible_config,
     concentration_report,
     from_valuation_measure,
-    load_calibration,
     min_admissible_c_interval,
     random_admissible_config,
     random_measure,
@@ -24,8 +22,10 @@ from gcdlab.measure import (
     sweep_extremes,
     tail_mass,
 )
+from gcdlab import verify
 from gcdlab.search import random_structured_instance
 from gcdlab.structure import valuation_measure
+from gcdlab.verify import check_concentration
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 HALF = Fraction(1, 2)
@@ -212,6 +212,8 @@ def test_a_c_min_past_the_float_range_keeps_an_exact_verdict():
     rep = concentration_report(mu, w, Fraction(1, 20))
     assert rep.c_lower_ok and rep.c_interval == (1.7976931348623157e308, math.inf)
     assert rep.c_min == math.inf
+    # the whole mass is tail, so tail / lambda^3 is exactly 20^3
+    assert rep.ratio == 8000.0
 
 
 def mpmath_interval(iv, mu, w, p, eps: Fraction, dps: int = 40):
@@ -340,7 +342,7 @@ def test_capped_family_achieves_c_at_most_one():
 
 
 def test_sweep_extremes_match_the_report():
-    # c^5 and ratio^2 in integers against the interval and the float ratio
+    # c^5 and ratio^2 in integers against the interval and the reported ratio
     rng = random.Random(97)
     for _ in range(200):
         mu, w, lam = random_admissible_config(rng)
@@ -351,7 +353,7 @@ def test_sweep_extremes_match_the_report():
         assert Fraction(lo) ** 5 <= Fraction(cn, cd) <= Fraction(hi) ** 5
         ratio = Fraction(tail_mass(mu, rep.k), mu.total) / lam**3
         assert Fraction(rn, rd) == ratio**2
-        assert rep.ratio == pytest.approx(float(ratio))
+        assert rep.ratio == float(ratio)
 
 
 def test_valuation_bridge_point_mass():
@@ -382,16 +384,38 @@ def test_valuation_bridge_general_instance():
     assert rep.sigma.total == mu.total
 
 
-def test_calibration_fixture_reproducible():
-    cal = load_calibration()
-    redo = calibrate_tail_constant(
-        cal["seed"],
-        n_random=cal["n_random"],
-        family_per_lambda=cal["family_per_lambda"],
-        lambda_grid=tuple(cal["lambda_grid"]),
-        epsilon=cal["epsilon"],
-    )
-    assert redo["max_ratio_random"] == cal["max_ratio_random"]
-    assert redo["max_ratio_capped"] == cal["max_ratio_capped"]
-    assert cal["max_ratio_random"] <= cal["K"]
-    assert cal["max_ratio_capped"] <= cal["K_capped"] <= cal["K"]
+@pytest.mark.parametrize("offset", [2, 9, 13])
+def test_concentration_check_passes_at_held_out_seeds(offset):
+    # the capped family's largest tail/lambda^3 reaches 56.23 at these
+    # offsets, above any maximum a single seed could freeze (55.71 at 0)
+    assert check_concentration(seed=20260809 + offset, n_random=1000, n_exact=5).ok
+
+
+def test_run_all_passes_the_seed_offset_to_the_concentration_check(monkeypatch):
+    calls = []
+
+    def record(name):
+        return lambda **kwargs: calls.append((name, kwargs))
+
+    for name in verify.__all__:
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, record(name))
+    seeds = []
+    for offset in (0, 1):
+        calls.clear()
+        verify.run_all(quick=True, seed_offset=offset)
+        (kwargs,) = [kw for name, kw in calls if name == "check_concentration"]
+        seeds.append(kwargs["seed"])
+    assert seeds == [20260809, 20260810]
+
+
+def test_a_capped_configuration_with_c_above_one_fails_the_check(monkeypatch):
+    # the point mass at (0, 1) with x_0 = y_1 = 1 has c_min = 1/lambda > 1
+    def c_above_one(rng, lam, *, epsilon):
+        return Measure2D.point_mass(0, 1), WeightPair.from_densities({0: 1}, {1: 1})
+
+    monkeypatch.setattr(verify, "capped_admissible_config", c_above_one)
+    result = check_concentration(n_random=10, n_exact=0)
+    assert not result.ok
+    reasons = {f["reason"] for f in result.detail["failures"]}
+    assert reasons == {"c above 1"}

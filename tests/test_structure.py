@@ -26,6 +26,7 @@ from gcdlab.structure import (
     valuation_measure,
 )
 from gcdlab.verify import random_pivotal_triple, random_structured_set
+from pairset_views import edges
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -43,7 +44,7 @@ def sums_to_one(vm) -> bool:
 def test_valuation_measure_example():
     inst = GcdInstance.build([2, 3, 4], [2, 6], 2, 2, 2, check_ranges=False)
     om = build_omega_gcd(inst)
-    assert {(a.value, b.value) for a, b in om.edges} == {
+    assert {(a.value, b.value) for a, b in edges(om)} == {
         (2, 2), (2, 6), (4, 2), (4, 6), (3, 6),
     }
     vm = valuation_measure(inst, om, 2)
@@ -138,7 +139,7 @@ def _oracle_instances():
 def _kept_by(om, p, k) -> list:
     """The pairs of om kept at p by k, from the definition."""
     return [
-        (a, b) for a, b in om.edges if abs(a.valuation(p) - k) + abs(b.valuation(p) - k) <= 1
+        (a, b) for a, b in edges(om) if abs(a.valuation(p) - k) + abs(b.valuation(p) - k) <= 1
     ]
 
 
@@ -158,11 +159,11 @@ def test_per_prime_masks_match_bruteforce():
         ranges = _ranges(om)
         masks = _per_prime_masks(om, om.row_bits(), prime_table(om))
         binding = [p for p, *_ in masks]
-        assert binding == [p for p, r in ranges.items() if _kept_by(om, p, r[0]) != list(om.edges)]
+        assert binding == [p for p, r in ranges.items() if _kept_by(om, p, r[0]) != list(edges(om))]
         for p, lo, hi, by_k in masks:
             assert range(lo, hi + 1) == ranges[p] and list(by_k) == list(ranges[p])
             for k in ranges[p]:
-                assert list(om.masked(by_k[k]).edges) == _kept_by(om, p, k)
+                assert list(edges(om.masked(by_k[k]))) == _kept_by(om, p, k)
         dropped += len(ranges) - len(binding)
         kept += len(binding)
     assert dropped and kept
@@ -200,7 +201,7 @@ def _reference_modulus(om):
         if best is None or bits.bit_count() > best_bits.bit_count():
             best, best_bits = ks, bits
     n = prod(p**k for p, k in zip(pool, best))
-    assert best_bits == sum(cell[e] for e in om.edges if check_pivotal(*e, n))
+    assert best_bits == sum(cell[e] for e in edges(om) if check_pivotal(*e, n))
     return n, best_bits
 
 
@@ -250,7 +251,7 @@ def test_a_free_prime_takes_its_lowest_k():
     inst = GcdInstance.build([6, 10, 14, 22], [9, 15, 21, 26, 33], 3, 6, 9, check_ranges=False)
     om = build_omega_gcd(inst)
     assert prime_table(om, [2])[2][0] == 0  # lo = 0 at p = 2
-    assert _kept_by(om, 2, 0) == _kept_by(om, 2, 1) == list(om.edges)
+    assert _kept_by(om, 2, 0) == _kept_by(om, 2, 1) == list(edges(om))
     binding = _per_prime_masks(om, om.row_bits(), prime_table(om))
     assert 2 not in [p for p, *_ in binding]
     exact = find_modulus(inst, om)
@@ -264,8 +265,8 @@ def test_find_modulus_keeps_exactly_the_pivotal_pairs():
         if not om:
             continue
         ms = find_modulus(inst, om)
-        manual = [e for e in om.edges if check_pivotal(e[0], e[1], ms.n)]
-        assert list(ms.omega_prime.edges) == manual
+        manual = [e for e in edges(om) if check_pivotal(e[0], e[1], ms.n)]
+        assert list(edges(ms.omega_prime)) == manual
 
 
 def _large_instances():
@@ -294,7 +295,7 @@ def test_find_modulus_is_locally_optimal():
             return abs(vals[a].get(p, 0) - k) + abs(vals[b].get(p, 0) - k) <= 1
 
         fails = {}  # pair -> the primes where N loses it
-        for a, b in om.edges:
+        for a, b in edges(om):
             near = vals[a].keys() | vals[b].keys() | {p for p, k in ks.items() if k}
             fails[a, b] = {p for p in near if not kept(a, b, p, ks[p])}
         best = len(ms.omega_prime)
@@ -540,7 +541,7 @@ def test_structured_instance_rejects_non_pivotal_edges():
     om = build_omega_gcd(inst)
     # the pair (4, 9) alone: v_2(4/6) = 1 and v_2(9/6) = -1 sum to 2
     bad = PairSet(om.A, om.B, 1 << 1)  # cell (A[0], B[1])
-    assert [(a.value, b.value) for a, b in bad.edges] == [(4, 9)]
+    assert [(a.value, b.value) for a, b in edges(bad)] == [(4, 9)]
     with pytest.raises(ValueError, match="pivotal"):
         StructuredInstance.build(inst, om, factorize(6), bad, "exhaustive")
 
@@ -561,11 +562,11 @@ def test_structured_instance_accepts_exactly_the_pivotal_subsets():
         verdicts = set()
         for mask in masks:
             sub = PairSet(inst.A, inst.B, mask)
-            pivotal = all(check_pivotal(a, b, N) for a, b in sub.edges)
+            pivotal = all(check_pivotal(a, b, N) for a, b in edges(sub))
             verdicts.add(pivotal)
             if pivotal:
                 si = StructuredInstance.build(inst, om, factorize(N), sub, "exhaustive")
-                elements = {el for pair in sub.edges for el in pair}
+                elements = {el for pair in edges(sub) for el in pair}
                 assert si.defects == {el: defect(el, N) for el in elements}
             else:
                 with pytest.raises(ValueError, match="pivotal"):
@@ -575,14 +576,14 @@ def test_structured_instance_accepts_exactly_the_pivotal_subsets():
 
 def pair_walk_error(omega_prime, n) -> str | None:
     """The ValueError text of the pair-by-pair pivotality check over
-    omega_prime.edges, or None when Omega' is pivotal for n."""
-    edges = omega_prime.edges
-    for el in sorted({el for pair in edges for el in pair}):
+    edges(omega_prime), or None when Omega' is pivotal for n."""
+    pairs = edges(omega_prime)
+    for el in sorted({el for pair in pairs for el in pair}):
         try:
             defect(el, n)
         except DefectError as exc:
             return f"{el} in omega_prime is not pivotal for N = {n}: {exc}"
-    for a, b in edges:
+    for a, b in pairs:
         if gcd(defect(a, n).a_star, defect(b, n).a_star) != 1:
             return f"pair ({a}, {b}) in omega_prime is not pivotal for N = {n}"
     return None
