@@ -34,7 +34,7 @@ print("=" * 72)
 # only elements appearing in a pivotal pair have all valuations of a/N in
 # {-1, 0, 1}; those are exactly the elements the argument ever decomposes,
 # and the structured instance holds each one's defect
-a_prime = sorted(si.omega_prime.degrees_left(), key=lambda el: el.value)
+a_prime = [a for a, row in zip(si.omega_prime.A, si.omega_prime.row_bits()) if row]
 print(f"A' = elements with a pivotal partner: {[el.value for el in a_prime]}")
 print(f"{'a':>6} {'a+':>6} {'a-':>6} {'a*':>6}")
 for a in a_prime:

@@ -24,8 +24,7 @@ print("the delta-threshold variant (at least half of all pairs good):")
 res = exhaustive_max(
     SearchSpace(X=8, Y=8, D=2, delta_target=Fraction(1, 2), mode="threshold-delta")
 )
-print(f"X = Y = 8, D = 2, delta >= 1/2: product {res.max_product} "
-      f"(exact: {res.optimal})")
+print(f"X = Y = 8, D = 2, delta >= 1/2: product {res.max_product}")
 
 print()
 print("=" * 72)

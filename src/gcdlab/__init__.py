@@ -20,14 +20,12 @@ _EXPORTS = {
         "FactoredNat",
         "divisors",
         "factorize",
-        "gcd_factored",
         "is_prime",
         "is_squarefree",
         "primes_up_to",
         "primorial",
         "radical",
         "rational_valuations",
-        "valuation",
     ),
     "instance": (
         "GcdInstance",

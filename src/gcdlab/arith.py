@@ -26,14 +26,12 @@ __all__ = [
     "FactoredNat",
     "divisors",
     "factorize",
-    "gcd_factored",
     "is_prime",
     "is_squarefree",
     "primes_up_to",
     "primorial",
     "radical",
     "rational_valuations",
-    "valuation",
 ]
 
 # Trial-division bound: a cofactor free of trial primes is prime if <= TRIAL_LIMIT**2.
@@ -300,13 +298,6 @@ def factorize(n: int | FactoredNat) -> FactoredNat:
     return FactoredNat(n, _factor_int(n))
 
 
-def valuation(p: int, n: int | FactoredNat) -> int:
-    """v_p(n): the largest k with p^k dividing n."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return factorize(n).valuation(p)
-
-
 def rational_valuations(a: int | FactoredNat, N: int | FactoredNat) -> dict[int, int]:
     """{p: v_p(a/N)} for every prime where v_p(a) - v_p(N) is nonzero, in
     increasing order of p: one merge of the two sorted factor tuples."""
@@ -352,21 +343,6 @@ def radical(n: int | FactoredNat) -> FactoredNat:
     for p in ps:
         prod *= p
     return FactoredNat(prod, tuple((p, 1) for p in ps))
-
-
-def gcd_factored(m: int | FactoredNat, n: int | FactoredNat) -> FactoredNat:
-    """gcd computed prime-by-prime as min of valuations."""
-    m = factorize(m)
-    n = factorize(n)
-    out = []
-    for p, e in m.factors:
-        f = n.valuation(p)
-        if f:
-            out.append((p, min(e, f)))
-    prod = 1
-    for p, e in out:
-        prod *= p**e
-    return FactoredNat(prod, tuple(out))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -126,10 +126,10 @@ def cmd_structure(args) -> tuple[dict, int]:
         raise InstanceError("pair set is empty; nothing to structure")
     si = find_modulus(inst, omega)
     records = []
-    for side, elems in (("A", inst.A), ("B", inst.B)):
-        deg = si.omega_prime.degrees_left() if side == "A" else si.omega_prime.degrees_right()
-        for el in elems:
-            if deg.get(el, 0) > 0:
+    op = si.omega_prime
+    for side, elems, lines in (("A", op.A, op.row_bits()), ("B", op.B, op.col_bits())):
+        for el, line in zip(elems, lines):
+            if degree := line.bit_count():
                 d = si.defects[el]
                 records.append(
                     {
@@ -138,7 +138,7 @@ def cmd_structure(args) -> tuple[dict, int]:
                         "a_plus": str(d.a_plus),
                         "a_minus": str(d.a_minus),
                         "a_star": str(d.a_star),
-                        "degree": deg[el],
+                        "degree": degree,
                     }
                 )
     witness = extract_witnesses(si)

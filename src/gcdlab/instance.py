@@ -154,11 +154,7 @@ def _infer_range(S: tuple[FactoredNat, ...], name: str) -> Fraction:
 class PairSet(NamedTuple):
     """A set of ordered pairs (a, b) in A x B with its exact density, stored
     as one integer bitset over the grid: bit i*|B| + j is set iff (A[i], B[j])
-    is a pair.  Size, density, degrees and the row and column bitsets are
-    views of it.
-
-    kind records the predicate the pairs were built from: "gcd_geq"
-    (gcd(a,b) >= threshold) or "ratio_leq" (ab/gcd^2 <= threshold).
+    is a pair.  Size, density and the row and column bitsets are views of it.
 
     len() is the number of pairs, not of fields, so _replace and _make
     raise TypeError; masked() builds a copy with other bits.
@@ -167,8 +163,6 @@ class PairSet(NamedTuple):
     A: tuple[FactoredNat, ...]
     B: tuple[FactoredNat, ...]
     bits: int
-    kind: str = "gcd_geq"
-    threshold: Fraction = Fraction(1)
 
     @property
     def n_left(self) -> int:
@@ -183,7 +177,7 @@ class PairSet(NamedTuple):
 
     def masked(self, bits: int) -> "PairSet":
         """The pair set over the same grid with the given bits."""
-        return PairSet(self.A, self.B, bits, self.kind, self.threshold)
+        return PairSet(self.A, self.B, bits)
 
     @property
     def delta(self) -> Fraction:
@@ -201,12 +195,6 @@ class PairSet(NamedTuple):
         s, n = format(self.bits, f"0{self.n_left * self.n_right}b"), self.n_right
         # character len(s) - 1 - k is bit k, so column j reads from n - 1 - j
         return [int(s[n - 1 - j :: n], 2) for j in range(n)]
-
-    def degrees_left(self) -> dict[FactoredNat, int]:
-        return {a: d for a, r in zip(self.A, self.row_bits()) if (d := r.bit_count())}
-
-    def degrees_right(self) -> dict[FactoredNat, int]:
-        return {b: d for b, c in zip(self.B, self.col_bits()) if (d := c.bit_count())}
 
     def spread(self, rows: int) -> int:
         """The grid mask of bit 0 of each row i set in rows; times a mask C
@@ -281,7 +269,7 @@ def build_omega_gcd(inst: GcdInstance) -> PairSet:
         for d in _least_divisors_geq(a.factors, t):
             row |= cols.get(d, 0)
         rows.append(row)
-    return PairSet(inst.A, inst.B, _join_rows(rows, len(inst.B)), "gcd_geq", fraction_of(inst.D))
+    return PairSet(inst.A, inst.B, _join_rows(rows, len(inst.B)))
 
 
 def build_omega_ratio(A, B, Q) -> PairSet:
@@ -294,7 +282,7 @@ def build_omega_ratio(A, B, Q) -> PairSet:
         sum(1 << j for j, b in enumerate(bvals) if Fraction(a * b, math.gcd(a, b) ** 2) <= Q)
         for a in [a.value for a in A]
     ]
-    return PairSet(A, B, _join_rows(rows, len(B)), "ratio_leq", Q)
+    return PairSet(A, B, _join_rows(rows, len(B)))
 
 
 def _values(S) -> tuple[int, ...]:
@@ -497,7 +485,7 @@ def _parse_fraction(doc, name: str, required: bool):
         return None
     try:
         return Fraction(raw) if isinstance(raw, str) else fraction_of(raw)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InstanceError(f"field {name}: {raw!r} is not a number") from None
 
 

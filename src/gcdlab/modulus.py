@@ -1,5 +1,4 @@
-"""The modulus search behind structure.find_modulus, and the valuation
-classes it shares with structure.valuation_measure.
+"""The modulus search behind structure.find_modulus.
 
 Everything works on the pair set's bit layout (see instance.PairSet): the
 valuation classes of A and B at a prime are bitmasks over their indices,
@@ -18,11 +17,11 @@ from collections import defaultdict
 from .instance import PairSet
 
 
-def prime_table(omega: PairSet, pool=None) -> dict[int, tuple]:
-    """{p: (lo, hi, rows, cols)} over pool, by default every prime of A u B
-    in increasing order: the least and greatest v_p over A u B, and the
-    valuation classes of A and B, {v: bitmask of the indices with v_p = v}
-    without empty classes."""
+def prime_table(omega: PairSet) -> dict[int, tuple]:
+    """{p: (lo, hi, rows, cols)} over every prime of A u B in increasing
+    order: the least and greatest v_p over A u B, and the valuation classes
+    of A and B, {v: bitmask of the indices with v_p = v} without empty
+    classes."""
     sides = []
     for S in (omega.A, omega.B):
         classes = defaultdict(dict)
@@ -32,7 +31,7 @@ def prime_table(omega: PairSet, pool=None) -> dict[int, tuple]:
         sides.append((classes, (1 << len(S)) - 1))
     (by_a, full_a), (by_b, full_b) = sides
     table = {}
-    for p in sorted(by_a.keys() | by_b.keys()) if pool is None else pool:
+    for p in sorted(by_a.keys() | by_b.keys()):
         rows, cols = by_a.get(p, {}), by_b.get(p, {})
         if rest := full_a - sum(rows.values()):
             rows[0] = rest
@@ -41,29 +40,6 @@ def prime_table(omega: PairSet, pool=None) -> dict[int, tuple]:
         lo = 0 if 0 in rows or 0 in cols else min(min(rows), min(cols))
         table[p] = lo, max(max(rows), max(cols)), rows, cols
     return table
-
-
-def class_counts(omega: PairSet, table, orows) -> dict[int, dict[tuple[int, int], int]]:
-    """{p: {(i, j): |Omega on A_i x B_j|}} for the primes of the table.
-
-    Each count is read off the row bitset (from orows) or the column bitset
-    of an element that p divides, and class (0, 0) gets what the others
-    leave of |Omega|, so no grid-wide product is formed."""
-    counts = {p: defaultdict(int) for p in table}
-    for a, row in zip(omega.A, orows):
-        for p, v in a.factors:
-            if p in table:
-                for j, C in table[p][3].items():
-                    counts[p][v, j] += (row & C).bit_count()
-    for b, col in zip(omega.B, omega.col_bits()):
-        for p, w in b.factors:
-            if p in table and (rows0 := table[p][2].get(0)):
-                counts[p][0, w] += (col & rows0).bit_count()
-    total = len(omega)
-    for p, (_, _, rows, cols) in table.items():
-        if 0 in rows and 0 in cols:
-            counts[p][0, 0] = total - sum(counts[p].values())
-    return counts
 
 
 def _cells(spread: int, cols: int, width: int) -> int:

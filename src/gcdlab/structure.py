@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -63,20 +64,24 @@ class ValuationMeasure(NamedTuple):
 
 
 def valuation_measure(inst: GcdInstance, omega: PairSet, p: int) -> ValuationMeasure:
-    """Exact (alpha, beta, mu) at prime p; omega must be nonempty.  mu comes
-    from one count per pair of valuation classes."""
-    from .modulus import class_counts, prime_table
-
+    """Exact (alpha, beta, mu) at prime p; omega must be nonempty.  B's
+    indices are grouped into classes by v_p, and each row of omega is
+    counted against those classes."""
     if not omega:
         raise ValueError("omega is empty: the edge measure is undefined")
-    table = prime_table(omega, [p])
-    _, _, rows, cols = table[p]
-    counts = class_counts(omega, table, omega.row_bits())[p]
+    va = [a.valuation(p) for a in inst.A]
+    cols: dict[int, int] = defaultdict(int)
+    for j, b in enumerate(inst.B):
+        cols[b.valuation(p)] |= 1 << j
+    counts: Counter[tuple[int, int]] = Counter()
+    for v, row in zip(va, omega.row_bits()):
+        for w, C in cols.items():
+            counts[v, w] += (row & C).bit_count()
     nA, nB, nE = len(inst.A), len(inst.B), len(omega)
     return ValuationMeasure(
         p,
-        {i: Fraction(rows[i].bit_count(), nA) for i in sorted(rows)},
-        {j: Fraction(cols[j].bit_count(), nB) for j in sorted(cols)},
+        {i: Fraction(c, nA) for i, c in sorted(Counter(va).items())},
+        {j: Fraction(C.bit_count(), nB) for j, C in sorted(cols.items())},
         {ij: Fraction(c, nE) for ij, c in sorted(counts.items()) if c},
     )
 

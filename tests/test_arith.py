@@ -19,14 +19,12 @@ from gcdlab.arith import (
     _miller_rabin,
     divisors,
     factorize,
-    gcd_factored,
     is_prime,
     is_squarefree,
     primes_up_to,
     primorial,
     radical,
     rational_valuations,
-    valuation,
 )
 
 
@@ -162,11 +160,9 @@ def test_factorize_never_grows_the_sieve():
 
 
 def test_valuation_examples():
-    assert valuation(2, 12) == 2
-    assert valuation(5, 7) == 0
-    assert valuation(3, 54) == 3
-    with pytest.raises(ValueError):
-        valuation(4, 12)
+    assert factorize(12).valuation(2) == 2
+    assert factorize(7).valuation(5) == 0
+    assert factorize(54).valuation(3) == 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,7 +172,7 @@ def test_valuation_examples():
     st.sampled_from([2, 3, 5, 7, 11]),
 )
 def test_valuation_additive(m, n, p):
-    assert valuation(p, m * n) == valuation(p, m) + valuation(p, n)
+    assert factorize(m * n).valuation(p) == factorize(m).valuation(p) + factorize(n).valuation(p)
 
 
 def test_rational_valuations_examples():
@@ -207,14 +203,6 @@ def test_radical():
     assert radical(1).value == 1
     assert radical(12).value == 6
     assert radical(2**10).value == 2
-
-
-def test_gcd_via_valuations_matches_euclid():
-    rng = random.Random(5)
-    for _ in range(10**4):
-        m = rng.randint(1, 10**6)
-        n = rng.randint(1, 10**6)
-        assert gcd_factored(m, n).value == math.gcd(m, n)
 
 
 def test_divisors_sorted_and_complete():
@@ -253,14 +241,10 @@ def test_factorize_result_equals_validated_construction():
 
 
 def test_builders_equal_validated_construction():
-    # primorial, radical and gcd_factored skip FactoredNat.checked
+    # primorial and radical skip FactoredNat.checked
     rng = random.Random(67)
     values = list(range(1, 300)) + [rng.randint(1, 10**12) for _ in range(300)]
-    built = [primorial(x) for x in range(1, 300)]
-    for n in values:
-        m = rng.choice(values) * rng.choice((1, 2, 6, 2053))
-        built += [radical(n), gcd_factored(n, m)]
-        assert gcd_factored(n, m).value == math.gcd(n, m)
+    built = [primorial(x) for x in range(1, 300)] + [radical(n) for n in values]
     for f in built:
         g = FactoredNat.checked(f.value, f.factors)
         assert f == g and hash(f) == hash(g) and f.factors == factorize(f.value).factors

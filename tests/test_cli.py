@@ -83,6 +83,21 @@ def test_exit_2_on_macro_garbage(tmp_path, capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("subcommand", ["stats", "structure"])
+@pytest.mark.parametrize("field", ["D", "X", "Y"])
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+def test_exit_2_on_a_number_beyond_float_range(subcommand, field, number, tmp_path, capsys):
+    # json reads 1e400 as an infinite float, which has no exact fraction
+    doc = json.loads(Path(GOLDEN_INSTANCE).read_text())
+    doc.pop(field)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc)[:-1] + f', "{field}": {number}}}')
+    code, out, err = run_cli([subcommand, str(path)], capsys)
+    assert code == 2 and not out
+    assert err.startswith(f"error: field {field}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exit_1_on_violation(monkeypatch, capsys):
     fake = [Violation("diagonal-gap-bound", {"X": 4, "D": 2, "set": [1], "allowed": 0})]
     monkeypatch.setattr(gcdlab.search, "hunt_violations", lambda *a, **k: fake)

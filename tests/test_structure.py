@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
@@ -76,6 +77,40 @@ def test_valuation_measure_sums_random():
         om = build_omega_gcd(inst)
         for p in (2, 3, 5):
             assert sums_to_one(valuation_measure(inst, om, p))
+
+
+def _v(p: int, n: int) -> int:
+    k = 0
+    while n % p == 0:
+        n, k = n // p, k + 1
+    return k
+
+
+def test_valuation_measure_matches_grouped_edges():
+    # oracle: alpha, beta and mu are the counts of A, B and the pairs of
+    # Omega grouped by their valuations, with keys in increasing order;
+    # 101 divides no element below 202, and 11 often none
+    rng = random.Random(2078)
+    for _ in range(120):
+        X = rng.choice((16, 64, 120, 300))
+        A = rng.sample(range(X, 2 * X + 1), rng.randint(1, 12))
+        B = rng.sample(range(X, 2 * X + 1), rng.randint(1, 12))
+        inst = GcdInstance.build(A, B, rng.randint(1, 8), X, X, check_ranges=False)
+        om = build_omega_gcd(inst)
+        if not om:
+            continue
+        for p in (2, 3, 5, 7, 11, 101):
+            vm = valuation_measure(inst, om, p)
+            pairs = [(_v(p, a.value), _v(p, b.value)) for a, b in edges(om)]
+            groups = {
+                "alpha": (len(inst.A), Counter(_v(p, a.value) for a in inst.A)),
+                "beta": (len(inst.B), Counter(_v(p, b.value) for b in inst.B)),
+                "mu": (len(om), Counter(pairs)),
+            }
+            for name, (total, counts) in groups.items():
+                want = {k: Fraction(c, total) for k, c in sorted(counts.items())}
+                got = getattr(vm, name)
+                assert list(got.items()) == list(want.items()), (A, B, p, name)
 
 
 def test_valuation_measure_rejects_empty():
@@ -250,7 +285,7 @@ def test_a_free_prime_takes_its_lowest_k():
     # and N is odd
     inst = GcdInstance.build([6, 10, 14, 22], [9, 15, 21, 26, 33], 3, 6, 9, check_ranges=False)
     om = build_omega_gcd(inst)
-    assert prime_table(om, [2])[2][0] == 0  # lo = 0 at p = 2
+    assert prime_table(om)[2][0] == 0  # lo = 0 at p = 2
     assert _kept_by(om, 2, 0) == _kept_by(om, 2, 1) == list(edges(om))
     binding = _per_prime_masks(om, om.row_bits(), prime_table(om))
     assert 2 not in [p for p, *_ in binding]
