@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import fraction_of, is_prime, rational_valuations
 from .instance import (
@@ -47,33 +46,23 @@ from .structure import (
 # measure, families, search and verify are imported by the subcommands that
 # run them, so a cold start loads only what it uses.
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
+
+_DEFAULTS = {"epsilon": 0.5, "p0": 100, "seed": 0}
 
 
-class RunConfig(NamedTuple):
-    epsilon: float = 0.5
-    p0: int = 100
-    seed: int = 0
-    format: str = "json"
-
-
-def _config(args, inst: GcdInstance | None = None) -> RunConfig:
-    """The config of the run: an explicit --epsilon or --p0 wins over the
-    instance file's value, which wins over the default."""
-    fallback = inst or RunConfig()
-    epsilon = fallback.epsilon if args.epsilon is None else args.epsilon
-    p0 = fallback.p0 if args.p0 is None else args.p0
-    epsilon_fraction(epsilon)
-    if p0 < 0:
-        raise InstanceError(f"field p0: {p0} must be a natural number")
-    return RunConfig(epsilon, p0, args.seed, args.format)
-
-
-def _load(path: str, args) -> tuple[GcdInstance, RunConfig]:
-    """The instance at path with the run's epsilon and p0, and that config."""
-    inst = read_instance(path)
-    cfg = _config(args, inst)
-    return inst._replace(epsilon=cfg.epsilon, p0=cfg.p0), cfg
+def _config(args, inst: GcdInstance | None = None) -> dict:
+    """The shared options this subcommand took, as its run uses them: a flag
+    wins over the instance file's value, which wins over the default."""
+    cfg = {key: getattr(args, key) for key in (*_DEFAULTS, "format") if hasattr(args, key)}
+    for key, default in _DEFAULTS.items():
+        if key in cfg and cfg[key] is None:
+            cfg[key] = getattr(inst, key, default)
+    if "epsilon" in cfg:
+        epsilon_fraction(cfg["epsilon"])
+    if cfg.get("p0", 0) < 0:
+        raise InstanceError(f"field p0: {cfg['p0']} must be a natural number")
+    return cfg
 
 
 def _fraction(name: str, text: str) -> Fraction:
@@ -89,7 +78,9 @@ def _fraction(name: str, text: str) -> Fraction:
 
 
 def cmd_stats(args) -> tuple[dict, int]:
-    inst, cfg = _load(args.instance, args)
+    inst = read_instance(args.instance)
+    cfg = _config(args, inst)
+    inst = inst._replace(epsilon=cfg["epsilon"], p0=cfg["p0"])
     omega = build_omega_gcd(inst)
     pset, psml = prime_sets(inst.A + inst.B, inst.p0)
     summary = {
@@ -116,11 +107,11 @@ def cmd_stats(args) -> tuple[dict, int]:
         summary["bound"] = bound if math.isfinite(bound) else None
         summary["bound_log10"] = theorem1_log10_bound(inst, omega.delta, psml)
         summary["holds"] = theorem1_holds(inst, omega.delta, psml)
-    return make_report("stats", cfg._asdict(), summary), 0
+    return make_report("stats", cfg, summary), 0
 
 
 def cmd_structure(args) -> tuple[dict, int]:
-    inst, cfg = _load(args.instance, args)
+    inst = read_instance(args.instance)
     omega = build_omega_gcd(inst)
     if not omega:
         raise InstanceError("pair set is empty; nothing to structure")
@@ -156,11 +147,10 @@ def cmd_structure(args) -> tuple[dict, int]:
     }
     if si.fraction < Fraction(1, 2):
         summary["warning"] = "pivotal fraction below 1/2 (possible for non-minimal instances)"
-    return make_report("structure", cfg._asdict(), summary, records), 0
+    return make_report("structure", _config(args), summary, records), 0
 
 
 def cmd_defect(args) -> tuple[dict, int]:
-    cfg = _config(args)
     try:
         d = defect(args.a, args.n)
     except DefectError as exc:
@@ -203,7 +193,7 @@ def cmd_defect(args) -> tuple[dict, int]:
                         "sum_abs": abs(va.get(p, 0)) + abs(vb.get(p, 0)),
                     }
                 )
-    return make_report("defect", cfg._asdict(), summary, records), 0
+    return make_report("defect", _config(args), summary, records), 0
 
 
 def _finite(x: float) -> float | None:
@@ -239,7 +229,6 @@ def cmd_measure(args) -> tuple[dict, int]:
         sweep_extremes,
     )
 
-    cfg = _config(args)
     modes = {"--point-mass": args.point_mass, "--instance": args.instance, "--random": args.random}
     given = [flag for flag, value in modes.items() if value is not None]
     if len(given) != 1:
@@ -251,6 +240,13 @@ def cmd_measure(args) -> tuple[dict, int]:
         if (value is not None) != (given[0] == mode):
             verb = "is required with" if value is None else "applies only to"
             raise InstanceError(f"{flag} {verb} {mode}")
+    # only the random sweep reads a seed, so only its config echoes one
+    if given[0] != "--random" and vars(args).pop("seed") is not None:
+        raise InstanceError("--seed applies only to --random")
+    if given[0] == "--instance" and not is_prime(args.prime):
+        raise InstanceError(f"--prime {args.prime} is not prime")
+    inst = None if args.instance is None else read_instance(args.instance)
+    cfg = _config(args, inst)
     records = []
     if args.point_mass is not None:
         i, j = args.point_mass
@@ -259,19 +255,16 @@ def cmd_measure(args) -> tuple[dict, int]:
         except ValueError:
             raise InstanceError(f"--lambda: {args.lam} is not a finite number") from None
         w = WeightPair.from_densities({i: 1}, {j: 1})
-        rep = concentration_report(Measure2D.point_mass(i, j), w, lam, epsilon=cfg.epsilon)
+        rep = concentration_report(Measure2D.point_mass(i, j), w, lam, epsilon=cfg["epsilon"])
         summary = _measure_summary(rep)
         summary["source"] = f"point-mass ({i}, {j})"
-    elif args.instance is not None:
-        if not is_prime(args.prime):
-            raise InstanceError(f"--prime {args.prime} is not prime")
-        inst, cfg = _load(args.instance, args)
+    elif inst is not None:
         omega = build_omega_gcd(inst)
         if not omega:
             raise InstanceError("pair set is empty; the edge measure is undefined")
         vm = valuation_measure(inst, omega, args.prime)
-        mu, w, lam = from_valuation_measure(vm, epsilon=cfg.epsilon)
-        rep = concentration_report(mu, w, lam, epsilon=cfg.epsilon, p=args.prime)
+        mu, w, lam = from_valuation_measure(vm, epsilon=cfg["epsilon"])
+        rep = concentration_report(mu, w, lam, epsilon=cfg["epsilon"], p=args.prime)
         summary = _measure_summary(rep)
         summary["source"] = f"valuation measure at p = {args.prime}"
         records = [
@@ -282,8 +275,8 @@ def cmd_measure(args) -> tuple[dict, int]:
 
         if args.random < 1:
             raise InstanceError(f"--random: {args.random} must be a positive count")
-        rng = _random.Random(cfg.seed)
-        eps = epsilon_fraction(cfg.epsilon)
+        rng = _random.Random(cfg["seed"])
+        eps = epsilon_fraction(cfg["epsilon"])
         n = 2 * eps.denominator + eps.numerator
         configs = (random_admissible_config(rng) for _ in range(args.random))
         least, _, top = sweep_extremes(configs, eps)
@@ -293,10 +286,10 @@ def cmd_measure(args) -> tuple[dict, int]:
             "max_ratio_seen": root_float(*top, eps.denominator),
             "all_c_lower_ok": least[0] * C_FLOOR**n >= least[1],
         }
-    return make_report("measure", cfg._asdict(), summary, records), 0
+    return make_report("measure", cfg, summary, records), 0
 
 
-def _family_doc(report, A, B, cfg: RunConfig):
+def _family_doc(report, A, B, cfg: dict):
     summary = {
         "family": report.family,
         "parameters": report.parameters,
@@ -312,17 +305,17 @@ def _family_doc(report, A, B, cfg: RunConfig):
         records.append({"set": "A", "elements": [str(v) for v in A]})
         if B is not None:
             records.append({"set": "B", "elements": [str(v) for v in B]})
-    return make_report("family", cfg._asdict(), summary, records)
+    return make_report("family", cfg, summary, records)
 
 
-def _emit_set(path: str, A, B, D, cfg: RunConfig) -> None:
+def _emit_set(path: str, A, B, D, cfg: dict) -> None:
     try:
-        text = instance_to_json(GcdInstance.build(A, B, D, epsilon=cfg.epsilon, p0=cfg.p0))
+        text = instance_to_json(GcdInstance.build(A, B, D, epsilon=cfg["epsilon"], p0=cfg["p0"]))
     except InstanceError:
         # not a dyadic instance; write the sets without X, Y so readers see
         # the range diagnostics on load
         inst = GcdInstance.build(
-            A, B, D, min(A), min(B), epsilon=cfg.epsilon, p0=cfg.p0, check_ranges=False
+            A, B, D, min(A), min(B), epsilon=cfg["epsilon"], p0=cfg["p0"], check_ranges=False
         )
         text = instance_to_json(inst, ranges=False)
     with open(path, "w", encoding="utf-8") as fh:
@@ -334,7 +327,7 @@ def cmd_family(args) -> tuple[dict, int]:
 
     cfg = _config(args)
     if args.family == "remark2":
-        A, B, report = remark2_family(args.X, args.Y if args.Y else args.X, args.D)
+        A, B, report = remark2_family(args.X, args.X if args.Y is None else args.Y, args.D)
         D = args.D
     elif args.family == "remark3":
         A, B, report = remark3_family(args.X, args.D, _fraction("--delta", args.delta))
@@ -344,7 +337,9 @@ def cmd_family(args) -> tuple[dict, int]:
         B = None
         D = 1
     else:
-        A, B, report = squarefree_instance(args.n, _fraction("--Q", args.Q))
+        A, B, report = squarefree_instance(
+            args.n, _fraction("--Q", args.Q), epsilon=cfg["epsilon"], p0=cfg["p0"]
+        )
         D = 1
     if args.emit_set:
         _emit_set(args.emit_set, A, B if B is not None else A, D, cfg)
@@ -359,9 +354,9 @@ def cmd_search(args) -> tuple[dict, int]:
         target = args.delta_target
         space = SearchSpace(
             X=args.X,
-            Y=args.Y if args.Y else args.X,
+            Y=args.X if args.Y is None else args.Y,
             D=args.D,
-            delta_target=_fraction("--delta-target", target) if target else None,
+            delta_target=None if target is None else _fraction("--delta-target", target),
             mode=args.mode,
             force_equal=args.force_equal,
             exhaustive_limit=args.exhaustive_limit,
@@ -379,15 +374,13 @@ def cmd_search(args) -> tuple[dict, int]:
             "best_b": [str(v) for v in res.best_b],
             "max_product": res.max_product,
         }
-        # the search is deterministic, so its config echoes no seed
-        config = {k: v for k, v in cfg._asdict().items() if k != "seed"}
-        config["exhaustive_limit"] = space.exhaustive_limit
-        return make_report("search", config, summary), 0
+        cfg["exhaustive_limit"] = space.exhaustive_limit
+        return make_report("search", cfg, summary), 0
     for flag, count in (("--scale-limit", args.scale_limit), ("--structured", args.structured)):
         if count < 0:
             raise InstanceError(f"{flag}: {count} must be a natural number")
     violations = hunt_violations(
-        args.scale_limit, cfg.seed, n_structured=args.structured
+        args.scale_limit, cfg["seed"], n_structured=args.structured
     )
     summary = {
         "scale_limit": args.scale_limit,
@@ -395,14 +388,14 @@ def cmd_search(args) -> tuple[dict, int]:
         "violations_found": len(violations),
     }
     records = [{"kind": v.kind, **v.detail} for v in violations]
-    return make_report("hunt", cfg._asdict(), summary, records), (1 if violations else 0)
+    return make_report("hunt", cfg, summary, records), (1 if violations else 0)
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     from .verify import run_all
 
     cfg = _config(args)
-    results = run_all(quick=args.quick, seed_offset=cfg.seed)
+    results = run_all(quick=args.quick, seed_offset=cfg["seed"])
     records = [
         {"check": r.name, "ok": r.ok, "detail": r.detail} for r in results
     ]
@@ -413,7 +406,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "all_ok": ok,
         "mode": "quick" if args.quick else "full",
     }
-    return make_report("verify", cfg._asdict(), summary, records), (0 if ok else 1)
+    return make_report("verify", cfg, summary, records), (0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +422,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # one parent per shared option: each leaf takes those that some run of it reads
+    eps, p0, seed, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    eps.add_argument(
         "--epsilon", type=float, default=None,
         help="exponent offset in (0, 1); default the instance file's, else 0.5",
     )
-    common.add_argument(
+    p0.add_argument(
         "--p0", type=int, default=None,
         help="small-prime threshold; default the instance file's, else 100",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized sweeps")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    seed.add_argument("--seed", type=int, default=None, help="seed of the random draws; default 0")
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = _Parser(
         prog="gcdlab",
@@ -447,21 +441,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[common], help="pair census and bound check")
+    p = sub.add_parser("stats", parents=[eps, p0, fmt], help="pair census and bound check")
     p.add_argument("instance", help="instance file (JSON)")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("structure", parents=[common], help="modulus search, defects, witnesses")
+    p = sub.add_parser("structure", parents=[fmt], help="modulus search, defects, witnesses")
     p.add_argument("instance")
     p.set_defaults(func=cmd_structure)
 
-    p = sub.add_parser("defect", parents=[common], help="defect decomposition of a relative to N")
+    p = sub.add_parser("defect", parents=[fmt], help="defect decomposition of a relative to N")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", "--N", type=int, required=True, dest="n")
     p.add_argument("--b", type=int, default=None, help="optional partner for the pair identity")
     p.set_defaults(func=cmd_defect)
 
-    p = sub.add_parser("measure", parents=[common], help="concentration numerics")
+    p = sub.add_parser("measure", parents=[eps, seed, fmt], help="concentration numerics")
     p.add_argument("--point-mass", nargs=2, type=int, metavar=("I", "J"), default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--instance", default=None, help="derive the edge measure from an instance")
@@ -469,33 +463,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=None, help="seeded random sweep of n configs")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("family", parents=[common], help="construct and verify an example family")
+    p = sub.add_parser("family", help="construct and verify an example family")
     fam = p.add_subparsers(dest="family", required=True)
-    f2 = fam.add_parser("remark2", parents=[common])
+    family_options = [eps, p0, fmt]
+    f2 = fam.add_parser("remark2", parents=family_options)
     f2.add_argument("--X", type=int, required=True)
     f2.add_argument("--Y", type=int, default=None)
     f2.add_argument("--D", type=int, required=True)
     f2.add_argument("--emit-set", default=None, help="write the sets as an instance file")
     f2.set_defaults(func=cmd_family)
-    f3 = fam.add_parser("remark3", parents=[common])
+    f3 = fam.add_parser("remark3", parents=family_options)
     f3.add_argument("--X", type=int, required=True)
     f3.add_argument("--D", type=int, required=True)
     f3.add_argument("--delta", required=True, help="target density, e.g. 1/3")
     f3.add_argument("--emit-set", default=None)
     f3.set_defaults(func=cmd_family)
-    f5 = fam.add_parser("sec5", parents=[common])
+    f5 = fam.add_parser("sec5", parents=family_options)
     f5.add_argument("--X", type=int, required=True)
     f5.add_argument("--emit-set", default=None)
     f5.set_defaults(func=cmd_family)
-    fsq = fam.add_parser("squarefree", parents=[common])
+    fsq = fam.add_parser("squarefree", parents=family_options)
     fsq.add_argument("--n", type=int, required=True)
     fsq.add_argument("--Q", required=True)
     fsq.add_argument("--emit-set", default=None)
     fsq.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("search", parents=[common], help="extremal search and violation hunt")
+    p = sub.add_parser("search", help="extremal search and violation hunt")
     act = p.add_subparsers(dest="action", required=True)
-    ex = act.add_parser("exhaustive", parents=[common])
+    ex = act.add_parser("exhaustive", parents=[fmt])
     ex.add_argument("--X", type=int, required=True)
     ex.add_argument("--Y", type=int, default=None)
     ex.add_argument("--D", type=int, required=True)
@@ -507,12 +502,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max integers per side for exact searches",
     )
     ex.set_defaults(func=cmd_search)
-    hv = act.add_parser("hunt", parents=[common])
+    hv = act.add_parser("hunt", parents=[seed, fmt])
     hv.add_argument("--scale-limit", type=int, default=16, dest="scale_limit")
     hv.add_argument("--structured", type=int, default=1000)
     hv.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify", parents=[common], help="run the built-in verification battery")
+    p = sub.add_parser("verify", parents=[seed, fmt], help="run the built-in verification battery")
     p.add_argument("what", choices=("all",))
     p.add_argument("--quick", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -80,6 +80,8 @@ def remark3_family(X: int, D: int, delta):
         raise ValueError(f"need D >= 1/delta = {1 / delta}, got D = {D}")
     d0 = int(delta * D)
     A = _multiples_in_window(d0, X)
+    if not A:
+        raise ValueError(f"no multiple of D0 = {d0} in [{X}, {2 * X}]")
     checks = ["d0-positive"] if d0 >= 1 else []
     good = count_pairs_geq_fast(A, A, D)
     measured = Fraction(good, len(A) ** 2)
@@ -158,14 +160,15 @@ def sec5_family(X: int):
     return A, report
 
 
-def squarefree_instance(n: int, Q):
+def squarefree_instance(n: int, Q, epsilon: float = 0.5, p0: int = 100):
     """A = B = squarefree integers in [1, n], with the density of pairs
-    satisfying ab/gcd^2 <= Q and the squarefree product bound evaluated."""
+    satisfying ab/gcd^2 <= Q and the squarefree product bound evaluated at
+    epsilon and p0."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     A = [m for m in range(1, n + 1) if is_squarefree(m)]
     Q = fraction_of(Q)
-    delta, bound, holds = theorem51_bound(A, A, Q)
+    delta, bound, holds = theorem51_bound(A, A, Q, epsilon, p0)
     checks = ["bound-holds"] if holds else []
     report = FamilyReport(
         family="squarefree",

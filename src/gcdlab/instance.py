@@ -483,10 +483,12 @@ def _parse_fraction(doc, name: str, required: bool):
         if required:
             raise InstanceError(f"field {name}: missing")
         return None
-    try:
-        return Fraction(raw) if isinstance(raw, str) else fraction_of(raw)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InstanceError(f"field {name}: {raw!r} is not a number") from None
+    if not isinstance(raw, bool):
+        try:  # a JSON float is read by its decimal text, as epsilon is
+            return decimal_fraction(raw) if isinstance(raw, float) else Fraction(raw)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise InstanceError(f"field {name}: {raw!r} is not a number")
 
 
 def instance_from_json(text: str) -> GcdInstance:

@@ -62,13 +62,15 @@ class SearchSpace(NamedTuple):
             raise ValueError("X and Y must be >= 1")
         limit = self.exhaustive_limit
         if self.mode == "threshold-delta":
-            if self.delta_target is None:
-                raise ValueError("threshold-delta mode needs delta_target")
+            if self.delta_target is None or not 0 < self.delta_target <= 1:
+                raise ValueError("threshold-delta mode needs delta_target in (0, 1]")
             if max(self.X, self.Y) > THRESHOLD_SIDE_LIMIT:
                 raise ValueError(
                     f"threshold-delta mode is exact only for X, Y <= {THRESHOLD_SIDE_LIMIT}, "
                     f"got X = {self.X}, Y = {self.Y}"
                 )
+        elif self.delta_target is not None:
+            raise ValueError("delta_target applies only to threshold-delta mode")
         if self.X + 1 > limit + 1 or self.Y + 1 > limit + 1:
             raise ValueError(
                 f"universe too large: {self.X + 1} or {self.Y + 1} integers "

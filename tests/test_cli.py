@@ -14,6 +14,8 @@ import gcdlab.cli as cli
 import gcdlab.instance
 import gcdlab.search
 import gcdlab.verify
+from gcdlab.arith import is_squarefree
+from gcdlab.instance import theorem51_bound
 from gcdlab.reports import to_canonical_json
 from gcdlab.search import Violation
 from gcdlab.verify import CheckResult
@@ -26,6 +28,20 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_argv(argv, capsys):
+    """run_cli, with an argparse usage error read as its exit code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture()
@@ -85,9 +101,10 @@ def test_exit_2_on_macro_garbage(tmp_path, capsys):
 
 @pytest.mark.parametrize("subcommand", ["stats", "structure"])
 @pytest.mark.parametrize("field", ["D", "X", "Y"])
-@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "true"])
 def test_exit_2_on_a_number_beyond_float_range(subcommand, field, number, tmp_path, capsys):
-    # json reads 1e400 as an infinite float, which has no exact fraction
+    # json reads 1e400 as an infinite float, which has no exact fraction, and
+    # true as a bool, which is not a number
     doc = json.loads(Path(GOLDEN_INSTANCE).read_text())
     doc.pop(field)
     path = tmp_path / "huge.json"
@@ -96,6 +113,16 @@ def test_exit_2_on_a_number_beyond_float_range(subcommand, field, number, tmp_pa
     assert code == 2 and not out
     assert err.startswith(f"error: field {field}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_json_floats_for_d_x_y_are_read_by_their_decimal_text(tmp_path, capsys):
+    doc = json.loads(Path(GOLDEN_INSTANCE).read_text())
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({**doc, "D": 2.3, "X": 60.0}))
+    code, out, _ = run_cli(["stats", str(path)], capsys)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert (summary["D"], summary["X"]) == ("23/10", "60")
 
 
 def test_exit_1_on_violation(monkeypatch, capsys):
@@ -211,16 +238,68 @@ def test_search_exhaustive(capsys):
 
 
 def test_search_exhaustive_config_echoes_no_seed(capsys):
-    # the search is deterministic, so a seed in its config would mislead
-    for extra in ([], ["--seed", "7"]):
-        code, out, _ = run_cli(["search", "exhaustive", "--X", "4", "--D", "2"] + extra, capsys)
-        assert code == 0
-        assert json.loads(out)["config"] == {
-            "epsilon": 0.5, "exhaustive_limit": 20, "format": "json", "p0": 100
-        }
+    # the search is deterministic, so it takes no seed
+    argv = ["search", "exhaustive", "--X", "4", "--D", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["config"] == {"exhaustive_limit": 20, "format": "json"}
+    assert_one_error_line(*run_argv(argv + ["--seed", "7"], capsys))
     code, out, _ = run_cli(["search", "hunt", "--scale-limit", "2", "--structured", "1",
                             "--seed", "7"], capsys)
     assert code == 0 and json.loads(out)["config"]["seed"] == 7
+
+
+_SHARED_FLAGS = {"--epsilon": "0.25", "--p0": "7", "--seed": "3", "--format": "json"}
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (["stats", GOLDEN_INSTANCE], {"epsilon", "p0", "format"}),
+        (["structure", GOLDEN_INSTANCE], {"format"}),
+        (["defect", "--a", "12", "--n", "6"], {"format"}),
+        (["measure", "--point-mass", "0", "1", "--lambda", "0.5"], {"epsilon", "format"}),
+        (["measure", "--instance", GOLDEN_INSTANCE, "--prime", "2"], {"epsilon", "format"}),
+        (["measure", "--random", "3"], {"epsilon", "seed", "format"}),
+        (["family", "remark2", "--X", "8", "--D", "2"], {"epsilon", "p0", "format"}),
+        (["family", "remark3", "--X", "60", "--D", "4", "--delta", "1/2"],
+         {"epsilon", "p0", "format"}),
+        (["family", "sec5", "--X", "4"], {"epsilon", "p0", "format"}),
+        (["family", "squarefree", "--n", "6", "--Q", "6"], {"epsilon", "p0", "format"}),
+        (["search", "exhaustive", "--X", "4", "--D", "2"], {"format"}),
+        (["search", "hunt", "--scale-limit", "2", "--structured", "1"], {"seed", "format"}),
+        (["verify", "all", "--quick"], {"seed", "format"}),
+    ],
+)
+def test_config_echoes_exactly_the_shared_options_a_leaf_takes(
+    argv, options, monkeypatch, capsys
+):
+    monkeypatch.setattr(
+        gcdlab.verify, "run_all", lambda **kwargs: [CheckResult("stub", True, 0.0, {})]
+    )
+    extra = ["exhaustive_limit"] if argv[:2] == ["search", "exhaustive"] else []
+    taken = [a for f in sorted(options) for a in (f"--{f}", _SHARED_FLAGS[f"--{f}"])]
+    code, out, _ = run_cli(argv + taken, capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert sorted(config) == sorted([*options, *extra])
+    assert all(str(config[f]) == _SHARED_FLAGS[f"--{f}"] for f in options)
+    for flag in sorted(set(_SHARED_FLAGS) - {f"--{f}" for f in options}):
+        assert_one_error_line(*run_argv(argv + [flag, _SHARED_FLAGS[flag]], capsys))
+
+
+def test_family_squarefree_bound_follows_epsilon_and_p0(capsys):
+    A = [m for m in range(1, 31) if is_squarefree(m)]
+    bounds = set()
+    for flags, (eps, p0) in (([], (0.5, 100)), (["--epsilon", "0.3", "--p0", "2"], (0.3, 2))):
+        code, out, _ = run_cli(["family", "squarefree", "--n", "30", "--Q", "20", *flags], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["config"]["epsilon"], doc["config"]["p0"]) == (eps, p0)
+        bound = doc["summary"]["details"]["bound"]
+        assert bound == theorem51_bound(A, A, 20, eps, p0)[1]
+        bounds.add(bound)
+    assert len(bounds) == 2
 
 
 def test_stats_scans_for_primes_once(monkeypatch, capsys):
@@ -329,6 +408,11 @@ def test_bad_arguments_exit_2(capsys):
         ["measure", "--random", "x"],
         ["stats"],
         ["no-such-command"],
+        # the group parsers take no options, so no value given there is dropped
+        ["family", "--epsilon", "0.3", "--seed", "7", "remark2", "--X", "8", "--D", "2"],
+        ["family", "--p0", "3", "squarefree", "--n", "6", "--Q", "6"],
+        ["search", "--seed", "5", "hunt", "--scale-limit", "2", "--structured", "1"],
+        ["search", "--format", "csv", "exhaustive", "--X", "4", "--D", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -372,6 +456,20 @@ def test_bad_arguments_exit_2(capsys):
         ["measure", "--point-mass", "0", "0", "--lambda", "nan"],
         # lambda^2999 of the random sweep at epsilon = 999/1000 is past EXACT_BITS_MAX
         ["measure", "--random", "5", "--epsilon", "0.999"],
+        # only the random sweep reads a seed
+        ["measure", "--point-mass", "0", "0", "--lambda", "0.5", "--seed", "1"],
+        ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "2", "--seed", "0"],
+        # no multiple of D0 = 3 lies in [1, 2]
+        ["family", "remark3", "--X", "1", "--D", "6", "--delta", "1/2"],
+        # Y = 0 is a value, not the default Y = X
+        ["family", "remark2", "--X", "5", "--D", "2", "--Y", "0"],
+        ["search", "exhaustive", "--X", "4", "--Y", "0", "--D", "1"],
+        # a density target outside (0, 1], or in the mode that reads none
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--mode", "threshold-delta",
+         "--delta-target", "2"],
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--mode", "threshold-delta",
+         "--delta-target", "0"],
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "1/2"],
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
@@ -435,6 +533,88 @@ def test_measure_fuzz_ends_in_an_exit_code_and_one_line(argv, capsys):
         assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1, argv
     else:
         assert out.err == "" and out.out, argv
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(lambda n: [str(n)])
+
+
+def _texts(*texts):
+    return st.sampled_from(texts).map(lambda t: [t])
+
+
+_SHARED_VALUES = {
+    "--epsilon": _texts("0.5", "0.25", "0.999", "0.1234", "1"),
+    "--p0": _ints(-1, 200),
+    "--seed": _ints(0, 9),
+    "--format": _texts("json", "csv"),
+}
+_INSTANCE_PATH = _texts(GOLDEN_INSTANCE, str(Path(GOLDEN_INSTANCE).parent), "no-such-file.json")
+_SWITCH = st.just([])
+
+# each leaf but measure: the flags it needs and the flags it may take, with
+# sizes capped so that every run is quick (argparse's own rejection of
+# malformed integers is the measure fuzz test's ground)
+_LEAF_FLAGS = {
+    ("defect",): ({"--a": _ints(-3, 60), "--n": _ints(-3, 60)}, {"--b": _ints(-3, 60)}),
+    ("family", "remark2"): ({"--X": _ints(0, 40), "--D": _ints(0, 12)}, {"--Y": _ints(0, 40)}),
+    ("family", "remark3"): (
+        {"--X": _ints(0, 40), "--D": _ints(0, 12),
+         "--delta": _texts("1/2", "1/3", "1", "2", "0", "1/0", "x", "nan", "1e400")},
+        {},
+    ),
+    ("family", "sec5"): ({"--X": _ints(0, 10)}, {}),
+    ("family", "squarefree"): (
+        {"--n": _ints(0, 60), "--Q": _texts("6", "1/2", "0", "-1", "x", "inf")}, {}
+    ),
+    ("search", "exhaustive"): (
+        {"--X": _ints(0, 8), "--D": _ints(0, 4)},
+        {"--Y": _ints(0, 8), "--mode": _texts("exact-delta-1", "threshold-delta", "x"),
+         "--delta-target": _texts("1/2", "1", "2", "0", "1/0", "", "nan"),
+         "--force-equal": _SWITCH, "--exhaustive-limit": _ints(-1, 20)},
+    ),
+    ("search", "hunt"): ({}, {"--scale-limit": _ints(-1, 4), "--structured": _ints(-1, 4)}),
+    ("verify", "all"): ({}, {"--quick": _SWITCH}),
+}
+
+
+@st.composite
+def any_argv(draw):
+    """A leaf with the flags it needs, up to two flags it may take, and up
+    to two shared flags, whether or not the leaf takes them; a group's
+    leaf may also get a shared flag placed on the group parser."""
+    leaf = draw(st.sampled_from(["stats", "structure", "measure", *map(" ".join, _LEAF_FLAGS)]))
+    if leaf in ("stats", "structure"):
+        argv = [leaf, *draw(_INSTANCE_PATH)]
+    elif leaf == "measure":
+        argv = draw(measure_argv())
+    else:
+        needed, optional = _LEAF_FLAGS[tuple(leaf.split())]
+        extra = draw(st.lists(st.sampled_from(sorted(optional) or [None]), max_size=2, unique=True))
+        argv = leaf.split()
+        for flag in [*needed, *filter(None, extra)]:
+            argv += [flag, *draw({**needed, **optional}[flag])]
+    on_group = leaf.startswith(("family", "search"))
+    for flag in draw(st.lists(st.sampled_from(sorted(_SHARED_VALUES)), max_size=2, unique=True)):
+        at = 1 if on_group and draw(st.booleans()) else len(argv)
+        argv[at:at] = [flag, *draw(_SHARED_VALUES[flag])]
+    return argv
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=any_argv())
+def test_every_subcommand_fuzz_ends_in_an_exit_code_and_one_line(argv, monkeypatch, capsys):
+    monkeypatch.setattr(
+        gcdlab.verify, "run_all", lambda **kwargs: [CheckResult("stub", True, 0.0, {})]
+    )
+    code, out, err = run_argv(argv, capsys)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    else:
+        assert err == "" and out, argv
 
 
 @pytest.mark.parametrize("seed", [0, 5])

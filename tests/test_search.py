@@ -117,6 +117,17 @@ def test_threshold_mode_above_cap_is_rejected():
     SearchSpace(X=12, Y=12, D=3, delta_target=half, mode="threshold-delta").check()
 
 
+def test_threshold_mode_needs_a_density_in_the_unit_interval():
+    for target in (None, Fraction(0), Fraction(-1, 2), Fraction(2), Fraction(11, 10)):
+        sp = SearchSpace(X=4, Y=4, D=2, delta_target=target, mode="threshold-delta")
+        with pytest.raises(ValueError, match=r"delta_target in \(0, 1\]"):
+            sp.check()
+    SearchSpace(X=4, Y=4, D=2, delta_target=Fraction(1), mode="threshold-delta").check()
+    # the exact-delta-1 mode reads no target, so it takes none
+    with pytest.raises(ValueError, match="applies only to threshold-delta"):
+        SearchSpace(X=4, Y=4, D=2, delta_target=Fraction(1, 2)).check()
+
+
 def test_universe_cap_enforced():
     with pytest.raises(ValueError, match="universe too large"):
         exhaustive_max(SearchSpace(X=40, Y=5, D=2))
