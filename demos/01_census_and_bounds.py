@@ -13,7 +13,6 @@ from gcdlab import (
     count_pairs_geq_naive,
     gcd_census,
     theorem1_bound,
-    theorem1_holds,
 )
 
 print("=" * 72)
@@ -44,9 +43,9 @@ print("2. The product bound")
 print("=" * 72)
 # the headline bound 1000^(1 + #small primes) * delta^(-2-eps) * XY/D^2 is
 # astronomically generous at desk scale; we evaluate it anyway
-bound = theorem1_bound(inst, omega.delta)
+bound, _, holds = theorem1_bound(inst, omega.delta)
 print(f"|A||B| = {inst.size_product()}")
-print(f"bound  = {bound:.3e}  (holds: {theorem1_holds(inst, omega.delta)})")
+print(f"bound  = {bound:.3e}  (holds: {holds})")
 
 print()
 print("=" * 72)

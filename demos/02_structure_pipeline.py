@@ -22,7 +22,7 @@ inst = GcdInstance.build(A, A, D=10, X=100, Y=100)
 omega = build_omega_gcd(inst)
 si = find_modulus(inst, omega)
 print(f"A = B = multiples of 10 in [100, 200], delta = {omega.delta}")
-print(f"N = {si.n.value} = {dict(si.n.factors)}  ({si.strategy} search)")
+print(f"N = {si.n.value} = {dict(si.n.factors)}")
 print(f"pivotal pairs: {len(si.omega_prime)} of {len(omega)}  (fraction {si.fraction})")
 print("the 1/2 guarantee binds only minimal counterexamples; real instances")
 print("like this one can land below it, which is why the fraction is reported")

@@ -21,12 +21,7 @@ from gcdlab import (
     tail_mass,
     valuation_measure,
 )
-from gcdlab.measure import (
-    capped_admissible_config,
-    random_admissible_config,
-    root_float,
-    sweep_extremes,
-)
+from gcdlab.measure import capped_admissible_config, random_admissible_config, sweep_extremes
 
 print("=" * 72)
 print("1. Hand-built measures")
@@ -49,10 +44,10 @@ print("=" * 72)
 print("2. The c >= 1/9 floor on random admissible configurations")
 print("=" * 72)
 rng = random.Random(2024)
-least, _, _ = sweep_extremes([random_admissible_config(rng) for _ in range(2000)], Fraction(1, 2))
+sweep = sweep_extremes([random_admissible_config(rng) for _ in range(2000)], epsilon=0.5)
 print(
-    f"smallest minimal-c over 2000 seeded configurations: {root_float(*least, 5):.6f}"
-    f" (floor 1/9 = {1/9:.6f}; decided exactly as c^5 >= 9^-5: {least[0] * 9**5 >= least[1]})"
+    f"smallest minimal-c over 2000 seeded configurations: {sweep.min_c:.6f}"
+    f" (floor 1/9 = {1/9:.6f}; decided exactly as c^5 >= 9^-5: {sweep.c_lower_ok})"
 )
 
 # the lemma leaves the tail constant unspecified, so the capped family's
@@ -61,11 +56,10 @@ print("capped family (c <= 1), 200 seeded configurations per lambda:")
 rng = random.Random(2025)
 for lam in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
     configs = [(*capped_admissible_config(rng, lam), lam) for _ in range(200)]
-    _, most, top = sweep_extremes(configs, Fraction(1, 2))
-    c_max, ratio = root_float(*most, 5), root_float(*top, 2)
+    sweep = sweep_extremes(configs, epsilon=0.5)
     print(
-        f"  lambda = {float(lam):<4}: largest c = {c_max:.6f} (<= 1: {most[0] <= most[1]}),"
-        f" largest tail/lambda^3 = {ratio:.4f}"
+        f"  lambda = {float(lam):<4}: largest c = {sweep.max_c:.6f} (<= 1: {sweep.c_upper_ok}),"
+        f" largest tail/lambda^3 = {sweep.max_ratio:.4f}"
     )
 
 print()

@@ -42,7 +42,6 @@ _EXPORTS = {
         "prime_sets",
         "read_instance",
         "theorem1_bound",
-        "theorem1_holds",
         "theorem51_bound",
     ),
     "structure": (

@@ -27,12 +27,9 @@ from .instance import (
     prime_sets,
     read_instance,
     theorem1_bound,
-    theorem1_holds,
-    theorem1_log10_bound,
 )
 from .reports import make_report, render
 from .structure import (
-    DefectError,
     InternalConsistencyError,
     defect,
     check_pivotal,
@@ -99,14 +96,10 @@ def cmd_stats(args) -> tuple[dict, int]:
     }
     if omega.delta == 0:
         summary["notice"] = "empty pair set; bound check skipped"
-        summary["bound"] = None
-        summary["bound_log10"] = None
-        summary["holds"] = None
+        summary.update(bound=None, bound_log10=None, holds=None)
     else:
-        bound = theorem1_bound(inst, omega.delta, psml)
-        summary["bound"] = bound if math.isfinite(bound) else None
-        summary["bound_log10"] = theorem1_log10_bound(inst, omega.delta, psml)
-        summary["holds"] = theorem1_holds(inst, omega.delta, psml)
+        bound, log10_bound, holds = theorem1_bound(inst, omega.delta, psml)
+        summary.update(bound=_finite(bound), bound_log10=log10_bound, holds=holds)
     return make_report("stats", cfg, summary), 0
 
 
@@ -136,7 +129,6 @@ def cmd_structure(args) -> tuple[dict, int]:
     summary = {
         "N": str(si.n.value),
         "N_factors": [[p, e] for p, e in si.n.factors],
-        "strategy": si.strategy,
         "omega_size": len(omega),
         "omega_prime_size": len(si.omega_prime),
         "fraction": si.fraction,
@@ -151,10 +143,7 @@ def cmd_structure(args) -> tuple[dict, int]:
 
 
 def cmd_defect(args) -> tuple[dict, int]:
-    try:
-        d = defect(args.a, args.n)
-    except DefectError as exc:
-        raise InstanceError(str(exc)) from None
+    d = defect(args.a, args.n)
     summary = {
         "a": str(args.a),
         "N": str(args.n),
@@ -219,13 +208,11 @@ def _measure_summary(rep) -> dict:
 
 def cmd_measure(args) -> tuple[dict, int]:
     from .measure import (
-        C_FLOOR,
         Measure2D,
         WeightPair,
         concentration_report,
         from_valuation_measure,
         random_admissible_config,
-        root_float,
         sweep_extremes,
     )
 
@@ -276,15 +263,13 @@ def cmd_measure(args) -> tuple[dict, int]:
         if args.random < 1:
             raise InstanceError(f"--random: {args.random} must be a positive count")
         rng = _random.Random(cfg["seed"])
-        eps = epsilon_fraction(cfg["epsilon"])
-        n = 2 * eps.denominator + eps.numerator
         configs = (random_admissible_config(rng) for _ in range(args.random))
-        least, _, top = sweep_extremes(configs, eps)
+        sweep = sweep_extremes(configs, epsilon=cfg["epsilon"])
         summary = {
             "source": f"random sweep ({args.random} configs)",
-            "min_c_seen": root_float(*least, n),
-            "max_ratio_seen": root_float(*top, eps.denominator),
-            "all_c_lower_ok": least[0] * C_FLOOR**n >= least[1],
+            "min_c_seen": sweep.min_c,
+            "max_ratio_seen": sweep.max_ratio,
+            "all_c_lower_ok": sweep.c_lower_ok,
         }
     return make_report("measure", cfg, summary, records), 0
 
@@ -361,10 +346,7 @@ def cmd_search(args) -> tuple[dict, int]:
             force_equal=args.force_equal,
             exhaustive_limit=args.exhaustive_limit,
         )
-        try:
-            res = exhaustive_max(space)
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from None
+        res = exhaustive_max(space)
         summary = {
             "mode": space.mode,
             "X": space.X,

@@ -36,8 +36,6 @@ __all__ = [
     "prime_sets",
     "read_instance",
     "theorem1_bound",
-    "theorem1_holds",
-    "theorem1_log10_bound",
     "theorem51_bound",
 ]
 
@@ -348,8 +346,8 @@ def prime_sets(S, p0: int) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def _bound(n_small: int, epsilon: float, delta, scale: Fraction, size: int):
-    """(log B, B or inf, whether size <= B) for B = 1000^(1+n_small) *
-    delta^(-2-epsilon) * scale.  log B and B are floats for display; with
+    """(B or inf, log10 B, whether size <= B) for B = 1000^(1+n_small) *
+    delta^(-2-epsilon) * scale.  B and log10 B are floats for display; with
     epsilon = a/b the verdict is the exact
     size^b * delta^(2b+a) <= (1000^(1+n_small) * scale)^b."""
     delta, scale = fraction_of(delta), fraction_of(scale)
@@ -366,31 +364,21 @@ def _bound(n_small: int, epsilon: float, delta, scale: Fraction, size: int):
         bound = math.inf
     eps = epsilon_fraction(epsilon)
     a, b = eps.numerator, eps.denominator
-    return log_bound, bound, size**b * delta ** (2 * b + a) <= (1000 ** (1 + n_small) * scale) ** b
+    holds = size**b * delta ** (2 * b + a) <= (1000 ** (1 + n_small) * scale) ** b
+    return bound, log_bound / math.log(10.0), holds
 
 
-def _theorem1(inst: GcdInstance, delta, small_primes):
+def theorem1_bound(inst: GcdInstance, delta, small_primes=None) -> tuple[float, float, bool]:
+    """(B, log10 B, whether |A||B| <= B) for the main bound B =
+    1000^(1+#P_sml(A u B)) * delta^(-2-epsilon) * XY/D^2 (B may be inf);
+    the verdict is exact.
+
+    small_primes, if given, is P_sml(A u B) = prime_sets(A + B, p0)[1]: a
+    caller that has it spares a scan."""
     if small_primes is None:
         small_primes = prime_sets(inst.A + inst.B, inst.p0)[1]
     scale = inst.X * inst.Y / (inst.D * inst.D)
     return _bound(len(small_primes), inst.epsilon, delta, scale, inst.size_product())
-
-
-def theorem1_bound(inst: GcdInstance, delta, small_primes=None) -> float:
-    """1000^(1+#P_sml(A u B)) * delta^(-2-epsilon) * XY/D^2 (may be inf).
-
-    small_primes, if given, is P_sml(A u B) = prime_sets(A + B, p0)[1]: a
-    caller that has it spares this and the next two functions a scan."""
-    return _theorem1(inst, delta, small_primes)[1]
-
-
-def theorem1_log10_bound(inst: GcdInstance, delta, small_primes=None) -> float:
-    return _theorem1(inst, delta, small_primes)[0] / math.log(10.0)
-
-
-def theorem1_holds(inst: GcdInstance, delta, small_primes=None) -> bool:
-    """Whether |A||B| <= the main bound, decided exactly."""
-    return _theorem1(inst, delta, small_primes)[2]
 
 
 def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
@@ -436,7 +424,7 @@ def theorem51_bound(A, B, Q, epsilon: float = 0.5, p0: int = 100):
     if delta == 0:
         return delta, math.inf, True
     n_small = len(prime_sets(A + B, p0)[1])
-    _, bound, holds = _bound(n_small, epsilon, delta, Q / 4, len(A) * len(B))
+    bound, _, holds = _bound(n_small, epsilon, delta, Q / 4, len(A) * len(B))
     return delta, bound, holds
 
 

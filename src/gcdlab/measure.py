@@ -33,6 +33,7 @@ __all__ = [
     "LAMBDA_MAX",
     "Measure2D",
     "SigmaDecomposition",
+    "SweepExtremes",
     "WeightPair",
     "best_center",
     "capped_admissible_config",
@@ -339,12 +340,22 @@ def from_valuation_measure(vm, epsilon: float = 0.5):
     return mu, w, lam
 
 
-def sweep_extremes(configs, eps: Fraction):
-    """(least, most, top) over (mu, weights, lambda) configurations with
-    rational lambda and epsilon = a/b: the least and the largest c_min^n,
-    n = 2b + a, and the largest (tail / lambda^(2 + 2 eps))^b at the best
-    center, each an exact (num, den) kept by comparing cross-multiplied
-    integers; root_float displays them.  configs must not be empty."""
+class SweepExtremes(NamedTuple):
+    min_c: float
+    c_lower_ok: bool  # the least c_min >= 1/9, decided exactly
+    max_c: float
+    c_upper_ok: bool  # the largest c_min <= 1, decided exactly
+    max_ratio: float  # the largest tail / lambda^(q + eps) at the best center
+
+
+def sweep_extremes(configs, epsilon: float = 0.5) -> SweepExtremes:
+    """The least and the largest c_min and the largest tail ratio over (mu,
+    weights, lambda) configurations with rational lambda.  With epsilon =
+    a/b and n = 2b + a, each extreme is kept as an exact c_min^n or
+    ratio^b by comparing cross-multiplied integers, the verdicts c >= 1/9
+    and c <= 1 are integer comparisons, and root_float displays the values.
+    ValueError when configs is empty."""
+    eps = epsilon_fraction(epsilon)
     a, b = eps.numerator, eps.denominator
     n, e = 2 * b + a, a + b
     least, most, top = (1, 0), (0, 1), (0, 1)
@@ -358,7 +369,15 @@ def sweep_extremes(configs, eps: Fraction):
             most = (cn, cd)
         if rn * top[1] > top[0] * rd:
             top = (rn, rd)
-    return least, most, top
+    if not least[1]:
+        raise ValueError("sweep_extremes needs at least one configuration")
+    return SweepExtremes(
+        root_float(*least, n),
+        least[0] * C_FLOOR**n >= least[1],
+        root_float(*most, n),
+        most[0] <= most[1],
+        root_float(*top, b),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .instance import GcdInstance, build_omega_gcd
+from .instance import GcdInstance, build_omega_gcd, chase_diagonal_bound
 from .structure import InternalConsistencyError, extract_witnesses, find_modulus
 
 __all__ = [
@@ -101,19 +101,11 @@ def _compat_masks(ua: list[int], ub: list[int], D: int) -> list[int]:
     return out
 
 
-def _max_clique(universe: list[int], D: int, *, size_cap: int | None = None):
-    """Largest subset with gcd >= D for every pair, by plain DFS with the
-    popcount bound.  size_cap, when given, is a proven cap used only for an
-    early exit once attained (the hunter passes None to keep its check
-    non-vacuous)."""
-    n = len(universe)
-    adj = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if i != j and math.gcd(universe[i], universe[j]) >= D:
-                m |= 1 << j
-        adj.append(m)
+def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
+    """Largest A in [X, 2X] with gcd >= D for every pair, by plain DFS with
+    the popcount bound."""
+    universe = list(range(X, 2 * X + 1))
+    adj = [m & ~(1 << i) for i, m in enumerate(_compat_masks(universe, universe, D))]
     best_mask = 0
     best_size = 0
 
@@ -122,8 +114,6 @@ def _max_clique(universe: list[int], D: int, *, size_cap: int | None = None):
         if size > best_size:
             best_size, best_mask = size, cur
         while cand:
-            if size_cap is not None and best_size >= size_cap:
-                return
             if size + cand.bit_count() <= best_size:
                 return
             low = cand & -cand
@@ -131,15 +121,8 @@ def _max_clique(universe: list[int], D: int, *, size_cap: int | None = None):
             cand ^= low
             expand(cand & adj[v], cur | low, size + 1)
 
-    expand((1 << n) - 1, 0, 0)
+    expand((1 << len(universe)) - 1, 0, 0)
     return _subset(universe, best_mask)
-
-
-def max_pairwise_compatible(X: int, D: int, *, use_cap: bool = False) -> tuple[int, ...]:
-    """Largest A in [X, 2X] with pairwise gcd >= D."""
-    universe = list(range(X, 2 * X + 1))
-    cap = (X // D + 1) if use_cap else None
-    return _max_clique(universe, D, size_cap=cap)
 
 
 def _bipartite_max(ua: list[int], ub: list[int], D: int):
@@ -179,21 +162,16 @@ def _bipartite_max(ua: list[int], ub: list[int], D: int):
     return a_side, b_side, best
 
 
-def _good_degree(ua: list[int], b: int, amask: int, D: int) -> int:
-    return sum(1 for i, a in enumerate(ua) if amask >> i & 1 and math.gcd(a, b) >= D)
-
-
 def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
     """Exact delta-threshold search: enumerate A; for fixed A and |B| = m the
     best achievable good-pair count is the sum of the m largest degrees, so
     feasibility per m reduces to a prefix-sum test."""
+    compat = _compat_masks(ua, ub, D)
     best = 0
     best_pair = ((), ())
     for amask in range(1, 1 << len(ua)):
         na = amask.bit_count()
-        degs = sorted(
-            ((_good_degree(ua, b, amask, D), -b) for b in ub), reverse=True
-        )
+        degs = sorted((((amask & m).bit_count(), -b) for b, m in zip(ub, compat)), reverse=True)
         prefix = 0
         for m in range(1, len(ub) + 1):
             prefix += degs[m - 1][0]
@@ -212,7 +190,7 @@ def exhaustive_max(space: SearchSpace) -> SearchResult:
     ua, ub = space.universes()
     if space.mode == "exact-delta-1":
         if space.force_equal:
-            a = max_pairwise_compatible(space.X, space.D, use_cap=True)
+            a = max_pairwise_compatible(space.X, space.D)
             return SearchResult(a, a, len(a) ** 2)
         a, b, prod = _bipartite_max(ua, ub, space.D)
         return SearchResult(a, b, prod)
@@ -279,16 +257,16 @@ def hunt_violations(
     empty on success (violations are data, not errors).
 
     Part one sweeps every diagonal delta = 1 case X, D <= scale_limit with
-    an unpruned exhaustive search, checking |A| <= floor(X/D) + 1.  Part
+    an exhaustive search, checking its set against chase_diagonal_bound.  Part
     two runs seeded structured instances through the witness chain and the
     filtered-density product bound 1000 * delta'^-2 * XY / D^2.
     """
     violations: list[Violation] = []
     for X in range(1, scale_limit + 1):
         for D in range(1, X + 1):
-            best = max_pairwise_compatible(X, D, use_cap=False)
-            allowed = X // D + 1
-            if len(best) > allowed:
+            best = max_pairwise_compatible(X, D)
+            holds, allowed = chase_diagonal_bound(best, X, D)
+            if not holds:
                 violations.append(
                     Violation(
                         "diagonal-gap-bound",

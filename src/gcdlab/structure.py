@@ -124,14 +124,13 @@ def find_modulus(inst: GcdInstance, omega: PairSet) -> StructuredInstance:
     ks, bits = search(omega)
     factors = tuple((p, k) for p, k in ks.items() if k > 0)
     n = FactoredNat.checked(math.prod(p**k for p, k in factors), factors)
-    return StructuredInstance.build(inst, omega, n, omega.masked(bits), "exhaustive")
+    return StructuredInstance.build(inst, omega, n, omega.masked(bits))
 
 
 class StructuredInstance(NamedTuple):
     """An instance with its pair set Omega, a modulus N, the pivotal pairs
     Omega' of N, and the defect of every element of Omega' (the labelled
-    GCD graph).  strategy names how N was found; the search is exact, so it
-    is always "exhaustive".
+    GCD graph).
 
     Omega' is pivotal iff every element of it has a defect and the two
     defects a*, b* of every pair in it are coprime; build() checks this."""
@@ -140,11 +139,10 @@ class StructuredInstance(NamedTuple):
     omega: PairSet
     n: FactoredNat
     omega_prime: PairSet
-    strategy: str
     defects: dict[FactoredNat, DefectDecomposition]
 
     @classmethod
-    def build(cls, base, omega, n, omega_prime, strategy) -> "StructuredInstance":
+    def build(cls, base, omega, n, omega_prime) -> "StructuredInstance":
         """The structured instance with the defects of Omega' computed;
         ValueError, naming the first offender, if Omega' is not pivotal for
         n.  Defects are taken in increasing order for the elements with a
@@ -175,7 +173,7 @@ class StructuredInstance(NamedTuple):
             if clash:
                 b = B[(clash & -clash).bit_length() - 1]
                 raise ValueError(f"pair ({A[i]}, {b}) in omega_prime is not pivotal for N = {n}")
-        return cls(base, omega, n, omega_prime, strategy, defects)
+        return cls(base, omega, n, omega_prime, defects)
 
     @property
     def fraction(self) -> Fraction:

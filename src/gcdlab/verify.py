@@ -16,16 +16,14 @@ from typing import NamedTuple
 
 from .arith import divisors, is_squarefree, radical
 from .families import sec5_family
-from .instance import count_pairs_geq_fast, count_pairs_geq_naive, epsilon_fraction
+from .instance import count_pairs_geq_fast, count_pairs_geq_naive
 from .measure import (
-    C_FLOOR,
     best_center,
     capped_admissible_config,
     concentration_report,
     from_valuation_measure,
     random_admissible_config,
     random_measure,
-    root_float,
     sigma_decomposition,
     sweep_extremes,
     tail_mass,
@@ -224,8 +222,6 @@ def check_concentration(
     lemma leaves its constant unspecified."""
     start = time.perf_counter()
     epsilon = _CONCENTRATION_EPSILON
-    eps = epsilon_fraction(epsilon)
-    n, b = 2 * eps.denominator + eps.numerator, eps.denominator
     failures, seen_c, max_ratio = [], [], {}
     rng, rng_capped = random.Random(seed), random.Random(seed + 1)
     families = [(None, (random_admissible_config(rng) for _ in range(n_random)))]
@@ -236,16 +232,15 @@ def check_concentration(
         )
         families.append((lam, configs))
     for lam, configs in families:
-        least, most, top = sweep_extremes(configs, eps)
-        seen_c.append(root_float(*least, n))
+        sweep = sweep_extremes(configs, epsilon=epsilon)
+        seen_c.append(sweep.min_c)
         family = "random" if lam is None else f"capped, lambda = {float(lam)}"
-        if least[0] * C_FLOOR**n < least[1]:
-            failures.append({"family": family, "c": seen_c[-1], "reason": "c below 1/9"})
+        if not sweep.c_lower_ok:
+            failures.append({"family": family, "c": sweep.min_c, "reason": "c below 1/9"})
         if lam is not None:
-            max_ratio[str(float(lam))] = root_float(*top, b)
-            if most[0] > most[1]:
-                c_max = root_float(*most, n)
-                failures.append({"family": family, "c": c_max, "reason": "c above 1"})
+            max_ratio[str(float(lam))] = sweep.max_ratio
+            if not sweep.c_upper_ok:
+                failures.append({"family": family, "c": sweep.max_c, "reason": "c above 1"})
     # exact verdicts on valuation-derived configurations
     rng_exact = random.Random(seed + 2)
     for idx in range(n_exact):

@@ -470,6 +470,9 @@ def test_bad_arguments_exit_2(capsys):
         ["search", "exhaustive", "--X", "4", "--D", "2", "--mode", "threshold-delta",
          "--delta-target", "0"],
         ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "1/2"],
+        # library ValueErrors (a DefectError, a SearchSpace check) reach main as they are
+        ["defect", "--a", "8", "--n", "2"],
+        ["search", "exhaustive", "--X", "40", "--D", "2"],
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):

@@ -22,8 +22,6 @@ from gcdlab.instance import (
     PairSet,
     prime_sets,
     theorem1_bound,
-    theorem1_holds,
-    theorem1_log10_bound,
     theorem51_bound,
 )
 from pairset_views import edges
@@ -205,15 +203,17 @@ def test_prime_sets_monotone_in_p0(S, p0a, p0b):
 
 
 def test_theorem1_bound_examples():
+    # (bound, log10 bound, holds)
     i1 = GcdInstance.build([1], [1], 1, 1, 1, check_ranges=False)
-    assert theorem1_bound(i1, Fraction(1)) == pytest.approx(1000.0)
+    assert theorem1_bound(i1, Fraction(1)) == (pytest.approx(1000.0), pytest.approx(3.0), True)
 
     i2 = GcdInstance.build([12], [18], 5, 10, 10, p0=3, check_ranges=False)
-    assert theorem1_bound(i2, Fraction(1)) == pytest.approx(4e9)
+    bound, log10_bound, _ = theorem1_bound(i2, Fraction(1))
+    assert bound == pytest.approx(4e9) and log10_bound == pytest.approx(math.log10(4e9))
 
     i3 = GcdInstance.build([1], [1], 1, 1, 1, epsilon=0.5, check_ranges=False)
-    assert theorem1_bound(i3, Fraction(1, 2)) == pytest.approx(1000 * 2**2.5)
-    assert theorem1_holds(i3, Fraction(1, 2))
+    bound, _, holds = theorem1_bound(i3, Fraction(1, 2))
+    assert bound == pytest.approx(1000 * 2**2.5) and holds
 
 
 def test_theorem1_with_given_small_primes_matches_its_own_scan():
@@ -224,8 +224,7 @@ def test_theorem1_with_given_small_primes_matches_its_own_scan():
         inst = GcdInstance.build(A, B, rng.randint(1, 50), 500, 700, p0=rng.choice((0, 3, 30)))
         psml = prime_sets(inst.A + inst.B, inst.p0)[1]
         delta = Fraction(rng.randint(1, 9), 10)
-        for fn in (theorem1_bound, theorem1_log10_bound, theorem1_holds):
-            assert fn(inst, delta, psml) == fn(inst, delta)
+        assert theorem1_bound(inst, delta, psml) == theorem1_bound(inst, delta)
 
 
 def test_theorem1_verdict_is_exact_at_the_bound():
@@ -233,7 +232,7 @@ def test_theorem1_verdict_is_exact_at_the_bound():
     # X itself, and a size of 1 meets X = 1 but not X one part in 10^12 less
     for X, expect in ((Fraction(1), True), (1 - Fraction(1, 10**12), False)):
         inst = GcdInstance.build([1], [1], 1, X, Fraction(1, 32000), p0=0, check_ranges=False)
-        assert theorem1_holds(inst, Fraction(1, 4)) is expect
+        assert theorem1_bound(inst, Fraction(1, 4))[2] is expect
 
 
 def test_theorem1_rejects_zero_delta():
@@ -248,7 +247,8 @@ def test_theorem1_no_overflow_at_many_small_primes():
 
     A = primes_up_to(1000)[:150]
     inst = GcdInstance.build(A, A, 1, min(A), min(A), p0=1000, check_ranges=False)
-    assert theorem1_holds(inst, Fraction(1, 100))
+    bound, log10_bound, holds = theorem1_bound(inst, Fraction(1, 100))
+    assert holds and bound == math.inf and math.isfinite(log10_bound)
 
 
 def test_chase_examples():

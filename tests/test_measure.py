@@ -29,7 +29,6 @@ from gcdlab.verify import check_concentration
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 HALF = Fraction(1, 2)
-EPS = Fraction(1, 2)  # n = 2b + a = 5, x_i^5 = alpha_i^3
 
 
 def unit(*idx) -> WeightPair:
@@ -325,8 +324,7 @@ def test_epsilon_near_one_certifies_remark2_in_under_a_second():
 def test_concentration_lower_bound_sweep():
     rng = random.Random(73)
     configs = [random_admissible_config(rng) for _ in range(2000)]
-    (cn, cd), _, _ = sweep_extremes(configs, EPS)
-    assert cn * 9**5 >= cd  # c^5 >= (1/9)^5 at the least c_min
+    assert sweep_extremes(configs).c_lower_ok  # c^5 >= (1/9)^5 at the least c_min
     assert all(min_admissible_c_interval(mu, w, lam=lam)[2] for mu, w, lam in configs[:200])
 
 
@@ -334,26 +332,30 @@ def test_capped_family_achieves_c_at_most_one():
     rng = random.Random(79)
     for lam in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
         configs = [(*capped_admissible_config(rng, lam), lam) for _ in range(50)]
-        least, most, _ = sweep_extremes(configs, EPS)
-        assert least[1] <= least[0] * 9**5 and most[0] <= most[1]
+        sweep = sweep_extremes(configs, epsilon=0.5)
+        assert sweep.c_lower_ok and sweep.c_upper_ok and sweep.max_c <= 1.0
         for mu, w, _ in configs:
             lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
             assert ok and lo <= 1.0
 
 
+def test_sweep_extremes_rejects_an_empty_sweep():
+    with pytest.raises(ValueError, match="at least one configuration"):
+        sweep_extremes([])
+
+
 def test_sweep_extremes_match_the_report():
-    # c^5 and ratio^2 in integers against the interval and the reported ratio
+    # one configuration is its own least and largest: the sweep displays the
+    # same roots and decides the same verdict as the report
     rng = random.Random(97)
     for _ in range(200):
         mu, w, lam = random_admissible_config(rng)
-        (cn, cd), most, (rn, rd) = sweep_extremes([(mu, w, lam)], EPS)
-        assert most == (cn, cd)
+        sweep = sweep_extremes([(mu, w, lam)], epsilon=0.5)
         rep = concentration_report(mu, w, lam)
-        lo, hi = rep.c_interval
-        assert Fraction(lo) ** 5 <= Fraction(cn, cd) <= Fraction(hi) ** 5
-        ratio = Fraction(tail_mass(mu, rep.k), mu.total) / lam**3
-        assert Fraction(rn, rd) == ratio**2
-        assert rep.ratio == float(ratio)
+        assert sweep.min_c == sweep.max_c == rep.c_min
+        assert sweep.max_ratio == rep.ratio
+        assert sweep.c_lower_ok == rep.c_lower_ok
+        assert rep.ratio == float(Fraction(tail_mass(mu, rep.k), mu.total) / lam**3)
 
 
 def test_valuation_bridge_point_mass():

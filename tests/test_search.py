@@ -86,19 +86,28 @@ def test_bipartite_side_can_exceed_diagonal_cap():
 
 
 def test_threshold_mode_exact_matches_definition():
-    target = Fraction(1, 2)
-    sp = SearchSpace(X=4, Y=4, D=2, delta_target=target, mode="threshold-delta")
-    res = exhaustive_max(sp)
-    ua = list(range(4, 9))
-    best = 0
-    for am in range(1, 1 << 5):
-        A = [v for i, v in enumerate(ua) if am >> i & 1]
-        for bm in range(1, 1 << 5):
-            B = [v for i, v in enumerate(ua) if bm >> i & 1]
-            good = sum(1 for a in A for b in B if math.gcd(a, b) >= 2)
-            if Fraction(good) >= target * len(A) * len(B):
-                best = max(best, len(A) * len(B))
-    assert res.max_product == best
+    # every (A, B) enumerated, on square and on non-square universes
+    for X, Y, D, target in (
+        (4, 4, 2, Fraction(1, 2)),
+        (3, 6, 2, Fraction(1, 3)),
+        (6, 4, 2, Fraction(1, 4)),
+        (4, 5, 3, Fraction(1, 2)),
+        (5, 3, 2, Fraction(2, 3)),
+    ):
+        sp = SearchSpace(X=X, Y=Y, D=D, delta_target=target, mode="threshold-delta")
+        res = exhaustive_max(sp)
+        ua, ub = list(range(X, 2 * X + 1)), list(range(Y, 2 * Y + 1))
+        best = 0
+        for am in range(1, 1 << len(ua)):
+            A = [v for i, v in enumerate(ua) if am >> i & 1]
+            for bm in range(1, 1 << len(ub)):
+                B = [v for i, v in enumerate(ub) if bm >> i & 1]
+                good = sum(1 for a in A for b in B if math.gcd(a, b) >= D)
+                if Fraction(good) >= target * len(A) * len(B):
+                    best = max(best, len(A) * len(B))
+        assert res.max_product == best
+        good = sum(1 for a in res.best_a for b in res.best_b if math.gcd(a, b) >= D)
+        assert len(res.best_a) * len(res.best_b) == best and good >= target * best
 
 
 def test_threshold_mode_result_is_feasible():
@@ -161,6 +170,16 @@ def test_structured_instance_generator():
 
 def test_hunt_small_run_clean():
     assert hunt_violations(scale_limit=10, seed=7, n_structured=150) == []
+
+
+def test_hunt_takes_the_diagonal_verdict_from_chase_diagonal_bound(monkeypatch):
+    import gcdlab.search as search
+
+    monkeypatch.setattr(search, "chase_diagonal_bound", lambda A, X, D: (False, 0))
+    found = hunt_violations(scale_limit=3, n_structured=0)
+    assert len(found) == 6  # every (X, D) with 1 <= D <= X <= 3
+    assert {v.kind for v in found} == {"diagonal-gap-bound"}
+    assert all(v.detail["allowed"] == 0 for v in found)
 
 
 def test_hunt_violation_detail_carries_the_product_bound(monkeypatch):

@@ -132,7 +132,6 @@ def test_find_modulus_two_powers():
     assert ms.n.value == 2  # k = 1 and k = 2 tie at 3 pairs; smallest wins
     assert len(ms.omega_prime) == 3
     assert ms.fraction == Fraction(3, 4)
-    assert ms.strategy == "exhaustive"
 
 
 def test_find_modulus_constant_set():
@@ -276,7 +275,6 @@ def test_find_modulus_equals_the_reference_search():
     for inst, om in _search_instances():
         ms = find_modulus(inst, om)
         assert (ms.n.value, ms.omega_prime.bits) == _reference_modulus(om)
-        assert ms.strategy == "exhaustive"
 
 
 def test_a_free_prime_takes_its_lowest_k():
@@ -578,7 +576,7 @@ def test_structured_instance_rejects_non_pivotal_edges():
     bad = PairSet(om.A, om.B, 1 << 1)  # cell (A[0], B[1])
     assert [(a.value, b.value) for a, b in edges(bad)] == [(4, 9)]
     with pytest.raises(ValueError, match="pivotal"):
-        StructuredInstance.build(inst, om, factorize(6), bad, "exhaustive")
+        StructuredInstance.build(inst, om, factorize(6), bad)
 
 
 def test_structured_instance_accepts_exactly_the_pivotal_subsets():
@@ -600,12 +598,12 @@ def test_structured_instance_accepts_exactly_the_pivotal_subsets():
             pivotal = all(check_pivotal(a, b, N) for a, b in edges(sub))
             verdicts.add(pivotal)
             if pivotal:
-                si = StructuredInstance.build(inst, om, factorize(N), sub, "exhaustive")
+                si = StructuredInstance.build(inst, om, factorize(N), sub)
                 elements = {el for pair in edges(sub) for el in pair}
                 assert si.defects == {el: defect(el, N) for el in elements}
             else:
                 with pytest.raises(ValueError, match="pivotal"):
-                    StructuredInstance.build(inst, om, factorize(N), sub, "exhaustive")
+                    StructuredInstance.build(inst, om, factorize(N), sub)
         assert verdicts == {True, False}
 
 
@@ -659,10 +657,10 @@ def test_corrupted_omega_prime_reports_the_pair_walks_first_offender():
                 sub = om.masked(bits)
                 expect = pair_walk_error(sub, n)
                 if expect is None:
-                    StructuredInstance.build(inst, om, n, sub, "exhaustive")
+                    StructuredInstance.build(inst, om, n, sub)
                     continue
                 with pytest.raises(ValueError) as info:
-                    StructuredInstance.build(inst, om, n, sub, "exhaustive")
+                    StructuredInstance.build(inst, om, n, sub)
                 assert str(info.value) == expect
                 messages.add(expect.startswith("pair"))
     assert messages == {True, False}  # clashing pairs and undefined defects both occur
