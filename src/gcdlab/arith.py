@@ -201,7 +201,6 @@ def _split(n: int, acc: dict[int, int], mult: int = 1) -> None:
     _split(n // d, acc, mult)
 
 
-@lru_cache(maxsize=1 << 16)
 def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError(f"cannot factorize {n}: need n >= 1")
@@ -291,11 +290,17 @@ class FactoredNat(NamedTuple):
         return str(self.value)
 
 
+@lru_cache(maxsize=1 << 16)
+def _factored(n: int) -> FactoredNat:
+    # the one factorization cache: a hit returns the same object, not a copy
+    return FactoredNat(n, _factor_int(n))
+
+
 def factorize(n: int | FactoredNat) -> FactoredNat:
     """Canonical factorization of n >= 1 (FactoredNat inputs pass through)."""
     if isinstance(n, FactoredNat):
         return n
-    return FactoredNat(n, _factor_int(n))
+    return _factored(n)
 
 
 def rational_valuations(a: int | FactoredNat, N: int | FactoredNat) -> dict[int, int]:
@@ -348,7 +353,7 @@ def radical(n: int | FactoredNat) -> FactoredNat:
 @lru_cache(maxsize=1 << 16)
 def _divisors_int(n: int) -> tuple[int, ...]:
     divs = [1]
-    for p, e in _factor_int(n):
+    for p, e in _factored(n).factors:
         block = list(divs)
         pk = 1
         for _ in range(e):

@@ -397,7 +397,22 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one line on stderr."""
+    """An argument parser whose usage errors are one line on stderr.
+
+    A parser with subcommands (leaves) takes no option but --help, so a
+    flag before the leaf name is reported as one; argparse would read the
+    flag's value as the leaf name."""
+
+    leaves = None  # the subparsers action, on a parser that has one
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        first = args[0] if args else ""
+        if self.leaves and first.startswith("-") and first not in ("-h", "--help"):
+            flag = first.split("=", 1)[0]
+            names = ", ".join(self.leaves.choices)
+            self.error(f"{flag} goes after the {self.leaves.dest} name ({names})")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.exit(2, f"error: {self.prog}: {message}\n")
@@ -421,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gcdlab",
         description="Exact census, structure, and search laboratory for GCD-pair statistics",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.leaves = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", parents=[eps, p0, fmt], help="pair census and bound check")
     p.add_argument("instance", help="instance file (JSON)")
@@ -446,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("family", help="construct and verify an example family")
-    fam = p.add_subparsers(dest="family", required=True)
+    fam = p.leaves = p.add_subparsers(dest="family", required=True)
     family_options = [eps, p0, fmt]
     f2 = fam.add_parser("remark2", parents=family_options)
     f2.add_argument("--X", type=int, required=True)
@@ -471,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fsq.set_defaults(func=cmd_family)
 
     p = sub.add_parser("search", help="extremal search and violation hunt")
-    act = p.add_subparsers(dest="action", required=True)
+    act = p.leaves = p.add_subparsers(dest="action", required=True)
     ex = act.add_parser("exhaustive", parents=[fmt])
     ex.add_argument("--X", type=int, required=True)
     ex.add_argument("--Y", type=int, default=None)

@@ -52,10 +52,12 @@ def decimal_fraction(x) -> Fraction:
     return Fraction(repr(float(x)))
 
 
+@lru_cache(maxsize=256)
 def epsilon_fraction(epsilon) -> Fraction:
     """epsilon = a/b as the fraction its decimal text names
-    (decimal_fraction).  InstanceError unless 0 < epsilon < 1 and b <=
-    EPSILON_MAX_DENOMINATOR: the exact verdicts raise to powers up to 2b + a."""
+    (decimal_fraction), parsed once per distinct epsilon.  InstanceError
+    unless 0 < epsilon < 1 and b <= EPSILON_MAX_DENOMINATOR: the exact
+    verdicts raise to powers up to 2b + a."""
     if not 0 < epsilon < 1:
         raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
     eps = decimal_fraction(epsilon)
@@ -119,19 +121,22 @@ class GcdInstance(NamedTuple):
         return inst
 
     def validate_ranges(self) -> None:
+        # every test is on numerators and denominators (a Fraction's is > 0)
         for name, S, R in (("A", self.A, self.X), ("B", self.B, self.Y)):
-            if R <= 0:
+            rn, rd = R.as_integer_ratio()
+            if rn <= 0:
                 raise InstanceError(f"field {'X' if name == 'A' else 'Y'}: {R} must be positive")
             # elements are integers: R <= v <= 2R iff ceil(R) <= v <= floor(2R)
-            lo, hi = math.ceil(R), math.floor(2 * R)
+            lo, hi = -(-rn // rd), 2 * rn // rd
             for i, el in enumerate(S):
                 if not lo <= el.value <= hi:
                     raise InstanceError(
                         f"field {name}[{i}]: {el.value} outside [{R}, {2 * R}]"
                     )
-        if self.D < 1:
+        (dn, dd), X, Y = self.D.as_integer_ratio(), self.X, self.Y
+        if dn < dd:
             raise InstanceError(f"field D: {self.D} must be >= 1")
-        if self.D > min(self.X, self.Y):
+        if dn * X.denominator > X.numerator * dd or dn * Y.denominator > Y.numerator * dd:
             raise InstanceError(
                 f"field D: {self.D} exceeds min(X, Y) = {min(self.X, self.Y)}"
             )
@@ -183,8 +188,14 @@ class PairSet(NamedTuple):
 
     def row_bits(self) -> list[int]:
         """Row i of the grid as an integer: bit j is set iff (A[i], B[j])
-        is a pair."""
-        s, n = format(self.bits, f"0{self.n_left * self.n_right}b"), self.n_right
+        is a pair.  Each shift copies the grid, so the shifts cost |A|
+        copies of it and decoding its binary text costs a few: up to 128
+        rows the shifts are faster (they break even near 256)."""
+        n, m = len(self.B), len(self.A)
+        if m <= 128:
+            mask = (1 << n) - 1
+            return [self.bits >> k & mask for k in range(0, m * n, n)]
+        s = format(self.bits, f"0{m * n}b")
         return [int(s[k : k + n], 2) for k in range(0, len(s), n)][::-1]
 
     def col_bits(self) -> list[int]:
@@ -197,9 +208,10 @@ class PairSet(NamedTuple):
     def spread(self, rows: int) -> int:
         """The grid mask of bit 0 of each row i set in rows; times a mask C
         below 2^|B| it is carry-free, the cells (A[i], B[j]) with j in C."""
-        grid = bytearray(-(-self.n_left * self.n_right // 8))
+        width = len(self.B)
+        grid = bytearray(-(-len(self.A) * width // 8))
         while rows:
-            k = ((rows & -rows).bit_length() - 1) * self.n_right
+            k = ((rows & -rows).bit_length() - 1) * width
             grid[k >> 3] |= 1 << (k & 7)
             rows &= rows - 1
         return int.from_bytes(grid, "little")

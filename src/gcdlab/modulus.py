@@ -102,27 +102,34 @@ def _per_prime_masks(omega: PairSet, orows, table):
 def _search_exhaustive(per_prime, full_mask: int) -> tuple[dict[int, int], int]:
     """The first k vector in lexicographic order that keeps the most pairs,
     and those pairs: depth first, without recursion, cutting each branch
-    that cannot beat the best leaf.  path holds (mask, size) from the root
-    to the node of the k values ks; a child that cuts no pair is stored as
-    its parent, so only a cut costs a count and memory."""
+    that cannot beat the best leaf.  The node at depth d has the k values
+    ks[:d], and path holds (mask, size) from the root to it; a child that
+    cuts no pair is stored as its parent, so only a cut costs a count and
+    memory."""
+    los = [lo for _, lo, _, _ in per_prime]
+    his = [hi for _, _, hi, _ in per_prime]
+    masks = [by_k for _, _, _, by_k in per_prime]
+    n = len(per_prime)
     best_count, best_ks, best_mask = -1, (), 0
-    ks, path = [], [(full_mask, full_mask.bit_count())]
+    ks, depth, path = [0] * n, 0, [(full_mask, full_mask.bit_count())]
     while True:
         mask, count = path[-1]
-        if count > best_count and len(ks) < len(per_prime):
-            ks.append(per_prime[len(ks)][1] - 1)  # descend; the step below tries lo
+        if count > best_count and depth < n:
+            ks[depth] = los[depth] - 1  # descend; the step below tries lo
+            depth += 1
         else:
-            if count > best_count:
+            if count > best_count:  # a leaf: depth == n
                 best_count, best_ks, best_mask = count, tuple(ks), mask
             path.pop()
-            while ks and ks[-1] == per_prime[len(ks) - 1][2]:  # no k left: back up
-                ks.pop()
+            while depth and ks[depth - 1] == his[depth - 1]:  # no k left: back up
+                depth -= 1
                 path.pop()
-            if not ks:
+            if not depth:
                 return {p: k for (p, *_), k in zip(per_prime, best_ks)}, best_mask
-        ks[-1] += 1
+        d = depth - 1
+        ks[d] += 1
         mask, count = path[-1]
-        child = mask & per_prime[len(ks) - 1][3][ks[-1]]
+        child = mask & masks[d][ks[d]]
         path.append((mask, count) if child == mask else (child, child.bit_count()))
 
 

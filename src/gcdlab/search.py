@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .instance import GcdInstance, build_omega_gcd, chase_diagonal_bound
-from .structure import InternalConsistencyError, extract_witnesses, find_modulus
+from .structure import InternalConsistencyError, find_modulus, product_bound, witness_chain
 
 __all__ = [
     "SearchResult",
@@ -226,10 +226,10 @@ def random_structured_instance(
         X = rng.randint(4, max_scale)
         Y = rng.randint(4, max_scale)
         D = rng.randint(2, min(X, Y))
-        ua = list(range(X, 2 * X + 1))
-        ub = list(range(Y, 2 * Y + 1))
-        mult_a = [v for v in ua if v % D == 0]
-        mult_b = [v for v in ub if v % D == 0]
+        # rng.sample and rng.choice index a range exactly as they index a list
+        ua, ub = range(X, 2 * X + 1), range(Y, 2 * Y + 1)
+        mult_a = range(X + -X % D, 2 * X + 1, D)  # the multiples of D in [X, 2X]
+        mult_b = range(Y + -Y % D, 2 * Y + 1, D)
         na = rng.randint(2, max_side)
         nb = rng.randint(2, max_side)
         A = set(rng.sample(mult_a, min(2, len(mult_a))))
@@ -277,15 +277,11 @@ def hunt_violations(
     for _ in range(n_structured):
         si = random_structured_instance(rng)
         try:
-            report = extract_witnesses(si)
+            chain = witness_chain(si)
         except InternalConsistencyError:
-            report = None
-        if report is None or not (report.chain_ok and report.holds):
-            inst, dprime = si.base, si.delta_prime
-            if report is None:
-                bound = 1000 * inst.X * inst.Y / (dprime * dprime * inst.D * inst.D)
-            else:
-                bound = report.prop_bound
+            chain = None
+        if chain is None or not (chain.chain_ok and chain.holds):
+            inst = si.base
             violations.append(
                 Violation(
                     "structured-product-bound",
@@ -296,8 +292,8 @@ def hunt_violations(
                         "Y": str(inst.Y),
                         "D": str(inst.D),
                         "N": si.n.value,
-                        "delta_prime": str(dprime),
-                        "bound": str(bound),
+                        "delta_prime": str(si.delta_prime),
+                        "bound": str(product_bound(si)),
                         "size_product": inst.size_product(),
                     },
                 )

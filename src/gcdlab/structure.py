@@ -33,9 +33,11 @@ __all__ = [
     "defect_census_sweep",
     "extract_witnesses",
     "find_modulus",
+    "product_bound",
     "quad_identity_check",
     "quad_identity_witnesses",
     "valuation_measure",
+    "witness_chain",
 ]
 
 
@@ -150,24 +152,27 @@ class StructuredInstance(NamedTuple):
         it meets the column masks of the primes of a*, each the columns
         whose b* that prime divides."""
         A, B = omega_prime.A, omega_prime.B
-        rows = omega_prime.row_bits()
+        rows, paired = omega_prime.row_bits(), 0
+        for r in rows:
+            paired |= r  # the columns with a pair
         left = [i for i, r in enumerate(rows) if r]
-        right = [j for j, c in enumerate(omega_prime.col_bits()) if c]
-        defects = {}
+        right = _indices(paired)
+        defects, vals = {}, {}  # vals[el] = v(el/N), keyed by the primes of el*
         for el in sorted({A[i] for i in left} | {B[j] for j in right}):
+            vals[el] = v = rational_valuations(el, n)
             try:
-                defects[el] = defect(el, n)
+                defects[el] = _defect_from(el, n, v)
             except DefectError as exc:
                 raise ValueError(
                     f"{el} in omega_prime is not pivotal for N = {n}: {exc}"
                 ) from None
         masks: dict[int, int] = {}  # prime -> columns j with p | b*_j
         for j in right:
-            for p in rational_valuations(B[j], n):
+            for p in vals[B[j]]:
                 masks[p] = masks.get(p, 0) | 1 << j
         for i in left:
             clash = 0
-            for p in rational_valuations(A[i], n):
+            for p in vals[A[i]]:
                 clash |= masks.get(p, 0)
             clash &= rows[i]
             if clash:
@@ -377,7 +382,37 @@ class WitnessReport(NamedTuple):
     chain_ok: bool
 
 
-def extract_witnesses(si: StructuredInstance) -> WitnessReport:
+class WitnessChain(NamedTuple):
+    """The finishing argument's pair (A[ia], B[ib]) on a structured
+    instance, with the verdicts of its chain: chain_ok says that
+    |tilde A| >= delta'|A|/4, deg(A[ia]) >= delta'|B|/4, (A[ia], B[ib]) is in
+    Omega' and a_star * b_star <= 4XY/D^2; holds says that |A||B| <=
+    1000 delta'^-2 XY/D^2."""
+
+    ia: int
+    ib: int
+    tilde_a_size: int
+    deg_a: int
+    a_star: int
+    b_star: int
+    chain_ok: bool
+    holds: bool
+
+
+def _scale(inst: GcdInstance) -> tuple[int, int]:
+    """XY/D^2 as an unreduced (numerator, denominator), denominator > 0."""
+    X, Y, D = inst.X, inst.Y, inst.D
+    num = X.numerator * Y.numerator * D.denominator**2
+    return num, X.denominator * Y.denominator * D.numerator**2
+
+
+def product_bound(si: StructuredInstance) -> Fraction:
+    """1000 delta'^-2 XY/D^2 for delta' = |Omega'| / (|A||B|), as one Fraction."""
+    (sn, sd), size, m = _scale(si.base), si.base.size_product(), len(si.omega_prime)
+    return Fraction(1000 * sn * size * size, sd * m * m)
+
+
+def witness_chain(si: StructuredInstance) -> WitnessChain:
     """Run the finishing argument on a structured instance.
 
     Averaging gives a set of high-degree left elements of size at least
@@ -386,9 +421,11 @@ def extract_witnesses(si: StructuredInstance) -> WitnessReport:
     neighborhood of the chosen a.  The resulting pair certifies
     |A||B| <= 1000 delta'^-2 XY/D^2.
 
-    With m = |Omega'| = delta'|A||B|, every threshold is an integer
-    comparison on Omega''s row bits: deg >= delta'|B|/4 iff 4|A| deg >= m,
-    and so on.
+    Every verdict is an integer comparison.  With m = |Omega'| =
+    delta'|A||B| on Omega''s row bits, deg >= delta'|B|/4 iff 4|A| deg >= m,
+    and so on; with XY/D^2 = sn/sd, a_star b_star <= 4XY/D^2 iff
+    sd a_star b_star <= 4 sn, and |A||B| <= 1000 delta'^-2 XY/D^2 iff
+    sd m^2 <= 1000 sn |A||B|.
     """
     if not si.omega_prime:
         raise ValueError("omega_prime is empty: no witnesses exist")
@@ -397,8 +434,12 @@ def extract_witnesses(si: StructuredInstance) -> WitnessReport:
 
     def largest_star(S, indices, scale: int):
         # the first of indices with the largest a_star among those with scale * a_star >= m
-        stars = {i: si.defects[S[i]].a_star for i in indices}
-        return max((i for i in stars if scale * stars[i] >= m), key=stars.get, default=None)
+        best, top = None, -1
+        for i in indices:
+            star = si.defects[S[i]].a_star
+            if star > top and scale * star >= m:
+                best, top = i, star
+        return best
 
     tilde_a = [i for i, r in enumerate(rows) if 4 * nA * r.bit_count() >= m]
     if 4 * nB * len(tilde_a) < m:
@@ -417,35 +458,44 @@ def extract_witnesses(si: StructuredInstance) -> WitnessReport:
             f"no b adjacent to {inst.A[ia]} has b_star >= {Fraction(m, 8 * nA)}"
         )
     a_star, b_star = si.defects[inst.A[ia]].a_star, si.defects[inst.B[ib]].a_star
-    quad_cap = 4 * inst.X * inst.Y / (inst.D * inst.D)
-    quad_product = a_star * b_star
+    sn, sd = _scale(inst)
     deg_a = rows[ia].bit_count()
     chain_ok = (
         4 * nB * len(tilde_a) >= m
         and 4 * nA * deg_a >= m
         and rows[ia] >> ib & 1 == 1
-        and quad_product <= quad_cap
+        and sd * a_star * b_star <= 4 * sn
     )
-    if not chain_ok:
+    holds = sd * m * m <= 1000 * sn * size
+    return WitnessChain(ia, ib, len(tilde_a), deg_a, a_star, b_star, chain_ok, holds)
+
+
+def extract_witnesses(si: StructuredInstance) -> WitnessReport:
+    """The report of witness_chain's pair and verdicts, with every
+    threshold it passed; InternalConsistencyError if the chain fails."""
+    chain = witness_chain(si)
+    if not chain.chain_ok:
         raise InternalConsistencyError("witness chain failed to verify")
-    prop_bound = quad_cap * Fraction(250 * size * size, m * m)  # 1000 XY / (delta'^2 D^2)
+    inst, m = si.base, len(si.omega_prime)
+    nA, nB, size = len(inst.A), len(inst.B), inst.size_product()
+    sn, sd = _scale(inst)
     return WitnessReport(
-        a=inst.A[ia].value,
-        b=inst.B[ib].value,
-        a_star=a_star,
-        b_star=b_star,
+        a=inst.A[chain.ia].value,
+        b=inst.B[chain.ib].value,
+        a_star=chain.a_star,
+        b_star=chain.b_star,
         delta_prime=Fraction(m, size),
         delta_omega=si.omega.delta,
-        tilde_a_size=len(tilde_a),
+        tilde_a_size=chain.tilde_a_size,
         tilde_a_lower=Fraction(m, 4 * nB),
-        deg_a=deg_a,
+        deg_a=chain.deg_a,
         deg_lower=Fraction(m, 4 * nA),
         a_star_lower=Fraction(m, 8 * nB),
         b_star_lower=Fraction(m, 8 * nA),
-        quad_product=quad_product,
-        quad_cap=quad_cap,
+        quad_product=chain.a_star * chain.b_star,
+        quad_cap=Fraction(4 * sn, sd),
         size_product=size,
-        prop_bound=prop_bound,
-        holds=size <= prop_bound,
-        chain_ok=chain_ok,
+        prop_bound=product_bound(si),
+        holds=chain.holds,
+        chain_ok=True,
     )

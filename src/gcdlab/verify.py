@@ -123,7 +123,8 @@ def random_structured_set(rng: random.Random, *, max_size: int = 30):
             break
         v = rng.choice(sf_divs)
         u = rng.randint(v, 2 * v)
-        if u * N % v or not is_squarefree(u) or math.gcd(u, v) != 1:
+        # v | rad(N) | N, so N * u / v is an integer
+        if math.gcd(u, v) != 1 or not is_squarefree(u):
             continue
         S.add(N * u // v)
     return sorted(S), N, N

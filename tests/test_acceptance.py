@@ -55,6 +55,7 @@ def test_criterion_5_primorial_family():
     report(5, check_sec5(x_max=40), 60.0)
 
 
+@pytest.mark.slow
 def test_criterion_6_sharpness_and_hunt():
     # exhaustive witness {4, 6, 8} at X = Y = 4, D = 2; clean diagonal sweep
     # to scale 16; clean structured hunt over 1e4 instances

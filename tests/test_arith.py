@@ -84,6 +84,7 @@ def test_factorize_beyond_sieve_range():
     assert factorize(p * p).factors == ((p, 2),)
 
 
+@pytest.mark.slow
 def test_roundtrip_exhaustive_to_one_million():
     # factorize builds its FactoredNat without re-checking primality, so the
     # whole invariant is checked here, against the sieve

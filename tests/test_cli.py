@@ -473,13 +473,31 @@ def test_bad_arguments_exit_2(capsys):
         # library ValueErrors (a DefectError, a SearchSpace check) reach main as they are
         ["defect", "--a", "8", "--n", "2"],
         ["search", "exhaustive", "--X", "40", "--D", "2"],
+        # a shared flag given to the group parser, before the leaf name
+        ["family", "--epsilon", "0.3", "remark2", "--X", "8", "--D", "2"],
+        ["search", "--format", "csv", "exhaustive", "--X", "4", "--D", "2"],
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
     argv = [str(tmp_path) if a == "{tmp}" else a for a in argv]
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_argv(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag, leaf",
+    [
+        (["family", "--epsilon", "0.3", "remark2", "--X", "8", "--D", "2"], "--epsilon", "family"),
+        (["family", "--p0=7", "sec5", "--X", "8"], "--p0", "family"),
+        (["search", "--format", "csv", "exhaustive", "--X", "4", "--D", "2"], "--format", "action"),
+        (["--format", "csv", "stats", GOLDEN_INSTANCE], "--format", "command"),
+    ],
+)
+def test_a_flag_before_the_leaf_name_is_named(argv, flag, leaf, capsys):
+    code, out, err = run_argv(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f": {flag} goes after the {leaf} name (" in err and err.count("\n") == 1
 
 
 _MALFORMED = st.sampled_from(["x", "", "1/2", "nan", "inf", "-0.3", "0", "1e-300", "1e400"])
@@ -521,6 +539,7 @@ def measure_argv(draw):
     return argv
 
 
+@pytest.mark.slow
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -604,6 +623,7 @@ def any_argv(draw):
     return argv
 
 
+@pytest.mark.slow
 @settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )

@@ -1,4 +1,5 @@
-"""Each script in demos/ runs to completion against the source tree."""
+"""Each script in demos/ runs to completion against the source tree, and
+prints exactly the bytes of its golden copy in tests/golden/demos/."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -16,7 +18,8 @@ def test_demo_runs_cleanly(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(demo)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.out").read_bytes()

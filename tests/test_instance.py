@@ -54,6 +54,8 @@ def _omega_cases():
     yield [2**k for k in range(12)], [3**k * 2 for k in range(8)], 17
     yield [49, 343, 2401], [7, 49, 77], Fraction(7, 3)
     yield [97, 101], [103, 107], 98
+    # more than 128 rows, so row_bits decodes the grid's text
+    yield list(range(2, 160)), [6, 10, 15, 21, 35, 77], 3
     # remark2-style sets of multiples of D, and a few non-multiples
     for D in (6, 10, 12):
         A = list(range(10 * D, 20 * D + 1, D)) + [10 * D + 1]
@@ -121,6 +123,7 @@ def test_spread_times_a_column_mask_is_the_cells():
             ]
 
 
+@pytest.mark.slow
 def test_least_divisors_geq_match_definition():
     # the divisors d >= t of n whose proper divisors are all < t, i.e. whose
     # largest proper divisor m(d) is < t; d is in for t in (m(d), d] only,
@@ -352,6 +355,22 @@ def test_integer_range_check_matches_fraction_comparison():
             assert range_error(inst) == fraction_range_error(inst), (X, Y, A, B, D)
             outcomes[range_error(inst) is None] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
+
+
+def test_integer_range_check_at_the_boundaries():
+    # ceil(R) and floor(2R) are accepted and one step beyond each is not,
+    # and D is accepted from 1 up to min(X, Y), as the Fraction comparisons say
+    tiny = Fraction(1, 10**9)
+    for R in (Fraction(23, 10), Fraction(7, 2), Fraction(10, 3), Fraction(5), Fraction(99, 98)):
+        lo, hi = math.ceil(R), math.floor(2 * R)
+        for v in (lo - 1, lo, hi, hi + 1):
+            inst = GcdInstance.build([max(v, 1)], [lo], 1, R, R, check_ranges=False)
+            assert (range_error(inst) is None) == (R <= max(v, 1) <= 2 * R)
+            assert range_error(inst) == fraction_range_error(inst), (R, v)
+        for D in (1 - tiny, Fraction(1), R, R + tiny):
+            inst = GcdInstance.build([lo], [math.ceil(R + 1)], D, R, R + 1, check_ranges=False)
+            assert (range_error(inst) is None) == (1 <= D <= R), (R, D)
+            assert range_error(inst) == fraction_range_error(inst), (R, D)
 
 
 def test_range_inference_is_checked():

@@ -245,6 +245,7 @@ def mpmath_interval(iv, mu, w, p, eps: Fraction, dps: int = 40):
         iv.dps = old_dps
 
 
+@pytest.mark.slow
 def test_exact_enclosure_matches_the_mpmath_reference():
     iv = pytest.importorskip("mpmath").iv
     rng = random.Random(89)

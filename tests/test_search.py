@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from gcdlab.search import (
     max_pairwise_compatible,
     random_structured_instance,
 )
+from gcdlab.verify import random_structured_set
 
 
 def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:
@@ -183,19 +185,22 @@ def test_hunt_takes_the_diagonal_verdict_from_chase_diagonal_bound(monkeypatch):
 
 
 def test_hunt_violation_detail_carries_the_product_bound(monkeypatch):
-    # a chain that raises gets the bound 1000 XY / (delta'^2 D^2) computed for
-    # its detail; a report that does not hold brings its own prop_bound
+    # a chain that raises, fails or does not hold is recorded with the bound
+    # 1000 XY / (delta'^2 D^2) in its detail
     import gcdlab.search as search
-    from gcdlab.structure import InternalConsistencyError, extract_witnesses
+    from gcdlab.structure import InternalConsistencyError, witness_chain
 
     def raising(si):
         raise InternalConsistencyError("forced")
 
     def failing(si):
-        return extract_witnesses(si)._replace(holds=False, prop_bound=Fraction(7, 3))
+        return witness_chain(si)._replace(chain_ok=False)
 
-    for fake in (raising, failing):
-        monkeypatch.setattr(search, "extract_witnesses", fake)
+    def not_holding(si):
+        return witness_chain(si)._replace(holds=False)
+
+    for fake in (raising, failing, not_holding):
+        monkeypatch.setattr(search, "witness_chain", fake)
         found = hunt_violations(scale_limit=2, seed=3, n_structured=5)
         rng = random.Random(3)
         assert len(found) == 5
@@ -205,10 +210,38 @@ def test_hunt_violation_detail_carries_the_product_bound(monkeypatch):
             bound = 1000 * inst.X * inst.Y / (d * d * inst.D * inst.D)
             assert v.kind == "structured-product-bound"
             assert v.detail["N"] == si.n.value and v.detail["delta_prime"] == str(d)
-            assert v.detail["bound"] == str(bound if fake is raising else Fraction(7, 3))
+            assert v.detail["bound"] == str(bound)
 
 
 def test_hunt_is_deterministic():
     a = hunt_violations(scale_limit=6, seed=11, n_structured=40)
     b = hunt_violations(scale_limit=6, seed=11, n_structured=40)
     assert a == b
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_hunt_and_census_draws_are_pinned():
+    # the random calls behind each draw are part of the contract: the first
+    # 500 hunt draws at the battery's seed 6006, each as "A B D X Y N bits"
+    # with bits the Omega' grid bits, and the first 200 defect-census sets
+    # (S, N, X) at seed 3003
+    def line(si):
+        inst = si.base
+        A, B = [a.value for a in inst.A], [b.value for b in inst.B]
+        return f"{A} {B} {inst.D} {inst.X} {inst.Y} {si.n.value} {si.omega_prime.bits}"
+
+    rng = random.Random(6006)
+    lines = [line(random_structured_instance(rng)) for _ in range(500)]
+    assert lines[:3] == [
+        "[6, 9, 10, 12] [4, 6] 3 6 4 6 138",
+        "[40, 41, 42, 55] [24, 30, 31, 32, 37, 39, 41, 42, 46, 47] 2 31 24 42 438304768",
+        "[9, 14, 15, 18] [48, 50, 52, 59, 63, 72, 73, 74] 9 9 39 9 268435472",
+    ]
+    assert _sha256(lines) == "254d22779d205ec08271e555130ee185b6b0f5c06159c6d17997fe98cc454f86"
+    rng = random.Random(3003)
+    sets = [repr(random_structured_set(rng)) for _ in range(200)]
+    assert sets[0] == "([438746, 794486, 820820, 877492], 438746, 438746)"
+    assert _sha256(sets) == "d67cc46ee8f9b04765715917679ecfc7358d3b05e87451077d75a47642f6a032"

@@ -15,6 +15,7 @@ from gcdlab.instance import GcdInstance, PairSet, build_omega_gcd, read_instance
 from gcdlab.modulus import _cells, _per_prime_masks, prime_table
 from gcdlab.structure import (
     DefectError,
+    InternalConsistencyError,
     StructuredInstance,
     check_pivotal,
     defect,
@@ -25,6 +26,7 @@ from gcdlab.structure import (
     quad_identity_check,
     quad_identity_witnesses,
     valuation_measure,
+    witness_chain,
 )
 from gcdlab.verify import random_pivotal_triple, random_structured_set
 from pairset_views import edges
@@ -567,6 +569,71 @@ def test_extract_witnesses_random_sweep():
         si = random_structured_instance(rng)
         rep = extract_witnesses(si)
         assert rep.holds and rep.chain_ok
+
+
+def fraction_verdicts(si, chain):
+    """(quad_cap, prop_bound, holds, chain_ok) of chain's pair as the
+    Fraction expressions that the integer verdicts replaced."""
+    inst, m, rows = si.base, len(si.omega_prime), si.omega_prime.row_bits()
+    nA, nB, size = len(inst.A), len(inst.B), inst.size_product()
+    tilde = sum(1 for r in rows if 4 * nA * r.bit_count() >= m)
+    quad_cap = 4 * inst.X * inst.Y / (inst.D * inst.D)
+    prop_bound = quad_cap * Fraction(250 * size * size, m * m)
+    a_star = si.defects[inst.A[chain.ia]].a_star
+    b_star = si.defects[inst.B[chain.ib]].a_star
+    chain_ok = (
+        4 * nB * tilde >= m
+        and 4 * nA * rows[chain.ia].bit_count() >= m
+        and rows[chain.ia] >> chain.ib & 1 == 1
+        and a_star * b_star <= quad_cap
+    )
+    return quad_cap, prop_bound, size <= prop_bound, chain_ok
+
+
+def assert_integer_verdicts_match(si):
+    chain = witness_chain(si)
+    quad_cap, prop_bound, holds, chain_ok = fraction_verdicts(si, chain)
+    assert (chain.holds, chain.chain_ok) == (holds, chain_ok)
+    if chain_ok:
+        rep = extract_witnesses(si)
+        assert (rep.quad_cap, rep.prop_bound, rep.holds, rep.chain_ok) == (
+            quad_cap, prop_bound, holds, True
+        )
+    else:
+        with pytest.raises(InternalConsistencyError, match="failed to verify"):
+            extract_witnesses(si)
+    return chain
+
+
+def test_integer_witness_verdicts_match_the_fraction_expressions():
+    from gcdlab.search import random_structured_instance
+
+    rng = random.Random(1919)
+    for _ in range(500):
+        assert_integer_verdicts_match(random_structured_instance(rng))
+    # X, Y and D that are not integers; X, Y move neither Omega' nor the pair
+    hand = [
+        GcdInstance.build([3, 4], [4, 5, 6, 7], Fraction(3, 2), Fraction(23, 10), Fraction(7, 2)),
+        GcdInstance.build([12, 15, 18, 20], [14, 21, 24], Fraction(5, 2), Fraction(53, 5), 12),
+        GcdInstance.build([4, 6, 8], [4, 6, 8], Fraction(7, 2), 1, 1, check_ranges=False),
+    ]
+    seen = set()
+    for inst in hand:
+        si = find_modulus(inst, build_omega_gcd(inst))
+        chain = assert_integer_verdicts_match(si)
+        m, size = len(si.omega_prime), inst.size_product()
+        # the X at which a* b* = 4XY/D^2, and the X at which |A||B| =
+        # 1000 delta'^-2 XY/D^2, exactly, and just either side of each
+        x_quad = Fraction(chain.a_star * chain.b_star) * inst.D**2 / (4 * inst.Y)
+        x_holds = Fraction(m * m) * inst.D**2 / (1000 * size * inst.Y)
+        for X in (x_quad, x_holds, Fraction(1, 3), Fraction(23, 10)):
+            for x in (X, X - Fraction(1, 10**9), X + Fraction(1, 10**9)):
+                if x > 0:
+                    c = assert_integer_verdicts_match(si._replace(base=inst._replace(X=x)))
+                    seen.add((c.chain_ok, c.holds))
+    # a passing chain forces the bound (a* b* >= m^2 / (64|A||B|)), so
+    # chain_ok without holds cannot occur
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_structured_instance_rejects_non_pivotal_edges():
