@@ -10,7 +10,7 @@ from gcdlab import (
     defect_census,
     extract_witnesses,
     find_modulus,
-    quad_identity_witnesses,
+    quad_identity,
 )
 
 print("=" * 72)
@@ -51,7 +51,7 @@ a, b = [
     if row >> j & 1
 ][1]
 print(f"take (a, b) = ({a.value}, {b.value}):")
-for row in quad_identity_witnesses(a, b, si.n):
+for row in quad_identity(a, b, si.n).witnesses:
     print(
         f"  p = {row.p:2d}: v_p(a*) + v_p(b*) = {row.v_a_star + row.v_b_star}"
         f" = |v_p(a/N) - v_p(b/N)| = {abs(row.v_a_over_n - row.v_b_over_n)}"

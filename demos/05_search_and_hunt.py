@@ -20,9 +20,7 @@ print(f"X = Y = 12, D = 3: product {res.max_product} with A = {res.best_a}")
 
 print()
 print("the delta-threshold variant (at least half of all pairs good):")
-res = exhaustive_max(
-    SearchSpace(X=8, Y=8, D=2, delta_target=Fraction(1, 2), mode="threshold-delta")
-)
+res = exhaustive_max(SearchSpace(X=8, Y=8, D=2, delta_target=Fraction(1, 2)))
 print(f"X = Y = 8, D = 2, delta >= 1/2: product {res.max_product}")
 
 print()

@@ -57,8 +57,7 @@ _EXPORTS = {
         "defect_census_sweep",
         "extract_witnesses",
         "find_modulus",
-        "quad_identity_check",
-        "quad_identity_witnesses",
+        "quad_identity",
         "valuation_measure",
     ),
     "measure": (

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -368,10 +367,3 @@ def divisors(n: int | FactoredNat) -> tuple[int, ...]:
     if isinstance(n, FactoredNat):
         n = n.value
     return _divisors_int(n)
-
-
-def fraction_of(x) -> Fraction:
-    """Coerce int/float/str/Fraction to an exact Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)

@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .arith import fraction_of, is_prime, rational_valuations
+from .arith import is_prime, rational_valuations
 from .instance import (
     GcdInstance,
     InstanceError,
@@ -35,8 +35,7 @@ from .structure import (
     check_pivotal,
     extract_witnesses,
     find_modulus,
-    quad_identity_check,
-    quad_identity_witnesses,
+    quad_identity,
     valuation_measure,
 )
 
@@ -64,7 +63,7 @@ def _config(args, inst: GcdInstance | None = None) -> dict:
 
 def _fraction(name: str, text: str) -> Fraction:
     try:
-        return fraction_of(text)
+        return Fraction(text)
     except ZeroDivisionError:
         raise InstanceError(f"{name}: {text} has a zero denominator") from None
 
@@ -157,8 +156,9 @@ def cmd_defect(args) -> tuple[dict, int]:
         summary["b"] = str(args.b)
         summary["pivotal"] = pivotal
         if pivotal:
-            summary["quad_identity"] = quad_identity_check(args.a, args.b, args.n)
-            for row in quad_identity_witnesses(args.a, args.b, args.n):
+            quad = quad_identity(args.a, args.b, args.n)
+            summary["quad_identity"] = quad.holds
+            for row in quad.witnesses:
                 records.append(
                     {
                         "p": row.p,
@@ -342,9 +342,7 @@ def cmd_search(args) -> tuple[dict, int]:
             Y=args.X if args.Y is None else args.Y,
             D=args.D,
             delta_target=None if target is None else _fraction("--delta-target", target),
-            mode=args.mode,
             force_equal=args.force_equal,
-            exhaustive_limit=args.exhaustive_limit,
         )
         res = exhaustive_max(space)
         summary = {
@@ -356,7 +354,6 @@ def cmd_search(args) -> tuple[dict, int]:
             "best_b": [str(v) for v in res.best_b],
             "max_product": res.max_product,
         }
-        cfg["exhaustive_limit"] = space.exhaustive_limit
         return make_report("search", cfg, summary), 0
     for flag, count in (("--scale-limit", args.scale_limit), ("--structured", args.structured)):
         if count < 0:
@@ -491,13 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--X", type=int, required=True)
     ex.add_argument("--Y", type=int, default=None)
     ex.add_argument("--D", type=int, required=True)
-    ex.add_argument("--mode", choices=("exact-delta-1", "threshold-delta"), default="exact-delta-1")
-    ex.add_argument("--delta-target", default=None, dest="delta_target")
+    ex.add_argument("--delta-target", dest="delta_target", help="(0, 1]; selects threshold-delta")
     ex.add_argument("--force-equal", action="store_true", dest="force_equal")
-    ex.add_argument(
-        "--exhaustive-limit", type=int, default=20, dest="exhaustive_limit",
-        help="max integers per side for exact searches",
-    )
     ex.set_defaults(func=cmd_search)
     hv = act.add_parser("hunt", parents=[seed, fmt])
     hv.add_argument("--scale-limit", type=int, default=16, dest="scale_limit")

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import fraction_of, is_squarefree, primes_up_to, primorial
+from .arith import is_squarefree, primorial
 from .instance import count_pairs_geq_fast, theorem51_bound
 
 __all__ = [
@@ -73,7 +73,7 @@ def remark3_family(X: int, D: int, delta):
     """A = B = multiples of D0 = floor(delta * D) in [X, 2X]; the reported
     density is the measured fraction of pairs with gcd >= D, against the
     reference size delta^-2 X^2 / D^2.  Requires D >= 1/delta."""
-    delta = fraction_of(delta)
+    delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta = {delta} outside (0, 1]")
     if D < 1 / delta:
@@ -166,7 +166,7 @@ def squarefree_instance(n: int, Q, epsilon: float = 0.5, p0: int = 100):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     A = [m for m in range(1, n + 1) if is_squarefree(m)]
-    Q = fraction_of(Q)
+    Q = Fraction(Q)
     delta, bound, holds = theorem51_bound(A, A, Q, epsilon, p0)
     checks = ["bound-holds"] if holds else []
     report = FamilyReport(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import FactoredNat, _divisors_int, factorize, fraction_of, is_squarefree
+from .arith import FactoredNat, _divisors_int, factorize, is_squarefree
 
 __all__ = [
     "GcdInstance",
@@ -47,9 +47,9 @@ class InstanceError(ValueError):
 
 
 def decimal_fraction(x) -> Fraction:
-    """The fraction that the shortest decimal text of the float x names
-    (0.1 is 1/10, not the binary double nearest it)."""
-    return Fraction(repr(float(x)))
+    """x exactly, with a float read by its shortest decimal text (0.1 is
+    1/10, not the binary double nearest it)."""
+    return Fraction(repr(x) if isinstance(x, float) else x)
 
 
 @lru_cache(maxsize=256)
@@ -60,7 +60,7 @@ def epsilon_fraction(epsilon) -> Fraction:
     verdicts raise to powers up to 2b + a."""
     if not 0 < epsilon < 1:
         raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
-    eps = decimal_fraction(epsilon)
+    eps = decimal_fraction(float(epsilon))  # instances keep epsilon as a float
     if eps.denominator > EPSILON_MAX_DENOMINATOR:
         raise InstanceError(
             f"field epsilon: {epsilon} has denominator {eps.denominator}"
@@ -115,7 +115,7 @@ class GcdInstance(NamedTuple):
         epsilon_fraction(epsilon)
         if p0 < 0:
             raise InstanceError(f"field p0: {p0} must be a natural number")
-        inst = cls(A, B, fraction_of(X), fraction_of(Y), fraction_of(D), float(epsilon), int(p0))
+        inst = cls(A, B, Fraction(X), Fraction(Y), Fraction(D), float(epsilon), int(p0))
         if check_ranges:
             inst.validate_ranges()
         return inst
@@ -219,7 +219,7 @@ class PairSet(NamedTuple):
 
 def _gcd_threshold(D) -> int:
     # gcds are integers, so gcd >= D is the same test as gcd >= ceil(D)
-    return max(1, math.ceil(fraction_of(D)))
+    return max(1, math.ceil(Fraction(D)))
 
 
 def _least_divisors_geq(factors, t: int) -> list[int]:
@@ -286,7 +286,7 @@ def build_omega_ratio(A, B, Q) -> PairSet:
     """All pairs with ab/gcd(a,b)^2 <= Q (the squarefree-theorem predicate)."""
     A = _coerce_elements(A, "A")
     B = _coerce_elements(B, "B")
-    Q = fraction_of(Q)
+    Q = Fraction(Q)
     bvals = [b.value for b in B]
     rows = [
         sum(1 << j for j, b in enumerate(bvals) if Fraction(a * b, math.gcd(a, b) ** 2) <= Q)
@@ -362,7 +362,7 @@ def _bound(n_small: int, epsilon: float, delta, scale: Fraction, size: int):
     delta^(-2-epsilon) * scale.  B and log10 B are floats for display; with
     epsilon = a/b the verdict is the exact
     size^b * delta^(2b+a) <= (1000^(1+n_small) * scale)^b."""
-    delta, scale = fraction_of(delta), fraction_of(scale)
+    delta, scale = Fraction(delta), Fraction(scale)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     log_bound = (
@@ -401,8 +401,8 @@ def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
     Returns (holds, max_allowed).
     """
     vals = _values(A)
-    X = fraction_of(X)
-    D = fraction_of(D)
+    X = Fraction(X)
+    D = Fraction(D)
     t = _gcd_threshold(D)
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
@@ -430,7 +430,7 @@ def theorem51_bound(A, B, Q, epsilon: float = 0.5, p0: int = 100):
         for el in S:
             if not is_squarefree(el):
                 raise ValueError(f"element {el.value} of {name} is not squarefree")
-    Q = fraction_of(Q)
+    Q = Fraction(Q)
     omega = build_omega_ratio(A, B, Q)
     delta = omega.delta
     if delta == 0:
@@ -468,6 +468,8 @@ def _parse_int_list(doc, name: str) -> list[int]:
     out = []
     for i, s in enumerate(raw):
         try:
+            if type(s) not in (int, str):  # int() would truncate a float and take a bool
+                raise TypeError
             v = int(s)
         except (TypeError, ValueError):
             raise InstanceError(f"field {name}[{i}]: {s!r} is not a decimal integer") from None
@@ -485,7 +487,7 @@ def _parse_fraction(doc, name: str, required: bool):
         return None
     if not isinstance(raw, bool):
         try:  # a JSON float is read by its decimal text, as epsilon is
-            return decimal_fraction(raw) if isinstance(raw, float) else Fraction(raw)
+            return decimal_fraction(raw)
         except (TypeError, ValueError, ZeroDivisionError):
             pass
     raise InstanceError(f"field {name}: {raw!r} is not a number")
@@ -494,7 +496,7 @@ def _parse_fraction(doc, name: str, required: bool):
 def instance_from_json(text: str) -> GcdInstance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InstanceError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")

@@ -113,11 +113,6 @@ class WeightPair(NamedTuple):
         return cls(*_over_total(alpha, "alpha"), *_over_total(beta, "beta"))
 
 
-def _lambda_fraction(lam) -> Fraction:
-    """lambda exactly: a float is read as its decimal text, as epsilon is."""
-    return decimal_fraction(lam) if isinstance(lam, float) else Fraction(lam)
-
-
 def _c_pow(
     mu: Measure2D, w: WeightPair, ln: int, ld: int, k: int, n: int, e: int
 ) -> tuple[int, int]:
@@ -205,7 +200,7 @@ def min_admissible_c_interval(
     if p is not None:
         num, den = _c_pow(mu, w, 1, p, b, n, a + b)
     else:
-        lam = _lambda_fraction(lam)
+        lam = decimal_fraction(lam)
         num, den = _c_pow(mu, w, lam.numerator, lam.denominator, n, n, a + b)
     lo, hi, c = _root_floats(num, den, n)
     return lo, hi, num * C_FLOOR**n >= den, c
@@ -304,7 +299,7 @@ def concentration_report(
     Fraction or a float read as its decimal text, in (0, 4/5]; when p is
     given, lambda is exactly p^(-1/q) and lam is only displayed.
     """
-    exact = _lambda_fraction(lam)
+    exact = decimal_fraction(lam)
     if not 0 < exact <= LAMBDA_MAX:
         raise ValueError(f"lambda = {lam} outside (0, 4/5]")
     lo, hi, ok, c = min_admissible_c_interval(
@@ -395,18 +390,18 @@ def random_measure(rng: random.Random, *, span: int = 6, max_points: int = 8) ->
     return Measure2D(weights, sum(m for _, m in weights))
 
 
-def _random_densities(rng: random.Random, span: int, max_points: int):
-    idx = sorted(rng.sample(range(-span, span + 1), rng.randint(1, max_points)))
+def _random_densities(rng: random.Random):
+    idx = sorted(rng.sample(range(-5, 6), rng.randint(1, 6)))
     seq = tuple((i, rng.randint(50, 1000)) for i in idx)
     return seq, sum(v for _, v in seq)
 
 
-def random_admissible_config(rng: random.Random, *, span: int = 5, max_points: int = 6):
+def random_admissible_config(rng: random.Random):
     """Random (mu, weights, lambda) with integer masses and densities in
     [50, 1000], lambda = l/1000 for l in [50, 800], and mu supported inside
     supp(x) x supp(y), so the minimal admissible c is finite."""
-    alpha, alpha_total = _random_densities(rng, span, max_points)
-    beta, beta_total = _random_densities(rng, span, max_points)
+    alpha, alpha_total = _random_densities(rng)
+    beta, beta_total = _random_densities(rng)
     grid = [(i, j) for i, _ in alpha for j, _ in beta]
     pts = sorted(rng.sample(grid, rng.randint(1, min(len(grid), 12))))
     weights = tuple((pt, rng.randint(50, 1000)) for pt in pts)

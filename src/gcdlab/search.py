@@ -35,18 +35,21 @@ THRESHOLD_SIDE_LIMIT = 12  # cap on X and Y for the delta < 1 exact mode
 class SearchSpace(NamedTuple):
     """Search domain: A ranges over subsets of [X, 2X], B over [Y, 2Y].
 
-    mode "exact-delta-1" maximizes |A||B| with gcd(a, b) >= D required for
-    every cross pair; "threshold-delta" requires only a delta_target
-    fraction of good pairs and allows X, Y <= THRESHOLD_SIDE_LIMIT.
-    force_equal restricts to A = B (diagonal case, needs X == Y)."""
+    Without a delta_target the search maximizes |A||B| with gcd(a, b) >= D
+    required for every cross pair (mode "exact-delta-1"); a delta_target
+    requires only that fraction of good pairs and allows X, Y <=
+    THRESHOLD_SIDE_LIMIT (mode "threshold-delta").  force_equal restricts
+    to A = B (diagonal case, needs X == Y and no target)."""
 
     X: int
     Y: int
     D: int
     delta_target: Fraction | None = None
-    mode: str = "exact-delta-1"
     force_equal: bool = False
-    exhaustive_limit: int = EXHAUSTIVE_SIDE_LIMIT
+
+    @property
+    def mode(self) -> str:
+        return "exact-delta-1" if self.delta_target is None else "threshold-delta"
 
     def universes(self) -> tuple[list[int], list[int]]:
         ua = list(range(self.X, 2 * self.X + 1))
@@ -54,30 +57,27 @@ class SearchSpace(NamedTuple):
         return ua, ub
 
     def check(self) -> None:
-        if self.mode not in ("exact-delta-1", "threshold-delta"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.D < 1:
             raise ValueError("D must be >= 1")
         if self.X < 1 or self.Y < 1:
             raise ValueError("X and Y must be >= 1")
-        limit = self.exhaustive_limit
-        if self.mode == "threshold-delta":
-            if self.delta_target is None or not 0 < self.delta_target <= 1:
+        if self.delta_target is not None:
+            if not 0 < self.delta_target <= 1:
                 raise ValueError("threshold-delta mode needs delta_target in (0, 1]")
             if max(self.X, self.Y) > THRESHOLD_SIDE_LIMIT:
                 raise ValueError(
                     f"threshold-delta mode is exact only for X, Y <= {THRESHOLD_SIDE_LIMIT}, "
                     f"got X = {self.X}, Y = {self.Y}"
                 )
-        elif self.delta_target is not None:
-            raise ValueError("delta_target applies only to threshold-delta mode")
-        if self.X + 1 > limit + 1 or self.Y + 1 > limit + 1:
+        if max(self.X, self.Y) > EXHAUSTIVE_SIDE_LIMIT:
             raise ValueError(
                 f"universe too large: {self.X + 1} or {self.Y + 1} integers "
-                f"per side exceeds the exhaustive limit {limit + 1}"
+                f"per side exceeds the exhaustive limit {EXHAUSTIVE_SIDE_LIMIT + 1}"
             )
         if self.force_equal and self.X != self.Y:
             raise ValueError("force_equal needs X == Y")
+        if self.force_equal and self.delta_target is not None:
+            raise ValueError("threshold-delta mode does not support force_equal")
 
 
 class SearchResult(NamedTuple):
@@ -188,17 +188,12 @@ def exhaustive_max(space: SearchSpace) -> SearchResult:
     A for threshold-delta (which check() caps at THRESHOLD_SIDE_LIMIT)."""
     space.check()
     ua, ub = space.universes()
-    if space.mode == "exact-delta-1":
-        if space.force_equal:
-            a = max_pairwise_compatible(space.X, space.D)
-            return SearchResult(a, a, len(a) ** 2)
-        a, b, prod = _bipartite_max(ua, ub, space.D)
-        return SearchResult(a, b, prod)
-    target = space.delta_target
+    if space.delta_target is not None:
+        return SearchResult(*_threshold_exact(ua, ub, space.D, space.delta_target))
     if space.force_equal:
-        raise ValueError("threshold-delta mode does not support force_equal")
-    a, b, prod = _threshold_exact(ua, ub, space.D, target)
-    return SearchResult(a, b, prod)
+        a = max_pairwise_compatible(space.X, space.D)
+        return SearchResult(a, a, len(a) ** 2)
+    return SearchResult(*_bipartite_max(ua, ub, space.D))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
-from .arith import FactoredNat, factorize, fraction_of, rational_valuations
+from .arith import FactoredNat, factorize, rational_valuations
 from .instance import GcdInstance, PairSet, _indices
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "DefectError",
     "InternalConsistencyError",
     "PrimeWitness",
+    "QuadIdentity",
     "StructuredInstance",
     "ValuationMeasure",
     "check_pivotal",
@@ -34,8 +35,7 @@ __all__ = [
     "extract_witnesses",
     "find_modulus",
     "product_bound",
-    "quad_identity_check",
-    "quad_identity_witnesses",
+    "quad_identity",
     "valuation_measure",
     "witness_chain",
 ]
@@ -248,39 +248,29 @@ class PrimeWitness(NamedTuple):
         return self.v_a_star + self.v_b_star == abs(self.v_a_over_n - self.v_b_over_n)
 
 
-def _pivotal_defects(a, b, N):
-    """(v(a/N), v(b/N), defect of a, defect of b), each valuation map
-    computed once; ValueError unless (a, b) is pivotal for N."""
+class QuadIdentity(NamedTuple):
+    """holds: a_star * b_star = ab / gcd(a, b)^2 exactly (always true for a
+    pivotal pair; kept as a tested invariant).  witnesses: the per-prime
+    table certifying v_p(a*) + v_p(b*) = |v_p(a/N) - v_p(b/N)|."""
+
+    holds: bool
+    witnesses: tuple[PrimeWitness, ...]
+
+
+def quad_identity(a, b, N) -> QuadIdentity:
+    """The pair identity of (a, b) relative to N, from one valuation map
+    and one defect per element; ValueError unless (a, b) is pivotal for N."""
     a, b, N = factorize(a), factorize(b), factorize(N)
     va, vb = rational_valuations(a, N), rational_valuations(b, N)
     if not _pivotal(va, vb):
         raise ValueError(f"pair ({a}, {b}) is not pivotal for N = {N}")
-    return va, vb, _defect_from(a, N, va), _defect_from(b, N, vb)
-
-
-def quad_identity_witnesses(a, b, N) -> tuple[PrimeWitness, ...]:
-    """Per-prime table certifying v_p(a*) + v_p(b*) = |v_p(a/N) - v_p(b/N)|.
-
-    Requires (a, b) pivotal for N."""
-    va, vb, da, db = _pivotal_defects(a, b, N)
-    return tuple(
-        PrimeWitness(
-            p,
-            int(da.a_star % p == 0),
-            int(db.a_star % p == 0),
-            va.get(p, 0),
-            vb.get(p, 0),
-        )
+    sa, sb = _defect_from(a, N, va).a_star, _defect_from(b, N, vb).a_star
+    g = math.gcd(a.value, b.value)
+    witnesses = tuple(
+        PrimeWitness(p, int(sa % p == 0), int(sb % p == 0), va.get(p, 0), vb.get(p, 0))
         for p in sorted([*va, *vb])  # pivotal: no prime is in both
     )
-
-
-def quad_identity_check(a, b, N) -> bool:
-    """Whether a_star * b_star = ab / gcd(a,b)^2 exactly (always true when
-    the pivotal precondition holds; kept as a tested invariant)."""
-    _, _, da, db = _pivotal_defects(a, b, N)
-    g = math.gcd(int(a), int(b))
-    return da.a_star * db.a_star * g * g == int(a) * int(b)
+    return QuadIdentity(sa * sb * g * g == a.value * b.value, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +328,8 @@ def defect_census(S, N, X, T) -> DefectCensus:
     count can never exceed 2T, and every counted element obeys the range
     caps a_plus^2 <= 2XT/N and a_minus^2 <= NT/X (verified exactly)."""
     N = factorize(N)
-    X = fraction_of(X)
-    return _census_at(_census_table(S, N, X), N.value, X, 2 * fraction_of(T))
+    X = Fraction(X)
+    return _census_at(_census_table(S, N, X), N.value, X, 2 * Fraction(T))
 
 
 def defect_census_sweep(S, N, X) -> tuple[DefectCensus, ...]:
@@ -349,7 +339,7 @@ def defect_census_sweep(S, N, X) -> tuple[DefectCensus, ...]:
     two integer comparisons with prefix maxima, O((|S| + grid) log |S|) in
     all."""
     N = factorize(N)
-    X = fraction_of(X)
+    X = Fraction(X)
     table = _census_table(S, N, X)
     top = 4 * max(table[0], default=0)  # 2T runs over the powers of two up to top
     return tuple(

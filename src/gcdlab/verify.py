@@ -34,13 +34,7 @@ from .search import (
     hunt_violations,
     random_structured_instance,
 )
-from .structure import (
-    check_pivotal,
-    defect_census_sweep,
-    quad_identity_check,
-    quad_identity_witnesses,
-    valuation_measure,
-)
+from .structure import defect_census_sweep, quad_identity, valuation_measure
 
 __all__ = [
     "CheckResult",
@@ -79,9 +73,10 @@ class CheckResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def random_census_instance(rng: random.Random, *, max_side: int = 64, max_value: int = 10**6):
-    A = sorted({rng.randint(1, max_value) for _ in range(rng.randint(1, max_side))})
-    B = sorted({rng.randint(1, max_value) for _ in range(rng.randint(1, max_side))})
+def random_census_instance(rng: random.Random):
+    """(A, B): up to 64 draws from [1, 10^6] per side."""
+    A = sorted({rng.randint(1, 10**6) for _ in range(rng.randint(1, 64))})
+    B = sorted({rng.randint(1, 10**6) for _ in range(rng.randint(1, 64))})
     return A, B
 
 
@@ -108,16 +103,16 @@ def random_pivotal_triple(rng: random.Random) -> tuple[int, int, int]:
     return build(chosen[:k_a]), build(chosen[k_a:]), N
 
 
-def random_structured_set(rng: random.Random, *, max_size: int = 30):
-    """(S, N, X) with X = N, S inside [N, 2N], and every element of the form
-    N * u / v with u, v squarefree, coprime, v | N."""
+def random_structured_set(rng: random.Random):
+    """(S, N, X) with X = N, S inside [N, 2N], at most 30 elements, and
+    every element of the form N * u / v with u, v squarefree, coprime, v | N."""
     n_primes = sorted(rng.sample(_PRIME_POOL, rng.randint(1, 4)))
     N = 1
     for p in n_primes:
         N *= p ** rng.randint(1, 2)
     sf_divs = divisors(radical(N))
     S = {N}
-    target = rng.randint(3, max_size)
+    target = rng.randint(3, 30)
     for _ in range(12 * target):
         if len(S) >= target:
             break
@@ -173,13 +168,14 @@ def check_quad_identity(seed: int = 2002, n_triples: int = 10**4) -> CheckResult
     failures = []
     for idx in range(n_triples):
         a, b, N = random_pivotal_triple(rng)
-        if not check_pivotal(a, b, N):
+        try:
+            quad = quad_identity(a, b, N)
+        except ValueError:  # raised for a pair that is not pivotal
             failures.append({"triple": (a, b, N), "reason": "generator not pivotal"})
             continue
-        if not quad_identity_check(a, b, N):
+        if not quad.holds:
             failures.append({"triple": (a, b, N), "reason": "product identity"})
-            continue
-        if not all(row.ok for row in quad_identity_witnesses(a, b, N)):
+        elif not all(row.ok for row in quad.witnesses):
             failures.append({"triple": (a, b, N), "reason": "per-prime identity"})
     return CheckResult(
         "defect-identity",

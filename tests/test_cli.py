@@ -115,6 +115,27 @@ def test_exit_2_on_a_number_beyond_float_range(subcommand, field, number, tmp_pa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("subcommand", ["stats", "structure"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"A": [12.7, 18], "B": ["12"], "D": "1"}', "field A[0]: 12.7 is not a decimal integer"),
+        ('{"A": [true, 2], "B": ["2"], "D": "1"}', "field A[0]: True is not a decimal integer"),
+        # nested past the interpreter's recursion limit
+        ('{"A": ' + "[" * 10**5 + "]" * 10**5 + ', "B": ["2"], "D": "1"}', "not valid JSON: "),
+    ],
+)
+def test_a_malformed_instance_file_exits_2_with_one_line(
+    subcommand, text, message, tmp_path, capsys
+):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out, err = run_cli([subcommand, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_json_floats_for_d_x_y_are_read_by_their_decimal_text(tmp_path, capsys):
     doc = json.loads(Path(GOLDEN_INSTANCE).read_text())
     path = tmp_path / "float.json"
@@ -242,7 +263,7 @@ def test_search_exhaustive_config_echoes_no_seed(capsys):
     argv = ["search", "exhaustive", "--X", "4", "--D", "2"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert json.loads(out)["config"] == {"exhaustive_limit": 20, "format": "json"}
+    assert json.loads(out)["config"] == {"format": "json"}
     assert_one_error_line(*run_argv(argv + ["--seed", "7"], capsys))
     code, out, _ = run_cli(["search", "hunt", "--scale-limit", "2", "--structured", "1",
                             "--seed", "7"], capsys)
@@ -277,12 +298,11 @@ def test_config_echoes_exactly_the_shared_options_a_leaf_takes(
     monkeypatch.setattr(
         gcdlab.verify, "run_all", lambda **kwargs: [CheckResult("stub", True, 0.0, {})]
     )
-    extra = ["exhaustive_limit"] if argv[:2] == ["search", "exhaustive"] else []
     taken = [a for f in sorted(options) for a in (f"--{f}", _SHARED_FLAGS[f"--{f}"])]
     code, out, _ = run_cli(argv + taken, capsys)
     assert code == 0
     config = json.loads(out)["config"]
-    assert sorted(config) == sorted([*options, *extra])
+    assert sorted(config) == sorted(options)
     assert all(str(config[f]) == _SHARED_FLAGS[f"--{f}"] for f in options)
     for flag in sorted(set(_SHARED_FLAGS) - {f"--{f}" for f in options}):
         assert_one_error_line(*run_argv(argv + [flag, _SHARED_FLAGS[flag]], capsys))
@@ -332,17 +352,32 @@ def test_defect_of_a_large_prime_square_ends():
     assert json.loads(proc.stdout)["summary"]["a_plus"] == str(p)
 
 
-def test_exhaustive_limit_is_a_search_exhaustive_option(capsys):
+def test_search_exhaustive_takes_no_mode_or_limit_flag(capsys):
+    # the mode follows from --delta-target, and the limit is the constant 21
+    # integers per side
     argv = ["search", "exhaustive", "--X", "4", "--D", "2"]
-    code, out, _ = run_cli(argv + ["--exhaustive-limit", "6"], capsys)
-    assert code == 0 and json.loads(out)["config"]["exhaustive_limit"] == 6
-    code, out, err = run_cli(argv + ["--exhaustive-limit", "3"], capsys)
-    assert (code, out) == (2, "") and "exhaustive limit" in err
-    code, out, _ = run_cli(["stats", GOLDEN_INSTANCE], capsys)
-    assert code == 0 and "exhaustive_limit" not in json.loads(out)["config"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["stats", GOLDEN_INSTANCE, "--exhaustive-limit", "5"])
-    assert exc.value.code == 2
+    for flags in (["--exhaustive-limit", "6"], ["--mode", "threshold-delta"],
+                  ["--mode", "exact-delta-1"]):
+        code, out, err = run_argv(argv + flags, capsys)
+        assert_one_error_line(code, out, err)
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+    code, out, err = run_cli(["search", "exhaustive", "--X", "21", "--D", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: universe too large: 22 or 22 integers per side exceeds the exhaustive limit 21\n"
+    )
+
+
+def test_a_delta_target_alone_selects_the_threshold_search(capsys):
+    argv = ["search", "exhaustive", "--X", "8", "--D", "2", "--delta-target", "1/2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == {"format": "json"}
+    assert doc["summary"]["mode"] == "threshold-delta"
+    assert doc["summary"]["max_product"] == 72
+    code, out, _ = run_cli(argv[:-2], capsys)
+    assert code == 0 and json.loads(out)["summary"]["mode"] == "exact-delta-1"
 
 
 def test_search_hunt_clean(capsys):
@@ -426,8 +461,7 @@ def test_bad_arguments_exit_2(capsys):
     [
         ["family", "squarefree", "--n", "5", "--Q", "1/0"],
         ["family", "remark3", "--X", "10", "--D", "4", "--delta", "1/0"],
-        ["search", "exhaustive", "--X", "4", "--D", "2", "--mode", "threshold-delta",
-         "--delta-target", "1/0"],
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "1/0"],
         ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "0"],
         ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "4"],
         ["stats", "{tmp}"],
@@ -437,8 +471,7 @@ def test_bad_arguments_exit_2(capsys):
         ["search", "exhaustive", "--X", "-3", "--D", "1"],
         ["search", "exhaustive", "--X", "4", "--Y", "-1", "--D", "1"],
         # threshold-delta mode is exact only up to X, Y = 12
-        ["search", "exhaustive", "--X", "13", "--Y", "4", "--D", "2", "--mode", "threshold-delta",
-         "--delta-target", "1/2"],
+        ["search", "exhaustive", "--X", "13", "--Y", "4", "--D", "2", "--delta-target", "1/2"],
         # psi_13: a strong probable prime to the bases up to 41, with no proof either way
         ["defect", "--a", "3317044064679887385961981", "--n", "1"],
         # psi_12, a composite that the bases up to 37 alone pass
@@ -464,12 +497,10 @@ def test_bad_arguments_exit_2(capsys):
         # Y = 0 is a value, not the default Y = X
         ["family", "remark2", "--X", "5", "--D", "2", "--Y", "0"],
         ["search", "exhaustive", "--X", "4", "--Y", "0", "--D", "1"],
-        # a density target outside (0, 1], or in the mode that reads none
-        ["search", "exhaustive", "--X", "4", "--D", "2", "--mode", "threshold-delta",
-         "--delta-target", "2"],
-        ["search", "exhaustive", "--X", "4", "--D", "2", "--mode", "threshold-delta",
-         "--delta-target", "0"],
-        ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "1/2"],
+        # a density target outside (0, 1], or with the diagonal search, which reads none
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "2"],
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "0"],
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "1/2", "--force-equal"],
         # library ValueErrors (a DefectError, a SearchSpace check) reach main as they are
         ["defect", "--a", "8", "--n", "2"],
         ["search", "exhaustive", "--X", "40", "--D", "2"],
@@ -591,9 +622,8 @@ _LEAF_FLAGS = {
     ),
     ("search", "exhaustive"): (
         {"--X": _ints(0, 8), "--D": _ints(0, 4)},
-        {"--Y": _ints(0, 8), "--mode": _texts("exact-delta-1", "threshold-delta", "x"),
-         "--delta-target": _texts("1/2", "1", "2", "0", "1/0", "", "nan"),
-         "--force-equal": _SWITCH, "--exhaustive-limit": _ints(-1, 20)},
+        {"--Y": _ints(0, 8), "--delta-target": _texts("1/2", "1", "2", "0", "1/0", "", "nan"),
+         "--force-equal": _SWITCH},
     ),
     ("search", "hunt"): ({}, {"--scale-limit": _ints(-1, 4), "--structured": _ints(-1, 4)}),
     ("verify", "all"): ({}, {"--quick": _SWITCH}),

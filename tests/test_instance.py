@@ -405,6 +405,12 @@ def test_instance_file_diagnostics():
         instance_from_json('{"A": [], "B": ["2"], "D": "1"}')
     with pytest.raises(InstanceError, match=r"field B\[0\]"):
         instance_from_json('{"A": ["2"], "B": ["x"], "D": "1"}')
+    # int() would read 12.7 as 12 and true as 1; JSON integers and decimal strings stay valid
+    for bad in ("12.7", "true", "false", "12.0"):
+        with pytest.raises(InstanceError, match=rf"field A\[0\]: {bad.title()} is not a decimal"):
+            instance_from_json(f'{{"A": [{bad}, 18], "B": ["12"], "D": "1"}}')
+    inst = instance_from_json('{"A": [12, "18"], "B": ["12"], "D": "1"}')
+    assert [a.value for a in inst.A] == [12, 18]
     with pytest.raises(InstanceError, match="field D"):
         instance_from_json('{"A": ["2"], "B": ["2"]}')
     with pytest.raises(InstanceError, match="epsilon"):

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from gcdlab.arith import fraction_of
 from gcdlab.instance import GcdInstance, build_omega_gcd, epsilon_fraction, read_instance
 from gcdlab.measure import (
     Measure2D,
@@ -221,7 +220,7 @@ def mpmath_interval(iv, mu, w, p, eps: Fraction, dps: int = 40):
     nudged outward."""
 
     def iv_fraction(q):
-        q = fraction_of(q)
+        q = Fraction(q)
         return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
     old_dps = iv.dps

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -51,3 +52,23 @@ def test_no_module_imports_dataclasses():
     # records are NamedTuples, so a cold start pays for no dataclass codegen
     for path in sorted(Path(SRC, "gcdlab").rglob("*.py")):
         assert "dataclasses" not in path.read_text(encoding="utf-8"), path
+
+
+def test_every_imported_name_is_used():
+    # a stdlib stand-in for an unused-import lint: each name a module imports
+    # is read in it, or named by a string such as an __all__ entry
+    paths = sorted(Path(SRC, "gcdlab").glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+        assert imported <= used, (path.name, sorted(imported - used))

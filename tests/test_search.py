@@ -21,7 +21,7 @@ def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:
     side computed from the definition.  Only for small spaces."""
     space.check()
     ua, ub = space.universes()
-    if space.mode != "exact-delta-1":
+    if space.delta_target is not None:
         raise ValueError("oracle covers the exact-delta-1 mode")
     best = 0
     best_pair = ((), ())
@@ -75,16 +75,16 @@ def test_bnb_equals_bruteforce():
 
 
 def test_bipartite_side_can_exceed_diagonal_cap():
-    # A = {10, 12, 15, 20} vs B = {60} is feasible at D = 10 although the A
-    # side exceeds floor(X/D) + 1 = 2, so the diagonal gap bound is not a
-    # valid per-side prune in bipartite mode; the search must still agree
-    # with plain enumeration on such windows
-    A, b = [10, 12, 15, 20], 60
+    # A = {10, 15, 20} vs B = {30} is feasible at D = 10 although the A side
+    # exceeds floor(X/D) + 1 = 2, so the diagonal gap bound is not a valid
+    # per-side prune in bipartite mode; the search must still agree with
+    # plain enumeration on such windows
+    A, b = [10, 15, 20], 30
     assert all(math.gcd(a, b) >= 10 for a in A)
     assert len(A) > 10 // 10 + 1
-    fast = exhaustive_max(SearchSpace(X=10, Y=60, D=10, exhaustive_limit=70))
-    slow = exhaustive_max_bruteforce(SearchSpace(X=10, Y=60, D=10, exhaustive_limit=70))
-    assert fast.max_product == slow.max_product
+    fast = exhaustive_max(SearchSpace(X=10, Y=15, D=10))
+    slow = exhaustive_max_bruteforce(SearchSpace(X=10, Y=15, D=10))
+    assert fast.max_product == slow.max_product >= len(A)
 
 
 def test_threshold_mode_exact_matches_definition():
@@ -96,7 +96,8 @@ def test_threshold_mode_exact_matches_definition():
         (4, 5, 3, Fraction(1, 2)),
         (5, 3, 2, Fraction(2, 3)),
     ):
-        sp = SearchSpace(X=X, Y=Y, D=D, delta_target=target, mode="threshold-delta")
+        sp = SearchSpace(X=X, Y=Y, D=D, delta_target=target)
+        assert sp.mode == "threshold-delta"
         res = exhaustive_max(sp)
         ua, ub = list(range(X, 2 * X + 1)), list(range(Y, 2 * Y + 1))
         best = 0
@@ -113,7 +114,7 @@ def test_threshold_mode_exact_matches_definition():
 
 
 def test_threshold_mode_result_is_feasible():
-    sp = SearchSpace(X=6, Y=6, D=3, delta_target=Fraction(2, 3), mode="threshold-delta")
+    sp = SearchSpace(X=6, Y=6, D=3, delta_target=Fraction(2, 3))
     res = exhaustive_max(sp)
     good = sum(1 for a in res.best_a for b in res.best_b if math.gcd(a, b) >= 3)
     assert Fraction(good) >= Fraction(2, 3) * len(res.best_a) * len(res.best_b)
@@ -122,28 +123,39 @@ def test_threshold_mode_result_is_feasible():
 def test_threshold_mode_above_cap_is_rejected():
     half = Fraction(1, 2)
     for X, Y in ((13, 4), (4, 13), (15, 15), (20, 20)):
-        sp = SearchSpace(X=X, Y=Y, D=3, delta_target=half, mode="threshold-delta")
+        sp = SearchSpace(X=X, Y=Y, D=3, delta_target=half)
         with pytest.raises(ValueError, match="exact only for X, Y <= 12"):
             exhaustive_max(sp)
-    SearchSpace(X=12, Y=12, D=3, delta_target=half, mode="threshold-delta").check()
+    SearchSpace(X=12, Y=12, D=3, delta_target=half).check()
 
 
 def test_threshold_mode_needs_a_density_in_the_unit_interval():
-    for target in (None, Fraction(0), Fraction(-1, 2), Fraction(2), Fraction(11, 10)):
-        sp = SearchSpace(X=4, Y=4, D=2, delta_target=target, mode="threshold-delta")
+    for target in (Fraction(0), Fraction(-1, 2), Fraction(2), Fraction(11, 10)):
+        sp = SearchSpace(X=4, Y=4, D=2, delta_target=target)
         with pytest.raises(ValueError, match=r"delta_target in \(0, 1\]"):
             sp.check()
-    SearchSpace(X=4, Y=4, D=2, delta_target=Fraction(1), mode="threshold-delta").check()
-    # the exact-delta-1 mode reads no target, so it takes none
-    with pytest.raises(ValueError, match="applies only to threshold-delta"):
-        SearchSpace(X=4, Y=4, D=2, delta_target=Fraction(1, 2)).check()
+    SearchSpace(X=4, Y=4, D=2, delta_target=Fraction(1)).check()
+    # the mode follows from the target: none is the exact-delta-1 search
+    assert SearchSpace(X=4, Y=4, D=2).mode == "exact-delta-1"
+    assert SearchSpace(X=4, Y=4, D=2, delta_target=Fraction(1)).mode == "threshold-delta"
+
+
+def test_threshold_mode_takes_no_force_equal():
+    half = Fraction(1, 2)
+    sp = SearchSpace(X=4, Y=4, D=2, delta_target=half, force_equal=True)
+    with pytest.raises(ValueError, match="threshold-delta mode does not support force_equal"):
+        sp.check()
+    # X != Y is named first, as a diagonal search of any mode needs X == Y
+    with pytest.raises(ValueError, match="force_equal needs X == Y"):
+        SearchSpace(X=4, Y=5, D=2, delta_target=half, force_equal=True).check()
 
 
 def test_universe_cap_enforced():
     with pytest.raises(ValueError, match="universe too large"):
         exhaustive_max(SearchSpace(X=40, Y=5, D=2))
-    with pytest.raises(ValueError):
-        exhaustive_max(SearchSpace(X=5, Y=5, D=2, force_equal=True, mode="nonsense"))
+    with pytest.raises(ValueError, match="exceeds the exhaustive limit 21"):
+        exhaustive_max(SearchSpace(X=5, Y=21, D=2))
+    SearchSpace(X=20, Y=20, D=2).check()
     for X, Y in ((-3, 5), (5, 0)):  # an empty universe has no extremal set
         with pytest.raises(ValueError, match="X and Y must be >= 1"):
             exhaustive_max(SearchSpace(X=X, Y=Y, D=1))

@@ -23,8 +23,7 @@ from gcdlab.structure import (
     defect_census_sweep,
     extract_witnesses,
     find_modulus,
-    quad_identity_check,
-    quad_identity_witnesses,
+    quad_identity,
     valuation_measure,
     witness_chain,
 )
@@ -428,36 +427,36 @@ def test_merge_kernels_equal_the_dict_reference(triple):
     pivotal = all(abs(va.get(p, 0)) + abs(vb.get(p, 0)) <= 1 for p in va.keys() | vb.keys())
     assert check_pivotal(a, b, N) == pivotal
     if pivotal:
-        assert quad_identity_check(a, b, N)
-        rows = quad_identity_witnesses(a, b, N)
+        quad = quad_identity(a, b, N)
+        assert quad.holds
+        rows = quad.witnesses
         assert [(r.p, r.v_a_over_n, r.v_b_over_n) for r in rows] == [
             (p, va.get(p, 0), vb.get(p, 0)) for p in sorted(va.keys() | vb.keys())
         ]
         assert all(r.ok for r in rows)
     else:
-        for kernel in (quad_identity_check, quad_identity_witnesses):
-            with pytest.raises(ValueError, match="is not pivotal"):
-                kernel(a, b, N)
+        with pytest.raises(ValueError, match="is not pivotal"):
+            quad_identity(a, b, N)
 
 
 def test_quad_identity_examples():
-    assert quad_identity_check(12, 18, 6)
-    assert quad_identity_check(6, 6, 6)
+    assert quad_identity(12, 18, 6).holds
+    assert quad_identity(6, 6, 6).holds
     # sampled valid triple, frozen: a = 30030, b = 510510/77 with N = 2310
     a, b, N = 2310 * 13, 2310 * 17 // 7, 2310
     assert check_pivotal(a, b, N)
-    assert quad_identity_check(a, b, N)
+    assert quad_identity(a, b, N).holds
 
 
 def test_quad_identity_rejects_non_pivotal():
     # (14, 21, 6) collides at p = 7: both valuations are +1
     assert not check_pivotal(14, 21, 6)
-    with pytest.raises(ValueError):
-        quad_identity_check(14, 21, 6)
+    with pytest.raises(ValueError, match=r"pair \(14, 21\) is not pivotal for N = 6"):
+        quad_identity(14, 21, 6)
 
 
 def test_quad_identity_per_prime_table():
-    rows = quad_identity_witnesses(12, 18, 6)
+    rows = quad_identity(12, 18, 6).witnesses
     assert all(r.ok for r in rows)
     assert {r.p for r in rows} == {2, 3}
 
@@ -467,8 +466,8 @@ def test_quad_identity_sampled_sweep():
     for _ in range(1000):
         a, b, N = random_pivotal_triple(rng)
         assert check_pivotal(a, b, N)
-        assert quad_identity_check(a, b, N)
-        assert all(r.ok for r in quad_identity_witnesses(a, b, N))
+        quad = quad_identity(a, b, N)
+        assert quad.holds and all(r.ok for r in quad.witnesses)
 
 
 def test_defect_census_examples():
