@@ -44,7 +44,9 @@ print("=" * 72)
 print("2. The c >= 1/9 floor on random admissible configurations")
 print("=" * 72)
 rng = random.Random(2024)
-sweep = sweep_extremes([random_admissible_config(rng) for _ in range(2000)], epsilon=0.5)
+sweep = sweep_extremes(
+    [random_admissible_config(rng) for _ in range(2000)], epsilon=Fraction(1, 2)
+)
 print(
     f"smallest minimal-c over 2000 seeded configurations: {sweep.min_c:.6f}"
     f" (floor 1/9 = {1/9:.6f}; decided exactly as c^5 >= 9^-5: {sweep.c_lower_ok})"
@@ -56,7 +58,7 @@ print("capped family (c <= 1), 200 seeded configurations per lambda:")
 rng = random.Random(2025)
 for lam in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
     configs = [(*capped_admissible_config(rng, lam), lam) for _ in range(200)]
-    sweep = sweep_extremes(configs, epsilon=0.5)
+    sweep = sweep_extremes(configs, epsilon=Fraction(1, 2))
     print(
         f"  lambda = {float(lam):<4}: largest c = {sweep.max_c:.6f} (<= 1: {sweep.c_upper_ok}),"
         f" largest tail/lambda^3 = {sweep.max_ratio:.4f}"

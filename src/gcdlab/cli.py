@@ -32,7 +32,6 @@ from .reports import make_report, render
 from .structure import (
     InternalConsistencyError,
     defect,
-    check_pivotal,
     extract_witnesses,
     find_modulus,
     quad_identity,
@@ -44,7 +43,7 @@ from .structure import (
 
 __all__ = ["main"]
 
-_DEFAULTS = {"epsilon": 0.5, "p0": 100, "seed": 0}
+_DEFAULTS = {"epsilon": Fraction(1, 2), "p0": 100, "seed": 0}
 
 
 def _config(args, inst: GcdInstance | None = None) -> dict:
@@ -55,10 +54,23 @@ def _config(args, inst: GcdInstance | None = None) -> dict:
         if key in cfg and cfg[key] is None:
             cfg[key] = getattr(inst, key, default)
     if "epsilon" in cfg:
-        epsilon_fraction(cfg["epsilon"])
+        cfg["epsilon"] = epsilon_fraction(cfg["epsilon"])
     if cfg.get("p0", 0) < 0:
         raise InstanceError(f"field p0: {cfg['p0']} must be a natural number")
     return cfg
+
+
+def _echo(cfg: dict) -> dict:
+    """cfg with epsilon as a float, whose repr is epsilon's decimal text."""
+    return {**cfg, "epsilon": float(cfg["epsilon"])}
+
+
+def _int(text: str) -> int:
+    """ASCII digits after an optional '-': int() alone also reads '1_0' and ' 12'."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    return int(text)
 
 
 def _fraction(name: str, text: str) -> Fraction:
@@ -86,7 +98,7 @@ def cmd_stats(args) -> tuple[dict, int]:
         "X": inst.X,
         "Y": inst.Y,
         "D": inst.D,
-        "epsilon": inst.epsilon,
+        "epsilon": float(inst.epsilon),
         "p0": inst.p0,
         "delta": omega.delta,
         "omega_size": len(omega),
@@ -99,7 +111,7 @@ def cmd_stats(args) -> tuple[dict, int]:
     else:
         bound, log10_bound, holds = theorem1_bound(inst, omega.delta, psml)
         summary.update(bound=_finite(bound), bound_log10=log10_bound, holds=holds)
-    return make_report("stats", cfg, summary), 0
+    return make_report("stats", _echo(cfg), summary), 0
 
 
 def cmd_structure(args) -> tuple[dict, int]:
@@ -152,35 +164,22 @@ def cmd_defect(args) -> tuple[dict, int]:
     }
     records = []
     if args.b is not None:
-        pivotal = check_pivotal(args.a, args.b, args.n)
-        summary["b"] = str(args.b)
-        summary["pivotal"] = pivotal
-        if pivotal:
+        try:
             quad = quad_identity(args.a, args.b, args.n)
-            summary["quad_identity"] = quad.holds
-            for row in quad.witnesses:
-                records.append(
-                    {
-                        "p": row.p,
-                        "v_a_star": row.v_a_star,
-                        "v_b_star": row.v_b_star,
-                        "v_a_over_n": row.v_a_over_n,
-                        "v_b_over_n": row.v_b_over_n,
-                        "ok": row.ok,
-                    }
-                )
+        except ValueError:  # not pivotal; a b that is no natural number raises again below
+            quad = None
+        summary["b"] = str(args.b)
+        summary["pivotal"] = quad is not None
+        summary["quad_identity"] = None if quad is None else quad.holds
+        if quad is not None:
+            records = [{**row._asdict(), "ok": row.ok} for row in quad.witnesses]
         else:
-            summary["quad_identity"] = None
             va = rational_valuations(args.a, args.n)
             vb = rational_valuations(args.b, args.n)
             for p in sorted(va.keys() | vb.keys()):
+                v_a, v_b = va.get(p, 0), vb.get(p, 0)
                 records.append(
-                    {
-                        "p": p,
-                        "v_a_over_n": va.get(p, 0),
-                        "v_b_over_n": vb.get(p, 0),
-                        "sum_abs": abs(va.get(p, 0)) + abs(vb.get(p, 0)),
-                    }
+                    {"p": p, "v_a_over_n": v_a, "v_b_over_n": v_b, "sum_abs": abs(v_a) + abs(v_b)}
                 )
     return make_report("defect", _config(args), summary, records), 0
 
@@ -200,7 +199,7 @@ def _measure_summary(rep) -> dict:
         "ratio": _finite(rep.ratio),
         "lambda": rep.lam,
         "q": rep.q,
-        "epsilon": rep.epsilon,
+        "epsilon": float(rep.epsilon),
         "gamma": rep.gamma,
         "sigma": [s / rep.sigma.total for s in rep.sigma.sigma],
     }
@@ -254,9 +253,7 @@ def cmd_measure(args) -> tuple[dict, int]:
         rep = concentration_report(mu, w, lam, epsilon=cfg["epsilon"], p=args.prime)
         summary = _measure_summary(rep)
         summary["source"] = f"valuation measure at p = {args.prime}"
-        records = [
-            {"i": i, "j": j, "weight": w_} for (i, j), w_ in vm.mu.items()
-        ]
+        records = [{"i": i, "j": j, "weight": w_} for (i, j), w_ in vm.mu.items()]
     else:
         import random as _random
 
@@ -271,7 +268,7 @@ def cmd_measure(args) -> tuple[dict, int]:
             "max_ratio_seen": sweep.max_ratio,
             "all_c_lower_ok": sweep.c_lower_ok,
         }
-    return make_report("measure", cfg, summary, records), 0
+    return make_report("measure", _echo(cfg), summary, records), 0
 
 
 def _family_doc(report, A, B, cfg: dict):
@@ -290,7 +287,7 @@ def _family_doc(report, A, B, cfg: dict):
         records.append({"set": "A", "elements": [str(v) for v in A]})
         if B is not None:
             records.append({"set": "B", "elements": [str(v) for v in B]})
-    return make_report("family", cfg, summary, records)
+    return make_report("family", _echo(cfg), summary, records)
 
 
 def _emit_set(path: str, A, B, D, cfg: dict) -> None:
@@ -423,10 +420,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exponent offset in (0, 1); default the instance file's, else 0.5",
     )
     p0.add_argument(
-        "--p0", type=int, default=None,
+        "--p0", type=_int, default=None,
         help="small-prime threshold; default the instance file's, else 100",
     )
-    seed.add_argument("--seed", type=int, default=None, help="seed of the random draws; default 0")
+    seed.add_argument("--seed", type=_int, default=None, help="seed of the random draws; default 0")
     fmt.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = _Parser(
@@ -444,40 +441,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("defect", parents=[fmt], help="defect decomposition of a relative to N")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--n", "--N", type=int, required=True, dest="n")
-    p.add_argument("--b", type=int, default=None, help="optional partner for the pair identity")
+    p.add_argument("--a", type=_int, required=True)
+    p.add_argument("--n", "--N", type=_int, required=True, dest="n")
+    p.add_argument("--b", type=_int, default=None, help="optional partner for the pair identity")
     p.set_defaults(func=cmd_defect)
 
     p = sub.add_parser("measure", parents=[eps, seed, fmt], help="concentration numerics")
-    p.add_argument("--point-mass", nargs=2, type=int, metavar=("I", "J"), default=None)
+    p.add_argument("--point-mass", nargs=2, type=_int, metavar=("I", "J"), default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--instance", default=None, help="derive the edge measure from an instance")
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--random", type=int, default=None, help="seeded random sweep of n configs")
+    p.add_argument("--prime", type=_int, default=None)
+    p.add_argument("--random", type=_int, default=None, help="seeded random sweep of n configs")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("family", help="construct and verify an example family")
     fam = p.leaves = p.add_subparsers(dest="family", required=True)
     family_options = [eps, p0, fmt]
     f2 = fam.add_parser("remark2", parents=family_options)
-    f2.add_argument("--X", type=int, required=True)
-    f2.add_argument("--Y", type=int, default=None)
-    f2.add_argument("--D", type=int, required=True)
+    f2.add_argument("--X", type=_int, required=True)
+    f2.add_argument("--Y", type=_int, default=None)
+    f2.add_argument("--D", type=_int, required=True)
     f2.add_argument("--emit-set", default=None, help="write the sets as an instance file")
     f2.set_defaults(func=cmd_family)
     f3 = fam.add_parser("remark3", parents=family_options)
-    f3.add_argument("--X", type=int, required=True)
-    f3.add_argument("--D", type=int, required=True)
+    f3.add_argument("--X", type=_int, required=True)
+    f3.add_argument("--D", type=_int, required=True)
     f3.add_argument("--delta", required=True, help="target density, e.g. 1/3")
     f3.add_argument("--emit-set", default=None)
     f3.set_defaults(func=cmd_family)
     f5 = fam.add_parser("sec5", parents=family_options)
-    f5.add_argument("--X", type=int, required=True)
+    f5.add_argument("--X", type=_int, required=True)
     f5.add_argument("--emit-set", default=None)
     f5.set_defaults(func=cmd_family)
     fsq = fam.add_parser("squarefree", parents=family_options)
-    fsq.add_argument("--n", type=int, required=True)
+    fsq.add_argument("--n", type=_int, required=True)
     fsq.add_argument("--Q", required=True)
     fsq.add_argument("--emit-set", default=None)
     fsq.set_defaults(func=cmd_family)
@@ -485,15 +482,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="extremal search and violation hunt")
     act = p.leaves = p.add_subparsers(dest="action", required=True)
     ex = act.add_parser("exhaustive", parents=[fmt])
-    ex.add_argument("--X", type=int, required=True)
-    ex.add_argument("--Y", type=int, default=None)
-    ex.add_argument("--D", type=int, required=True)
+    ex.add_argument("--X", type=_int, required=True)
+    ex.add_argument("--Y", type=_int, default=None)
+    ex.add_argument("--D", type=_int, required=True)
     ex.add_argument("--delta-target", dest="delta_target", help="(0, 1]; selects threshold-delta")
     ex.add_argument("--force-equal", action="store_true", dest="force_equal")
     ex.set_defaults(func=cmd_search)
     hv = act.add_parser("hunt", parents=[seed, fmt])
-    hv.add_argument("--scale-limit", type=int, default=16, dest="scale_limit")
-    hv.add_argument("--structured", type=int, default=1000)
+    hv.add_argument("--scale-limit", type=_int, default=16, dest="scale_limit")
+    hv.add_argument("--structured", type=_int, default=1000)
     hv.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", parents=[seed, fmt], help="run the built-in verification battery")

@@ -159,7 +159,7 @@ def sec5_family(X: int):
     return A, report
 
 
-def squarefree_instance(n: int, Q, epsilon: float = 0.5, p0: int = 100):
+def squarefree_instance(n: int, Q, epsilon: Fraction = Fraction(1, 2), p0: int = 100):
     """A = B = squarefree integers in [1, n], with the density of pairs
     satisfying ab/gcd^2 <= Q and the squarefree product bound evaluated at
     epsilon and p0."""

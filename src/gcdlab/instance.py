@@ -52,15 +52,18 @@ def decimal_fraction(x) -> Fraction:
     return Fraction(repr(x) if isinstance(x, float) else x)
 
 
-@lru_cache(maxsize=256)
 def epsilon_fraction(epsilon) -> Fraction:
-    """epsilon = a/b as the fraction its decimal text names
-    (decimal_fraction), parsed once per distinct epsilon.  InstanceError
-    unless 0 < epsilon < 1 and b <= EPSILON_MAX_DENOMINATOR: the exact
-    verdicts raise to powers up to 2b + a."""
-    if not 0 < epsilon < 1:
+    """epsilon = a/b exactly: a Fraction or int as it is, a float as the
+    fraction its decimal text names (decimal_fraction).  InstanceError
+    unless epsilon is a number, 0 < epsilon < 1 and b <=
+    EPSILON_MAX_DENOMINATOR: the exact verdicts raise to powers up to 2b + a."""
+    exact = isinstance(epsilon, Fraction)
+    if not (exact or isinstance(epsilon, (int, float))) or isinstance(epsilon, bool):
+        raise InstanceError(f"field epsilon: {epsilon!r} is not a number")
+    # a float is compared before its text is read: nan and inf have no fraction
+    if not (0 < epsilon.numerator < epsilon.denominator if exact else 0 < epsilon < 1):
         raise InstanceError(f"field epsilon: {epsilon} not strictly inside (0, 1)")
-    eps = decimal_fraction(float(epsilon))  # instances keep epsilon as a float
+    eps = epsilon if exact else decimal_fraction(epsilon)
     if eps.denominator > EPSILON_MAX_DENOMINATOR:
         raise InstanceError(
             f"field epsilon: {epsilon} has denominator {eps.denominator}"
@@ -87,7 +90,7 @@ class GcdInstance(NamedTuple):
     X: Fraction
     Y: Fraction
     D: Fraction
-    epsilon: float = 0.5
+    epsilon: Fraction = Fraction(1, 2)
     p0: int = 100
 
     @classmethod
@@ -99,7 +102,7 @@ class GcdInstance(NamedTuple):
         X=None,
         Y=None,
         *,
-        epsilon: float = 0.5,
+        epsilon=Fraction(1, 2),
         p0: int = 100,
         check_ranges: bool = True,
     ) -> "GcdInstance":
@@ -112,10 +115,10 @@ class GcdInstance(NamedTuple):
             X = _infer_range(A, "A")
         if Y is None:
             Y = _infer_range(B, "B")
-        epsilon_fraction(epsilon)
-        if p0 < 0:
-            raise InstanceError(f"field p0: {p0} must be a natural number")
-        inst = cls(A, B, Fraction(X), Fraction(Y), Fraction(D), float(epsilon), int(p0))
+        eps = epsilon_fraction(epsilon)
+        if not isinstance(p0, int) or isinstance(p0, bool) or p0 < 0:
+            raise InstanceError(f"field p0: {p0!r} is not a natural number")
+        inst = cls(A, B, Fraction(X), Fraction(Y), Fraction(D), eps, p0)
         if check_ranges:
             inst.validate_ranges()
         return inst
@@ -357,24 +360,23 @@ def prime_sets(S, p0: int) -> tuple[frozenset[int], frozenset[int]]:
     return ps, frozenset(p for p in ps if p <= p0)
 
 
-def _bound(n_small: int, epsilon: float, delta, scale: Fraction, size: int):
+def _bound(n_small: int, eps: Fraction, delta, scale: Fraction, size: int):
     """(B or inf, log10 B, whether size <= B) for B = 1000^(1+n_small) *
-    delta^(-2-epsilon) * scale.  B and log10 B are floats for display; with
-    epsilon = a/b the verdict is the exact
+    delta^(-2-eps) * scale.  B and log10 B are floats for display; with
+    eps = a/b the verdict is the exact
     size^b * delta^(2b+a) <= (1000^(1+n_small) * scale)^b."""
     delta, scale = Fraction(delta), Fraction(scale)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     log_bound = (
         (1 + n_small) * math.log(1000.0)
-        - (2.0 + epsilon) * (math.log(delta.numerator) - math.log(delta.denominator))
+        - (2.0 + float(eps)) * (math.log(delta.numerator) - math.log(delta.denominator))
         + (math.log(scale.numerator) - math.log(scale.denominator))
     )
     try:
         bound = math.exp(log_bound)
     except OverflowError:
         bound = math.inf
-    eps = epsilon_fraction(epsilon)
     a, b = eps.numerator, eps.denominator
     holds = size**b * delta ** (2 * b + a) <= (1000 ** (1 + n_small) * scale) ** b
     return bound, log_bound / math.log(10.0), holds
@@ -418,7 +420,7 @@ def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
     return len(vals) <= max_allowed, max_allowed
 
 
-def theorem51_bound(A, B, Q, epsilon: float = 0.5, p0: int = 100):
+def theorem51_bound(A, B, Q, epsilon: Fraction = Fraction(1, 2), p0: int = 100):
     """Squarefree-set analogue: density of pairs with ab/gcd^2 <= Q, the
     bound 1000^(1+#P_sml) * delta^(-2-eps) * Q/4, and whether it holds.
 
@@ -452,7 +454,7 @@ def instance_to_json(inst: GcdInstance, *, ranges: bool = True) -> str:
         "A": [str(a.value) for a in inst.A],
         "B": [str(b.value) for b in inst.B],
         "D": str(inst.D),
-        "epsilon": inst.epsilon,
+        "epsilon": float(inst.epsilon),
         "p0": inst.p0,
     }
     if ranges:
@@ -468,10 +470,11 @@ def _parse_int_list(doc, name: str) -> list[int]:
     out = []
     for i, s in enumerate(raw):
         try:
-            if type(s) not in (int, str):  # int() would truncate a float and take a bool
-                raise TypeError
+            # a JSON integer or ASCII digits: int() alone also reads 12.7, True, '1_2', ' 12'
+            if not (type(s) is int or type(s) is str and s.isascii() and s.isdigit()):
+                raise ValueError
             v = int(s)
-        except (TypeError, ValueError):
+        except ValueError:  # also a text past int()'s digit limit
             raise InstanceError(f"field {name}[{i}]: {s!r} is not a decimal integer") from None
         if v < 1:
             raise InstanceError(f"field {name}[{i}]: {v} must be >= 1")
@@ -493,9 +496,17 @@ def _parse_fraction(doc, name: str, required: bool):
     raise InstanceError(f"field {name}: {raw!r} is not a number")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; json.loads alone would keep the last value of a repeated key."""
+    if len(doc := dict(pairs)) < len(pairs):
+        repeated = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise InstanceError(f"field {repeated}: given more than once")
+    return doc
+
+
 def instance_from_json(text: str) -> GcdInstance:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InstanceError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -505,13 +516,8 @@ def instance_from_json(text: str) -> GcdInstance:
     D = _parse_fraction(doc, "D", required=True)
     X = _parse_fraction(doc, "X", required=False)
     Y = _parse_fraction(doc, "Y", required=False)
-    epsilon = doc.get("epsilon", 0.5)
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise InstanceError(f"field epsilon: {epsilon!r} is not a number")
-    p0 = doc.get("p0", 100)
-    if not isinstance(p0, int) or isinstance(p0, bool) or p0 < 0:
-        raise InstanceError(f"field p0: {p0!r} is not a natural number")
-    return GcdInstance.build(A, B, D, X, Y, epsilon=float(epsilon), p0=p0)
+    # epsilon and p0 go to build as the file gives them: build checks both
+    return GcdInstance.build(A, B, D, X, Y, epsilon=doc.get("epsilon", 0.5), p0=doc.get("p0", 100))
 
 
 def read_instance(path) -> GcdInstance:

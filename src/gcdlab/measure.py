@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import _iroot
-from .instance import decimal_fraction, epsilon_fraction
+from .instance import decimal_fraction
 
 __all__ = [
     "C_FLOOR",
@@ -180,7 +180,7 @@ def min_admissible_c_interval(
     *,
     lam=None,
     p: int | None = None,
-    epsilon: float = 0.5,
+    epsilon: Fraction = Fraction(1, 2),
 ) -> tuple[float, float, bool, float]:
     """(lo, hi, ok, c): a certified float enclosure [lo, hi] of the minimal
     admissible c, whether c_min >= 1/9 exactly, and the float c in [lo, hi]
@@ -194,8 +194,7 @@ def min_admissible_c_interval(
     """
     if (lam is None) == (p is None):
         raise ValueError("give exactly one of lam= or p=")
-    eps = epsilon_fraction(epsilon)
-    a, b = eps.numerator, eps.denominator
+    a, b = epsilon.numerator, epsilon.denominator
     n = 2 * b + a
     if p is not None:
         num, den = _c_pow(mu, w, 1, p, b, n, a + b)
@@ -271,7 +270,7 @@ class ConcentrationReport(NamedTuple):
     sigma: SigmaDecomposition
     lam: float
     q: float
-    epsilon: float
+    epsilon: Fraction
     gamma: float  # 1 - sup_i x_i y_i
 
 
@@ -285,7 +284,7 @@ def concentration_report(
     mu: Measure2D,
     w: WeightPair,
     lam,
-    epsilon: float = 0.5,
+    epsilon: Fraction = Fraction(1, 2),
     *,
     p: int | None = None,
 ) -> ConcentrationReport:
@@ -306,32 +305,29 @@ def concentration_report(
         mu, w, lam=None if p is not None else exact, p=p, epsilon=epsilon
     )
     k, tail = _best_tail(mu)
-    eps = epsilon_fraction(epsilon)
-    a, b = eps.numerator, eps.denominator
+    a, b = epsilon.numerator, epsilon.denominator
     # ratio^deg is rational: deg = b at lambda = ln/ld, deg = n at p^(-1/q)
     ln, ld, deg = (1, p, 2 * b + a) if p is not None else (exact.numerator, exact.denominator, b)
     ratio = root_float(*_ratio_pow(tail, mu.total, ln, ld, deg, a + b), deg)
-    inv = 1.0 / float((2 + eps) / (1 + eps))  # x_i = alpha_i^(1/q')
+    inv = 1.0 / float((2 + epsilon) / (1 + epsilon))  # x_i = alpha_i^(1/q')
     x = {i: (v / w.alpha_total) ** inv for i, v in w.alpha}
     sup = max((x[j] * (v / w.beta_total) ** inv for j, v in w.beta if j in x), default=0.0)
-    sigma, lam = sigma_decomposition(mu, k), float(lam)
+    sigma, lam, q = sigma_decomposition(mu, k), float(lam), 2.0 + float(epsilon)
     return ConcentrationReport(
-        c, (lo, hi), ok, k, tail / mu.total, ratio, sigma, lam, 2.0 + epsilon, epsilon, 1.0 - sup
+        c, (lo, hi), ok, k, tail / mu.total, ratio, sigma, lam, q, epsilon, 1.0 - sup
     )
 
 
-def from_valuation_measure(vm, epsilon: float = 0.5):
+def from_valuation_measure(vm, epsilon: Fraction = Fraction(1, 2)):
     """Bridge from per-prime valuation statistics: the edge measure becomes
     mu, the densities alpha, beta give x_i = alpha_i^(1/q'), and lambda =
     p^(-1/q).
 
     Returns (mu, weights, lam) with lam a float for display; pass p=vm.p to
-    concentration_report for the certified verdict.  epsilon is read as its
-    decimal value, as the verdict reads it (instance.epsilon_fraction)."""
-    eps = epsilon_fraction(epsilon)
+    concentration_report for the certified verdict."""
     mu = Measure2D.from_dict(vm.mu)
     w = WeightPair.from_densities(vm.alpha, vm.beta)
-    lam = float(vm.p) ** (-1.0 / float(2 + eps))
+    lam = float(vm.p) ** (-1.0 / float(2 + epsilon))
     return mu, w, lam
 
 
@@ -343,15 +339,14 @@ class SweepExtremes(NamedTuple):
     max_ratio: float  # the largest tail / lambda^(q + eps) at the best center
 
 
-def sweep_extremes(configs, epsilon: float = 0.5) -> SweepExtremes:
+def sweep_extremes(configs, epsilon: Fraction = Fraction(1, 2)) -> SweepExtremes:
     """The least and the largest c_min and the largest tail ratio over (mu,
     weights, lambda) configurations with rational lambda.  With epsilon =
     a/b and n = 2b + a, each extreme is kept as an exact c_min^n or
     ratio^b by comparing cross-multiplied integers, the verdicts c >= 1/9
     and c <= 1 are integer comparisons, and root_float displays the values.
     ValueError when configs is empty."""
-    eps = epsilon_fraction(epsilon)
-    a, b = eps.numerator, eps.denominator
+    a, b = epsilon.numerator, epsilon.denominator
     n, e = 2 * b + a, a + b
     least, most, top = (1, 0), (0, 1), (0, 1)
     for mu, w, lam in configs:
@@ -410,13 +405,13 @@ def random_admissible_config(rng: random.Random):
     return mu, w, Fraction(rng.randint(50, 800), 1000)
 
 
-def capped_admissible_config(rng: random.Random, lam, *, epsilon: float = 0.5):
+def capped_admissible_config(rng: random.Random, lam, *, epsilon: Fraction = Fraction(1, 2)):
     """(mu, weights) meant to achieve c <= 1: mu greedily fills 10^9 units
     under the caps lambda^|i-j| x_i y_j, each computed in floats and rounded
     down with one unit of margin (the exact test certifies c <= 1).  The
     densities weigh 0 and equally 1..n_side, escalating the weight on 0
     until the caps suffice; the point mass at (0, 0) is the fallback."""
-    inv = (1.0 + epsilon) / (2.0 + epsilon)  # x_i = alpha_i^(1/q')
+    inv = (1.0 + float(epsilon)) / (2.0 + float(epsilon))  # x_i = alpha_i^(1/q')
     lam = float(lam)
     for attempt in range(12):
         unit = 1000 << (attempt + 1)

@@ -56,7 +56,7 @@ _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the concentration check's generators: the random family is drawn from
 # Random(seed), the capped family (per lambda) from Random(seed + 1)
 _CONCENTRATION_SEED = 20260809
-_CONCENTRATION_EPSILON = 0.5
+_CONCENTRATION_EPSILON = Fraction(1, 2)
 _CAPPED_LAMBDAS = tuple(map(Fraction, ("0.8", "0.4", "0.2", "0.1", "0.05")))
 _CAPPED_PER_LAMBDA = 200
 

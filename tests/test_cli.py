@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import gcdlab.cli as cli
 import gcdlab.instance
 import gcdlab.search
+import gcdlab.structure
 import gcdlab.verify
 from gcdlab.arith import is_squarefree
-from gcdlab.instance import theorem51_bound
+from gcdlab.instance import epsilon_fraction, theorem51_bound
 from gcdlab.reports import to_canonical_json
 from gcdlab.search import Violation
 from gcdlab.verify import CheckResult
@@ -121,6 +122,17 @@ def test_exit_2_on_a_number_beyond_float_range(subcommand, field, number, tmp_pa
     [
         ('{"A": [12.7, 18], "B": ["12"], "D": "1"}', "field A[0]: 12.7 is not a decimal integer"),
         ('{"A": [true, 2], "B": ["2"], "D": "1"}', "field A[0]: True is not a decimal integer"),
+        # int() would read each of these as 12
+        ('{"A": ["1_2", "18"], "B": ["12"], "D": "1"}',
+         "field A[0]: '1_2' is not a decimal integer"),
+        ('{"A": [" 12 "], "B": ["12"], "D": "1"}', "field A[0]: ' 12 ' is not a decimal integer"),
+        ('{"A": ["\\u0661\\u0662"], "B": ["12"], "D": "1"}',
+         "field A[0]: '\u0661\u0662' is not a decimal integer"),
+        # json.loads alone keeps the last value of a repeated key
+        ('{"A": ["12"], "A": ["18"], "B": ["12"], "D": "1"}', "field A: given more than once"),
+        # an integer epsilon past the float range, which float() could not convert
+        ('{"A": ["2"], "B": ["2"], "D": "1", "epsilon": 1' + "0" * 400 + "}",
+         "field epsilon: 1000"),
         # nested past the interpreter's recursion limit
         ('{"A": ' + "[" * 10**5 + "]" * 10**5 + ', "B": ["2"], "D": "1"}', "not valid JSON: "),
     ],
@@ -188,6 +200,23 @@ def test_defect_subcommand(capsys):
     assert doc["summary"]["pivotal"] is True
     assert doc["summary"]["quad_identity"] is True
     assert all(r["ok"] for r in doc["records"])
+
+
+def test_defect_with_a_pivotal_partner_builds_three_valuation_maps(monkeypatch, capsys):
+    # one for the defect of a, and one per element inside quad_identity,
+    # whose ValueError is the non-pivotal verdict
+    calls = []
+    real = gcdlab.structure.rational_valuations
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gcdlab.structure, "rational_valuations", counting)
+    monkeypatch.setattr(cli, "rational_valuations", counting)
+    code, out, _ = run_cli(["defect", "--a", "12", "--n", "6", "--b", "18"], capsys)
+    assert code == 0 and json.loads(out)["summary"]["pivotal"] is True
+    assert len(calls) == 3
 
 
 def test_defect_subcommand_rejects_invalid(capsys):
@@ -317,7 +346,7 @@ def test_family_squarefree_bound_follows_epsilon_and_p0(capsys):
         doc = json.loads(out)
         assert (doc["config"]["epsilon"], doc["config"]["p0"]) == (eps, p0)
         bound = doc["summary"]["details"]["bound"]
-        assert bound == theorem51_bound(A, A, 20, eps, p0)[1]
+        assert bound == theorem51_bound(A, A, 20, epsilon_fraction(eps), p0)[1]
         bounds.add(bound)
     assert len(bounds) == 2
 
@@ -507,6 +536,12 @@ def test_bad_arguments_exit_2(capsys):
         # a shared flag given to the group parser, before the leaf name
         ["family", "--epsilon", "0.3", "remark2", "--X", "8", "--D", "2"],
         ["search", "--format", "csv", "exhaustive", "--X", "4", "--D", "2"],
+        # integer text that int() would read as 10 or 12
+        ["search", "exhaustive", "--X", "1_0", "--D", "2"],
+        ["defect", "--a", "1_2", "--n", "6"],
+        ["defect", "--a", "12", "--n", " 6"],
+        ["measure", "--random", "\u0661\u0662"],
+        ["family", "sec5", "--X", "+8"],
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from gcdlab.instance import (
     chase_diagonal_bound,
     count_pairs_geq_fast,
     count_pairs_geq_naive,
+    epsilon_fraction,
     instance_from_json,
     instance_to_json,
     PairSet,
@@ -303,8 +305,55 @@ def test_build_validates_fields():
         GcdInstance.build([2], [2], 1, 2, 2, epsilon=1.0)
     with pytest.raises(InstanceError, match="denominator 10000 above 1000"):
         GcdInstance.build([2], [2], 1, 2, 2, epsilon=0.0001)
+    # the instance file hands epsilon and p0 to build, which checks both
+    for p0 in (-1, True, 2.0):
+        with pytest.raises(InstanceError, match=f"^field p0: {p0!r} is not a natural number$"):
+            GcdInstance.build([2], [2], 1, 2, 2, p0=p0)
+    with pytest.raises(InstanceError, match="^field epsilon: 'half' is not a number$"):
+        GcdInstance.build([2], [2], 1, 2, 2, epsilon="half")
     with pytest.raises(InstanceError, match="D"):
         GcdInstance.build([2], [2], 5, 2, 2)
+
+
+def test_epsilon_is_read_once_into_an_exact_fraction():
+    # a float by its decimal text, a Fraction as it is, checked on its
+    # numerator and denominator with the float's messages
+    assert GcdInstance.build([2], [2], 1, 2, 2, epsilon=0.1).epsilon == Fraction(1, 10)
+    third = Fraction(1, 3)
+    assert epsilon_fraction(third) is third
+    assert GcdInstance.build([2], [2], 1, 2, 2).epsilon == Fraction(1, 2)
+    for bad, message in (
+        (Fraction(3, 2), "field epsilon: 3/2 not strictly inside (0, 1)"),
+        (Fraction(0), "field epsilon: 0 not strictly inside (0, 1)"),
+        (Fraction(-1, 2), "field epsilon: -1/2 not strictly inside (0, 1)"),
+        (Fraction(1, 1001), "field epsilon: 1/1001 has denominator 1001 above 1000"),
+        (float("nan"), "field epsilon: nan not strictly inside (0, 1)"),
+        (1, "field epsilon: 1 not strictly inside (0, 1)"),
+    ):
+        with pytest.raises(InstanceError) as exc:
+            epsilon_fraction(bad)
+        assert str(exc.value) == message
+
+
+@pytest.mark.slow
+def test_every_accepted_epsilon_echoes_the_float_it_was_read_from():
+    # a report echoes float(eps): for each a/d with d <= 1000 and 0 < a/d < 1
+    # whose float the parser accepts, that is the float itself.  a/d and its
+    # lowest terms are one rational, so one float: the loop visits lowest
+    # terms and counts the d // q pairs (a, d) behind each p/q
+    accepted = 0
+    for q in range(2, 1001):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            x = p / q
+            try:
+                eps = epsilon_fraction(x)
+            except InstanceError:
+                continue
+            assert repr(float(eps)) == repr(x), (p, q)
+            accepted += 1000 // q
+    assert accepted == 12608
 
 
 def fraction_range_error(inst):
@@ -415,6 +464,16 @@ def test_instance_file_diagnostics():
         instance_from_json('{"A": ["2"], "B": ["2"]}')
     with pytest.raises(InstanceError, match="epsilon"):
         instance_from_json('{"A": ["2"], "B": ["2"], "D": "1", "epsilon": "half"}')
+    # int() would also read '1_2', ' 12 ' and Arabic-Indic digits as 12
+    for bad in ("1_2", " 12 ", "\u0661\u0662", "-12", "+12", ""):
+        with pytest.raises(InstanceError) as exc:
+            instance_from_json(json.dumps({"A": [bad, "18"], "B": ["12"], "D": "1"}))
+        assert str(exc.value) == f"field A[0]: {bad!r} is not a decimal integer"
+    # json.loads alone would keep the last of a repeated key
+    with pytest.raises(InstanceError, match="^field A: given more than once$"):
+        instance_from_json('{"A": ["12"], "A": ["18"], "B": ["12"], "D": "1"}')
+    with pytest.raises(InstanceError, match="^field p0: given more than once$"):
+        instance_from_json('{"A": ["12"], "B": ["12"], "D": "1", "p0": 3, "p0": 5}')
 
 
 def test_delta_stored_exact():

@@ -36,7 +36,7 @@ def unit(*idx) -> WeightPair:
 
 
 def c_min(mu, w, lam) -> float:
-    lo, hi, _, c = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+    lo, hi, _, c = min_admissible_c_interval(mu, w, lam=lam, epsilon=HALF)
     assert lo <= c <= hi
     return c
 
@@ -50,7 +50,7 @@ def test_min_c_point_mass():
 def test_min_c_two_point_diagonal():
     # c = (1/2) / x_0^2 with x_0 = (1/2)^(3/5), so c^5 = 2 exactly
     mu = Measure2D.from_dict({(0, 0): 1, (1, 1): 1})
-    lo, hi, ok, c = min_admissible_c_interval(mu, unit(0, 1), lam=HALF, epsilon=0.5)
+    lo, hi, ok, c = min_admissible_c_interval(mu, unit(0, 1), lam=HALF, epsilon=HALF)
     assert ok and c == pytest.approx(2 ** (1 / 5))
     assert Fraction(lo) ** 5 <= 2 <= Fraction(hi) ** 5
 
@@ -177,7 +177,7 @@ def test_measure_validation():
 def test_interval_encloses_float_value():
     w = WeightPair.from_densities({0: 2, 1: 2, 2: 1}, {0: 2, 1: 2, 2: 1})
     mu = Measure2D.from_dict({(0, 0): 2, (0, 1): 1, (2, 1): 1})
-    lo, hi, ok, c_root = min_admissible_c_interval(mu, w, lam=HALF, epsilon=0.5)
+    lo, hi, ok, c_root = min_admissible_c_interval(mu, w, lam=HALF, epsilon=HALF)
     assert ok
     x = {0: 0.4 ** 0.6, 1: 0.4 ** 0.6, 2: 0.2 ** 0.6}  # x_i = alpha_i^(1/q'), q' = 5/3
     c = max(m / 4 / (0.5 ** abs(i - j) * x[i] * x[j]) for (i, j), m in mu.weights)
@@ -187,7 +187,7 @@ def test_interval_encloses_float_value():
 
 def test_interval_point_mass_exact():
     mu = Measure2D.point_mass(0, 0)
-    lo, hi, ok, c = min_admissible_c_interval(mu, unit(0), lam=HALF, epsilon=0.5)
+    lo, hi, ok, c = min_admissible_c_interval(mu, unit(0), lam=HALF, epsilon=HALF)
     assert lo <= 1.0 <= hi and hi - lo < 1e-14 and ok and c == 1.0
 
 
@@ -197,7 +197,7 @@ def test_exact_verdict_at_the_floor():
     w = WeightPair.from_densities({0: 1}, {1: 1})
     mu = Measure2D.point_mass(0, 1)
     for lam, expect in ((Fraction(9), True), (9 + Fraction(1, 10**30), False)):
-        lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+        lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam=lam, epsilon=HALF)
         assert ok is expect
         assert Fraction(lo) <= 1 / lam <= Fraction(hi)
 
@@ -257,8 +257,8 @@ def test_exact_enclosure_matches_the_mpmath_reference():
             epsilon = epsilons[configs % len(epsilons)]
             eps = epsilon_fraction(epsilon)
             n = 2 * eps.denominator + eps.numerator
-            mu, w, _ = from_valuation_measure(valuation_measure(si.base, si.omega, p), epsilon)
-            lo, hi, ok, _ = min_admissible_c_interval(mu, w, p=p, epsilon=epsilon)
+            mu, w, _ = from_valuation_measure(valuation_measure(si.base, si.omega, p), eps)
+            lo, hi, ok, _ = min_admissible_c_interval(mu, w, p=p, epsilon=eps)
             # c_min^n exactly: lambda^n = p^-b and x_i^n = alpha_i^(a+b)
             alpha = {i: Fraction(a, w.alpha_total) for i, a in w.alpha}
             beta = {j: Fraction(b, w.beta_total) for j, b in w.beta}
@@ -293,11 +293,14 @@ def test_reported_c_min_lies_in_its_interval():
 
 
 def test_valuation_bridge_reads_epsilon_as_its_decimal():
-    # at epsilon = 0.55 the binary value of the float gives another q'
+    # at epsilon = 0.55 the binary value of the float gives another q'; the
+    # float is read once, at the boundary, and the bridge takes the fraction
     inst = read_instance(GOLDEN / "remark2.instance.json")
     vm = valuation_measure(inst, build_omega_gcd(inst), 3)
-    mu, w, lam = from_valuation_measure(vm, epsilon=0.55)
+    eps = epsilon_fraction(0.55)
+    mu, w, lam = from_valuation_measure(vm, epsilon=eps)
     decimal, binary = Fraction(11, 20), Fraction(0.55)
+    assert eps == decimal
     assert lam == 3.0 ** (-1.0 / float(2 + decimal))
     inv = {e: 1.0 / float((2 + e) / (1 + e)) for e in (decimal, binary)}
     assert inv[decimal] != inv[binary]
@@ -306,16 +309,17 @@ def test_valuation_bridge_reads_epsilon_as_its_decimal():
         for i, a in vm.alpha.items()
         if i in vm.beta
     )
-    assert concentration_report(mu, w, lam, epsilon=0.55, p=3).gamma == gamma
+    assert concentration_report(mu, w, lam, epsilon=eps, p=3).gamma == gamma
 
 
 def test_epsilon_near_one_certifies_remark2_in_under_a_second():
     # epsilon = 999/1000 raises to the power n = 2999, the largest the cap allows
     inst = read_instance(GOLDEN / "remark2.instance.json")
     vm = valuation_measure(inst, build_omega_gcd(inst), 2)
-    mu, w, lam = from_valuation_measure(vm, epsilon=0.999)
+    eps = Fraction(999, 1000)
+    mu, w, lam = from_valuation_measure(vm, epsilon=eps)
     start = time.perf_counter()
-    rep = concentration_report(mu, w, lam, epsilon=0.999, p=2)
+    rep = concentration_report(mu, w, lam, epsilon=eps, p=2)
     assert time.perf_counter() - start < 1.0
     lo, hi = rep.c_interval
     assert rep.c_lower_ok and 1 / 9 < lo < hi < lo + 1e-15
@@ -332,10 +336,10 @@ def test_capped_family_achieves_c_at_most_one():
     rng = random.Random(79)
     for lam in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
         configs = [(*capped_admissible_config(rng, lam), lam) for _ in range(50)]
-        sweep = sweep_extremes(configs, epsilon=0.5)
+        sweep = sweep_extremes(configs, epsilon=HALF)
         assert sweep.c_lower_ok and sweep.c_upper_ok and sweep.max_c <= 1.0
         for mu, w, _ in configs:
-            lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam=lam, epsilon=0.5)
+            lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam=lam, epsilon=HALF)
             assert ok and lo <= 1.0
 
 
@@ -350,12 +354,29 @@ def test_sweep_extremes_match_the_report():
     rng = random.Random(97)
     for _ in range(200):
         mu, w, lam = random_admissible_config(rng)
-        sweep = sweep_extremes([(mu, w, lam)], epsilon=0.5)
+        sweep = sweep_extremes([(mu, w, lam)], epsilon=HALF)
         rep = concentration_report(mu, w, lam)
         assert sweep.min_c == sweep.max_c == rep.c_min
         assert sweep.max_ratio == rep.ratio
         assert sweep.c_lower_ok == rep.c_lower_ok
         assert rep.ratio == float(Fraction(tail_mass(mu, rep.k), mu.total) / lam**3)
+
+
+def test_sweep_lower_verdict_holds_at_c_exactly_one_ninth():
+    # sweep_extremes does not check lambda <= 4/5, and inside that range
+    # Young's inequality keeps c_min above 1/9 (above 0.2057 at epsilon =
+    # 1/2), so the tie needs lambda = 1.  Unit masses on the 27 x 9 grid with
+    # alpha = 1 on 0..26 and beta = 1 on 0..8 give c_min^5 = 243^-2 = 9^-5.
+    mu = Measure2D.from_dict({(i, j): 1 for i in range(27) for j in range(9)})
+    w = WeightPair.from_densities(dict.fromkeys(range(27), 1), dict.fromkeys(range(9), 1))
+    sweep = sweep_extremes([(mu, w, Fraction(1))], epsilon=HALF)
+    assert sweep.c_lower_ok and sweep.min_c == pytest.approx(1 / 9)
+
+
+def test_sweep_upper_verdict_holds_at_c_exactly_one():
+    # the point mass at (0, 0) with x_0 = y_0 = 1 has c_min = 1 at any lambda
+    sweep = sweep_extremes([(Measure2D.point_mass(0, 0), unit(0), HALF)], epsilon=HALF)
+    assert sweep.c_upper_ok and sweep.max_c == 1.0
 
 
 def test_valuation_bridge_point_mass():
@@ -409,6 +430,13 @@ def test_run_all_passes_the_seed_offset_to_the_concentration_check(monkeypatch):
         (kwargs,) = [kw for name, kw in calls if name == "check_concentration"]
         seeds.append(kwargs["seed"])
     assert seeds == [20260809, 20260810]
+
+
+def test_a_center_that_is_not_the_argmin_fails_the_partition_check(monkeypatch):
+    monkeypatch.setattr(verify, "best_center", lambda mu: best_center(mu) + 1)
+    result = verify.check_measure_partition(n_measures=50)
+    assert not result.ok
+    assert {f["reason"] for f in result.detail["failures"]} == {"best_center not argmin"}
 
 
 def test_a_capped_configuration_with_c_above_one_fails_the_check(monkeypatch):

@@ -72,3 +72,23 @@ def test_every_imported_name_is_used():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+
+def test_epsilon_stays_an_exact_fraction():
+    # epsilon is parsed once, at an input boundary, into a Fraction: no
+    # parameter or record field of that name is typed float, and its parser
+    # keeps no cache
+    for path in sorted(Path(SRC, "gcdlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arg) and node.arg == "epsilon":
+                annotation = node.annotation
+            elif isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "epsilon":
+                annotation = node.annotation
+            else:
+                annotation = None
+            if annotation is not None:
+                assert "float" not in ast.unparse(annotation), (path.name, node.lineno)
+            if isinstance(node, ast.FunctionDef) and node.name == "epsilon_fraction":
+                decorators = [ast.unparse(d) for d in node.decorator_list]
+                assert not any("cache" in d for d in decorators), (path.name, decorators)
