@@ -31,7 +31,7 @@ print("=" * 72)
 mu = Measure2D.from_dict({(0, 0): 12, (0, 1): 5, (3, 3): 3})
 w = WeightPair.from_densities({0: 18, 3: 2}, {0: 16, 1: 3, 3: 1})
 for lam in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 10)):
-    lo, hi, ok, c = min_admissible_c_interval(mu, w, lam=lam)
+    lo, hi, ok, c = min_admissible_c_interval(mu, w, lam)
     print(f"lambda = {lam}: minimal admissible c = {c:8.4f} in [{lo:.6f}, {hi:.6f}], >= 1/9: {ok}")
 
 k = best_center(mu)
@@ -73,11 +73,10 @@ inst = GcdInstance.build(A, A, D=10, X=100, Y=100)
 omega = build_omega_gcd(inst)
 for p in (2, 5):
     vm = valuation_measure(inst, omega, p)
-    mu_v, w_v, lam_v = from_valuation_measure(vm)
-    rep = concentration_report(mu_v, w_v, lam_v, p=p)
+    rep = concentration_report(*from_valuation_measure(vm))
     lo, hi = rep.c_interval
     print(
-        f"p = {p}: lambda = {lam_v:.4f}, c in [{lo:.6f}, {hi:.6f}] "
+        f"p = {p}: lambda = {rep.lam:.4f}, c in [{lo:.6f}, {hi:.6f}] "
         f"(certified >= 1/9: {rep.c_lower_ok}), k = {rep.k}, "
         f"tail = {rep.tail:.4f}, tail/lambda^(q+eps) = {rep.ratio:.4f}"
     )

@@ -63,6 +63,7 @@ _EXPORTS = {
     "measure": (
         "ConcentrationReport",
         "Measure2D",
+        "PrimeLambda",
         "SigmaDecomposition",
         "WeightPair",
         "best_center",

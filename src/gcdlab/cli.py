@@ -24,6 +24,7 @@ from .instance import (
     decimal_fraction,
     epsilon_fraction,
     instance_to_json,
+    p0_natural,
     prime_sets,
     read_instance,
     theorem1_bound,
@@ -55,8 +56,8 @@ def _config(args, inst: GcdInstance | None = None) -> dict:
             cfg[key] = getattr(inst, key, default)
     if "epsilon" in cfg:
         cfg["epsilon"] = epsilon_fraction(cfg["epsilon"])
-    if cfg.get("p0", 0) < 0:
-        raise InstanceError(f"field p0: {cfg['p0']} must be a natural number")
+    if "p0" in cfg:
+        cfg["p0"] = p0_natural(cfg["p0"])
     return cfg
 
 
@@ -241,7 +242,7 @@ def cmd_measure(args) -> tuple[dict, int]:
         except ValueError:
             raise InstanceError(f"--lambda: {args.lam} is not a finite number") from None
         w = WeightPair.from_densities({i: 1}, {j: 1})
-        rep = concentration_report(Measure2D.point_mass(i, j), w, lam, epsilon=cfg["epsilon"])
+        rep = concentration_report(Measure2D.point_mass(i, j), w, lam, cfg["epsilon"])
         summary = _measure_summary(rep)
         summary["source"] = f"point-mass ({i}, {j})"
     elif inst is not None:
@@ -249,8 +250,7 @@ def cmd_measure(args) -> tuple[dict, int]:
         if not omega:
             raise InstanceError("pair set is empty; the edge measure is undefined")
         vm = valuation_measure(inst, omega, args.prime)
-        mu, w, lam = from_valuation_measure(vm, epsilon=cfg["epsilon"])
-        rep = concentration_report(mu, w, lam, epsilon=cfg["epsilon"], p=args.prime)
+        rep = concentration_report(*from_valuation_measure(vm), cfg["epsilon"])
         summary = _measure_summary(rep)
         summary["source"] = f"valuation measure at p = {args.prime}"
         records = [{"i": i, "j": j, "weight": w_} for (i, j), w_ in vm.mu.items()]

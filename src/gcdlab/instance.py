@@ -33,6 +33,7 @@ __all__ = [
     "gcd_census",
     "instance_from_json",
     "instance_to_json",
+    "p0_natural",
     "prime_sets",
     "read_instance",
     "theorem1_bound",
@@ -70,6 +71,13 @@ def epsilon_fraction(epsilon) -> Fraction:
             f" above {EPSILON_MAX_DENOMINATOR}"
         )
     return eps
+
+
+def p0_natural(p0) -> int:
+    """p0 as given: InstanceError unless it is an int >= 0."""
+    if not isinstance(p0, int) or isinstance(p0, bool) or p0 < 0:
+        raise InstanceError(f"field p0: {p0!r} is not a natural number")
+    return p0
 
 
 def _coerce_elements(S, name: str) -> tuple[FactoredNat, ...]:
@@ -115,9 +123,7 @@ class GcdInstance(NamedTuple):
             X = _infer_range(A, "A")
         if Y is None:
             Y = _infer_range(B, "B")
-        eps = epsilon_fraction(epsilon)
-        if not isinstance(p0, int) or isinstance(p0, bool) or p0 < 0:
-            raise InstanceError(f"field p0: {p0!r} is not a natural number")
+        eps, p0 = epsilon_fraction(epsilon), p0_natural(p0)
         inst = cls(A, B, Fraction(X), Fraction(Y), Fraction(D), eps, p0)
         if check_ranges:
             inst.validate_ranges()
@@ -320,14 +326,8 @@ def _exact_gcd_distribution(
     d | gcd; descending over the common divisors, e(d) = c(d) - sum of e(d')
     over proper multiples d' of d isolates the exact-gcd counts.
     """
-    da: Counter[int] = Counter()
-    for a in avals:
-        for d in _divisors_int(a):
-            da[d] += 1
-    db: Counter[int] = Counter()
-    for b in bvals:
-        for d in _divisors_int(b):
-            db[d] += 1
+    da = Counter(d for a in avals for d in _divisors_int(a))
+    db = Counter(d for b in bvals for d in _divisors_int(b))
     common = sorted(set(da) & set(db))
     cset = set(common)
     pending: dict[int, int] = defaultdict(int)
@@ -450,11 +450,12 @@ def theorem51_bound(A, B, Q, epsilon: Fraction = Fraction(1, 2), p0: int = 100):
 
 def instance_to_json(inst: GcdInstance, *, ranges: bool = True) -> str:
     """The instance file text; ranges=False leaves X and Y to be inferred."""
+    eps = float(inst.epsilon)  # written as "a/b" when it does not read back as epsilon
     doc = {
         "A": [str(a.value) for a in inst.A],
         "B": [str(b.value) for b in inst.B],
         "D": str(inst.D),
-        "epsilon": float(inst.epsilon),
+        "epsilon": eps if decimal_fraction(eps) == inst.epsilon else str(inst.epsilon),
         "p0": inst.p0,
     }
     if ranges:
@@ -516,8 +517,12 @@ def instance_from_json(text: str) -> GcdInstance:
     D = _parse_fraction(doc, "D", required=True)
     X = _parse_fraction(doc, "X", required=False)
     Y = _parse_fraction(doc, "Y", required=False)
-    # epsilon and p0 go to build as the file gives them: build checks both
-    return GcdInstance.build(A, B, D, X, Y, epsilon=doc.get("epsilon", 0.5), p0=doc.get("p0", 100))
+    # build checks epsilon and p0; a number goes as the file wrote it, so its
+    # diagnostic echoes that text, and epsilon's "a/b" text is read as D is
+    eps = doc.get("epsilon", 0.5)
+    if isinstance(eps, str):
+        eps = _parse_fraction(doc, "epsilon", required=True)
+    return GcdInstance.build(A, B, D, X, Y, epsilon=eps, p0=doc.get("p0", 100))
 
 
 def read_instance(path) -> GcdInstance:

@@ -32,6 +32,7 @@ __all__ = [
     "EXACT_BITS_MAX",
     "LAMBDA_MAX",
     "Measure2D",
+    "PrimeLambda",
     "SigmaDecomposition",
     "SweepExtremes",
     "WeightPair",
@@ -174,33 +175,44 @@ def root_float(num: int, den: int, n: int) -> float:
     return _root_floats(num, den, n)[2]
 
 
+class PrimeLambda(NamedTuple):
+    """lambda = p^(-1/q) at the call's q = 2 + epsilon, as on the valuation
+    measure at the prime p: exact as lambda^(2b + a) = p^-b at epsilon = a/b."""
+
+    p: int
+
+
+def _lambda_form(lam, epsilon: Fraction) -> tuple[int, int, int, int, float]:
+    """(ln, ld, k, deg, shown) for lambda at epsilon = a/b, n = 2b + a:
+    lambda^n = (ln/ld)^k, the tail ratio's deg-th power is rational, and
+    shown is the displayed float.  A rational lambda (an int, a Fraction or
+    a float read as its decimal text) has k = n and deg = b; PrimeLambda(p)
+    has k = b and deg = n, and p < 2 (no p^(-1/q) below 1) raises ValueError."""
+    a, b = epsilon.numerator, epsilon.denominator
+    if isinstance(lam, PrimeLambda):
+        if lam.p < 2:
+            raise ValueError(f"lambda = {lam} outside (0, 4/5]")
+        return 1, lam.p, b, 2 * b + a, float(lam.p) ** (-1.0 / float(2 + epsilon))
+    exact = decimal_fraction(lam)
+    return exact.numerator, exact.denominator, 2 * b + a, b, float(exact)
+
+
 def min_admissible_c_interval(
-    mu: Measure2D,
-    w: WeightPair,
-    *,
-    lam=None,
-    p: int | None = None,
-    epsilon: Fraction = Fraction(1, 2),
+    mu: Measure2D, w: WeightPair, lam, epsilon: Fraction = Fraction(1, 2)
 ) -> tuple[float, float, bool, float]:
     """(lo, hi, ok, c): a certified float enclosure [lo, hi] of the minimal
     admissible c, whether c_min >= 1/9 exactly, and the float c in [lo, hi]
     nearest its integer root (_root_floats).
 
-    lambda is exact (lam, a float read as its decimal) or p^(-1/q) for a
-    prime p, q = 2 + epsilon.  With epsilon = a/b and n = 2b + a, R = c_min^n
-    is an exact rational (lambda^n = p^-b, x_i^n = alpha_i^(a+b)) and ok is
-    R 9^n >= 1.  ValueError when mu charges a point with x_i y_j = 0 (no c
-    is admissible), or past EXACT_BITS_MAX.
+    lambda is rational or PrimeLambda(p) (_lambda_form).  With epsilon = a/b
+    and n = 2b + a, R = c_min^n is an exact rational (x_i^n = alpha_i^(a+b))
+    and ok is R 9^n >= 1.  ValueError when mu charges a point with x_i y_j =
+    0 (no c is admissible), or past EXACT_BITS_MAX.
     """
-    if (lam is None) == (p is None):
-        raise ValueError("give exactly one of lam= or p=")
+    ln, ld, k, _, _ = _lambda_form(lam, epsilon)
     a, b = epsilon.numerator, epsilon.denominator
     n = 2 * b + a
-    if p is not None:
-        num, den = _c_pow(mu, w, 1, p, b, n, a + b)
-    else:
-        lam = decimal_fraction(lam)
-        num, den = _c_pow(mu, w, lam.numerator, lam.denominator, n, n, a + b)
+    num, den = _c_pow(mu, w, ln, ld, k, n, a + b)
     lo, hi, c = _root_floats(num, den, n)
     return lo, hi, num * C_FLOOR**n >= den, c
 
@@ -281,12 +293,7 @@ def _ratio_pow(tail: int, total: int, ln: int, ld: int, k: int, e: int) -> tuple
 
 
 def concentration_report(
-    mu: Measure2D,
-    w: WeightPair,
-    lam,
-    epsilon: Fraction = Fraction(1, 2),
-    *,
-    p: int | None = None,
+    mu: Measure2D, w: WeightPair, lam, epsilon: Fraction = Fraction(1, 2)
 ) -> ConcentrationReport:
     """Bundle (c_min, best center, tail, tail/lambda^(q+eps), sigma split),
     q = 2 + eps.
@@ -294,41 +301,34 @@ def concentration_report(
     c >= 1/9 is the unconditional conclusion whenever the hypothesis is
     satisfiable with the given witness.  The verdict is an integer
     comparison; c_interval and c_min come from one integer root (see
-    min_admissible_c_interval), and so does the ratio.  lam is an int, a
-    Fraction or a float read as its decimal text, in (0, 4/5]; when p is
-    given, lambda is exactly p^(-1/q) and lam is only displayed.
+    min_admissible_c_interval), and so does the ratio.  lam is rational or
+    PrimeLambda(p) (_lambda_form), in (0, 4/5], and the displayed lam is the
+    float of the lambda the verdict used.
     """
-    exact = decimal_fraction(lam)
-    if not 0 < exact <= LAMBDA_MAX:
-        raise ValueError(f"lambda = {lam} outside (0, 4/5]")
-    lo, hi, ok, c = min_admissible_c_interval(
-        mu, w, lam=None if p is not None else exact, p=p, epsilon=epsilon
-    )
-    k, tail = _best_tail(mu)
+    ln, ld, power, deg, shown = _lambda_form(lam, epsilon)
     a, b = epsilon.numerator, epsilon.denominator
-    # ratio^deg is rational: deg = b at lambda = ln/ld, deg = n at p^(-1/q)
-    ln, ld, deg = (1, p, 2 * b + a) if p is not None else (exact.numerator, exact.denominator, b)
+    n, (top, bottom) = 2 * b + a, LAMBDA_MAX.as_integer_ratio()
+    if not (0 < ln and ln**power * bottom**n <= ld**power * top**n):  # lambda^n <= (4/5)^n
+        raise ValueError(f"lambda = {lam} outside (0, 4/5]")
+    lo, hi, ok, c = min_admissible_c_interval(mu, w, lam, epsilon)
+    k, tail = _best_tail(mu)
     ratio = root_float(*_ratio_pow(tail, mu.total, ln, ld, deg, a + b), deg)
     inv = 1.0 / float((2 + epsilon) / (1 + epsilon))  # x_i = alpha_i^(1/q')
     x = {i: (v / w.alpha_total) ** inv for i, v in w.alpha}
     sup = max((x[j] * (v / w.beta_total) ** inv for j, v in w.beta if j in x), default=0.0)
-    sigma, lam, q = sigma_decomposition(mu, k), float(lam), 2.0 + float(epsilon)
+    sigma, q = sigma_decomposition(mu, k), 2.0 + float(epsilon)
     return ConcentrationReport(
-        c, (lo, hi), ok, k, tail / mu.total, ratio, sigma, lam, q, epsilon, 1.0 - sup
+        c, (lo, hi), ok, k, tail / mu.total, ratio, sigma, shown, q, epsilon, 1.0 - sup
     )
 
 
-def from_valuation_measure(vm, epsilon: Fraction = Fraction(1, 2)):
+def from_valuation_measure(vm):
     """Bridge from per-prime valuation statistics: the edge measure becomes
     mu, the densities alpha, beta give x_i = alpha_i^(1/q'), and lambda =
-    p^(-1/q).
-
-    Returns (mu, weights, lam) with lam a float for display; pass p=vm.p to
-    concentration_report for the certified verdict."""
+    p^(-1/q).  Returns (mu, weights, PrimeLambda(vm.p))."""
     mu = Measure2D.from_dict(vm.mu)
     w = WeightPair.from_densities(vm.alpha, vm.beta)
-    lam = float(vm.p) ** (-1.0 / float(2 + epsilon))
-    return mu, w, lam
+    return mu, w, PrimeLambda(vm.p)
 
 
 class SweepExtremes(NamedTuple):

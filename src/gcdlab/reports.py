@@ -23,15 +23,9 @@ def jsonable(value):
     dicts of their fields."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return repr(value)
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if value is None or isinstance(value, (int, float, str)):  # bool is an int
         return value
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return {name: jsonable(v) for name, v in zip(value._fields, value)}

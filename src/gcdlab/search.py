@@ -91,21 +91,14 @@ def _subset(universe: list[int], mask: int) -> tuple[int, ...]:
 
 
 def _compat_masks(ua: list[int], ub: list[int], D: int) -> list[int]:
-    out = []
-    for b in ub:
-        m = 0
-        for i, a in enumerate(ua):
-            if math.gcd(a, b) >= D:
-                m |= 1 << i
-        out.append(m)
-    return out
+    return [sum(1 << i for i, a in enumerate(ua) if math.gcd(a, b) >= D) for b in ub]
 
 
 def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
-    """Largest A in [X, 2X] with gcd >= D for every pair, by plain DFS with
-    the popcount bound."""
+    """Largest A in [X, 2X] with gcd >= D for every pair, a = b included (so
+    every a >= D), by plain DFS with the popcount bound."""
     universe = list(range(X, 2 * X + 1))
-    adj = [m & ~(1 << i) for i, m in enumerate(_compat_masks(universe, universe, D))]
+    adj = _compat_masks(universe, universe, D)
     best_mask = 0
     best_size = 0
 
@@ -121,7 +114,8 @@ def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
             cand ^= low
             expand(cand & adj[v], cur | low, size + 1)
 
-    expand((1 << len(universe)) - 1, 0, 0)
+    # a branch at v keeps cand & adj[v], so only the start needs gcd(a, a) >= D
+    expand(sum(m & 1 << i for i, m in enumerate(adj)), 0, 0)
     return _subset(universe, best_mask)
 
 

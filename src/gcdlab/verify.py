@@ -20,8 +20,8 @@ from .instance import count_pairs_geq_fast, count_pairs_geq_naive
 from .measure import (
     best_center,
     capped_admissible_config,
-    concentration_report,
     from_valuation_measure,
+    min_admissible_c_interval,
     random_admissible_config,
     random_measure,
     sigma_decomposition,
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_CENSUS_D_VALUES = (2, 5, 17, 1000)  # the census oracle's thresholds
 
 # the concentration check's generators: the random family is drawn from
 # Random(seed), the capped family (per lambda) from Random(seed + 1)
@@ -130,11 +131,9 @@ def random_structured_set(rng: random.Random):
 # ---------------------------------------------------------------------------
 
 
-def check_census_oracle(
-    seed: int = 1001, n_instances: int = 200, d_values=(2, 5, 17, 1000)
-) -> CheckResult:
+def check_census_oracle(seed: int = 1001, n_instances: int = 200) -> CheckResult:
     """Fast census equals the naive double loop, exactly, on every seeded
-    instance and threshold."""
+    instance and threshold in _CENSUS_D_VALUES."""
     start = time.perf_counter()
     rng = random.Random(seed)
     mismatches = []
@@ -142,7 +141,7 @@ def check_census_oracle(
     for idx in range(n_instances):
         A, B = random_census_instance(rng)
         pairs_total += len(A) * len(B)
-        for D in d_values:
+        for D in _CENSUS_D_VALUES:
             fast = count_pairs_geq_fast(A, B, D)
             naive = count_pairs_geq_naive(A, B, D)
             if fast != naive:
@@ -153,7 +152,7 @@ def check_census_oracle(
         time.perf_counter() - start,
         {
             "instances": n_instances,
-            "d_values": list(d_values),
+            "d_values": list(_CENSUS_D_VALUES),
             "pairs_total": pairs_total,
             "mismatches": mismatches[:5],
         },
@@ -244,11 +243,10 @@ def check_concentration(
         si = random_structured_instance(rng_exact, max_scale=24, max_side=8)
         p = min(p for el in si.base.A + si.base.B for p in el.primes())
         vm = valuation_measure(si.base, si.omega, p)
-        mu, w, lam = from_valuation_measure(vm, epsilon=epsilon)
-        rep = concentration_report(mu, w, lam, epsilon=epsilon, p=p)
-        if not rep.c_lower_ok:
+        lo, hi, ok, _ = min_admissible_c_interval(*from_valuation_measure(vm), epsilon)
+        if not ok:
             failures.append(
-                {"exact_config": idx, "interval": rep.c_interval, "reason": "certified c < 1/9"}
+                {"exact_config": idx, "interval": (lo, hi), "reason": "certified c < 1/9"}
             )
     return CheckResult(
         "concentration-constants",

@@ -453,6 +453,15 @@ def test_epsilon_domain_rejected(capsys):
     assert "epsilon" in err
 
 
+def test_a_negative_p0_has_one_wording(tmp_path, capsys):
+    # the flag and the instance file are checked by the one p0 reader
+    path = tmp_path / "p0.json"
+    path.write_text(json.dumps({**json.loads(Path(GOLDEN_INSTANCE).read_text()), "p0": -1}))
+    for argv in (["stats", GOLDEN_INSTANCE, "--p0", "-1"], ["stats", str(path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", "error: field p0: -1 is not a natural number\n"), argv
+
+
 def test_an_instance_epsilon_past_the_denominator_cap_exits_2(tmp_path, capsys):
     path = tmp_path / "eps.json"
     path.write_text(json.dumps({**json.loads(Path(GOLDEN_INSTANCE).read_text()), "epsilon": 0.1234}))

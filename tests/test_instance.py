@@ -335,6 +335,33 @@ def test_epsilon_is_read_once_into_an_exact_fraction():
         assert str(exc.value) == message
 
 
+def test_an_epsilon_no_float_names_reads_back():
+    # epsilon is written as a number when that number reads back as epsilon,
+    # and as the text "a/b" otherwise (1/3 used to be written as
+    # 0.3333333333333333, which the reader refused)
+    for eps, written in (
+        (Fraction(1, 2), 0.5),
+        (Fraction(999, 1000), 0.999),
+        (Fraction(1, 3), "1/3"),
+        (Fraction(2, 7), "2/7"),
+        (Fraction(1, 999), "1/999"),
+    ):
+        inst = GcdInstance.build([12, 18], [12, 24], 6, epsilon=eps)
+        text = instance_to_json(inst)
+        assert json.loads(text)["epsilon"] == written
+        assert instance_from_json(text) == inst
+    # the text form is checked as a number is, with the text in the message
+    for text, message in (
+        ("3/2", "field epsilon: 3/2 not strictly inside (0, 1)"),
+        ("1/1001", "field epsilon: 1/1001 has denominator 1001 above 1000"),
+        ("1/0", "field epsilon: '1/0' is not a number"),
+        ("nan", "field epsilon: 'nan' is not a number"),
+    ):
+        with pytest.raises(InstanceError) as exc:
+            instance_from_json(json.dumps({"A": ["2"], "B": ["2"], "D": "1", "epsilon": text}))
+        assert str(exc.value) == message
+
+
 @pytest.mark.slow
 def test_every_accepted_epsilon_echoes_the_float_it_was_read_from():
     # a report echoes float(eps): for each a/d with d <= 1000 and 0 < a/d < 1

@@ -9,6 +9,7 @@ import pytest
 from gcdlab.instance import GcdInstance, build_omega_gcd, epsilon_fraction, read_instance
 from gcdlab.measure import (
     Measure2D,
+    PrimeLambda,
     WeightPair,
     best_center,
     capped_admissible_config,
@@ -257,8 +258,8 @@ def test_exact_enclosure_matches_the_mpmath_reference():
             epsilon = epsilons[configs % len(epsilons)]
             eps = epsilon_fraction(epsilon)
             n = 2 * eps.denominator + eps.numerator
-            mu, w, _ = from_valuation_measure(valuation_measure(si.base, si.omega, p), eps)
-            lo, hi, ok, _ = min_admissible_c_interval(mu, w, p=p, epsilon=eps)
+            mu, w, lam = from_valuation_measure(valuation_measure(si.base, si.omega, p))
+            lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam, eps)
             # c_min^n exactly: lambda^n = p^-b and x_i^n = alpha_i^(a+b)
             alpha = {i: Fraction(a, w.alpha_total) for i, a in w.alpha}
             beta = {j: Fraction(b, w.beta_total) for j, b in w.beta}
@@ -286,7 +287,7 @@ def test_reported_c_min_lies_in_its_interval():
         primes = sorted({p for el in si.base.A + si.base.B for p in el.primes()})
         for p in primes[:3]:
             mu, w, lam = from_valuation_measure(valuation_measure(si.base, si.omega, p))
-            rep = concentration_report(mu, w, lam, p=p)
+            rep = concentration_report(mu, w, lam)
             lo, hi = rep.c_interval
             assert lo <= rep.c_min <= hi, (configs, p)
             configs += 1
@@ -298,10 +299,11 @@ def test_valuation_bridge_reads_epsilon_as_its_decimal():
     inst = read_instance(GOLDEN / "remark2.instance.json")
     vm = valuation_measure(inst, build_omega_gcd(inst), 3)
     eps = epsilon_fraction(0.55)
-    mu, w, lam = from_valuation_measure(vm, epsilon=eps)
+    mu, w, lam = from_valuation_measure(vm)
+    rep = concentration_report(mu, w, lam, eps)
     decimal, binary = Fraction(11, 20), Fraction(0.55)
     assert eps == decimal
-    assert lam == 3.0 ** (-1.0 / float(2 + decimal))
+    assert rep.lam == 3.0 ** (-1.0 / float(2 + decimal))
     inv = {e: 1.0 / float((2 + e) / (1 + e)) for e in (decimal, binary)}
     assert inv[decimal] != inv[binary]
     gamma = 1.0 - max(
@@ -309,7 +311,7 @@ def test_valuation_bridge_reads_epsilon_as_its_decimal():
         for i, a in vm.alpha.items()
         if i in vm.beta
     )
-    assert concentration_report(mu, w, lam, epsilon=eps, p=3).gamma == gamma
+    assert rep.gamma == gamma
 
 
 def test_epsilon_near_one_certifies_remark2_in_under_a_second():
@@ -317,9 +319,9 @@ def test_epsilon_near_one_certifies_remark2_in_under_a_second():
     inst = read_instance(GOLDEN / "remark2.instance.json")
     vm = valuation_measure(inst, build_omega_gcd(inst), 2)
     eps = Fraction(999, 1000)
-    mu, w, lam = from_valuation_measure(vm, epsilon=eps)
+    mu, w, lam = from_valuation_measure(vm)
     start = time.perf_counter()
-    rep = concentration_report(mu, w, lam, epsilon=eps, p=2)
+    rep = concentration_report(mu, w, lam, eps)
     assert time.perf_counter() - start < 1.0
     lo, hi = rep.c_interval
     assert rep.c_lower_ok and 1 / 9 < lo < hi < lo + 1e-15
@@ -387,7 +389,7 @@ def test_valuation_bridge_point_mass():
     for p in (3, 5):
         vm = valuation_measure(inst, om, p)
         mu, w, lam = from_valuation_measure(vm)
-        rep = concentration_report(mu, w, lam, p=p)
+        rep = concentration_report(mu, w, lam)
         assert rep.tail == 0 and rep.ratio == 0
         assert rep.c_lower_ok
         assert rep.c_interval is not None
@@ -401,10 +403,38 @@ def test_valuation_bridge_general_instance():
     om = build_omega_gcd(inst)
     vm = valuation_measure(inst, om, 2)
     mu, w, lam = from_valuation_measure(vm)
-    assert lam == pytest.approx(2 ** (-1 / 2.5))
-    rep = concentration_report(mu, w, lam, p=2)
+    assert lam == PrimeLambda(2)
+    rep = concentration_report(mu, w, lam)
+    assert rep.lam == pytest.approx(2 ** (-1 / 2.5))
     assert rep.c_lower_ok
     assert rep.sigma.total == mu.total
+
+
+def test_prime_lambda_report_shows_the_lambda_its_verdict_used():
+    inst = read_instance(GOLDEN / "remark2.instance.json")
+    omega = build_omega_gcd(inst)
+    for p in (2, 3, 5):
+        mu, w, lam = from_valuation_measure(valuation_measure(inst, omega, p))
+        for eps in (HALF, Fraction(3, 10), Fraction(1, 4), Fraction(999, 1000)):
+            rep = concentration_report(mu, w, lam, eps)
+            assert rep.lam == float(p) ** (-1.0 / float(2 + eps)), (p, eps)
+            lo, hi, ok, c = min_admissible_c_interval(mu, w, lam, eps)
+            assert (rep.c_interval, rep.c_lower_ok, rep.c_min) == ((lo, hi), ok, c), (p, eps)
+
+
+def test_lambda_is_one_argument():
+    mu = Measure2D.point_mass(0, 0)
+    with pytest.raises(TypeError):
+        concentration_report(mu, unit(0), HALF, p=3)
+    with pytest.raises(TypeError):
+        min_admissible_c_interval(mu, unit(0), p=3)
+    # p^(-1/q) lies in (0, 4/5] exactly for p >= 2, at every epsilon in (0, 1)
+    for p in (1, 0, -2):
+        for eps in (HALF, Fraction(1, 1000), Fraction(999, 1000)):
+            with pytest.raises(ValueError, match=r"^lambda = PrimeLambda\(p=-?\d\) outside"):
+                concentration_report(mu, unit(0), PrimeLambda(p), eps)
+    for eps in (Fraction(1, 1000), Fraction(999, 1000)):
+        assert concentration_report(mu, unit(0), PrimeLambda(2), eps).c_min == 1.0
 
 
 @pytest.mark.parametrize("offset", [2, 9, 13])

@@ -31,7 +31,7 @@ def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:
             if all(
                 math.gcd(sub[i], sub[j]) >= space.D
                 for i in range(len(sub))
-                for j in range(i + 1, len(sub))
+                for j in range(i, len(sub))
             ) and len(sub) ** 2 > best:
                 best = len(sub) ** 2
                 best_pair = (sub, sub)
@@ -72,6 +72,15 @@ def test_bnb_equals_bruteforce():
         diag_fast = exhaustive_max(SearchSpace(X=X, Y=X, D=D, force_equal=True))
         diag_slow = exhaustive_max_bruteforce(SearchSpace(X=X, Y=X, D=D, force_equal=True))
         assert diag_fast.max_product == diag_slow.max_product, ("diag", X, D)
+
+
+def test_force_equal_checks_each_self_pair():
+    # gcd(a, a) = a, so only a >= D may enter A = B: at D = 6 that leaves
+    # {6, 7, 8}, no two of which share 6, and at D = 9 nothing in [4, 8]
+    for D, expect in ((6, SearchResult((6,), (6,), 1)), (9, SearchResult((), (), 0))):
+        space = SearchSpace(X=4, Y=4, D=D, force_equal=True)
+        assert exhaustive_max(space) == exhaustive_max_bruteforce(space) == expect
+        assert exhaustive_max(space._replace(force_equal=False)).max_product == expect.max_product
 
 
 def test_bipartite_side_can_exceed_diagonal_cap():
