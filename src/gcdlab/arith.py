@@ -245,31 +245,11 @@ class FactoredNat(NamedTuple):
 
     Ordering and equality follow the integer value; the factor tuple is
     sorted by prime with all exponents >= 1.  The constructor trusts its
-    arguments; checked() validates factors from outside the package.
+    arguments; the package builds one only from factors it computed.
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def checked(cls, value: int, factors) -> "FactoredNat":
-        """FactoredNat(value, factors) after checking that factors is sorted
-        by distinct primes, with exponents >= 1, and multiplies to value."""
-        factors = tuple(factors)
-        prod = 1
-        last = 1
-        for p, e in factors:
-            if e < 1:
-                raise ValueError(f"exponent {e} of prime {p} must be >= 1")
-            if p <= last:
-                raise ValueError("factor tuple must be sorted by distinct primes")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            last = p
-            prod *= p**e
-        if prod != value:
-            raise ValueError(f"factors multiply to {prod}, not {value}")
-        return cls(value, factors)
 
     def valuation(self, p: int) -> int:
         for q, e in self.factors:

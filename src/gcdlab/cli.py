@@ -74,11 +74,12 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _fraction(name: str, text: str) -> Fraction:
+def _number(text: str) -> Fraction:
+    """digits, digits.digits or digits/digits, read exactly (decimal_fraction)."""
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise InstanceError(f"{name}: {text} has a zero denominator") from None
+        return decimal_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +238,8 @@ def cmd_measure(args) -> tuple[dict, int]:
     records = []
     if args.point_mass is not None:
         i, j = args.point_mass
-        try:
-            lam = decimal_fraction(args.lam)
-        except ValueError:
-            raise InstanceError(f"--lambda: {args.lam} is not a finite number") from None
         w = WeightPair.from_densities({i: 1}, {j: 1})
-        rep = concentration_report(Measure2D.point_mass(i, j), w, lam, cfg["epsilon"])
+        rep = concentration_report(Measure2D.point_mass(i, j), w, args.lam, cfg["epsilon"])
         summary = _measure_summary(rep)
         summary["source"] = f"point-mass ({i}, {j})"
     elif inst is not None:
@@ -312,16 +309,14 @@ def cmd_family(args) -> tuple[dict, int]:
         A, B, report = remark2_family(args.X, args.X if args.Y is None else args.Y, args.D)
         D = args.D
     elif args.family == "remark3":
-        A, B, report = remark3_family(args.X, args.D, _fraction("--delta", args.delta))
+        A, B, report = remark3_family(args.X, args.D, args.delta)
         D = args.D
     elif args.family == "sec5":
         A, report = sec5_family(args.X)
         B = None
         D = 1
     else:
-        A, B, report = squarefree_instance(
-            args.n, _fraction("--Q", args.Q), epsilon=cfg["epsilon"], p0=cfg["p0"]
-        )
+        A, B, report = squarefree_instance(args.n, args.Q, epsilon=cfg["epsilon"], p0=cfg["p0"])
         D = 1
     if args.emit_set:
         _emit_set(args.emit_set, A, B if B is not None else A, D, cfg)
@@ -333,12 +328,11 @@ def cmd_search(args) -> tuple[dict, int]:
 
     cfg = _config(args)
     if args.action == "exhaustive":
-        target = args.delta_target
         space = SearchSpace(
             X=args.X,
             Y=args.X if args.Y is None else args.Y,
             D=args.D,
-            delta_target=None if target is None else _fraction("--delta-target", target),
+            delta_target=args.delta_target,
             force_equal=args.force_equal,
         )
         res = exhaustive_max(space)
@@ -416,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # one parent per shared option: each leaf takes those that some run of it reads
     eps, p0, seed, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     eps.add_argument(
-        "--epsilon", type=float, default=None,
+        "--epsilon", type=_number, default=None,
         help="exponent offset in (0, 1); default the instance file's, else 0.5",
     )
     p0.add_argument(
@@ -448,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", parents=[eps, seed, fmt], help="concentration numerics")
     p.add_argument("--point-mass", nargs=2, type=_int, metavar=("I", "J"), default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_number, default=None)
     p.add_argument("--instance", default=None, help="derive the edge measure from an instance")
     p.add_argument("--prime", type=_int, default=None)
     p.add_argument("--random", type=_int, default=None, help="seeded random sweep of n configs")
@@ -466,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f3 = fam.add_parser("remark3", parents=family_options)
     f3.add_argument("--X", type=_int, required=True)
     f3.add_argument("--D", type=_int, required=True)
-    f3.add_argument("--delta", required=True, help="target density, e.g. 1/3")
+    f3.add_argument("--delta", type=_number, required=True, help="target density, e.g. 1/3")
     f3.add_argument("--emit-set", default=None)
     f3.set_defaults(func=cmd_family)
     f5 = fam.add_parser("sec5", parents=family_options)
@@ -475,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f5.set_defaults(func=cmd_family)
     fsq = fam.add_parser("squarefree", parents=family_options)
     fsq.add_argument("--n", type=_int, required=True)
-    fsq.add_argument("--Q", required=True)
+    fsq.add_argument("--Q", type=_number, required=True)
     fsq.add_argument("--emit-set", default=None)
     fsq.set_defaults(func=cmd_family)
 
@@ -485,7 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--X", type=_int, required=True)
     ex.add_argument("--Y", type=_int, default=None)
     ex.add_argument("--D", type=_int, required=True)
-    ex.add_argument("--delta-target", dest="delta_target", help="(0, 1]; selects threshold-delta")
+    ex.add_argument(
+        "--delta-target", dest="delta_target", type=_number, help="(0, 1]; selects threshold-delta"
+    )
     ex.add_argument("--force-equal", action="store_true", dest="force_equal")
     ex.set_defaults(func=cmd_search)
     hv = act.add_parser("hunt", parents=[seed, fmt])

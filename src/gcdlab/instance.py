@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -47,10 +48,21 @@ class InstanceError(ValueError):
     """Invalid instance data, with a field-level diagnostic message."""
 
 
+_DECIMAL_TEXT = re.compile(r"[0-9]+(?:[./][0-9]+)?")
+
+
 def decimal_fraction(x) -> Fraction:
-    """x exactly, with a float read by its shortest decimal text (0.1 is
-    1/10, not the binary double nearest it)."""
-    return Fraction(repr(x) if isinstance(x, float) else x)
+    """x exactly.  Text must be ASCII digits, digits.digits or digits/digits
+    with a nonzero denominator, else ValueError: '1_0', ' 5', '+5' and '5e0'
+    are refused here as the element reader refuses them.  A float is read
+    by its shortest decimal text (0.1 is 1/10, not the binary double nearest
+    it)."""
+    if isinstance(x, str) and not _DECIMAL_TEXT.fullmatch(x):
+        raise ValueError(f"{x!r} is not a number")
+    try:
+        return Fraction(repr(x) if isinstance(x, float) else x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 def epsilon_fraction(epsilon) -> Fraction:
@@ -492,7 +504,7 @@ def _parse_fraction(doc, name: str, required: bool):
     if not isinstance(raw, bool):
         try:  # a JSON float is read by its decimal text, as epsilon is
             return decimal_fraction(raw)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError):
             pass
     raise InstanceError(f"field {name}: {raw!r} is not a number")
 

@@ -8,8 +8,6 @@ seed and config always produce byte-identical output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from fractions import Fraction
@@ -68,6 +66,9 @@ def _flatten(prefix: str, value, out: dict) -> None:
 
 def to_canonical_csv(doc: dict) -> str:
     """One row for the summary and one per record; nested keys dotted."""
+    import csv  # here, so that a JSON run does not load it
+    import io
+
     rows = []
     head = {"record": "summary", "kind": doc["kind"]}
     _flatten("config", doc["config"], head)

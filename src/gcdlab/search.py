@@ -209,8 +209,9 @@ def random_structured_instance(
     """One seeded random instance passed through the modulus search; retries
     deterministically until the pivotal pair set is nonempty.
 
-    Sets always contain at least two multiples of D per side, so the gcd
-    pair set is nonempty by construction."""
+    D <= min(X, Y) puts a multiple of D in each of [X, 2X] and [Y, 2Y],
+    and each side draws one or two of them, so the gcd pair set is nonempty
+    by construction."""
     while True:
         X = rng.randint(4, max_scale)
         Y = rng.randint(4, max_scale)
@@ -228,10 +229,7 @@ def random_structured_instance(
         while len(B) < min(nb, len(ub)):
             B.add(rng.choice(ub))
         inst = GcdInstance.build(sorted(A), sorted(B), D, X, Y)
-        omega = build_omega_gcd(inst)
-        if not omega:
-            continue
-        si = find_modulus(inst, omega)
+        si = find_modulus(inst, build_omega_gcd(inst))
         if si.omega_prime:
             return si
 

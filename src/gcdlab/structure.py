@@ -125,7 +125,8 @@ def find_modulus(inst: GcdInstance, omega: PairSet) -> StructuredInstance:
         raise ValueError("omega is empty: nothing to structure")
     ks, bits = search(omega)
     factors = tuple((p, k) for p, k in ks.items() if k > 0)
-    n = FactoredNat.checked(math.prod(p**k for p, k in factors), factors)
+    # the primes come sorted from A u B's own factorizations: n is canonical
+    n = FactoredNat(math.prod(p**k for p, k in factors), factors)
     return StructuredInstance.build(inst, omega, n, omega.masked(bits))
 
 

@@ -215,39 +215,23 @@ def test_divisors_sorted_and_complete():
         assert set(divs) == {d for d in range(1, n + 1) if n % d == 0}
 
 
-def test_factored_nat_invariants():
-    with pytest.raises(ValueError):
-        FactoredNat.checked(12, ((2, 1), (3, 1)))  # product mismatch
-    with pytest.raises(ValueError):
-        FactoredNat.checked(8, ((2, 0), (4, 1)))  # zero exponent
-    with pytest.raises(ValueError):
-        FactoredNat.checked(12, ((3, 1), (2, 2)))  # unsorted
-    with pytest.raises(ValueError):
-        FactoredNat.checked(4, ((4, 1),))  # non-prime key
-    with pytest.raises(ValueError):
-        FactoredNat.checked(12, ((4, 1), (3, 1)))  # non-prime key, right product
-
-
-def test_checked_accepts_canonical_factors():
-    assert FactoredNat.checked(12, [(2, 2), (3, 1)]) == factorize(12)
-    assert FactoredNat.checked(1, ()) == factorize(1)
-
-
 def test_factorize_result_equals_validated_construction():
     for n in (1, 12, 2310, 1000003 * 1000033, 2**61 - 1):
         f = factorize(n)
-        g = FactoredNat.checked(n, f.factors)
+        assert_canonical(n, f.factors)
+        g = FactoredNat(n, f.factors)
         assert f == g and hash(f) == hash(g) and not f < g
         assert {f: 1}[g] == 1
 
 
 def test_builders_equal_validated_construction():
-    # primorial and radical skip FactoredNat.checked
+    # primorial and radical build their FactoredNat without factorize
     rng = random.Random(67)
     values = list(range(1, 300)) + [rng.randint(1, 10**12) for _ in range(300)]
     built = [primorial(x) for x in range(1, 300)] + [radical(n) for n in values]
     for f in built:
-        g = FactoredNat.checked(f.value, f.factors)
+        assert_canonical(f.value, f.factors)
+        g = FactoredNat(f.value, f.factors)
         assert f == g and hash(f) == hash(g) and f.factors == factorize(f.value).factors
 
 

@@ -494,9 +494,44 @@ def test_bad_arguments_exit_2(capsys):
         assert out.out == "" and out.err.startswith("error: gcdlab") and out.err.count("\n") == 1
 
 
+# number text outside digits, digits.digits and digits/digits that Fraction()
+# or float() alone would read, with the field or flag its diagnostic names;
+# "{K=text}" is the golden instance with field K set to text
+_LENIENT_NUMBERS = [
+    *(
+        (["stats", f"{{{key}={text}}}"], f"field {key}: ")
+        for key in "DXY"
+        for text in (" 5 ", "1_0", "5e0", "+5")
+    ),
+    (["family", "remark3", "--X", "10", "--D", "4", "--delta", " 1/2"], "argument --delta: "),
+    (["family", "remark3", "--X", "10", "--D", "4", "--delta", "0_5"], "argument --delta: "),
+    (["family", "squarefree", "--n", "5", "--Q", "6e0"], "argument --Q: "),
+    (
+        ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "+1/2"],
+        "argument --delta-target: ",
+    ),
+    (["measure", "--point-mass", "0", "0", "--lambda", " 0.5"], "argument --lambda: "),
+    (["measure", "--point-mass", "0", "0", "--lambda", "5e-1"], "argument --lambda: "),
+    (["stats", GOLDEN_INSTANCE, "--epsilon", "2_5e-1"], "argument --epsilon: "),
+]
+
+
+def _materialise(arg: str, tmp_path) -> str:
+    """arg, with "{tmp}" a directory and "{K=text}" an instance file."""
+    if arg == "{tmp}":
+        return str(tmp_path)
+    if arg.startswith("{"):
+        key, text = arg[1:-1].split("=", 1)
+        path = tmp_path / "lenient.json"
+        path.write_text(json.dumps({**json.loads(Path(GOLDEN_INSTANCE).read_text()), key: text}))
+        return str(path)
+    return arg
+
+
 @pytest.mark.parametrize(
     "argv",
     [
+        *(argv for argv, _ in _LENIENT_NUMBERS),
         ["family", "squarefree", "--n", "5", "--Q", "1/0"],
         ["family", "remark3", "--X", "10", "--D", "4", "--delta", "1/0"],
         ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "1/0"],
@@ -554,10 +589,11 @@ def test_bad_arguments_exit_2(capsys):
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
-    argv = [str(tmp_path) if a == "{tmp}" else a for a in argv]
-    code, out, err = run_argv(argv, capsys)
+    named = {tuple(args): name for args, name in _LENIENT_NUMBERS}.get(tuple(argv), "")
+    code, out, err = run_argv([_materialise(a, tmp_path) for a in argv], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 @pytest.mark.parametrize(
@@ -791,9 +827,10 @@ def test_core_subcommands_load_no_optional_module(argv):
     code, modules = modules_loaded_by(argv)
     assert code == 0
     assert modules.isdisjoint(OPTIONAL_MODULES), sorted(modules & set(OPTIONAL_MODULES))
-    # records are NamedTuples: no dataclass machinery at start-up
-    assert modules.isdisjoint(("dataclasses", "inspect")), sorted(
-        modules & {"dataclasses", "inspect"}
+    # records are NamedTuples: no dataclass machinery at start-up; and a JSON
+    # report needs no csv writer
+    assert modules.isdisjoint(("csv", "dataclasses", "inspect")), sorted(
+        modules & {"csv", "dataclasses", "inspect"}
     )
 
 

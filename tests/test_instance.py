@@ -3,21 +3,25 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gcdlab.cli as cli
 from gcdlab.arith import divisors, factorize
 from gcdlab.instance import (
     GcdInstance,
     InstanceError,
     _least_divisors_geq,
+    _parse_fraction,
     build_omega_gcd,
     build_omega_ratio,
     chase_diagonal_bound,
     count_pairs_geq_fast,
     count_pairs_geq_naive,
+    decimal_fraction,
     epsilon_fraction,
     instance_from_json,
     instance_to_json,
@@ -508,3 +512,85 @@ def test_delta_stored_exact():
     om = build_omega_gcd(inst)
     assert isinstance(om.delta, Fraction)
     assert om.delta == Fraction(2, 9)
+
+
+# number text of every kind an instance file may hold: the grammar's three
+# forms, and spaces, signs, '_', exponents, non-ASCII digits, zero
+# denominators and values past int()'s 4300-digit limit
+_DIGITS = st.integers(0, 200).map(str)
+NUMBER_TEXT = st.one_of(
+    _DIGITS,
+    st.builds("{}/{}".format, _DIGITS, _DIGITS),
+    st.builds("{}.{}".format, _DIGITS, _DIGITS),
+    st.lists(
+        st.sampled_from([*"0123456789", " ", "+", "-", "_", "e", ".", "/", "\u0661", "\uff15"]),
+        max_size=8,
+    ).map("".join),
+    st.sampled_from(["1e400", "nan", "9" * 5000, "1/" + "7" * 5000, "0." + "3" * 5000]),
+)
+
+
+def _grammar_value(text: str):
+    """Fraction(text) if text is ASCII digits, digits.digits or digits/digits
+    with a nonzero denominator, within int()'s digit limit; else None."""
+    head, sep, tail = text.partition("/") if "/" in text else text.partition(".")
+    parts = (head, tail) if sep else (head,)
+    if len(text) > 4300 or not all(p.isascii() and p.isdigit() for p in parts):
+        return None
+    return None if sep == "/" and int(tail) == 0 else Fraction(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=NUMBER_TEXT)
+def test_number_text_reads_as_its_fraction_or_not_at_all(text):
+    expected = _grammar_value(text)
+    try:
+        got = decimal_fraction(text)
+    except ValueError:
+        got = None
+    assert got == expected, text
+    # an instance file's D, X, Y and epsilon text is read the same way
+    if expected is None:
+        with pytest.raises(InstanceError, match="^field D: "):
+            _parse_fraction({"D": text}, "D", required=True)
+    else:
+        assert _parse_fraction({"D": text}, "D", required=True) == expected
+
+
+_GOLDEN_INSTANCE = Path(__file__).resolve().parent / "golden" / "remark2.instance.json"
+# a value the golden file could hold (X, Y and A's elements lie near 60, D
+# is 6, epsilon 1/2), or any other
+_FIELD_VALUE = st.one_of(
+    st.sampled_from(["6", "60", "66", "5/2", "0.25", 6, 60, 0.25]),
+    NUMBER_TEXT,
+    st.integers(-5, 200),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+_ELEMENT = st.one_of(st.integers(60, 120).map(str), _FIELD_VALUE)
+
+
+@st.composite
+def instance_doc(draw):
+    """The remark2 golden instance with up to three fields redrawn."""
+    doc = json.loads(_GOLDEN_INSTANCE.read_text())
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), unique=True, max_size=3)):
+        doc[key] = draw(st.lists(_ELEMENT, max_size=4) if key in ("A", "B") else _FIELD_VALUE)
+    return doc
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=instance_doc())
+def test_a_malformed_instance_file_ends_in_an_exit_code_and_one_line(doc, tmp_path, capsys):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["stats", str(path)])  # a traceback fails the test
+    out = capsys.readouterr()
+    assert code in (0, 1, 2), doc
+    if code == 2:
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1, doc
+    else:
+        assert out.err == "" and out.out, doc

@@ -570,6 +570,19 @@ def test_extract_witnesses_random_sweep():
         assert rep.holds and rep.chain_ok
 
 
+def test_the_modulus_is_canonical_without_a_recheck():
+    # find_modulus builds N with the trusting constructor, from the primes of
+    # A u B's own factorizations
+    from gcdlab.search import random_structured_instance
+
+    rng = random.Random(23)
+    structured = [find_modulus(inst, build_omega_gcd(inst)) for inst in _golden_instances()]
+    structured += [random_structured_instance(rng) for _ in range(200)]
+    for si in structured:
+        canonical = factorize(si.n.value)
+        assert si.n == canonical and si.n.factors == canonical.factors, si.n
+
+
 def fraction_verdicts(si, chain):
     """(quad_cap, prop_bound, holds, chain_ok) of chain's pair as the
     Fraction expressions that the integer verdicts replaced."""
