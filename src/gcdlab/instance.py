@@ -65,11 +65,28 @@ def decimal_fraction(x) -> Fraction:
         raise ValueError(f"{x!r} has a zero denominator") from None
 
 
+def _number(x, name: str, required: bool = True) -> Fraction | None:
+    """The field's number exactly (decimal_fraction), None if it is absent
+    and not required; InstanceError naming the field otherwise."""
+    if x is None:
+        if required:
+            raise InstanceError(f"field {name}: missing")
+        return None
+    if not isinstance(x, bool):
+        try:
+            return decimal_fraction(x)
+        except (TypeError, ValueError):  # also a text past int()'s digit limit
+            pass
+    raise InstanceError(f"field {name}: {x!r} is not a number")
+
+
 def epsilon_fraction(epsilon) -> Fraction:
-    """epsilon = a/b exactly: a Fraction or int as it is, a float as the
-    fraction its decimal text names (decimal_fraction).  InstanceError
+    """epsilon = a/b exactly: a Fraction or int as it is, a float or text as
+    the fraction its decimal text names (decimal_fraction).  InstanceError
     unless epsilon is a number, 0 < epsilon < 1 and b <=
     EPSILON_MAX_DENOMINATOR: the exact verdicts raise to powers up to 2b + a."""
+    if isinstance(epsilon, str):
+        epsilon = _number(epsilon, "epsilon")
     exact = isinstance(epsilon, Fraction)
     if not (exact or isinstance(epsilon, (int, float))) or isinstance(epsilon, bool):
         raise InstanceError(f"field epsilon: {epsilon!r} is not a number")
@@ -92,14 +109,31 @@ def p0_natural(p0) -> int:
     return p0
 
 
-def _coerce_elements(S, name: str) -> tuple[FactoredNat, ...]:
+def _elements(S, name: str) -> tuple[FactoredNat, ...]:
+    """The distinct elements of S, sorted and factorized.  InstanceError
+    unless S is a nonempty list, tuple or range whose items are each a
+    FactoredNat, an int or ASCII digits, and at least 1."""
+    if not isinstance(S, (list, tuple, range)) or not S:
+        raise InstanceError(f"field {name}: expected a nonempty array of decimal strings")
+    values = set()
+    for i, s in enumerate(S):
+        if isinstance(s, FactoredNat):
+            values.add(s)
+            continue
+        try:
+            # int() alone also reads 12.7, True, '1_2' and ' 12'
+            if not (type(s) is int or type(s) is str and s.isascii() and s.isdigit()):
+                raise ValueError
+            v = int(s)
+        except ValueError:  # also a text past int()'s digit limit
+            raise InstanceError(f"field {name}[{i}]: {s!r} is not a decimal integer") from None
+        if v < 1:
+            raise InstanceError(f"field {name}[{i}]: {v} must be >= 1")
+        values.add(v)
     try:
-        elems = sorted({factorize(x) for x in S})
-    except ValueError as exc:
+        return tuple(sorted({factorize(x) for x in values}))
+    except ValueError as exc:  # a probable prime past the proven range
         raise InstanceError(f"field {name}: {exc}") from None
-    if not elems:
-        raise InstanceError(f"field {name}: set must be nonempty")
-    return tuple(elems)
 
 
 class GcdInstance(NamedTuple):
@@ -126,17 +160,17 @@ class GcdInstance(NamedTuple):
         p0: int = 100,
         check_ranges: bool = True,
     ) -> "GcdInstance":
-        """Validated constructor.  X (resp. Y) omitted means X = min(A),
+        """Validated constructor, and the one reader of every field: an
+        instance file hands it its JSON values, read in the order A, B, D,
+        X, Y, epsilon, p0, ranges.  X (resp. Y) omitted means X = min(A),
         which errors if max(A) > 2*min(A); passing check_ranges=False skips
-        the dyadic-range and D <= min(X,Y) checks (test harness use)."""
-        A = _coerce_elements(A, "A")
-        B = _coerce_elements(B, "B")
-        if X is None:
-            X = _infer_range(A, "A")
-        if Y is None:
-            Y = _infer_range(B, "B")
-        eps, p0 = epsilon_fraction(epsilon), p0_natural(p0)
-        inst = cls(A, B, Fraction(X), Fraction(Y), Fraction(D), eps, p0)
+        the dyadic-range and D <= min(X,Y) checks, for test harnesses and
+        for family sets that are not dyadic (cli._emit_set)."""
+        A, B = _elements(A, "A"), _elements(B, "B")
+        D, X, Y = _number(D, "D"), _number(X, "X", False), _number(Y, "Y", False)
+        X = _infer_range(A, "A") if X is None else X
+        Y = _infer_range(B, "B") if Y is None else Y
+        inst = cls(A, B, X, Y, D, epsilon_fraction(epsilon), p0_natural(p0))
         if check_ranges:
             inst.validate_ranges()
         return inst
@@ -305,9 +339,7 @@ def build_omega_gcd(inst: GcdInstance) -> PairSet:
 
 def build_omega_ratio(A, B, Q) -> PairSet:
     """All pairs with ab/gcd(a,b)^2 <= Q (the squarefree-theorem predicate)."""
-    A = _coerce_elements(A, "A")
-    B = _coerce_elements(B, "B")
-    Q = Fraction(Q)
+    A, B, Q = _elements(A, "A"), _elements(B, "B"), _number(Q, "Q")
     bvals = [b.value for b in B]
     rows = [
         sum(1 << j for j, b in enumerate(bvals) if Fraction(a * b, math.gcd(a, b) ** 2) <= Q)
@@ -438,13 +470,12 @@ def theorem51_bound(A, B, Q, epsilon: Fraction = Fraction(1, 2), p0: int = 100):
 
     Returns (delta, bound, holds); all elements must be squarefree.
     """
-    A = _coerce_elements(A, "A")
-    B = _coerce_elements(B, "B")
+    A, B = _elements(A, "A"), _elements(B, "B")
     for name, S in (("A", A), ("B", B)):
         for el in S:
             if not is_squarefree(el):
                 raise ValueError(f"element {el.value} of {name} is not squarefree")
-    Q = Fraction(Q)
+    Q = _number(Q, "Q")
     omega = build_omega_ratio(A, B, Q)
     delta = omega.delta
     if delta == 0:
@@ -476,37 +507,12 @@ def instance_to_json(inst: GcdInstance, *, ranges: bool = True) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_int_list(doc, name: str) -> list[int]:
-    raw = doc.get(name)
-    if not isinstance(raw, list) or not raw:
-        raise InstanceError(f"field {name}: expected a nonempty array of decimal strings")
-    out = []
-    for i, s in enumerate(raw):
-        try:
-            # a JSON integer or ASCII digits: int() alone also reads 12.7, True, '1_2', ' 12'
-            if not (type(s) is int or type(s) is str and s.isascii() and s.isdigit()):
-                raise ValueError
-            v = int(s)
-        except ValueError:  # also a text past int()'s digit limit
-            raise InstanceError(f"field {name}[{i}]: {s!r} is not a decimal integer") from None
-        if v < 1:
-            raise InstanceError(f"field {name}[{i}]: {v} must be >= 1")
-        out.append(v)
-    return out
-
-
-def _parse_fraction(doc, name: str, required: bool):
-    raw = doc.get(name)
-    if raw is None:
-        if required:
-            raise InstanceError(f"field {name}: missing")
-        return None
-    if not isinstance(raw, bool):
-        try:  # a JSON float is read by its decimal text, as epsilon is
-            return decimal_fraction(raw)
-        except (TypeError, ValueError):
-            pass
-    raise InstanceError(f"field {name}: {raw!r} is not a number")
+def _json_int(text: str):
+    """A JSON integer; past int()'s digit limit its text, which build refuses by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -519,22 +525,13 @@ def _unique_keys(pairs: list) -> dict:
 
 def instance_from_json(text: str) -> GcdInstance:
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InstanceError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
-    A = _parse_int_list(doc, "A")
-    B = _parse_int_list(doc, "B")
-    D = _parse_fraction(doc, "D", required=True)
-    X = _parse_fraction(doc, "X", required=False)
-    Y = _parse_fraction(doc, "Y", required=False)
-    # build checks epsilon and p0; a number goes as the file wrote it, so its
-    # diagnostic echoes that text, and epsilon's "a/b" text is read as D is
-    eps = doc.get("epsilon", 0.5)
-    if isinstance(eps, str):
-        eps = _parse_fraction(doc, "epsilon", required=True)
-    return GcdInstance.build(A, B, D, X, Y, epsilon=eps, p0=doc.get("p0", 100))
+    A, B, D, X, Y = map(doc.get, "ABDXY")
+    return GcdInstance.build(A, B, D, X, Y, epsilon=doc.get("epsilon", 0.5), p0=doc.get("p0", 100))
 
 
 def read_instance(path) -> GcdInstance:

@@ -135,6 +135,19 @@ def test_exit_2_on_a_number_beyond_float_range(subcommand, field, number, tmp_pa
          "field epsilon: 1000"),
         # nested past the interpreter's recursion limit
         ('{"A": ' + "[" * 10**5 + "]" * 10**5 + ', "B": ["2"], "D": "1"}', "not valid JSON: "),
+        # an integer past int()'s 4300-digit limit reaches the field reader as text
+        pytest.param(
+            '{"A": ["2"], "B": ["2"], "D": "1", "p0": 1' + "0" * 5000 + "}",
+            "field p0: '1000",
+            id="p0-past-digit-limit",
+        ),
+        pytest.param(
+            '{"A": [1' + "0" * 5000 + '], "B": ["2"], "D": "1"}',
+            "field A[0]: '1000",
+            id="element-past-digit-limit",
+        ),
+        ('["A", "B", "D"]', "instance document must be a JSON object"),
+        ('{"A": ["0"], "B": ["2"], "D": "1"}', "field A[0]: 0 must be >= 1"),
     ],
 )
 def test_a_malformed_instance_file_exits_2_with_one_line(
@@ -516,10 +529,19 @@ _LENIENT_NUMBERS = [
 ]
 
 
+# a valid instance with no pair: gcd(5, 7) = 1 < D
+_NO_PAIRS = '{"A": ["5"], "B": ["7"], "D": "2"}'
+
+
 def _materialise(arg: str, tmp_path) -> str:
-    """arg, with "{tmp}" a directory and "{K=text}" an instance file."""
+    """arg, with "{tmp}" a directory, "{K=text}" an instance file and a JSON
+    object the instance file that holds it."""
     if arg == "{tmp}":
         return str(tmp_path)
+    if arg.startswith('{"'):
+        path = tmp_path / "instance.json"
+        path.write_text(arg)
+        return str(path)
     if arg.startswith("{"):
         key, text = arg[1:-1].split("=", 1)
         path = tmp_path / "lenient.json"
@@ -538,6 +560,9 @@ def _materialise(arg: str, tmp_path) -> str:
         ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "0"],
         ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "4"],
         ["stats", "{tmp}"],
+        # nothing to structure, and no edge measure
+        ["structure", _NO_PAIRS],
+        ["measure", "--instance", _NO_PAIRS, "--prime", "2"],
         ["search", "hunt", "--structured", "-3", "--scale-limit", "2"],
         ["search", "hunt", "--structured", "0", "--scale-limit", "-1"],
         ["measure", "--random", "-3"],

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,6 @@ from gcdlab.instance import (
     GcdInstance,
     InstanceError,
     _least_divisors_geq,
-    _parse_fraction,
     build_omega_gcd,
     build_omega_ratio,
     chase_diagonal_bound,
@@ -23,6 +23,7 @@ from gcdlab.instance import (
     count_pairs_geq_naive,
     decimal_fraction,
     epsilon_fraction,
+    gcd_census,
     instance_from_json,
     instance_to_json,
     PairSet,
@@ -173,6 +174,20 @@ def test_census_oracle_equivalence_sample():
         B = sorted({rng.randint(1, 10**6) for _ in range(rng.randint(1, 64))})
         for D in (2, 5, 17, 1000):
             assert count_pairs_geq_fast(A, B, D) == count_pairs_geq_naive(A, B, D)
+
+
+def test_gcd_census_is_the_distribution_of_pairwise_gcds():
+    rng = random.Random(37)
+    cases = [([12, 18, 12, 30], [8, 18, 45])]  # 12 twice: each copy counts
+    for _ in range(20):
+        A = [rng.randint(1, 2000) for _ in range(rng.randint(1, 30))]
+        B = [rng.randint(1, 2000) for _ in range(rng.randint(1, 30))]
+        cases.append((A, B + B[:2]))
+    for A, B in cases:
+        census = gcd_census(A, B)
+        assert census == tuple(sorted(Counter(math.gcd(a, b) for a in A for b in B).items()))
+        for D in (1, 2, 7, 100):
+            assert sum(e for d, e in census if d >= D) == count_pairs_geq_naive(A, B, D)
 
 
 def test_census_non_integral_threshold():
@@ -507,6 +522,34 @@ def test_instance_file_diagnostics():
         instance_from_json('{"A": ["12"], "B": ["12"], "D": "1", "p0": 3, "p0": 5}')
 
 
+def test_a_library_call_is_read_as_a_file_is():
+    # each value below reaches build as a file's JSON value would, and fails
+    # with the file's message
+    for fields, message in (
+        ({"D": "1_0"}, "field D: '1_0' is not a number"),
+        ({"A": [True]}, "field A[0]: True is not a decimal integer"),
+        ({"A": [12.7]}, "field A[0]: 12.7 is not a decimal integer"),
+        ({"A": "12"}, "field A: expected a nonempty array of decimal strings"),
+        ({"A": [0]}, "field A[0]: 0 must be >= 1"),
+        ({"D": None}, "field D: missing"),
+    ):
+        doc = {"A": [12, 18], "B": [12, 24], "D": 6, **fields}
+        for read in (
+            lambda: instance_from_json(json.dumps(doc)),
+            lambda: GcdInstance.build(doc["A"], doc["B"], doc["D"]),
+        ):
+            with pytest.raises(InstanceError) as exc:
+                read()
+            assert str(exc.value) == message
+    with pytest.raises(InstanceError, match="^field Q: '6_0' is not a number$"):
+        theorem51_bound([2, 3], [2, 3], "6_0")
+    with pytest.raises(InstanceError, match="^field Q: '6_0' is not a number$"):
+        build_omega_ratio([2], [3], "6_0")
+    # a float is read by its decimal text, not as the binary double
+    inst = GcdInstance.build([12, 18], [12, 24], 2, 2.3, 12, check_ranges=False)
+    assert inst.X == Fraction(23, 10)
+
+
 def test_delta_stored_exact():
     inst = GcdInstance.build([1, 2, 3], [1, 2, 3], 2, 1, 1, check_ranges=False)
     om = build_omega_gcd(inst)
@@ -549,12 +592,17 @@ def test_number_text_reads_as_its_fraction_or_not_at_all(text):
     except ValueError:
         got = None
     assert got == expected, text
-    # an instance file's D, X, Y and epsilon text is read the same way
+    # an instance file's D, X, Y and epsilon text is read the same way; X and
+    # Y are inferred as 10^20, so only a D below 1 fails the range check
+    doc = json.dumps({"A": ["1" + "0" * 20], "B": ["1" + "0" * 20], "D": text})
     if expected is None:
-        with pytest.raises(InstanceError, match="^field D: "):
-            _parse_fraction({"D": text}, "D", required=True)
+        with pytest.raises(InstanceError, match=f"^field D: {re.escape(repr(text))} is not a "):
+            instance_from_json(doc)
+    elif expected < 1:
+        with pytest.raises(InstanceError, match=f"^field D: {expected} must be >= 1$"):
+            instance_from_json(doc)
     else:
-        assert _parse_fraction({"D": text}, "D", required=True) == expected
+        assert instance_from_json(doc).D == expected
 
 
 _GOLDEN_INSTANCE = Path(__file__).resolve().parent / "golden" / "remark2.instance.json"
@@ -594,3 +642,20 @@ def test_a_malformed_instance_file_ends_in_an_exit_code_and_one_line(doc, tmp_pa
         assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1, doc
     else:
         assert out.err == "" and out.out, doc
+
+
+def _outcome(read):
+    try:
+        return read()
+    except InstanceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=instance_doc())
+def test_a_file_and_a_library_call_read_the_same_values_alike(doc):
+    from_file = _outcome(lambda: instance_from_json(json.dumps(doc)))
+    A, B, D, X, Y = map(doc.get, "ABDXY")
+    eps, p0 = doc.get("epsilon", 0.5), doc.get("p0", 100)
+    from_call = _outcome(lambda: GcdInstance.build(A, B, D, X, Y, epsilon=eps, p0=p0))
+    assert from_file == from_call, doc
