@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import is_squarefree, primorial
-from .instance import count_pairs_geq_fast, theorem51_bound
+from .instance import _number, count_pairs_geq_fast, theorem51_bound
 
 __all__ = [
     "FamilyReport",
@@ -166,7 +166,7 @@ def squarefree_instance(n: int, Q, epsilon: Fraction = Fraction(1, 2), p0: int =
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     A = [m for m in range(1, n + 1) if is_squarefree(m)]
-    Q = Fraction(Q)
+    Q = _number(Q, "Q")
     delta, bound, holds = theorem51_bound(A, A, Q, epsilon, p0)
     checks = ["bound-holds"] if holds else []
     report = FamilyReport(

@@ -109,27 +109,31 @@ def p0_natural(p0) -> int:
     return p0
 
 
-def _elements(S, name: str) -> tuple[FactoredNat, ...]:
-    """The distinct elements of S, sorted and factorized.  InstanceError
-    unless S is a nonempty list, tuple or range whose items are each a
-    FactoredNat, an int or ASCII digits, and at least 1."""
+def _items(S, name: str) -> list:
+    """The items of S in order, repeats kept, each a FactoredNat or an int.
+    InstanceError unless S is a nonempty list, tuple or range whose items are
+    each a FactoredNat, an int or ASCII digits, and at least 1."""
     if not isinstance(S, (list, tuple, range)) or not S:
         raise InstanceError(f"field {name}: expected a nonempty array of decimal strings")
-    values = set()
+    items = []
     for i, s in enumerate(S):
-        if isinstance(s, FactoredNat):
-            values.add(s)
-            continue
-        try:
-            # int() alone also reads 12.7, True, '1_2' and ' 12'
-            if not (type(s) is int or type(s) is str and s.isascii() and s.isdigit()):
-                raise ValueError
-            v = int(s)
-        except ValueError:  # also a text past int()'s digit limit
-            raise InstanceError(f"field {name}[{i}]: {s!r} is not a decimal integer") from None
-        if v < 1:
-            raise InstanceError(f"field {name}[{i}]: {v} must be >= 1")
-        values.add(v)
+        if type(s) is not int and not isinstance(s, FactoredNat):
+            try:
+                # int() alone also reads 12.7, True, '1_2' and ' 12'
+                if not (type(s) is str and s.isascii() and s.isdigit()):
+                    raise ValueError
+                s = int(s)
+            except ValueError:  # also a text past int()'s digit limit
+                raise InstanceError(f"field {name}[{i}]: {s!r} is not a decimal integer") from None
+        if type(s) is int and s < 1:
+            raise InstanceError(f"field {name}[{i}]: {s} must be >= 1")
+        items.append(s)
+    return items
+
+
+def _elements(S, name: str) -> tuple[FactoredNat, ...]:
+    """The distinct items of S (_items), sorted and factorized."""
+    values = set(_items(S, name))
     try:
         return tuple(sorted({factorize(x) for x in values}))
     except ValueError as exc:  # a probable prime past the proven range
@@ -274,7 +278,7 @@ class PairSet(NamedTuple):
 
 def _gcd_threshold(D) -> int:
     # gcds are integers, so gcd >= D is the same test as gcd >= ceil(D)
-    return max(1, math.ceil(Fraction(D)))
+    return max(1, math.ceil(_number(D, "D")))
 
 
 def _least_divisors_geq(factors, t: int) -> list[int]:
@@ -348,14 +352,15 @@ def build_omega_ratio(A, B, Q) -> PairSet:
     return PairSet(A, B, _join_rows(rows, len(B)))
 
 
-def _values(S) -> tuple[int, ...]:
-    return tuple(sorted(int(x) for x in S))
+def _values(S, name: str) -> tuple[int, ...]:
+    """The items of S (_items) as sorted ints, repeats kept."""
+    return tuple(sorted(map(int, _items(S, name))))
 
 
 def count_pairs_geq_naive(A, B, D) -> int:
     """Oracle census: plain double loop over A x B."""
     t = _gcd_threshold(D)
-    av, bv = _values(A), _values(B)
+    av, bv = _values(A, "A"), _values(B, "B")
     gcd = math.gcd
     return sum(1 for a in av for b in bv if gcd(a, b) >= t)
 
@@ -388,13 +393,13 @@ def _exact_gcd_distribution(
 
 def gcd_census(A, B) -> tuple[tuple[int, int], ...]:
     """Exact distribution of gcd(a, b) over A x B as (value, count) pairs."""
-    return _exact_gcd_distribution(_values(A), _values(B))
+    return _exact_gcd_distribution(_values(A, "A"), _values(B, "B"))
 
 
 def count_pairs_geq_fast(A, B, D) -> int:
     """Census by divisor grouping; exactly equals the naive double loop."""
     t = _gcd_threshold(D)
-    dist = _exact_gcd_distribution(_values(A), _values(B))
+    dist = _exact_gcd_distribution(_values(A, "A"), _values(B, "B"))
     return sum(e for d, e in dist if d >= t)
 
 
@@ -446,9 +451,8 @@ def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
     Raises ValueError if some pair has gcd < D (caller precondition).
     Returns (holds, max_allowed).
     """
-    vals = _values(A)
-    X = Fraction(X)
-    D = Fraction(D)
+    vals = _values(A, "A")
+    X, D = _number(X, "X"), _number(D, "D")
     t = _gcd_threshold(D)
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
@@ -475,7 +479,7 @@ def theorem51_bound(A, B, Q, epsilon: Fraction = Fraction(1, 2), p0: int = 100):
         for el in S:
             if not is_squarefree(el):
                 raise ValueError(f"element {el.value} of {name} is not squarefree")
-    Q = _number(Q, "Q")
+    Q, epsilon, p0 = _number(Q, "Q"), epsilon_fraction(epsilon), p0_natural(p0)
     omega = build_omega_ratio(A, B, Q)
     delta = omega.delta
     if delta == 0:

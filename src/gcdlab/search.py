@@ -1,6 +1,8 @@
-"""Exhaustive and branch-and-bound search for extremal sets on small dyadic
-universes, plus a violation hunter for two constituent bounds (the diagonal
-gap bound and the delta^-2 product bound on structured instances).
+"""Exact searches for extremal sets on small dyadic universes (the closed
+sets of the gcd >= D relation at delta = 1, a clique search for A = B, and
+an enumeration of A below delta = 1), plus a violation hunter for two
+constituent bounds (the diagonal gap bound and the delta^-2 product bound
+on structured instances).
 
 The headline inequality with its 1000^(1+#P_sml) factor is deliberately not
 hunted: at desk scale that constant makes the check vacuous.  The product
@@ -28,7 +30,7 @@ __all__ = [
     "random_structured_instance",
 ]
 
-EXHAUSTIVE_SIDE_LIMIT = 20  # integers per side for the exact searches
+EXHAUSTIVE_SIDE_LIMIT = 120  # cap on X and Y for the delta = 1 exact searches
 THRESHOLD_SIDE_LIMIT = 12  # cap on X and Y for the delta < 1 exact mode
 
 
@@ -36,9 +38,10 @@ class SearchSpace(NamedTuple):
     """Search domain: A ranges over subsets of [X, 2X], B over [Y, 2Y].
 
     Without a delta_target the search maximizes |A||B| with gcd(a, b) >= D
-    required for every cross pair (mode "exact-delta-1"); a delta_target
-    requires only that fraction of good pairs and allows X, Y <=
-    THRESHOLD_SIDE_LIMIT (mode "threshold-delta").  force_equal restricts
+    required for every cross pair (mode "exact-delta-1"), for X, Y <=
+    EXHAUSTIVE_SIDE_LIMIT; a delta_target requires only that fraction of
+    good pairs and allows X, Y <= THRESHOLD_SIDE_LIMIT (mode
+    "threshold-delta").  force_equal restricts
     to A = B (diagonal case, needs X == Y and no target)."""
 
     X: int
@@ -120,40 +123,20 @@ def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
 
 
 def _bipartite_max(ua: list[int], ub: list[int], D: int):
-    """Max |A||B| with every cross pair compatible: enumerate B by DFS, the
-    optimal A for a fixed B is everything compatible with all of B."""
-    swap = len(ub) > len(ua)
-    if swap:
-        ua, ub = ub, ua
+    """Max |A||B| with every cross pair compatible.  Some maximum is closed:
+    B is every b whose column contains A, and A is the intersection of B's
+    columns (all of ua if B is empty).  So only all of ua and the
+    intersections of columns are tried, each found by intersecting every
+    column into the sets found so far.  A tie goes to the largest A read
+    as a bitmask."""
     compat = _compat_masks(ua, ub, D)
-    full = (1 << len(ua)) - 1
-    best = 0
-    best_pair = ((), ())
-
-    chosen: list[int] = []
-
-    def dfs(idx: int, mask: int, size: int) -> None:
-        nonlocal best, best_pair
-        prod = mask.bit_count() * size
-        if prod > best:
-            best = prod
-            best_pair = (_subset(ua, mask), tuple(ub[i] for i in chosen))
-        if idx == len(ub):
-            return
-        if mask.bit_count() * (size + len(ub) - idx) <= best:
-            return
-        m2 = mask & compat[idx]
-        if m2:
-            chosen.append(idx)
-            dfs(idx + 1, m2, size + 1)
-            chosen.pop()
-        dfs(idx + 1, mask, size)
-
-    dfs(0, full, 0)
-    a_side, b_side = best_pair
-    if swap:
-        a_side, b_side = b_side, a_side
-    return a_side, b_side, best
+    closed = {(1 << len(ua)) - 1}
+    for c in compat:
+        closed |= {a & c for a in closed}
+    best, a = max((a.bit_count() * sum(a & c == a for c in compat), a) for a in closed)
+    if not best:
+        return (), (), 0
+    return _subset(ua, a), tuple(b for b, c in zip(ub, compat) if a & c == a), best
 
 
 def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
@@ -177,9 +160,10 @@ def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
 
 
 def exhaustive_max(space: SearchSpace) -> SearchResult:
-    """Maximum of |A||B| over the search space, always exact: branch and
-    bound agreeing with plain enumeration for exact-delta-1, enumeration of
-    A for threshold-delta (which check() caps at THRESHOLD_SIDE_LIMIT)."""
+    """Maximum of |A||B| over the search space, always exact: the closed
+    sets of the compatibility relation for exact-delta-1, the clique search
+    for force_equal, enumeration of A for threshold-delta (which check()
+    caps at THRESHOLD_SIDE_LIMIT)."""
     space.check()
     ua, ub = space.universes()
     if space.delta_target is not None:

@@ -62,6 +62,18 @@ def test_criterion_6_sharpness_and_hunt():
     report(6, check_search_and_hunt(scale_limit=16, n_structured=10**4), 300.0)
 
 
+def test_a_wrong_search_witness_fails_the_sharpness_check(monkeypatch):
+    import gcdlab.verify as verify
+    from gcdlab.search import SearchResult
+
+    # a pair with the right product but not {4, 6, 8} on both sides
+    wrong = SearchResult((4, 6, 8), (4, 5, 6), 9)
+    monkeypatch.setattr(verify, "exhaustive_max", lambda space: wrong)
+    res = check_search_and_hunt(n_structured=0)
+    assert not res.ok
+    assert res.detail["failures"] == [{"reason": "search witness", "result": 9}]
+
+
 def test_criterion_7_measure_partition():
     # six-region split sums exactly to the total for every center over
     # 1e3 random measures; best_center is an argmin by exhaustive comparison

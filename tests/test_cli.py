@@ -181,6 +181,15 @@ def test_exit_1_on_violation(monkeypatch, capsys):
     assert doc["records"][0]["kind"] == "diagonal-gap-bound"
 
 
+def test_exit_1_on_an_internal_consistency_failure(monkeypatch, capsys):
+    def failing(si):
+        raise gcdlab.structure.InternalConsistencyError("stub")
+
+    monkeypatch.setattr(cli, "extract_witnesses", failing)
+    code, out, err = run_cli(["structure", GOLDEN_INSTANCE], capsys)
+    assert (code, out, err) == (1, "", "internal consistency failure: stub\n")
+
+
 def test_structure_report(remark2_file, capsys):
     code, out, _ = run_cli(["structure", remark2_file], capsys)
     assert code == 0
@@ -395,7 +404,7 @@ def test_defect_of_a_large_prime_square_ends():
 
 
 def test_search_exhaustive_takes_no_mode_or_limit_flag(capsys):
-    # the mode follows from --delta-target, and the limit is the constant 21
+    # the mode follows from --delta-target, and the limit is the constant 121
     # integers per side
     argv = ["search", "exhaustive", "--X", "4", "--D", "2"]
     for flags in (["--exhaustive-limit", "6"], ["--mode", "threshold-delta"],
@@ -403,10 +412,10 @@ def test_search_exhaustive_takes_no_mode_or_limit_flag(capsys):
         code, out, err = run_argv(argv + flags, capsys)
         assert_one_error_line(code, out, err)
         assert f"unrecognized arguments: {' '.join(flags)}" in err
-    code, out, err = run_cli(["search", "exhaustive", "--X", "21", "--D", "2"], capsys)
+    code, out, err = run_cli(["search", "exhaustive", "--X", "121", "--D", "2"], capsys)
     assert (code, out) == (2, "")
     assert err == (
-        "error: universe too large: 22 or 22 integers per side exceeds the exhaustive limit 21\n"
+        "error: universe too large: 122 or 122 integers per side exceeds the exhaustive limit 121\n"
     )
 
 
@@ -601,7 +610,7 @@ def _materialise(arg: str, tmp_path) -> str:
         ["search", "exhaustive", "--X", "4", "--D", "2", "--delta-target", "1/2", "--force-equal"],
         # library ValueErrors (a DefectError, a SearchSpace check) reach main as they are
         ["defect", "--a", "8", "--n", "2"],
-        ["search", "exhaustive", "--X", "40", "--D", "2"],
+        ["search", "exhaustive", "--X", "121", "--D", "2"],
         # a shared flag given to the group parser, before the leaf name
         ["family", "--epsilon", "0.3", "remark2", "--X", "8", "--D", "2"],
         ["search", "--format", "csv", "exhaustive", "--X", "4", "--D", "2"],

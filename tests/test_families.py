@@ -10,7 +10,7 @@ from gcdlab.families import (
     sec5_family,
     squarefree_instance,
 )
-from gcdlab.instance import count_pairs_geq_naive
+from gcdlab.instance import InstanceError, count_pairs_geq_naive
 
 
 def test_remark2_examples():
@@ -106,6 +106,14 @@ def test_squarefree_instance_examples():
 
     A, B, rep = squarefree_instance(7, 1)  # only the diagonal pairs
     assert rep.measured_delta == Fraction(1, len(A))
+
+
+def test_squarefree_instance_reads_q_once_by_its_field_reader():
+    with pytest.raises(InstanceError) as exc:
+        squarefree_instance(5, "6_0")
+    assert str(exc.value) == "field Q: '6_0' is not a number"
+    # a float Q is its decimal text, as the report echoes it
+    assert squarefree_instance(5, 0.5)[2].parameters["Q"] == "1/2"
 
 
 def test_squarefree_sets_are_squarefree():

@@ -543,11 +543,37 @@ def test_a_library_call_is_read_as_a_file_is():
             assert str(exc.value) == message
     with pytest.raises(InstanceError, match="^field Q: '6_0' is not a number$"):
         theorem51_bound([2, 3], [2, 3], "6_0")
+    # theorem51_bound reads epsilon and p0 as build does
+    assert theorem51_bound([2, 3], [2, 3], 6, epsilon=0.5) == theorem51_bound(
+        [2, 3], [2, 3], 6, epsilon=Fraction(1, 2)
+    )
+    with pytest.raises(InstanceError, match="^field p0: -1 is not a natural number$"):
+        theorem51_bound([2, 3], [2, 3], 6, p0=-1)
     with pytest.raises(InstanceError, match="^field Q: '6_0' is not a number$"):
         build_omega_ratio([2], [3], "6_0")
     # a float is read by its decimal text, not as the binary double
     inst = GcdInstance.build([12, 18], [12, 24], 2, 2.3, 12, check_ranges=False)
     assert inst.X == Fraction(23, 10)
+
+
+def test_the_census_helpers_read_as_build_does():
+    # the census keeps repeats, so only the item checks are shared with build
+    for call, message in (
+        (lambda: count_pairs_geq_naive(["1_2"], [18], 2), "field A[0]: '1_2' is not a decimal integer"),
+        (lambda: count_pairs_geq_naive([12.7], [18], 2), "field A[0]: 12.7 is not a decimal integer"),
+        (lambda: gcd_census([True], [3]), "field A[0]: True is not a decimal integer"),
+        (lambda: gcd_census([3], [0]), "field B[0]: 0 must be >= 1"),
+        (lambda: count_pairs_geq_fast([12], [18], "1_0"), "field D: '1_0' is not a number"),
+        (lambda: count_pairs_geq_naive([12], [18], "1_0"), "field D: '1_0' is not a number"),
+        (lambda: chase_diagonal_bound([4, 6], "4_0", 2), "field X: '4_0' is not a number"),
+        (lambda: chase_diagonal_bound([4, 6], 4, "2_0"), "field D: '2_0' is not a number"),
+    ):
+        with pytest.raises(InstanceError) as exc:
+            call()
+        assert str(exc.value) == message
+    # digit text and FactoredNats read as their values
+    assert count_pairs_geq_fast(["12"], [factorize(18)], "6") == 1
+    assert chase_diagonal_bound(["4", "6", "8"], "4", "2") == (True, 3)
 
 
 def test_delta_stored_exact():

@@ -83,6 +83,41 @@ def test_force_equal_checks_each_self_pair():
         assert exhaustive_max(space._replace(force_equal=False)).max_product == expect.max_product
 
 
+def assert_feasible_and_closed(res: SearchResult, space: SearchSpace) -> None:
+    """Every cross gcd of the pair is >= D, A is every a compatible with all
+    of B, and B is every b compatible with all of A."""
+    ua, ub = space.universes()
+    D = space.D
+    assert res.max_product == len(res.best_a) * len(res.best_b)
+    assert all(math.gcd(a, b) >= D for a in res.best_a for b in res.best_b)
+    assert res.best_a == tuple(a for a in ua if all(math.gcd(a, b) >= D for b in res.best_b))
+    assert res.best_b == tuple(b for b in ub if all(math.gcd(a, b) >= D for a in res.best_a))
+
+
+def test_closed_set_search_equals_bruteforce():
+    # every window up to X, Y = 7, with D one past min(X, Y) too; at Y = 13
+    # and 18 some maxima need an A cut by two columns or more, (6, 13, 5) first
+    for X in range(1, 8):
+        for Y in (*range(1, 8), 13, 18):
+            for D in range(1, min(X, Y) + 2):
+                space = SearchSpace(X=X, Y=Y, D=D)
+                res = exhaustive_max(space)
+                assert res.max_product == exhaustive_max_bruteforce(space).max_product
+                if res.max_product:
+                    assert_feasible_and_closed(res, space)
+                else:
+                    assert res == SearchResult((), (), 0)
+
+
+def test_closed_set_search_at_the_limit():
+    # the multiples of D in [120, 240]: 61 at D = 2, 41 at D = 3
+    for D, side in ((2, 61), (3, 41)):
+        space = SearchSpace(X=120, Y=120, D=D)
+        res = exhaustive_max(space)
+        assert res.max_product == side * side
+        assert_feasible_and_closed(res, space)
+
+
 def test_bipartite_side_can_exceed_diagonal_cap():
     # A = {10, 15, 20} vs B = {30} is feasible at D = 10 although the A side
     # exceeds floor(X/D) + 1 = 2, so the diagonal gap bound is not a valid
@@ -161,10 +196,10 @@ def test_threshold_mode_takes_no_force_equal():
 
 def test_universe_cap_enforced():
     with pytest.raises(ValueError, match="universe too large"):
-        exhaustive_max(SearchSpace(X=40, Y=5, D=2))
-    with pytest.raises(ValueError, match="exceeds the exhaustive limit 21"):
-        exhaustive_max(SearchSpace(X=5, Y=21, D=2))
-    SearchSpace(X=20, Y=20, D=2).check()
+        exhaustive_max(SearchSpace(X=121, Y=5, D=2))
+    with pytest.raises(ValueError, match="exceeds the exhaustive limit 121"):
+        exhaustive_max(SearchSpace(X=5, Y=121, D=2))
+    SearchSpace(X=120, Y=120, D=2).check()
     for X, Y in ((-3, 5), (5, 0)):  # an empty universe has no extremal set
         with pytest.raises(ValueError, match="X and Y must be >= 1"):
             exhaustive_max(SearchSpace(X=X, Y=Y, D=1))
