@@ -30,6 +30,7 @@ _EXPORTS = {
     "instance": (
         "GcdInstance",
         "InstanceError",
+        "InternalConsistencyError",
         "PairSet",
         "build_omega_gcd",
         "build_omega_ratio",
@@ -48,7 +49,6 @@ _EXPORTS = {
         "DefectCensus",
         "DefectDecomposition",
         "DefectError",
-        "InternalConsistencyError",
         "StructuredInstance",
         "ValuationMeasure",
         "check_pivotal",

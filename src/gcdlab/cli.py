@@ -20,6 +20,7 @@ from .arith import is_prime, rational_valuations
 from .instance import (
     GcdInstance,
     InstanceError,
+    InternalConsistencyError,
     build_omega_gcd,
     decimal_fraction,
     epsilon_fraction,
@@ -30,17 +31,10 @@ from .instance import (
     theorem1_bound,
 )
 from .reports import make_report, render
-from .structure import (
-    InternalConsistencyError,
-    defect,
-    extract_witnesses,
-    find_modulus,
-    quad_identity,
-    valuation_measure,
-)
 
-# measure, families, search and verify are imported by the subcommands that
-# run them, so a cold start loads only what it uses.
+# structure, measure, families, search and verify are imported by the
+# subcommands that run them, so a cold start loads only what it uses (the
+# README lists the modules each subcommand loads).
 
 __all__ = ["main"]
 
@@ -117,6 +111,8 @@ def cmd_stats(args) -> tuple[dict, int]:
 
 
 def cmd_structure(args) -> tuple[dict, int]:
+    from .structure import extract_witnesses, find_modulus
+
     inst = read_instance(args.instance)
     omega = build_omega_gcd(inst)
     if not omega:
@@ -156,6 +152,8 @@ def cmd_structure(args) -> tuple[dict, int]:
 
 
 def cmd_defect(args) -> tuple[dict, int]:
+    from .structure import defect, quad_identity
+
     d = defect(args.a, args.n)
     summary = {
         "a": str(args.a),
@@ -243,6 +241,8 @@ def cmd_measure(args) -> tuple[dict, int]:
         summary = _measure_summary(rep)
         summary["source"] = f"point-mass ({i}, {j})"
     elif inst is not None:
+        from .structure import valuation_measure
+
         omega = build_omega_gcd(inst)
         if not omega:
             raise InstanceError("pair set is empty; the edge measure is undefined")

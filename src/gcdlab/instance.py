@@ -23,6 +23,7 @@ from .arith import FactoredNat, _divisors_int, factorize, is_squarefree
 __all__ = [
     "GcdInstance",
     "InstanceError",
+    "InternalConsistencyError",
     "PairSet",
     "build_omega_gcd",
     "build_omega_ratio",
@@ -46,6 +47,10 @@ EPSILON_MAX_DENOMINATOR = 1000  # the largest b of an epsilon = a/b
 
 class InstanceError(ValueError):
     """Invalid instance data, with a field-level diagnostic message."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """An unconditional counting guarantee failed; the implementation is wrong."""
 
 
 _DECIMAL_TEXT = re.compile(r"[0-9]+(?:[./][0-9]+)?")
@@ -132,10 +137,14 @@ def _items(S, name: str) -> list:
 
 
 def _elements(S, name: str) -> tuple[FactoredNat, ...]:
-    """The distinct items of S (_items), sorted and factorized."""
-    values = set(_items(S, name))
+    """The distinct values of S's items (_items), sorted as ints and then
+    factorized; a FactoredNat item is kept as it is."""
+    items = _items(S, name)
+    given = {s.value: s for s in items if type(s) is not int}
+    values = {s for s in items if type(s) is int}
+    values.update(given)
     try:
-        return tuple(sorted({factorize(x) for x in values}))
+        return tuple([given.get(v) or factorize(v) for v in sorted(values)])
     except ValueError as exc:  # a probable prime past the proven range
         raise InstanceError(f"field {name}: {exc}") from None
 
@@ -404,8 +413,10 @@ def count_pairs_geq_fast(A, B, D) -> int:
 
 
 def prime_sets(S, p0: int) -> tuple[frozenset[int], frozenset[int]]:
-    """(P(S), P_sml(S)): primes dividing some element, and those <= p0."""
-    ps = frozenset(p for el in S for p in factorize(el).primes())
+    """(P(S), P_sml(S)): primes dividing some element, and those <= p0.
+    S is read as the census helpers read a set (_items), p0 by p0_natural."""
+    p0 = p0_natural(p0)
+    ps = frozenset({p for el in _items(S, "S") for p, _ in factorize(el).factors})
     return ps, frozenset(p for p in ps if p <= p0)
 
 

@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+from .arith import factorize
 from .instance import GcdInstance, build_omega_gcd, chase_diagonal_bound
 from .structure import InternalConsistencyError, find_modulus, product_bound, witness_chain
 
@@ -212,7 +213,14 @@ def random_structured_instance(
             A.add(rng.choice(ua))
         while len(B) < min(nb, len(ub)):
             B.add(rng.choice(ub))
-        inst = GcdInstance.build(sorted(A), sorted(B), D, X, Y)
+        # valid by construction, so built without GcdInstance.build's checks
+        inst = GcdInstance(
+            tuple(map(factorize, sorted(A))),
+            tuple(map(factorize, sorted(B))),
+            Fraction(X),
+            Fraction(Y),
+            Fraction(D),
+        )
         si = find_modulus(inst, build_omega_gcd(inst))
         if si.omega_prime:
             return si

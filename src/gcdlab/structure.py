@@ -17,7 +17,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .arith import FactoredNat, factorize, rational_valuations
-from .instance import GcdInstance, PairSet, _indices
+from .instance import GcdInstance, InternalConsistencyError, PairSet, _indices
 
 __all__ = [
     "DefectCensus",
@@ -43,10 +43,6 @@ __all__ = [
 
 class DefectError(ValueError):
     """Some |v_p(a/N)| >= 2, so the (a_plus, a_minus) split is undefined."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """An unconditional counting guarantee failed; the implementation is wrong."""
 
 
 # ---------------------------------------------------------------------------

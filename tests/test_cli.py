@@ -185,7 +185,8 @@ def test_exit_1_on_an_internal_consistency_failure(monkeypatch, capsys):
     def failing(si):
         raise gcdlab.structure.InternalConsistencyError("stub")
 
-    monkeypatch.setattr(cli, "extract_witnesses", failing)
+    # cli imports extract_witnesses from gcdlab.structure when structure runs
+    monkeypatch.setattr(gcdlab.structure, "extract_witnesses", failing)
     code, out, err = run_cli(["structure", GOLDEN_INSTANCE], capsys)
     assert (code, out, err) == (1, "", "internal consistency failure: stub\n")
 
@@ -868,16 +869,20 @@ def test_core_subcommands_load_no_optional_module(argv):
     )
 
 
-def test_only_structure_loads_the_modulus_search():
-    # gcdlab.structure imports gcdlab.modulus on first use, so the commands
-    # that never search a modulus do not compile it
-    for argv, loads in (
-        (["stats", GOLDEN_INSTANCE], False),
-        (["defect", "--a", "12", "--n", "6"], False),
-        (["structure", GOLDEN_INSTANCE], True),
+def test_only_the_structure_subcommands_load_the_structure_layer():
+    # cli imports gcdlab.structure in the subcommands that run it, and
+    # structure imports gcdlab.modulus on first use, so a command that never
+    # searches a modulus does not compile it
+    layer = {"gcdlab.structure", "gcdlab.modulus"}
+    for argv, loaded in (
+        (["stats", GOLDEN_INSTANCE], set()),
+        (["family", "remark2", "--X", "8", "--D", "2"], set()),
+        (["measure", "--point-mass", "0", "0", "--lambda", "0.5"], set()),
+        (["defect", "--a", "12", "--n", "6"], {"gcdlab.structure"}),
+        (["structure", GOLDEN_INSTANCE], layer),
     ):
         code, modules = modules_loaded_by(argv)
-        assert code == 0 and ("gcdlab.modulus" in modules) == loads, argv
+        assert code == 0 and modules & layer == loaded, argv
 
 
 def test_measure_loads_its_module():

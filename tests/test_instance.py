@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gcdlab.cli as cli
-from gcdlab.arith import divisors, factorize
+from gcdlab.arith import divisors, factorize, primorial
 from gcdlab.instance import (
     GcdInstance,
     InstanceError,
@@ -27,6 +27,7 @@ from gcdlab.instance import (
     instance_from_json,
     instance_to_json,
     PairSet,
+    _elements,
     prime_sets,
     theorem1_bound,
     theorem51_bound,
@@ -213,6 +214,21 @@ def test_prime_sets_examples():
     assert prime_sets([2**10], 2) == (frozenset({2}), frozenset({2}))
 
 
+def test_prime_sets_reads_as_the_census_helpers_do():
+    for args, message in (
+        (([12, 18], -1), "field p0: -1 is not a natural number"),
+        (([12, 18], 2.5), "field p0: 2.5 is not a natural number"),
+        (([True, 12], 5), "field S[0]: True is not a decimal integer"),
+        (([12.0], 5), "field S[0]: 12.0 is not a decimal integer"),
+        (({12, 18}, 5), "field S: expected a nonempty array of decimal strings"),
+    ):
+        with pytest.raises(InstanceError) as exc:
+            prime_sets(*args)
+        assert str(exc.value) == message
+    # digit text and FactoredNats read as their values
+    assert prime_sets(["12", factorize(35)], 5) == prime_sets([12, 35], 5)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sets(st.integers(min_value=1, max_value=5000), min_size=1, max_size=8),
@@ -221,8 +237,8 @@ def test_prime_sets_examples():
 )
 def test_prime_sets_monotone_in_p0(S, p0a, p0b):
     lo, hi = min(p0a, p0b), max(p0a, p0b)
-    ps, small_lo = prime_sets(S, lo)
-    _, small_hi = prime_sets(S, hi)
+    ps, small_lo = prime_sets(sorted(S), lo)
+    _, small_hi = prime_sets(sorted(S), hi)
     assert small_lo <= small_hi <= ps
 
 
@@ -574,6 +590,33 @@ def test_the_census_helpers_read_as_build_does():
     # digit text and FactoredNats read as their values
     assert count_pairs_geq_fast(["12"], [factorize(18)], "6") == 1
     assert chase_diagonal_bound(["4", "6", "8"], "4", "2") == (True, 3)
+
+
+def test_elements_dedupes_mixed_items_by_value():
+    # repeats, digit text and FactoredNats of one value are one element
+    twelve = factorize(12)
+    got = _elements([18, "12", twelve, 12, "18", factorize(7), "7", 18], "A")
+    assert got == (factorize(7), twelve, factorize(18))
+    # a FactoredNat item is kept as it is, not factorized again
+    p = primorial(50)
+    got = _elements([p, str(2 * p.value), p.value], "B")
+    assert got == (p, factorize(2 * p.value)) and got[0] is p
+    for S, message in (
+        ([12, "1_2"], "field A[1]: '1_2' is not a decimal integer"),
+        ([12, 0], "field A[1]: 0 must be >= 1"),
+        ([twelve, 12.0], "field A[1]: 12.0 is not a decimal integer"),
+        ([12, True], "field A[1]: True is not a decimal integer"),
+        ([], "field A: expected a nonempty array of decimal strings"),
+        ({12}, "field A: expected a nonempty array of decimal strings"),
+        (
+            [12, 2**89 - 1, "12"],
+            f"field A: cannot prove {2**89 - 1} prime: it is a strong probable prime to the"
+            " bases up to 41, which decide only n < 3317044064679887385961981",
+        ),
+    ):
+        with pytest.raises(InstanceError) as exc:
+            _elements(S, "A")
+        assert str(exc.value) == message
 
 
 def test_delta_stored_exact():

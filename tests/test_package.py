@@ -23,6 +23,18 @@ def test_every_export_is_its_modules_object():
         assert namespace[name] is getattr(gcdlab, name), name
 
 
+def test_internal_consistency_error_is_one_class():
+    # instance defines it, so cli.main catches it without loading structure
+    import gcdlab.instance
+    import gcdlab.search
+    import gcdlab.structure
+
+    cls = gcdlab.instance.InternalConsistencyError
+    assert gcdlab.InternalConsistencyError is cls
+    assert gcdlab.structure.InternalConsistencyError is cls
+    assert gcdlab.search.InternalConsistencyError is cls
+
+
 def test_export_map_lists_each_name_once():
     assert len(gcdlab.__all__) == len(set(gcdlab.__all__)) == len(gcdlab._MODULE_OF)
 

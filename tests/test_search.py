@@ -226,6 +226,28 @@ def test_structured_instance_generator():
         assert si.omega_prime.delta <= si.omega.delta
 
 
+def test_a_hunt_draw_is_the_instance_build_reads(monkeypatch):
+    # each draw is built without GcdInstance.build's checks: over 2,000
+    # seeded draws it equals build on the same values, ranges checked
+    import gcdlab.search as search
+    from gcdlab.instance import GcdInstance
+
+    class Accepted:
+        omega_prime = True  # nonempty, so each call returns its first draw
+
+    drawn = []
+    monkeypatch.setattr(search, "find_modulus", lambda inst, omega: drawn.append(inst) or Accepted)
+    rng = random.Random(2026)
+    for _ in range(2000):
+        random_structured_instance(rng)
+    assert len(drawn) == 2000
+    for inst in drawn:
+        values = [a.value for a in inst.A], [b.value for b in inst.B]
+        read = GcdInstance.build(*values, inst.D, inst.X, inst.Y)
+        assert inst == read
+        assert [type(x) for x in inst[2:5]] == [Fraction] * 3
+
+
 def test_hunt_small_run_clean():
     assert hunt_violations(scale_limit=10, seed=7, n_structured=150) == []
 
