@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Extremal search on small windows and the violation hunter.  The search is
-# exact (branch and bound agreeing with plain enumeration); the hunter
-# sweeps the diagonal gap bound exhaustively and fires seeded structured
-# instances at the delta'^-2 product bound.
+# exact (the closed sets of the gcd >= D relation, agreeing with plain
+# enumeration in the tests); the hunter sweeps the diagonal gap bound
+# exhaustively and fires seeded structured instances at the delta'^-2
+# product bound.
 
 from fractions import Fraction
 

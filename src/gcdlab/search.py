@@ -1,6 +1,6 @@
 """Exact searches for extremal sets on small dyadic universes (the closed
-sets of the gcd >= D relation at delta = 1, a clique search for A = B, and
-an enumeration of A below delta = 1), plus a violation hunter for two
+sets of the gcd >= D relation at delta = 1, for A = B as for A and B apart,
+and an enumeration of A below delta = 1), plus a violation hunter for two
 constituent bounds (the diagonal gap bound and the delta^-2 product bound
 on structured instances).
 
@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import factorize
-from .instance import GcdInstance, build_omega_gcd, chase_diagonal_bound
-from .structure import InternalConsistencyError, find_modulus, product_bound, witness_chain
+from .instance import GcdInstance, InternalConsistencyError, build_omega_gcd, chase_diagonal_bound
 
 __all__ = [
     "SearchResult",
@@ -98,46 +97,39 @@ def _compat_masks(ua: list[int], ub: list[int], D: int) -> list[int]:
     return [sum(1 << i for i, a in enumerate(ua) if math.gcd(a, b) >= D) for b in ub]
 
 
-def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
-    """Largest A in [X, 2X] with gcd >= D for every pair, a = b included (so
-    every a >= D), by plain DFS with the popcount bound."""
-    universe = list(range(X, 2 * X + 1))
-    adj = _compat_masks(universe, universe, D)
-    best_mask = 0
-    best_size = 0
-
-    def expand(cand: int, cur: int, size: int) -> None:
-        nonlocal best_mask, best_size
-        if size > best_size:
-            best_size, best_mask = size, cur
-        while cand:
-            if size + cand.bit_count() <= best_size:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            expand(cand & adj[v], cur | low, size + 1)
-
-    # a branch at v keeps cand & adj[v], so only the start needs gcd(a, a) >= D
-    expand(sum(m & 1 << i for i, m in enumerate(adj)), 0, 0)
-    return _subset(universe, best_mask)
+def _closed_sets(compat: list[int], n: int) -> set[int]:
+    """The full mask on n bits and every intersection of masks in compat."""
+    closed = {(1 << n) - 1}
+    for c in compat:
+        closed |= {a & c for a in closed}
+    return closed
 
 
 def _bipartite_max(ua: list[int], ub: list[int], D: int):
     """Max |A||B| with every cross pair compatible.  Some maximum is closed:
     B is every b whose column contains A, and A is the intersection of B's
-    columns (all of ua if B is empty).  So only all of ua and the
-    intersections of columns are tried, each found by intersecting every
-    column into the sets found so far.  A tie goes to the largest A read
-    as a bitmask."""
+    columns (all of ua if B is empty).  A tie goes to the largest A read as
+    a bitmask."""
     compat = _compat_masks(ua, ub, D)
-    closed = {(1 << len(ua)) - 1}
-    for c in compat:
-        closed |= {a & c for a in closed}
+    closed = _closed_sets(compat, len(ua))
     best, a = max((a.bit_count() * sum(a & c == a for c in compat), a) for a in closed)
     if not best:
         return (), (), 0
     return _subset(ua, a), tuple(b for b, c in zip(ub, compat) if a & c == a), best
+
+
+def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
+    """Largest A in [X, 2X] with gcd >= D for every pair, a = b included (so
+    every a >= D).  On [max(X, D), 2X] every self-pair holds, so a maximum
+    clique is the intersection of its members' columns (one more a there
+    would extend it): it is closed.  A closed set is a clique iff it lies in
+    the column of each member.  A tie goes to the least sorted tuple."""
+    u = list(range(max(X, D), 2 * X + 1))
+    compat = _compat_masks(u, u, D)
+    closed = _closed_sets(compat, len(u))
+    cliques = [a for a in closed if all(a & c == a for i, c in enumerate(compat) if a >> i & 1)]
+    size = max(a.bit_count() for a in cliques)
+    return min(_subset(u, a) for a in cliques if a.bit_count() == size)
 
 
 def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
@@ -162,9 +154,9 @@ def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
 
 def exhaustive_max(space: SearchSpace) -> SearchResult:
     """Maximum of |A||B| over the search space, always exact: the closed
-    sets of the compatibility relation for exact-delta-1, the clique search
-    for force_equal, enumeration of A for threshold-delta (which check()
-    caps at THRESHOLD_SIDE_LIMIT)."""
+    sets of the compatibility relation for exact-delta-1, those that are
+    cliques for force_equal, enumeration of A for threshold-delta (which
+    check() caps at THRESHOLD_SIDE_LIMIT)."""
     space.check()
     ua, ub = space.universes()
     if space.delta_target is not None:
@@ -197,6 +189,8 @@ def random_structured_instance(
     D <= min(X, Y) puts a multiple of D in each of [X, 2X] and [Y, 2Y],
     and each side draws one or two of them, so the gcd pair set is nonempty
     by construction."""
+    from .structure import find_modulus
+
     while True:
         X = rng.randint(4, max_scale)
         Y = rng.randint(4, max_scale)
@@ -240,6 +234,8 @@ def hunt_violations(
     two runs seeded structured instances through the witness chain and the
     filtered-density product bound 1000 * delta'^-2 * XY / D^2.
     """
+    from .structure import product_bound, witness_chain
+
     violations: list[Violation] = []
     for X in range(1, scale_limit + 1):
         for D in range(1, X + 1):

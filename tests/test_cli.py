@@ -870,14 +870,16 @@ def test_core_subcommands_load_no_optional_module(argv):
 
 
 def test_only_the_structure_subcommands_load_the_structure_layer():
-    # cli imports gcdlab.structure in the subcommands that run it, and
-    # structure imports gcdlab.modulus on first use, so a command that never
-    # searches a modulus does not compile it
+    # cli imports gcdlab.structure in the subcommands that run it, search
+    # only in its hunt, and structure imports gcdlab.modulus on first use,
+    # so a command that never searches a modulus does not compile it
     layer = {"gcdlab.structure", "gcdlab.modulus"}
     for argv, loaded in (
         (["stats", GOLDEN_INSTANCE], set()),
         (["family", "remark2", "--X", "8", "--D", "2"], set()),
         (["measure", "--point-mass", "0", "0", "--lambda", "0.5"], set()),
+        (["search", "exhaustive", "--X", "4", "--D", "2"], set()),
+        (["search", "exhaustive", "--X", "4", "--D", "2", "--force-equal"], set()),
         (["defect", "--a", "12", "--n", "6"], {"gcdlab.structure"}),
         (["structure", GOLDEN_INSTANCE], layer),
     ):

@@ -218,6 +218,56 @@ def test_diagonal_sharpness_at_multiples():
         )
 
 
+def multiples(d: int, X: int) -> int:
+    """m_d(X), the number of multiples of d in [X, 2X]."""
+    return 2 * X // d - (X - 1) // d
+
+
+def single_modulus_law(D: int, *sides: int) -> int:
+    """max over d >= D of the product of m_d(X) over the sides X: the
+    multiples of the best one modulus on each side."""
+    moduli = range(D, 2 * max(sides) + 1)
+    return max((math.prod(multiples(d, X) for X in sides) for d in moduli), default=0)
+
+
+def test_diagonal_maximizers_are_pinned_and_follow_the_law():
+    # every (X, D) with X <= 40 and 1 <= D <= 2X + 1 as "X D set"; the set
+    # is the largest pairwise-compatible one, a tie going to the least
+    # sorted tuple.  Its size is the single-modulus law's m_d(X): an
+    # observation on these windows, not a theorem
+    lines = []
+    for X in range(1, 41):
+        for D in range(1, 2 * X + 2):
+            best = max_pairwise_compatible(X, D)
+            assert len(best) == single_modulus_law(D, X), (X, D)
+            lines.append(f"{X} {D} {best}")
+    assert lines[:3] == ["1 1 (1, 2)", "1 2 (2,)", "1 3 ()"]
+    assert _sha256(lines) == "5052f0121a66d389d23dc78e9670158ec2e9bcdb608e679afd05b07f7079339c"
+
+
+def test_square_windows_follow_the_single_modulus_law():
+    # an observation on the 780 windows X = Y <= 40, 2 <= D <= X, not a
+    # theorem: the maximum |A||B| is the multiples of one modulus d >= D
+    for X in range(2, 41):
+        for D in range(2, X + 1):
+            res = exhaustive_max(SearchSpace(X=X, Y=X, D=D))
+            assert res.max_product == single_modulus_law(D, X, X), (X, D)
+
+
+@pytest.mark.slow
+def test_mixed_windows_follow_the_single_modulus_law():
+    # the same observation on Y in {X, X + X // 3, 2X - 1, X // 2} with
+    # X <= 40 and 2 <= D <= min(X, Y), 2,700 windows
+    windows = 0
+    for X in range(2, 41):
+        for Y in sorted({X, X + X // 3, 2 * X - 1, X // 2}):
+            for D in range(2, min(X, Y) + 1):
+                res = exhaustive_max(SearchSpace(X=X, Y=Y, D=D))
+                assert res.max_product == single_modulus_law(D, X, Y), (X, Y, D)
+                windows += 1
+    assert windows == 2700
+
+
 def test_structured_instance_generator():
     rng = random.Random(83)
     for _ in range(20):
@@ -229,14 +279,14 @@ def test_structured_instance_generator():
 def test_a_hunt_draw_is_the_instance_build_reads(monkeypatch):
     # each draw is built without GcdInstance.build's checks: over 2,000
     # seeded draws it equals build on the same values, ranges checked
-    import gcdlab.search as search
+    import gcdlab.structure as structure
     from gcdlab.instance import GcdInstance
 
     class Accepted:
         omega_prime = True  # nonempty, so each call returns its first draw
 
     drawn = []
-    monkeypatch.setattr(search, "find_modulus", lambda inst, omega: drawn.append(inst) or Accepted)
+    monkeypatch.setattr(structure, "find_modulus", lambda inst, omega: drawn.append(inst) or Accepted)
     rng = random.Random(2026)
     for _ in range(2000):
         random_structured_instance(rng)
@@ -265,7 +315,7 @@ def test_hunt_takes_the_diagonal_verdict_from_chase_diagonal_bound(monkeypatch):
 def test_hunt_violation_detail_carries_the_product_bound(monkeypatch):
     # a chain that raises, fails or does not hold is recorded with the bound
     # 1000 XY / (delta'^2 D^2) in its detail
-    import gcdlab.search as search
+    import gcdlab.structure as structure
     from gcdlab.structure import InternalConsistencyError, witness_chain
 
     def raising(si):
@@ -278,7 +328,7 @@ def test_hunt_violation_detail_carries_the_product_bound(monkeypatch):
         return witness_chain(si)._replace(holds=False)
 
     for fake in (raising, failing, not_holding):
-        monkeypatch.setattr(search, "witness_chain", fake)
+        monkeypatch.setattr(structure, "witness_chain", fake)
         found = hunt_violations(scale_limit=2, seed=3, n_structured=5)
         rng = random.Random(3)
         assert len(found) == 5
