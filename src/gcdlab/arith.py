@@ -10,8 +10,8 @@ goes to Miller-Rabin, perfect-power roots, and Brent's variant of Pollard
 rho.  Miller-Rabin uses
 the published witness set proven for n's size, so is_prime is exact below
 psi_13 = 3317044064679887385961981 and raises ValueError above it for a
-number that no witness shows composite.  The cached prime sieve grows only
-on demand.
+number that no witness shows composite.  The prime sieve up to TRIAL_LIMIT
+is built once at import; primes_up_to sieves afresh past it.
 """
 
 from __future__ import annotations
@@ -54,32 +54,28 @@ _MR_TIERS = (
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 
-_sieve = bytearray(b"\x00\x00\x01\x01")  # _sieve[n] == 1 iff n prime
-_sieve_limit = 3
-_primes = [2, 3]
 
-
-def _extend_sieve(limit: int) -> None:
-    global _sieve, _sieve_limit, _primes
-    limit = max(limit, 2 * _sieve_limit, 1 << 10)
+def _sieve_to(limit: int) -> bytearray:
+    """sieve[n] == 1 iff n is prime, for 0 <= n <= limit (limit >= 1)."""
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    _sieve = sieve
-    _sieve_limit = limit
-    _primes = [i for i, flag in enumerate(sieve) if flag]
+    return sieve
+
+
+_sieve = _sieve_to(TRIAL_LIMIT)
+_TRIAL_PRIMES = tuple(n for n, flag in enumerate(_sieve) if flag)
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """Sorted list of all primes <= limit (cached sieve, grown on demand)."""
-    if limit > _sieve_limit:
-        _extend_sieve(limit)
-    return _primes[: bisect_right(_primes, limit)]
+    """Sorted list of all primes <= limit (a fresh sieve past TRIAL_LIMIT)."""
+    if limit <= TRIAL_LIMIT:
+        return list(_TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, limit)])
+    return [n for n, flag in enumerate(_sieve_to(limit)) if flag]
 
 
-_TRIAL_PRIMES = tuple(primes_up_to(TRIAL_LIMIT))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 # For a bit length b < 21, _TRIAL_PRODUCTS[b] is the product of the trial
 # primes up to 2**ceil(b/2), which is >= sqrt(n) for every n of b bits.  From
@@ -122,7 +118,7 @@ def is_prime(n: int) -> bool:
     psi_13 = 3317044064679887385961981 that no witness shows composite."""
     if n < 2:
         return False
-    if n <= _sieve_limit:
+    if n <= TRIAL_LIMIT:
         return bool(_sieve[n])
     for p in (2, 3, 5, 7, 11, 13):
         if n % p == 0:
@@ -329,10 +325,10 @@ def radical(n: int | FactoredNat) -> FactoredNat:
     return FactoredNat(prod, tuple((p, 1) for p in ps))
 
 
-@lru_cache(maxsize=1 << 16)
-def _divisors_int(n: int) -> tuple[int, ...]:
+def divisors(n: int | FactoredNat) -> tuple[int, ...]:
+    """All positive divisors of n, sorted ascending."""
     divs = [1]
-    for p, e in _factored(n).factors:
+    for p, e in factorize(n).factors:
         block = list(divs)
         pk = 1
         for _ in range(e):
@@ -340,10 +336,3 @@ def _divisors_int(n: int) -> tuple[int, ...]:
             divs.extend(d * pk for d in block)
     divs.sort()
     return tuple(divs)
-
-
-def divisors(n: int | FactoredNat) -> tuple[int, ...]:
-    """All positive divisors of n, sorted ascending."""
-    if isinstance(n, FactoredNat):
-        n = n.value
-    return _divisors_int(n)

@@ -72,8 +72,9 @@ def remark2_family(X: int, Y: int, D: int):
 def remark3_family(X: int, D: int, delta):
     """A = B = multiples of D0 = floor(delta * D) in [X, 2X]; the reported
     density is the measured fraction of pairs with gcd >= D, against the
-    reference size delta^-2 X^2 / D^2.  Requires D >= 1/delta."""
-    delta = Fraction(delta)
+    reference size delta^-2 X^2 / D^2.  Requires D >= 1/delta; delta is read
+    by _number, so the float 0.3 is 3/10."""
+    delta = _number(delta, "delta")
     if not 0 < delta <= 1:
         raise ValueError(f"delta = {delta} outside (0, 1]")
     if D < 1 / delta:

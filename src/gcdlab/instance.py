@@ -15,10 +15,9 @@ import math
 import re
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import FactoredNat, _divisors_int, factorize, is_squarefree
+from .arith import FactoredNat, divisors, factorize, is_squarefree
 
 __all__ = [
     "GcdInstance",
@@ -374,18 +373,15 @@ def count_pairs_geq_naive(A, B, D) -> int:
     return sum(1 for a in av for b in bv if gcd(a, b) >= t)
 
 
-@lru_cache(maxsize=64)
-def _exact_gcd_distribution(
-    avals: tuple[int, ...], bvals: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    """(d, #pairs with gcd exactly d) for every d with a nonzero count.
+def gcd_census(A, B) -> tuple[tuple[int, int], ...]:
+    """(d, #pairs of A x B with gcd exactly d) for every d with a nonzero count.
 
     c(d) = (#multiples of d in A) * (#multiples of d in B) counts pairs with
     d | gcd; descending over the common divisors, e(d) = c(d) - sum of e(d')
     over proper multiples d' of d isolates the exact-gcd counts.
     """
-    da = Counter(d for a in avals for d in _divisors_int(a))
-    db = Counter(d for b in bvals for d in _divisors_int(b))
+    da = Counter(d for a in _items(A, "A") for d in divisors(a))
+    db = Counter(d for b in _items(B, "B") for d in divisors(b))
     common = sorted(set(da) & set(db))
     cset = set(common)
     pending: dict[int, int] = defaultdict(int)
@@ -394,22 +390,16 @@ def _exact_gcd_distribution(
         e = da[d] * db[d] - pending[d]
         if e:
             exact[d] = e
-            for d2 in _divisors_int(d):
+            for d2 in divisors(d):
                 if d2 != d and d2 in cset:
                     pending[d2] += e
     return tuple(sorted(exact.items()))
 
 
-def gcd_census(A, B) -> tuple[tuple[int, int], ...]:
-    """Exact distribution of gcd(a, b) over A x B as (value, count) pairs."""
-    return _exact_gcd_distribution(_values(A, "A"), _values(B, "B"))
-
-
 def count_pairs_geq_fast(A, B, D) -> int:
     """Census by divisor grouping; exactly equals the naive double loop."""
     t = _gcd_threshold(D)
-    dist = _exact_gcd_distribution(_values(A, "A"), _values(B, "B"))
-    return sum(e for d, e in dist if d >= t)
+    return sum(e for d, e in gcd_census(A, B) if d >= t)
 
 
 def prime_sets(S, p0: int) -> tuple[frozenset[int], frozenset[int]]:

@@ -187,13 +187,20 @@ def _lambda_form(lam, epsilon: Fraction) -> tuple[int, int, int, int, float]:
     lambda^n = (ln/ld)^k, the tail ratio's deg-th power is rational, and
     shown is the displayed float.  A rational lambda (an int, a Fraction or
     a float read as its decimal text) has k = n and deg = b; PrimeLambda(p)
-    has k = b and deg = n, and p < 2 (no p^(-1/q) below 1) raises ValueError."""
+    has k = b and deg = n.  ValueError for p < 2 (no p^(-1/q) below 1) or a
+    lambda <= 0, each outside the lemma's (0, 4/5]; callers other than
+    concentration_report may take a lambda above 4/5."""
     a, b = epsilon.numerator, epsilon.denominator
     if isinstance(lam, PrimeLambda):
         if lam.p < 2:
             raise ValueError(f"lambda = {lam} outside (0, 4/5]")
         return 1, lam.p, b, 2 * b + a, float(lam.p) ** (-1.0 / float(2 + epsilon))
-    exact = decimal_fraction(lam)
+    try:
+        exact = decimal_fraction(lam)
+    except (TypeError, ValueError):  # also nan and inf
+        raise ValueError(f"lambda = {lam!r} is not a number") from None
+    if exact <= 0:
+        raise ValueError(f"lambda = {lam} outside (0, 4/5]")
     return exact.numerator, exact.denominator, 2 * b + a, b, float(exact)
 
 
@@ -308,7 +315,7 @@ def concentration_report(
     ln, ld, power, deg, shown = _lambda_form(lam, epsilon)
     a, b = epsilon.numerator, epsilon.denominator
     n, (top, bottom) = 2 * b + a, LAMBDA_MAX.as_integer_ratio()
-    if not (0 < ln and ln**power * bottom**n <= ld**power * top**n):  # lambda^n <= (4/5)^n
+    if ln**power * bottom**n > ld**power * top**n:  # lambda^n > (4/5)^n
         raise ValueError(f"lambda = {lam} outside (0, 4/5]")
     lo, hi, ok, c = min_admissible_c_interval(mu, w, lam, epsilon)
     k, tail = _best_tail(mu)
@@ -345,11 +352,13 @@ def sweep_extremes(configs, epsilon: Fraction = Fraction(1, 2)) -> SweepExtremes
     a/b and n = 2b + a, each extreme is kept as an exact c_min^n or
     ratio^b by comparing cross-multiplied integers, the verdicts c >= 1/9
     and c <= 1 are integer comparisons, and root_float displays the values.
-    ValueError when configs is empty."""
+    ValueError when configs is empty or a lambda is not a positive int or Fraction."""
     a, b = epsilon.numerator, epsilon.denominator
     n, e = 2 * b + a, a + b
     least, most, top = (1, 0), (0, 1), (0, 1)
     for mu, w, lam in configs:
+        if type(lam) not in (int, Fraction) or lam.numerator <= 0:
+            raise ValueError(f"sweep_extremes: lambda = {lam!r} is not a positive int or Fraction")
         ln, ld = lam.numerator, lam.denominator
         cn, cd = _c_pow(mu, w, ln, ld, n, n, e)
         rn, rd = _ratio_pow(_best_tail(mu)[1], mu.total, ln, ld, b, e)

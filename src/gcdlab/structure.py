@@ -17,7 +17,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .arith import FactoredNat, factorize, rational_valuations
-from .instance import GcdInstance, InternalConsistencyError, PairSet, _indices
+from .instance import GcdInstance, InstanceError, InternalConsistencyError, PairSet
+from .instance import _elements, _indices, _number
 
 __all__ = [
     "DefectCensus",
@@ -287,10 +288,10 @@ class DefectCensus(NamedTuple):
 
 
 def _census_table(S, N: FactoredNat, X: Fraction) -> tuple[list[int], list[int], list[int]]:
-    """The defects of the distinct elements of S, which must lie in
-    [X, 2X], sorted by a_star: the a_star values and the prefix maxima of
-    a_plus^2 and of a_minus^2."""
-    elems = sorted({factorize(x) for x in S})
+    """The defects of the distinct elements of S (_elements), which must
+    lie in [X, 2X], sorted by a_star: the a_star values and the prefix
+    maxima of a_plus^2 and of a_minus^2."""
+    elems = _elements(S, "S")
     xn, xd = X.numerator, X.denominator
     for el in elems:
         if not xn <= el.value * xd <= 2 * xn:
@@ -323,10 +324,13 @@ def _census_at(table, n: int, X: Fraction, bound: Fraction) -> DefectCensus:
 def defect_census(S, N, X, T) -> DefectCensus:
     """Count elements of S within [X, 2X] whose defect a_star is <= T; the
     count can never exceed 2T, and every counted element obeys the range
-    caps a_plus^2 <= 2XT/N and a_minus^2 <= NT/X (verified exactly)."""
+    caps a_plus^2 <= 2XT/N and a_minus^2 <= NT/X (verified exactly).  X and
+    T are read by _number; InstanceError for T < 0."""
     N = factorize(N)
-    X = Fraction(X)
-    return _census_at(_census_table(S, N, X), N.value, X, 2 * Fraction(T))
+    X, t = _number(X, "X"), _number(T, "T")
+    if t < 0:
+        raise InstanceError(f"field T: {T!r} must be >= 0")
+    return _census_at(_census_table(S, N, X), N.value, X, 2 * t)
 
 
 def defect_census_sweep(S, N, X) -> tuple[DefectCensus, ...]:
@@ -336,7 +340,7 @@ def defect_census_sweep(S, N, X) -> tuple[DefectCensus, ...]:
     two integer comparisons with prefix maxima, O((|S| + grid) log |S|) in
     all."""
     N = factorize(N)
-    X = Fraction(X)
+    X = _number(X, "X")
     table = _census_table(S, N, X)
     top = 4 * max(table[0], default=0)  # 2T runs over the powers of two up to top
     return tuple(

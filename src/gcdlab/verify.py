@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .arith import divisors, is_squarefree, radical
 from .families import sec5_family
-from .instance import count_pairs_geq_fast
+from .instance import gcd_census
 from .measure import (
     best_center,
     capped_admissible_config,
@@ -133,8 +133,8 @@ def random_structured_set(rng: random.Random):
 
 def check_census_oracle(seed: int = 1001, n_instances: int = 200) -> CheckResult:
     """Fast census equals the naive double loop, exactly, on every seeded
-    instance and threshold in _CENSUS_D_VALUES.  The loop runs once per
-    instance, and each threshold counts its list of gcds."""
+    instance and threshold in _CENSUS_D_VALUES.  The census and the loop
+    run once per instance, and each threshold counts from both."""
     start = time.perf_counter()
     rng = random.Random(seed)
     gcd = math.gcd
@@ -143,9 +143,10 @@ def check_census_oracle(seed: int = 1001, n_instances: int = 200) -> CheckResult
     for idx in range(n_instances):
         A, B = random_census_instance(rng)
         pairs_total += len(A) * len(B)
+        census = gcd_census(A, B)
         gcds = [gcd(a, b) for a in A for b in B]
         for D in _CENSUS_D_VALUES:
-            fast = count_pairs_geq_fast(A, B, D)
+            fast = sum(e for d, e in census if d >= D)
             naive = sum(1 for g in gcds if g >= D)
             if fast != naive:
                 mismatches.append({"instance": idx, "D": D, "fast": fast, "naive": naive})

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcdlab import arith
 from gcdlab.arith import (
     _MR_TIERS,
     _TRIAL_PRIMES,
@@ -145,19 +146,13 @@ def test_factorize_random_large_values_are_canonical():
 
 
 def test_factorize_never_grows_the_sieve():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "from gcdlab import arith\n"
-        "for n in (1000003 * 1000033, 10**15 + 37, 2**61 - 1, 7 * 999983**2):\n"
-        "    arith.factorize(n)\n"
-        "print(arith._sieve_limit)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
-    )
-    assert int(proc.stdout) <= TRIAL_LIMIT
+    # the sieve is built once, up to TRIAL_LIMIT; factorizing past it and a
+    # larger primes_up_to leave it as it is
+    for n in (1000003 * 1000033, 10**15 + 37, 2**61 - 1, 7 * 999983**2):
+        factorize(n)
+    assert len(arith._sieve) == TRIAL_LIMIT + 1
+    assert len(primes_up_to(10**6)) == 78498
+    assert len(arith._sieve) == TRIAL_LIMIT + 1
 
 
 def test_valuation_examples():

@@ -1,8 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from gcdlab import cli
 from gcdlab.arith import is_squarefree
 from gcdlab.families import (
     remark2_family,
@@ -52,6 +54,22 @@ def test_remark3_examples():
     A, B, rep = remark3_family(10**4, 9, Fraction(1, 3))
     assert rep.parameters["D0"] == 3
     assert rep.measured_delta >= Fraction(1, 6)  # the density law at m = 3
+
+
+def test_remark3_reads_delta_as_the_cli_does(capsys):
+    # the float 0.3 is 3/10, as the flag reads it, so D0 = floor(3/10 * 10) = 3
+    A, B, rep = remark3_family(40, 10, 0.3)
+    assert remark3_family(40, 10, "3/10") == (A, B, rep)
+    assert rep.parameters == {"X": 40, "D": 10, "delta": "3/10", "D0": 3}
+    assert cli.main(["family", "remark3", "--X", "40", "--D", "10", "--delta", "0.3"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["parameters"] == rep.parameters
+    assert summary["measured_delta"] == str(rep.measured_delta)
+    assert summary["extremal_ratio"] == rep.extremal_ratio
+    for bad, message in ((True, "True is not a number"), (" 3/10 ", "' 3/10 ' is not a number")):
+        with pytest.raises(InstanceError) as exc:
+            remark3_family(40, 10, bad)
+        assert str(exc.value) == f"field delta: {message}"
 
 
 def test_remark3_rejects_small_d():

@@ -75,6 +75,14 @@ def test_lambda_domain():
     for bad in (0, Fraction(-1, 10), Fraction(81, 100), 1, 0.81):
         with pytest.raises(ValueError, match="outside"):
             concentration_report(mu, unit(0), bad)
+    # min_admissible_c_interval takes any lambda > 0, but none at or below 0
+    for bad in (0, -1, Fraction(-1, 10), "0", PrimeLambda(1)):
+        with pytest.raises(ValueError, match="outside"):
+            min_admissible_c_interval(mu, unit(0), bad)
+    for bad in (None, "1_0", math.nan, math.inf):
+        with pytest.raises(ValueError) as exc:
+            min_admissible_c_interval(mu, unit(0), bad)
+        assert str(exc.value) == f"lambda = {bad!r} is not a number"
     # the boundary is included, and the float 0.8 is read as 4/5
     for lam in (Fraction(4, 5), 0.8):
         assert concentration_report(mu, unit(0), lam).c_min == 1.0
@@ -348,6 +356,14 @@ def test_capped_family_achieves_c_at_most_one():
 def test_sweep_extremes_rejects_an_empty_sweep():
     with pytest.raises(ValueError, match="at least one configuration"):
         sweep_extremes([])
+
+
+def test_sweep_extremes_names_a_lambda_it_cannot_read():
+    mu, w = Measure2D.point_mass(0, 0), unit(0)
+    for bad in (0.5, "1/2", PrimeLambda(2), True, 0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError) as exc:
+            sweep_extremes([(mu, w, HALF), (mu, w, bad)])
+        assert str(exc.value) == f"sweep_extremes: lambda = {bad!r} is not a positive int or Fraction"
 
 
 def test_sweep_extremes_match_the_report():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gcdlab.arith import factorize, is_squarefree, rational_valuations
 from gcdlab.families import remark2_family
-from gcdlab.instance import GcdInstance, PairSet, build_omega_gcd, read_instance
+from gcdlab.instance import GcdInstance, InstanceError, PairSet, build_omega_gcd, read_instance
 from gcdlab.modulus import _cells, _per_prime_masks, prime_table
 from gcdlab.structure import (
     DefectError,
@@ -484,6 +484,28 @@ def test_defect_census_examples():
 def test_defect_census_rejects_bad_window():
     with pytest.raises(ValueError, match="outside"):
         defect_census([12, 30], 6, 12, 3)
+
+
+def test_defect_census_reads_its_inputs_as_the_census_helpers_do():
+    S, N = [12, 15, 18], 6
+    for call, message in (
+        (lambda: defect_census([True], 1, 1, 1), "field S[0]: True is not a decimal integer"),
+        (lambda: defect_census([12.0], N, 12, 3), "field S[0]: 12.0 is not a decimal integer"),
+        (lambda: defect_census_sweep([12.0], N, 12), "field S[0]: 12.0 is not a decimal integer"),
+        (lambda: defect_census(S, N, "1_2", 3), "field X: '1_2' is not a number"),
+        (lambda: defect_census(S, N, " 12 ", 3), "field X: ' 12 ' is not a number"),
+        (lambda: defect_census_sweep(S, N, "1_2"), "field X: '1_2' is not a number"),
+        (lambda: defect_census(S, N, 12, "0_1"), "field T: '0_1' is not a number"),
+        (lambda: defect_census(S, N, 12, -1), "field T: -1 must be >= 0"),
+    ):
+        with pytest.raises(InstanceError) as exc:
+            call()
+        assert str(exc.value) == message
+    # digit text reads as its value; a float X or T as its decimal text
+    assert defect_census(["12", "15", "18"], N, 12, 3) == defect_census(S, N, 12, 3)
+    assert defect_census_sweep(["12", "15", "18"], N, 12) == defect_census_sweep(S, N, 12)
+    assert defect_census(S, N, 11.9, 3) == defect_census(S, N, Fraction(119, 10), 3)
+    assert defect_census(S, N, 12, 0.1).bound == Fraction(1, 5)
 
 
 def test_defect_census_property_sweep():
