@@ -21,6 +21,7 @@ from .instance import (
     GcdInstance,
     InstanceError,
     InternalConsistencyError,
+    _omega_rows,
     build_omega_gcd,
     decimal_fraction,
     epsilon_fraction,
@@ -85,7 +86,9 @@ def cmd_stats(args) -> tuple[dict, int]:
     inst = read_instance(args.instance)
     cfg = _config(args, inst)
     inst = inst._replace(epsilon=cfg["epsilon"], p0=cfg["p0"])
-    omega = build_omega_gcd(inst)
+    # each row is counted and dropped: stats never builds the |A||B| grid
+    size = sum(row.bit_count() for row in _omega_rows(inst))
+    delta = Fraction(size, inst.size_product())
     pset, psml = prime_sets(inst.A + inst.B, inst.p0)
     summary = {
         "n_a": len(inst.A),
@@ -96,16 +99,16 @@ def cmd_stats(args) -> tuple[dict, int]:
         "D": inst.D,
         "epsilon": float(inst.epsilon),
         "p0": inst.p0,
-        "delta": omega.delta,
-        "omega_size": len(omega),
+        "delta": delta,
+        "omega_size": size,
         "primes": sorted(pset),
         "primes_small": sorted(psml),
     }
-    if omega.delta == 0:
+    if delta == 0:
         summary["notice"] = "empty pair set; bound check skipped"
         summary.update(bound=None, bound_log10=None, holds=None)
     else:
-        bound, log10_bound, holds = theorem1_bound(inst, omega.delta, psml)
+        bound, log10_bound, holds = theorem1_bound(inst, delta, psml)
         summary.update(bound=_finite(bound), bound_log10=log10_bound, holds=holds)
     return make_report("stats", _echo(cfg), summary), 0
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import is_squarefree, primorial
-from .instance import _number, count_pairs_geq_fast, theorem51_bound
+from .instance import InstanceError, _number, count_pairs_geq_fast, theorem51_bound
 
 __all__ = [
     "FamilyReport",
@@ -36,6 +36,14 @@ class FamilyReport(NamedTuple):
     details: dict
 
 
+def _integer(x, name: str) -> int:
+    """x itself if it is an int; InstanceError naming the parameter for a
+    bool, a float, text or anything else, which int() would read or round."""
+    if type(x) is not int:
+        raise InstanceError(f"field {name}: {x!r} is not an integer")
+    return x
+
+
 def _multiples_in_window(d: int, X: int) -> list[int]:
     lo = -(-X // d) * d  # first multiple >= X
     return list(range(lo, 2 * X + 1, d))
@@ -44,6 +52,7 @@ def _multiples_in_window(d: int, X: int) -> list[int]:
 def remark2_family(X: int, Y: int, D: int):
     """A = multiples of D in [X, 2X], B = likewise in [Y, 2Y]; every pair
     has gcd >= D, so delta = 1, and |A| is within 1 of X/D."""
+    X, Y, D = _integer(X, "X"), _integer(Y, "Y"), _integer(D, "D")
     if D < 1 or D > min(X, Y):
         raise ValueError(f"need 1 <= D <= min(X, Y), got D = {D}")
     A = _multiples_in_window(D, X)
@@ -74,7 +83,7 @@ def remark3_family(X: int, D: int, delta):
     density is the measured fraction of pairs with gcd >= D, against the
     reference size delta^-2 X^2 / D^2.  Requires D >= 1/delta; delta is read
     by _number, so the float 0.3 is 3/10."""
-    delta = _number(delta, "delta")
+    X, D, delta = _integer(X, "X"), _integer(D, "D"), _number(delta, "delta")
     if not 0 < delta <= 1:
         raise ValueError(f"delta = {delta} outside (0, 1]")
     if D < 1 / delta:
@@ -109,7 +118,7 @@ def sec5_family(X: int):
     sets.  All arithmetic is exact; values are verified integral and
     pairwise distinct.
     """
-    if X < 2:
+    if _integer(X, "X") < 2:
         raise ValueError(f"need X >= 2, got {X}")
     P = primorial(X).value
     values = {}
@@ -164,7 +173,7 @@ def squarefree_instance(n: int, Q, epsilon: Fraction = Fraction(1, 2), p0: int =
     """A = B = squarefree integers in [1, n], with the density of pairs
     satisfying ab/gcd^2 <= Q and the squarefree product bound evaluated at
     epsilon and p0."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError(f"need n >= 1, got {n}")
     A = [m for m in range(1, n + 1) if is_squarefree(m)]
     Q = _number(Q, "Q")

@@ -331,22 +331,25 @@ def _join_rows(rows, width: int) -> int:
     return rows[0]
 
 
-def build_omega_gcd(inst: GcdInstance) -> PairSet:
-    """All pairs (a, b) in A x B with gcd(a, b) >= D, density exact.  Row a
-    is the union of the column masks of a's least divisors >= D, so no pair
-    is tested."""
+def _omega_rows(inst: GcdInstance):
+    """Row a of Omega for each a in A in turn, as a mask over B: the union
+    of the column masks of a's least divisors >= D, so no pair is tested."""
     t = _gcd_threshold(inst.D)
     cols: dict[int, int] = defaultdict(int)
     for j, b in enumerate(inst.B):
         for d in _least_divisors_geq(b.factors, t):
             cols[d] |= 1 << j
-    rows = []
     for a in inst.A:
         row = 0
         for d in _least_divisors_geq(a.factors, t):
             row |= cols.get(d, 0)
-        rows.append(row)
-    return PairSet(inst.A, inst.B, _join_rows(rows, len(inst.B)))
+        yield row
+
+
+def build_omega_gcd(inst: GcdInstance) -> PairSet:
+    """All pairs (a, b) in A x B with gcd(a, b) >= D, density exact: the
+    rows of _omega_rows joined into one grid."""
+    return PairSet(inst.A, inst.B, _join_rows(list(_omega_rows(inst)), len(inst.B)))
 
 
 def build_omega_ratio(A, B, Q) -> PairSet:

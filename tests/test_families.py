@@ -41,6 +41,26 @@ def test_remark2_rejects_large_d():
         remark2_family(10, 10, 11)
 
 
+def test_families_read_their_integer_parameters():
+    # int() would read the text and the bool and round the float
+    for call, message in (
+        (lambda: remark2_family("10", 10, 3), "field X: '10' is not an integer"),
+        (lambda: remark2_family(10.5, 10, 3), "field X: 10.5 is not an integer"),
+        (lambda: remark2_family(10, True, 3), "field Y: True is not an integer"),
+        (lambda: remark2_family(10, 10, 3.0), "field D: 3.0 is not an integer"),
+        (lambda: remark3_family(40, "10", 0.3), "field D: '10' is not an integer"),
+        (lambda: remark3_family(40.0, 10, 0.3), "field X: 40.0 is not an integer"),
+        (lambda: remark3_family(False, 10, 0.3), "field X: False is not an integer"),
+        (lambda: sec5_family(True), "field X: True is not an integer"),
+        (lambda: sec5_family(7.0), "field X: 7.0 is not an integer"),
+        (lambda: sec5_family("7"), "field X: '7' is not an integer"),
+        (lambda: squarefree_instance("6", 6), "field n: '6' is not an integer"),
+    ):
+        with pytest.raises(InstanceError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_remark3_examples():
     A, B, rep = remark3_family(40, 4, Fraction(1, 2))
     assert rep.parameters["D0"] == 2

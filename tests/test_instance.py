@@ -16,6 +16,7 @@ from gcdlab.instance import (
     GcdInstance,
     InstanceError,
     _least_divisors_geq,
+    _omega_rows,
     build_omega_gcd,
     build_omega_ratio,
     chase_diagonal_bound,
@@ -29,10 +30,13 @@ from gcdlab.instance import (
     PairSet,
     _elements,
     prime_sets,
+    read_instance,
     theorem1_bound,
     theorem51_bound,
 )
 from pairset_views import edges
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_build_omega_examples():
@@ -101,6 +105,29 @@ def test_omega_views_match_naive_census():
             if a.value * b.value <= Q * math.gcd(a.value, b.value) ** 2
         ]
         assert list(edges(ratio)) == naive, (A, B, Q)
+
+
+def test_row_count_equals_the_grid_and_the_naive_census():
+    # stats counts _omega_rows one at a time; structure joins them into the grid
+    goldens = map(read_instance, sorted(GOLDEN.glob("*.instance.json")))
+    cases = [(inst.A, inst.B, inst.D) for inst in goldens]
+    rng = random.Random(37)
+    A = sorted({rng.randint(500, 1000) for _ in range(40)})
+    B = sorted({rng.randint(700, 1400) for _ in range(30)})
+    cases += [
+        (A, B, Fraction(7, 2)),  # a fractional D
+        (A, B, Fraction(41, 3)),
+        ([7, 11, 13], [17, 19], 2),  # an empty pair set
+        ([12], [18], 6),  # one-element sides
+        ([12], [18], 7),
+        ([1], [1], 1),
+        (list(range(2, 200)), B, 3),  # more than 128 rows
+    ]
+    for A, B, D in cases:
+        inst = GcdInstance.build(A, B, D, 1, 1, check_ranges=False)
+        rows, om = list(_omega_rows(inst)), build_omega_gcd(inst)
+        assert rows == om.row_bits(), (A, B, D)
+        assert sum(r.bit_count() for r in rows) == len(om) == count_pairs_geq_naive(A, B, D)
 
 
 def test_masked_copy_keeps_the_grid_and_predicate():
@@ -301,6 +328,20 @@ def test_chase_examples():
 def test_chase_rejects_low_gcd():
     with pytest.raises(ValueError):
         chase_diagonal_bound([4, 9], 4, 2)
+
+
+def test_factored_items_count_as_their_values():
+    # the naive census and the diagonal bound read a FactoredNat by int()
+    A, B = [12, 18, 20, 35], [6, 14, 15, 21, 30]
+    fA, fB = [factorize(v) for v in A], [factorize(v) for v in B]
+    for D in (1, 2, Fraction(5, 2), 3, 7):
+        want = count_pairs_geq_naive(A, B, D)
+        assert count_pairs_geq_naive(fA, fB, D) == count_pairs_geq_naive(fA, B, D) == want
+    chain = [12, 18, 24]
+    want = chase_diagonal_bound(chain, 12, 6)
+    assert chase_diagonal_bound([factorize(v) for v in chain], 12, 6) == want == (True, 3)
+    with pytest.raises(ValueError, match=r"gcd\(4, 9\) = 1 < 2"):
+        chase_diagonal_bound([factorize(4), factorize(9)], 4, 2)
 
 
 def test_theorem51_examples():
