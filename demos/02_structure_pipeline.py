@@ -34,7 +34,7 @@ print("=" * 72)
 # only elements appearing in a pivotal pair have all valuations of a/N in
 # {-1, 0, 1}; those are exactly the elements the argument ever decomposes,
 # and the structured instance holds each one's defect
-a_prime = [a for a, row in zip(si.omega_prime.A, si.omega_prime.row_bits()) if row]
+a_prime = [a for a, row in zip(si.omega_prime.A, si.omega_prime.rows) if row]
 print(f"A' = elements with a pivotal partner: {[el.value for el in a_prime]}")
 print(f"{'a':>6} {'a+':>6} {'a-':>6} {'a*':>6}")
 for a in a_prime:
@@ -46,7 +46,7 @@ print("every pivotal pair satisfies a* b* = ab/gcd(a,b)^2, prime by prime:")
 # the second pivotal pair in row-major order: by index in A, then in B
 a, b = [
     (a, b)
-    for a, row in zip(si.omega_prime.A, si.omega_prime.row_bits())
+    for a, row in zip(si.omega_prime.A, si.omega_prime.rows)
     for j, b in enumerate(si.omega_prime.B)
     if row >> j & 1
 ][1]

@@ -123,7 +123,7 @@ def cmd_structure(args) -> tuple[dict, int]:
     si = find_modulus(inst, omega)
     records = []
     op = si.omega_prime
-    for side, elems, lines in (("A", op.A, op.row_bits()), ("B", op.B, op.col_bits())):
+    for side, elems, lines in (("A", op.A, op.rows), ("B", op.B, op.col_bits())):
         for el, line in zip(elems, lines):
             if degree := line.bit_count():
                 d = si.defects[el]

@@ -140,11 +140,11 @@ def sec5_family(X: int):
             values[v] = (m, n)
     A = sorted(values)
     checks = []
-    max_ratio = Fraction(0)
+    max_ratio = 0  # a1*a2/gcd^2 is the integer (a1/g)(a2/g)
     for i, a1 in enumerate(A):
         for a2 in A[i:]:
             g = math.gcd(a1, a2)
-            r = Fraction(a1 * a2, g * g)
+            r = (a1 // g) * (a2 // g)
             if r > max_ratio:
                 max_ratio = r
     if max_ratio <= X * X:

@@ -223,16 +223,16 @@ def _infer_range(S: tuple[FactoredNat, ...], name: str) -> Fraction:
 
 class PairSet(NamedTuple):
     """A set of ordered pairs (a, b) in A x B with its exact density, stored
-    as one integer bitset over the grid: bit i*|B| + j is set iff (A[i], B[j])
-    is a pair.  Size, density and the row and column bitsets are views of it.
+    as one row per element of A: bit j of rows[i] is set iff (A[i], B[j])
+    is a pair.  Size, density and the column bitsets are views of the rows.
 
     len() is the number of pairs, not of fields, so _replace and _make
-    raise TypeError; masked() builds a copy with other bits.
+    raise TypeError; a copy with other rows is PairSet(A, B, rows).
     """
 
     A: tuple[FactoredNat, ...]
     B: tuple[FactoredNat, ...]
-    bits: int
+    rows: tuple[int, ...]
 
     @property
     def n_left(self) -> int:
@@ -243,45 +243,19 @@ class PairSet(NamedTuple):
         return len(self.B)
 
     def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def masked(self, bits: int) -> "PairSet":
-        """The pair set over the same grid with the given bits."""
-        return PairSet(self.A, self.B, bits)
+        return sum(map(int.bit_count, self.rows))
 
     @property
     def delta(self) -> Fraction:
         return Fraction(len(self), self.n_left * self.n_right)
 
-    def row_bits(self) -> list[int]:
-        """Row i of the grid as an integer: bit j is set iff (A[i], B[j])
-        is a pair.  Each shift copies the grid, so the shifts cost |A|
-        copies of it and decoding its binary text costs a few: up to 128
-        rows the shifts are faster (they break even near 256)."""
-        n, m = len(self.B), len(self.A)
-        if m <= 128:
-            mask = (1 << n) - 1
-            return [self.bits >> k & mask for k in range(0, m * n, n)]
-        s = format(self.bits, f"0{m * n}b")
-        return [int(s[k : k + n], 2) for k in range(0, len(s), n)][::-1]
-
     def col_bits(self) -> list[int]:
-        """Column j of the grid as an integer: bit i is set iff (A[i], B[j])
-        is a pair."""
-        s, n = format(self.bits, f"0{self.n_left * self.n_right}b"), self.n_right
-        # character len(s) - 1 - k is bit k, so column j reads from n - 1 - j
+        """Column j of the pair set as an integer: bit i is set iff
+        (A[i], B[j]) is a pair."""
+        n = self.n_right
+        s = "".join(format(row, f"0{n}b") for row in reversed(self.rows))
+        # character len(s) - 1 - i*n - j is row i's bit j: column j reads from n - 1 - j
         return [int(s[n - 1 - j :: n], 2) for j in range(n)]
-
-    def spread(self, rows: int) -> int:
-        """The grid mask of bit 0 of each row i set in rows; times a mask C
-        below 2^|B| it is carry-free, the cells (A[i], B[j]) with j in C."""
-        width = len(self.B)
-        grid = bytearray(-(-len(self.A) * width // 8))
-        while rows:
-            k = ((rows & -rows).bit_length() - 1) * width
-            grid[k >> 3] |= 1 << (k & 7)
-            rows &= rows - 1
-        return int.from_bytes(grid, "little")
 
 
 def _gcd_threshold(D) -> int:
@@ -319,18 +293,6 @@ def _indices(mask: int) -> list[int]:
     return [i for i, c in enumerate(reversed(format(mask, "b"))) if c == "1"]
 
 
-def _join_rows(rows, width: int) -> int:
-    """The grid integer with rows[i] on bits [i*width, (i+1)*width), joined
-    pairwise so that no intermediate value is larger than the result."""
-    while len(rows) > 1:
-        rows = [
-            rows[k] | rows[k + 1] << width if k + 1 < len(rows) else rows[k]
-            for k in range(0, len(rows), 2)
-        ]
-        width *= 2
-    return rows[0]
-
-
 def _omega_rows(inst: GcdInstance):
     """Row a of Omega for each a in A in turn, as a mask over B: the union
     of the column masks of a's least divisors >= D, so no pair is tested."""
@@ -348,19 +310,20 @@ def _omega_rows(inst: GcdInstance):
 
 def build_omega_gcd(inst: GcdInstance) -> PairSet:
     """All pairs (a, b) in A x B with gcd(a, b) >= D, density exact: the
-    rows of _omega_rows joined into one grid."""
-    return PairSet(inst.A, inst.B, _join_rows(list(_omega_rows(inst)), len(inst.B)))
+    rows of _omega_rows."""
+    return PairSet(inst.A, inst.B, tuple(_omega_rows(inst)))
 
 
 def build_omega_ratio(A, B, Q) -> PairSet:
-    """All pairs with ab/gcd(a,b)^2 <= Q (the squarefree-theorem predicate)."""
+    """All pairs with ab/gcd(a,b)^2 <= Q (the squarefree-theorem predicate).
+    That ratio is an integer, so it is at most Q iff ab <= floor(Q) gcd(a,b)^2."""
     A, B, Q = _elements(A, "A"), _elements(B, "B"), _number(Q, "Q")
-    bvals = [b.value for b in B]
-    rows = [
-        sum(1 << j for j, b in enumerate(bvals) if Fraction(a * b, math.gcd(a, b) ** 2) <= Q)
+    bvals, q, gcd = [b.value for b in B], math.floor(Q), math.gcd
+    rows = tuple(
+        sum(1 << j for j, b in enumerate(bvals) if a * b <= q * gcd(a, b) ** 2)
         for a in [a.value for a in A]
-    ]
-    return PairSet(A, B, _join_rows(rows, len(B)))
+    )
+    return PairSet(A, B, rows)
 
 
 def _values(S, name: str) -> tuple[int, ...]:

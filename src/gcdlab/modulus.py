@@ -1,10 +1,11 @@
 """The modulus search behind structure.find_modulus.
 
-Everything works on the pair set's bit layout (see instance.PairSet): the
-valuation classes of A and B at a prime are bitmasks over their indices,
-and Omega's rows are integers over B.  The search is exact: it tries every
-exponent of the primes that bind, with one grid mask per exponent, and
-gives every other prime its lowest exponent.
+The valuation classes of A and B at a prime are bitmasks over their
+indices, and Omega's rows are integers over B (see instance.PairSet).  This
+is the one module that joins the rows into a grid, the integer with bit
+i*|B| + j set iff (A[i], B[j]) is a pair: the search intersects grid masks,
+one per exponent of each prime that binds, and gives every other prime its
+lowest exponent.  The winning grid is cut back into rows once.
 
 The structure module imports this one on first use, so the commands that
 never search (stats, defect) do not compile it.
@@ -15,6 +16,39 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .instance import PairSet
+
+
+def _join_rows(rows, width: int) -> int:
+    """The grid integer with rows[i] on bits [i*width, (i+1)*width), joined
+    pairwise so that no intermediate value is larger than the result."""
+    while len(rows) > 1:
+        rows = [
+            rows[k] | rows[k + 1] << width if k + 1 < len(rows) else rows[k]
+            for k in range(0, len(rows), 2)
+        ]
+        width *= 2
+    return rows[0]
+
+
+def _split_rows(grid: int, m: int, width: int) -> tuple[int, ...]:
+    """The m rows of width bits that _join_rows joined into grid, each
+    sliced from the grid's little-endian bytes."""
+    data, mask = grid.to_bytes(-(-m * width // 8), "little"), (1 << width) - 1
+    return tuple(
+        int.from_bytes(data[k >> 3 : (k + width + 7) >> 3], "little") >> (k & 7) & mask
+        for k in range(0, m * width, width)
+    )
+
+
+def _spread(rows: int, width: int) -> int:
+    """The grid mask of bit 0 of each row i set in rows; times a mask C
+    below 2^width it is carry-free, the cells (A[i], B[j]) with j in C."""
+    grid = bytearray(-(-rows.bit_length() * width // 8))
+    while rows:
+        k = ((rows & -rows).bit_length() - 1) * width
+        grid[k >> 3] |= 1 << (k & 7)
+        rows &= rows - 1
+    return int.from_bytes(grid, "little")
 
 
 def prime_table(omega: PairSet) -> dict[int, tuple]:
@@ -44,7 +78,7 @@ def prime_table(omega: PairSet) -> dict[int, tuple]:
 
 def _cells(spread: int, cols: int, width: int) -> int:
     """spread * cols, the cells of spread's rows in the columns of cols (see
-    PairSet.spread).  A product passes over spread once per 30-bit digit of
+    _spread).  A product passes over spread once per 30-bit digit of
     cols and a shifted copy about twice, so when cols or its complement has
     at most width/60 bits, shifted copies of spread are summed instead."""
     few, size = width // 60, cols.bit_count()
@@ -59,34 +93,34 @@ def _cells(spread: int, cols: int, width: int) -> int:
     return out
 
 
-def _per_prime_masks(omega: PairSet, orows, table):
+def _per_prime_masks(omega: PairSet, grid: int, table):
     """(p, lo, hi, masks) for each prime of the table that binds, with
-    masks[k] the pairs kept at p by k.
+    masks[k] the pairs of Omega kept at p by k, a mask of grid, Omega joined.
 
     p binds when its lowest k = lo loses a pair: a row or a column with
     v_p >= lo + 2 has a pair, or a pair joins a row and a column with
-    v_p >= lo + 1.  That is decided on the row bitsets orows, before any
-    grid-wide product.  The cells of A_v x C are spread(A_v) * C; one
+    v_p >= lo + 1.  That is decided on Omega's rows, before any grid-wide
+    product.  The cells of A_v x C are spread(A_v) * C; one
     spread per class of rows serves every k, and class 0's is the full
     spread minus the others."""
     width = omega.n_right
     paired, full_b = 0, (1 << width) - 1  # the columns with a pair, all columns
-    for row in orows:
+    for row in omega.rows:
         paired |= row
     binding = {
         p for j, b in enumerate(omega.B) if paired >> j & 1
         for p, w in b.factors if w > table[p][0] + 1
     }
     binding |= {  # full_b minus the class of lo are the columns with v_p > lo
-        p for a, row in zip(omega.A, orows) if row for p, v in a.factors
+        p for a, row in zip(omega.A, omega.rows) if row for p, v in a.factors
         if v > (lo := table[p][0]) + 1 or v > lo and row & (full_b - table[p][3].get(lo, 0))
     }
     full, out = None, []
     for p in (p for p in table if p in binding):
         lo, hi, rows, cols = table[p]
-        spread = {v: omega.spread(R) for v, R in rows.items() if v}
+        spread = {v: _spread(R, width) for v, R in rows.items() if v}
         if 0 in rows:
-            full = full or omega.spread((1 << omega.n_left) - 1)
+            full = full or _spread((1 << omega.n_left) - 1, width)
             spread[0] = full - sum(spread.values())
         masks = {}
         for k in range(lo, hi + 1):
@@ -94,7 +128,7 @@ def _per_prime_masks(omega: PairSet, orows, table):
             near = cols.get(k - 1, 0) | cols.get(k, 0) | cols.get(k + 1, 0)
             off = spread.get(k - 1, 0) + spread.get(k + 1, 0)
             kept = _cells(spread.get(k, 0), near, width) + _cells(off, cols.get(k, 0), width)
-            masks[k] = omega.bits & kept
+            masks[k] = grid & kept
         out.append((p, lo, hi, masks))
     return out
 
@@ -133,8 +167,8 @@ def _search_exhaustive(per_prime, full_mask: int) -> tuple[dict[int, int], int]:
         path.append((mask, count) if child == mask else (child, child.bit_count()))
 
 
-def search(omega: PairSet) -> tuple[dict[int, int], int]:
-    """({p: k_p}, Omega' bits) for the N = prod p^k_p over the primes of
+def search(omega: PairSet) -> tuple[dict[int, int], tuple[int, ...]]:
+    """({p: k_p}, Omega' rows) for the N = prod p^k_p over the primes of
     A u B that keeps the most pairs with |v_p(a/N)| + |v_p(b/N)| <= 1 at
     every prime, the first such N with the primes in increasing order and
     each k_p tried in increasing order; omega must be nonempty.
@@ -143,6 +177,7 @@ def search(omega: PairSet) -> tuple[dict[int, int], int]:
     masks.  A free prime's lowest k keeps every pair, so its branch is the
     subtree without it, no other k beats it, and the first maximizer in
     lexicographic order is unchanged; it gets k = lo."""
-    table = prime_table(omega)
-    best, bits = _search_exhaustive(_per_prime_masks(omega, omega.row_bits(), table), omega.bits)
-    return {p: lo for p, (lo, *_) in table.items()} | best, bits
+    table, grid = prime_table(omega), _join_rows(omega.rows, omega.n_right)
+    best, kept = _search_exhaustive(_per_prime_masks(omega, grid, table), grid)
+    rows = _split_rows(kept, omega.n_left, omega.n_right)
+    return {p: lo for p, (lo, *_) in table.items()} | best, rows

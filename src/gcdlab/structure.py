@@ -73,7 +73,7 @@ def valuation_measure(inst: GcdInstance, omega: PairSet, p: int) -> ValuationMea
     for j, b in enumerate(inst.B):
         cols[b.valuation(p)] |= 1 << j
     counts: Counter[tuple[int, int]] = Counter()
-    for v, row in zip(va, omega.row_bits()):
+    for v, row in zip(va, omega.rows):
         for w, C in cols.items():
             counts[v, w] += (row & C).bit_count()
     nA, nB, nE = len(inst.A), len(inst.B), len(omega)
@@ -120,11 +120,11 @@ def find_modulus(inst: GcdInstance, omega: PairSet) -> StructuredInstance:
 
     if not omega:
         raise ValueError("omega is empty: nothing to structure")
-    ks, bits = search(omega)
+    ks, rows = search(omega)
     factors = tuple((p, k) for p, k in ks.items() if k > 0)
     # the primes come sorted from A u B's own factorizations: n is canonical
     n = FactoredNat(math.prod(p**k for p, k in factors), factors)
-    return StructuredInstance.build(inst, omega, n, omega.masked(bits))
+    return StructuredInstance.build(inst, omega, n, PairSet(omega.A, omega.B, rows))
 
 
 class StructuredInstance(NamedTuple):
@@ -150,7 +150,7 @@ class StructuredInstance(NamedTuple):
         it meets the column masks of the primes of a*, each the columns
         whose b* that prime divides."""
         A, B = omega_prime.A, omega_prime.B
-        rows, paired = omega_prime.row_bits(), 0
+        rows, paired = omega_prime.rows, 0
         for r in rows:
             paired |= r  # the columns with a pair
         left = [i for i, r in enumerate(rows) if r]
@@ -420,7 +420,7 @@ def witness_chain(si: StructuredInstance) -> WitnessChain:
     """
     if not si.omega_prime:
         raise ValueError("omega_prime is empty: no witnesses exist")
-    inst, m, rows = si.base, len(si.omega_prime), si.omega_prime.row_bits()
+    inst, m, rows = si.base, len(si.omega_prime), si.omega_prime.rows
     nA, nB, size = len(inst.A), len(inst.B), inst.size_product()
 
     def largest_star(S, indices, scale: int):

@@ -1,9 +1,25 @@
-"""Views of a PairSet that only the tests read, taken from its bits
-directly, apart from the row and column bitsets under test."""
+"""Views of a PairSet that only the tests read, taken from its rows
+directly, apart from the column bitsets under test, and the grid layout
+(bit i*|B| + j for the pair (A[i], B[j])) written out independently of
+gcdlab.modulus."""
+
+from gcdlab.instance import PairSet
 
 
 def edges(om) -> tuple:
     """The pairs of om in row-major order: by index in A, then in B."""
+    return tuple(
+        (a, b) for a, row in zip(om.A, om.rows) for j, b in enumerate(om.B) if row >> j & 1
+    )
+
+
+def grid(om) -> int:
+    """The grid integer of om: bit i*|B| + j is set iff (A[i], B[j]) is a pair."""
     n = om.n_right
-    grid = format(om.bits, f"0{om.n_left * n}b")[::-1]  # character k is bit k
-    return tuple((om.A[k // n], om.B[k % n]) for k, c in enumerate(grid) if c == "1")
+    return sum(row << i * n for i, row in enumerate(om.rows))
+
+
+def from_grid(A, B, bits: int) -> PairSet:
+    """The pair set over A x B whose grid integer is bits."""
+    n, mask = len(B), (1 << len(B)) - 1
+    return PairSet(tuple(A), tuple(B), tuple(bits >> i * n & mask for i in range(len(A))))

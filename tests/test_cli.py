@@ -602,6 +602,10 @@ def _materialise(arg: str, tmp_path) -> str:
         ["measure", "--instance", GOLDEN_INSTANCE, "--prime", "2", "--seed", "0"],
         # no multiple of D0 = 3 lies in [1, 2]
         ["family", "remark3", "--X", "1", "--D", "6", "--delta", "1/2"],
+        # a density outside (0, 1], no squarefree set to draw from, and D = 0
+        ["family", "remark3", "--X", "10", "--D", "4", "--delta", "2"],
+        ["family", "squarefree", "--n", "0", "--Q", "6"],
+        ["search", "exhaustive", "--X", "4", "--D", "0"],
         # Y = 0 is a value, not the default Y = X
         ["family", "remark2", "--X", "5", "--D", "2", "--Y", "0"],
         ["search", "exhaustive", "--X", "4", "--Y", "0", "--D", "1"],

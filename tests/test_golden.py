@@ -34,11 +34,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 )
 def test_report_bytes_match_golden(name, command, fmt, capsys, monkeypatch):
     if command == "stats":
-        # stats counts the rows of Omega one by one and never joins the grid
-        def join_rows(rows, width):
-            raise AssertionError("stats joined the pair grid")
+        # stats counts the rows of Omega one by one and never holds all of them
+        def build_omega_gcd(inst):
+            raise AssertionError("stats built the whole pair set")
 
-        monkeypatch.setattr(gcdlab.instance, "_join_rows", join_rows)
+        for module in (gcdlab.instance, cli):  # cli holds its own name for it
+            monkeypatch.setattr(module, "build_omega_gcd", build_omega_gcd)
     code = cli.main([command, str(GOLDEN / f"{name}.instance.json"), "--format", fmt])
     out = capsys.readouterr()
     assert code == 0 and out.err == ""

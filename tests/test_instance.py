@@ -66,7 +66,7 @@ def _omega_cases():
     yield [2**k for k in range(12)], [3**k * 2 for k in range(8)], 17
     yield [49, 343, 2401], [7, 49, 77], Fraction(7, 3)
     yield [97, 101], [103, 107], 98
-    # more than 128 rows, so row_bits decodes the grid's text
+    # a tall pair set: 158 rows against 6 columns
     yield list(range(2, 160)), [6, 10, 15, 21, 35, 77], 3
     # remark2-style sets of multiples of D, and a few non-multiples
     for D in (6, 10, 12):
@@ -90,9 +90,9 @@ def test_omega_views_match_naive_census():
         assert list(edges(om)) == naive, (A, B, D)
         assert len(om) == count_pairs_geq_naive(A, B, D)
         pairs = set(edges(om))
-        assert om.row_bits() == [
+        assert om.rows == tuple(
             sum(1 << j for j, b in enumerate(om.B) if (a, b) in pairs) for a in om.A
-        ]
+        )
         assert om.col_bits() == [
             sum(1 << i for i, a in enumerate(om.A) if (a, b) in pairs) for b in om.B
         ]
@@ -108,7 +108,7 @@ def test_omega_views_match_naive_census():
 
 
 def test_row_count_equals_the_grid_and_the_naive_census():
-    # stats counts _omega_rows one at a time; structure joins them into the grid
+    # stats counts _omega_rows one at a time; structure keeps them as Omega's rows
     goldens = map(read_instance, sorted(GOLDEN.glob("*.instance.json")))
     cases = [(inst.A, inst.B, inst.D) for inst in goldens]
     rng = random.Random(37)
@@ -121,41 +121,28 @@ def test_row_count_equals_the_grid_and_the_naive_census():
         ([12], [18], 6),  # one-element sides
         ([12], [18], 7),
         ([1], [1], 1),
-        (list(range(2, 200)), B, 3),  # more than 128 rows
+        (list(range(2, 200)), B, 3),  # 198 rows
     ]
     for A, B, D in cases:
         inst = GcdInstance.build(A, B, D, 1, 1, check_ranges=False)
         rows, om = list(_omega_rows(inst)), build_omega_gcd(inst)
-        assert rows == om.row_bits(), (A, B, D)
         assert sum(r.bit_count() for r in rows) == len(om) == count_pairs_geq_naive(A, B, D)
 
 
-def test_masked_copy_keeps_the_grid_and_predicate():
+def test_pair_set_len_and_equality_read_the_rows():
     # len() of a PairSet is its pair count, so NamedTuple._replace (which
-    # checks len() against the field count) cannot make these copies
+    # checks len() against the field count) cannot make copies
     inst = GcdInstance.build([4, 6, 8], [4, 6, 8, 9], 2, 4, 4, check_ranges=False)
     om = build_omega_gcd(inst)
-    assert len(om) != 5
-    grid = edges(PairSet(om.A, om.B, (1 << 12) - 1))
-    for bits in (0, 1, om.bits, om.bits & 0b101101, (1 << 12) - 1):
-        sub = om.masked(bits)
-        assert sub == PairSet(om.A, om.B, bits)
-        assert len(sub) == bits.bit_count() != 5
-        assert list(edges(sub)) == [e for k, e in enumerate(grid) if bits >> k & 1]
+    assert len(om) == 10 and om.rows == (0b0111, 0b1111, 0b0111)
+    every = edges(PairSet(om.A, om.B, (0b1111,) * 3))
+    for rows in ((0, 0, 0), (1, 0, 0), om.rows, (0b0101, 0b0101, 0), (0b1111,) * 3):
+        sub = PairSet(om.A, om.B, rows)
+        assert (sub == om) == (rows == om.rows) and sub == PairSet(inst.A, inst.B, rows)
+        assert len(sub) == sum(r.bit_count() for r in rows) != 3
+        assert list(edges(sub)) == [e for k, e in enumerate(every) if rows[k // 4] >> k % 4 & 1]
     with pytest.raises(TypeError):
-        om._replace(bits=1)
-
-
-def test_spread_times_a_column_mask_is_the_cells():
-    inst = GcdInstance.build([4, 6, 8, 9, 10], [4, 6, 8], 2, 4, 4, check_ranges=False)
-    om = build_omega_gcd(inst)
-    grid = edges(PairSet(om.A, om.B, (1 << 15) - 1))
-    for rows in range(1 << 5):
-        for cols in range(1 << 3):
-            cells = edges(PairSet(om.A, om.B, om.spread(rows) * cols))
-            assert list(cells) == [
-                e for k, e in enumerate(grid) if rows >> (k // 3) & 1 and cols >> (k % 3) & 1
-            ]
+        om._replace(rows=(1, 0, 0))
 
 
 @pytest.mark.slow

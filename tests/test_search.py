@@ -14,6 +14,7 @@ from gcdlab.search import (
     random_structured_instance,
 )
 from gcdlab.verify import random_structured_set
+from pairset_views import grid
 
 
 def exhaustive_max_bruteforce(space: SearchSpace) -> SearchResult:
@@ -359,7 +360,7 @@ def test_hunt_and_census_draws_are_pinned():
     def line(si):
         inst = si.base
         A, B = [a.value for a in inst.A], [b.value for b in inst.B]
-        return f"{A} {B} {inst.D} {inst.X} {inst.Y} {si.n.value} {si.omega_prime.bits}"
+        return f"{A} {B} {inst.D} {inst.X} {inst.Y} {si.n.value} {grid(si.omega_prime)}"
 
     rng = random.Random(6006)
     lines = [line(random_structured_instance(rng)) for _ in range(500)]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gcdlab.arith import factorize, is_squarefree, rational_valuations
 from gcdlab.families import remark2_family
 from gcdlab.instance import GcdInstance, InstanceError, PairSet, build_omega_gcd, read_instance
-from gcdlab.modulus import _cells, _per_prime_masks, prime_table
+from gcdlab.modulus import _cells, _join_rows, _per_prime_masks, _split_rows, _spread, prime_table
 from gcdlab.structure import (
     DefectError,
     InternalConsistencyError,
@@ -28,7 +28,7 @@ from gcdlab.structure import (
     witness_chain,
 )
 from gcdlab.verify import random_pivotal_triple, random_structured_set
-from pairset_views import edges
+from pairset_views import edges, from_grid, grid
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -116,7 +116,7 @@ def test_valuation_measure_matches_grouped_edges():
 
 def test_valuation_measure_rejects_empty():
     inst = GcdInstance.build([3], [5], 1, 3, 5, check_ranges=False)
-    empty = PairSet(inst.A, inst.B, 0)
+    empty = PairSet(inst.A, inst.B, (0,))
     with pytest.raises(ValueError):
         valuation_measure(inst, empty, 2)
 
@@ -192,13 +192,13 @@ def test_per_prime_masks_match_bruteforce():
     for inst in _oracle_instances():
         om = build_omega_gcd(inst)
         ranges = _ranges(om)
-        masks = _per_prime_masks(om, om.row_bits(), prime_table(om))
+        masks = _per_prime_masks(om, grid(om), prime_table(om))
         binding = [p for p, *_ in masks]
         assert binding == [p for p, r in ranges.items() if _kept_by(om, p, r[0]) != list(edges(om))]
         for p, lo, hi, by_k in masks:
             assert range(lo, hi + 1) == ranges[p] and list(by_k) == list(ranges[p])
             for k in ranges[p]:
-                assert list(edges(om.masked(by_k[k]))) == _kept_by(om, p, k)
+                assert list(edges(from_grid(om.A, om.B, by_k[k]))) == _kept_by(om, p, k)
         dropped += len(ranges) - len(binding)
         kept += len(binding)
     assert dropped and kept
@@ -214,15 +214,41 @@ def test_cells_equal_the_product():
         om = build_omega_gcd(GcdInstance.build(A, B, 1, 10, width, check_ranges=False))
         for _ in range(30):
             rows = rng.getrandbits(om.n_left)
-            spread = om.spread(rows)
+            spread = _spread(rows, width)
             assert spread == sum(1 << (i * width) for i in range(om.n_left) if rows >> i & 1)
             few = sum(1 << j for j in rng.sample(range(width), rng.randint(0, width // 60 + 1)))
             for cols in (few, (1 << width) - 1 - few, rng.getrandbits(width)):
                 assert _cells(spread, cols, width) == spread * cols
 
 
+def test_spread_times_a_column_mask_is_the_cells():
+    inst = GcdInstance.build([4, 6, 8, 9, 10], [4, 6, 8], 2, 4, 4, check_ranges=False)
+    om = build_omega_gcd(inst)
+    every = edges(PairSet(om.A, om.B, (0b111,) * 5))
+    for rows in range(1 << 5):
+        for cols in range(1 << 3):
+            cells = edges(from_grid(om.A, om.B, _spread(rows, 3) * cols))
+            assert list(cells) == [
+                e for k, e in enumerate(every) if rows >> (k // 3) & 1 and cols >> (k % 3) & 1
+            ]
+
+
+def test_split_rows_undoes_join_rows():
+    # the search joins Omega's rows into one grid and cuts its result back
+    # into rows from the grid's bytes, at widths on and off a byte boundary
+    rng = random.Random(83)
+    for n in (1, 7, 8, 9, 63, 64, 65, 151):
+        full = (1 << n) - 1
+        for m in (1, 2, 128, 129, 300):
+            mixed = [rng.choice((0, full, rng.getrandbits(n))) for _ in range(m)]
+            for rows in ([0] * m, [full] * m, [rng.getrandbits(n) for _ in range(m)], mixed):
+                joined = _join_rows(rows, n)
+                assert joined == sum(r << i * n for i, r in enumerate(rows))
+                assert _split_rows(joined, m, n) == tuple(rows), (n, m)
+
+
 def _reference_modulus(om):
-    """(N, Omega' bits) over every prime of A u B: the first k vector in
+    """(N, Omega' grid) over every prime of A u B: the first k vector in
     lexicographic order that keeps the most pairs, from every k vector."""
     nB = len(om.B)
     cell = {(a, b): 1 << (i * nB + j) for i, a in enumerate(om.A) for j, b in enumerate(om.B)}
@@ -230,7 +256,7 @@ def _reference_modulus(om):
     kept = [{k: sum(cell[e] for e in _kept_by(om, p, k)) for k in r} for p, r in zip(pool, ranges)]
     best, best_bits = None, None
     for ks in itertools.product(*ranges):
-        bits = om.bits
+        bits = grid(om)
         for by_k, k in zip(kept, ks):
             bits &= by_k[k]
         if best is None or bits.bit_count() > best_bits.bit_count():
@@ -275,7 +301,7 @@ def _search_instances():
 def test_find_modulus_equals_the_reference_search():
     for inst, om in _search_instances():
         ms = find_modulus(inst, om)
-        assert (ms.n.value, ms.omega_prime.bits) == _reference_modulus(om)
+        assert (ms.n.value, grid(ms.omega_prime)) == _reference_modulus(om)
 
 
 def test_a_free_prime_takes_its_lowest_k():
@@ -286,11 +312,11 @@ def test_a_free_prime_takes_its_lowest_k():
     om = build_omega_gcd(inst)
     assert prime_table(om)[2][0] == 0  # lo = 0 at p = 2
     assert _kept_by(om, 2, 0) == _kept_by(om, 2, 1) == list(edges(om))
-    binding = _per_prime_masks(om, om.row_bits(), prime_table(om))
+    binding = _per_prime_masks(om, grid(om), prime_table(om))
     assert 2 not in [p for p, *_ in binding]
     exact = find_modulus(inst, om)
     assert exact.n.value % 2 == 1
-    assert (exact.n.value, exact.omega_prime.bits) == _reference_modulus(om)
+    assert (exact.n.value, grid(exact.omega_prime)) == _reference_modulus(om)
 
 
 def test_find_modulus_keeps_exactly_the_pivotal_pairs():
@@ -608,7 +634,7 @@ def test_the_modulus_is_canonical_without_a_recheck():
 def fraction_verdicts(si, chain):
     """(quad_cap, prop_bound, holds, chain_ok) of chain's pair as the
     Fraction expressions that the integer verdicts replaced."""
-    inst, m, rows = si.base, len(si.omega_prime), si.omega_prime.row_bits()
+    inst, m, rows = si.base, len(si.omega_prime), si.omega_prime.rows
     nA, nB, size = len(inst.A), len(inst.B), inst.size_product()
     tilde = sum(1 for r in rows if 4 * nA * r.bit_count() >= m)
     quad_cap = 4 * inst.X * inst.Y / (inst.D * inst.D)
@@ -674,7 +700,7 @@ def test_structured_instance_rejects_non_pivotal_edges():
     inst = GcdInstance.build([4, 9], [4, 9], 1, 4, 4, check_ranges=False)
     om = build_omega_gcd(inst)
     # the pair (4, 9) alone: v_2(4/6) = 1 and v_2(9/6) = -1 sum to 2
-    bad = PairSet(om.A, om.B, 1 << 1)  # cell (A[0], B[1])
+    bad = PairSet(om.A, om.B, (0b10, 0))  # cell (A[0], B[1])
     assert [(a.value, b.value) for a, b in edges(bad)] == [(4, 9)]
     with pytest.raises(ValueError, match="pivotal"):
         StructuredInstance.build(inst, om, factorize(6), bad)
@@ -690,12 +716,12 @@ def test_structured_instance_accepts_exactly_the_pivotal_subsets():
     n_cells = len(A) * len(B)
     assert len(om) == n_cells
     rng = random.Random(67)
-    masks = [0, om.bits] + [1 << k for k in range(n_cells)]
+    masks = [0, grid(om)] + [1 << k for k in range(n_cells)]
     masks += [rng.getrandbits(n_cells) & rng.getrandbits(n_cells) for _ in range(60)]
     for N in (1, 6, 7, 12, 16, 18, 27, 42, 66, 462, 432):
         verdicts = set()
         for mask in masks:
-            sub = PairSet(inst.A, inst.B, mask)
+            sub = from_grid(inst.A, inst.B, mask)
             pivotal = all(check_pivotal(a, b, N) for a, b in edges(sub))
             verdicts.add(pivotal)
             if pivotal:
@@ -742,20 +768,20 @@ def test_corrupted_omega_prime_reports_the_pair_walks_first_offender():
         if not om:
             continue
         si = find_modulus(inst, om)
-        outside = om.bits & ~si.omega_prime.bits
+        outside = grid(om) & ~grid(si.omega_prime)
         ns = [si.n]
         ns += [factorize(si.n.value * p) for p, _ in si.n.factors[:2]]
         ns += [factorize(si.n.value // p) for p, _ in si.n.factors[:2]]
         for n in ns:
             rows = sum(1 << i for i, a in enumerate(om.A) if has_defect(a, n))
             cols = sum(1 << j for j, b in enumerate(om.B) if has_defect(b, n))
-            corrupted = [om.bits & om.spread(rows) * cols]
+            corrupted = [grid(om) & _spread(rows, len(om.B)) * cols]
             corrupted += [
-                si.omega_prime.bits | outside & rng.getrandbits(len(om.A) * len(om.B))
+                grid(si.omega_prime) | outside & rng.getrandbits(len(om.A) * len(om.B))
                 for _ in range(10)
             ]
             for bits in corrupted:
-                sub = om.masked(bits)
+                sub = from_grid(om.A, om.B, bits)
                 expect = pair_walk_error(sub, n)
                 if expect is None:
                     StructuredInstance.build(inst, om, n, sub)
