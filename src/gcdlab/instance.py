@@ -251,11 +251,13 @@ class PairSet(NamedTuple):
 
     def col_bits(self) -> list[int]:
         """Column j of the pair set as an integer: bit i is set iff
-        (A[i], B[j]) is a pair."""
-        n = self.n_right
-        s = "".join(format(row, f"0{n}b") for row in reversed(self.rows))
-        # character len(s) - 1 - i*n - j is row i's bit j: column j reads from n - 1 - j
-        return [int(s[n - 1 - j :: n], 2) for j in range(n)]
+        (A[i], B[j]) is a pair; one step per pair, from each row's top bit."""
+        cols = [0] * self.n_right
+        for i, row in enumerate(self.rows):
+            while row:
+                cols[j := row.bit_length() - 1] |= 1 << i
+                row ^= 1 << j
+        return cols
 
 
 def _gcd_threshold(D) -> int:

@@ -1,11 +1,12 @@
 """The modulus search behind structure.find_modulus.
 
 The valuation classes of A and B at a prime are bitmasks over their
-indices, and Omega's rows are integers over B (see instance.PairSet).  This
-is the one module that joins the rows into a grid, the integer with bit
-i*|B| + j set iff (A[i], B[j]) is a pair: the search intersects grid masks,
-one per exponent of each prime that binds, and gives every other prime its
-lowest exponent.  The winning grid is cut back into rows once.
+indices, and Omega's rows are integers over B (see instance.PairSet).  A
+constraint (p, k) acts on one row at a time: a row a with v = v_p(a) keeps
+the columns whose v_p is within 1 of k if v = k, the columns of class k if
+|v - k| = 1, and nothing otherwise.  The search cuts a copy of Omega's rows
+by one prime per depth, touching only the rows whose allowed columns are
+not all of B, undoes each cut from a log, and starts from the greedy leaf.
 
 The structure module imports this one on first use, so the commands that
 never search (stats, defect) do not compile it.
@@ -14,41 +15,9 @@ never search (stats, defect) do not compile it.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
 
 from .instance import PairSet
-
-
-def _join_rows(rows, width: int) -> int:
-    """The grid integer with rows[i] on bits [i*width, (i+1)*width), joined
-    pairwise so that no intermediate value is larger than the result."""
-    while len(rows) > 1:
-        rows = [
-            rows[k] | rows[k + 1] << width if k + 1 < len(rows) else rows[k]
-            for k in range(0, len(rows), 2)
-        ]
-        width *= 2
-    return rows[0]
-
-
-def _split_rows(grid: int, m: int, width: int) -> tuple[int, ...]:
-    """The m rows of width bits that _join_rows joined into grid, each
-    sliced from the grid's little-endian bytes."""
-    data, mask = grid.to_bytes(-(-m * width // 8), "little"), (1 << width) - 1
-    return tuple(
-        int.from_bytes(data[k >> 3 : (k + width + 7) >> 3], "little") >> (k & 7) & mask
-        for k in range(0, m * width, width)
-    )
-
-
-def _spread(rows: int, width: int) -> int:
-    """The grid mask of bit 0 of each row i set in rows; times a mask C
-    below 2^width it is carry-free, the cells (A[i], B[j]) with j in C."""
-    grid = bytearray(-(-rows.bit_length() * width // 8))
-    while rows:
-        k = ((rows & -rows).bit_length() - 1) * width
-        grid[k >> 3] |= 1 << (k & 7)
-        rows &= rows - 1
-    return int.from_bytes(grid, "little")
 
 
 def prime_table(omega: PairSet) -> dict[int, tuple]:
@@ -76,37 +45,19 @@ def prime_table(omega: PairSet) -> dict[int, tuple]:
     return table
 
 
-def _cells(spread: int, cols: int, width: int) -> int:
-    """spread * cols, the cells of spread's rows in the columns of cols (see
-    _spread).  A product passes over spread once per 30-bit digit of
-    cols and a shifted copy about twice, so when cols or its complement has
-    at most width/60 bits, shifted copies of spread are summed instead."""
-    few, size = width // 60, cols.bit_count()
-    if size > width - few:
-        return (spread << width) - spread - _cells(spread, (1 << width) - 1 - cols, width)
-    if size > few:
-        return spread * cols
-    out = 0
-    while cols:
-        out += spread << (cols & -cols).bit_length() - 1
-        cols &= cols - 1
-    return out
-
-
-def _per_prime_masks(omega: PairSet, grid: int, table):
-    """(p, lo, hi, masks) for each prime of the table that binds, with
-    masks[k] the pairs of Omega kept at p by k, a mask of grid, Omega joined.
+def _per_prime_masks(omega: PairSet, table):
+    """(p, lo, hi, cuts) for each prime of the table that binds, with
+    cuts[k - lo] = (most, groups) for the constraint (p, k): groups holds
+    (indices, lose) for each valuation class of A with a pair whose allowed
+    columns are not all of B, lose the columns its rows lose; most bounds
+    the pairs of Omega that (p, k) keeps, and so of any subset of Omega.
 
     p binds when its lowest k = lo loses a pair: a row or a column with
     v_p >= lo + 2 has a pair, or a pair joins a row and a column with
-    v_p >= lo + 1.  That is decided on Omega's rows, before any grid-wide
-    product.  The cells of A_v x C are spread(A_v) * C; one
-    spread per class of rows serves every k, and class 0's is the full
-    spread minus the others."""
-    width = omega.n_right
-    paired, full_b = 0, (1 << width) - 1  # the columns with a pair, all columns
-    for row in omega.rows:
-        paired |= row
+    v_p >= lo + 1.  That is decided on Omega's rows."""
+    paired, live, full_b = 0, 0, (1 << omega.n_right) - 1  # the columns and rows with a pair
+    for i, row in enumerate(omega.rows):
+        paired, live = paired | row, live | bool(row) << i
     binding = {
         p for j, b in enumerate(omega.B) if paired >> j & 1
         for p, w in b.factors if w > table[p][0] + 1
@@ -115,56 +66,99 @@ def _per_prime_masks(omega: PairSet, grid: int, table):
         p for a, row in zip(omega.A, omega.rows) if row for p, v in a.factors
         if v > (lo := table[p][0]) + 1 or v > lo and row & (full_b - table[p][3].get(lo, 0))
     }
-    full, out = None, []
-    for p in (p for p in table if p in binding):
+    # members[p][v], the rows with a pair and v_p = v > 0; size[p][v], their pairs
+    members, size = {p: defaultdict(list) for p in binding}, {p: defaultdict(int) for p in binding}
+    for i, (a, row) in enumerate(zip(omega.A, omega.rows)):
+        for p, v in a.factors:
+            if row and p in binding:
+                members[p][v].append(i)
+                size[p][v] += row.bit_count()
+    out, total, index = [], len(omega), list(range(omega.n_left))
+    for p in sorted(binding):
         lo, hi, rows, cols = table[p]
-        spread = {v: _spread(R, width) for v, R in rows.items() if v}
-        if 0 in rows:
-            full = full or _spread((1 << omega.n_left) - 1, width)
-            spread[0] = full - sum(spread.values())
-        masks = {}
+        by_v, sz, cuts = members[p], size[p], []
+        # the rows of class 0 with a pair, each index one shared int of index
+        if zero := list(compress(index, map("1".__eq__, reversed(bin(rows.get(0, 0) & live))))):
+            by_v[0] = zero
         for k in range(lo, hi + 1):
-            # v_p(a) = k with v_p(b) within 1 of k, or v_p(a) = k +- 1 with v_p(b) = k
-            near = cols.get(k - 1, 0) | cols.get(k, 0) | cols.get(k + 1, 0)
-            off = spread.get(k - 1, 0) + spread.get(k + 1, 0)
-            kept = _cells(spread.get(k, 0), near, width) + _cells(off, cols.get(k, 0), width)
-            masks[k] = grid & kept
-        out.append((p, lo, hi, masks))
+            at_k = cols.get(k, 0)
+            near = cols.get(k - 1, 0) | at_k | cols.get(k + 1, 0)
+            # (p, k) keeps no pair of a class of A outside k - 1, k and k + 1,
+            # and of class 0 none outside the columns of class 1 if k = 1
+            most = sz[k - 1] + sz[k] + sz[k + 1]
+            if k < 2 and zero:
+                most += at_k.bit_count() * len(zero) if k else total
+            cuts.append((most, [
+                (ids, lose) for v, ids in by_v.items()
+                if (lose := full_b - (near if v == k else at_k if abs(v - k) == 1 else 0))
+            ]))
+        out.append((p, lo, hi, cuts))
     return out
 
 
-def _search_exhaustive(per_prime, full_mask: int) -> tuple[dict[int, int], int]:
-    """The first k vector in lexicographic order that keeps the most pairs,
-    and those pairs: depth first, without recursion, cutting each branch
-    that cannot beat the best leaf.  The node at depth d has the k values
-    ks[:d], and path holds (mask, size) from the root to it; a child that
-    cuts no pair is stored as its parent, so only a cut costs a count and
-    memory."""
-    los = [lo for _, lo, _, _ in per_prime]
-    his = [hi for _, _, hi, _ in per_prime]
-    masks = [by_k for _, _, _, by_k in per_prime]
-    n = len(per_prime)
-    best_count, best_ks, best_mask = -1, (), 0
-    ks, depth, path = [0] * n, 0, [(full_mask, full_mask.bit_count())]
+def _lost(rows: list[int], groups) -> int:
+    """The pairs that cutting rows by groups would lose."""
+    lost = 0
+    for indices, lose in groups:
+        for i in indices:
+            lost += (rows[i] & lose).bit_count()
+    return lost
+
+
+def _cut(rows: list[int], groups, log: list) -> None:
+    """Take from each row of each group the columns it loses, appending
+    (index, old row) to log for each row that changes."""
+    for indices, lose in groups:
+        for i in indices:
+            if cut := (row := rows[i]) & lose:
+                log.append((i, row))
+                rows[i] = row ^ cut
+
+
+def _greedy(per_prime, rows: list[int], count: int) -> int:
+    """The pairs kept by the greedy leaf: at each prime in order, the first
+    k that keeps the most pairs, trying only the k whose bound beats the
+    best k so far.  rows is cut to that leaf."""
+    for *_, cuts in per_prime:
+        top, pick = -1, None
+        for most, groups in cuts:
+            if most > top and (left := count - _lost(rows, groups)) > top:
+                top, pick = left, groups
+        _cut(rows, pick, [])
+        count = top
+    return count
+
+
+def _search_exhaustive(per_prime, rows: list[int], best: int):
+    """The first k vector in lexicographic order whose leaf keeps more
+    than best pairs and the most of them, and its rows: depth first,
+    without recursion, entering only the children that can beat the best
+    leaf.  path[d] is [index of the k tried at depth d, log length and pair
+    count before its cut, the cuts of depth d]; rows is restored on return."""
+    levels, log, path = [cuts for *_, cuts in per_prime], [], []
+    count, best_ks, best_rows = sum(map(int.bit_count, rows)), None, None
     while True:
-        mask, count = path[-1]
-        if count > best_count and depth < n:
-            ks[depth] = los[depth] - 1  # descend; the step below tries lo
-            depth += 1
-        else:
-            if count > best_count:  # a leaf: depth == n
-                best_count, best_ks, best_mask = count, tuple(ks), mask
-            path.pop()
-            while depth and ks[depth - 1] == his[depth - 1]:  # no k left: back up
-                depth -= 1
+        if len(path) < len(levels):
+            path.append([-1, len(log), count, levels[len(path)]])
+        else:  # a leaf, entered only if it beats best
+            best, best_ks, best_rows = count, tuple(k for k, *_ in path), tuple(rows)
+        while path:  # the next child that can beat best, backing up past spent nodes
+            node = path[-1]
+            k, mark, count, cuts = node
+            if len(log) > mark:  # undo the cuts below this node
+                for i, row in reversed(log[mark:]):
+                    rows[i] = row
+                del log[mark:]
+            node[0] = k = k + 1
+            if k == len(cuts):
                 path.pop()
-            if not depth:
-                return {p: k for (p, *_), k in zip(per_prime, best_ks)}, best_mask
-        d = depth - 1
-        ks[d] += 1
-        mask, count = path[-1]
-        child = mask & masks[d][ks[d]]
-        path.append((mask, count) if child == mask else (child, child.bit_count()))
+            elif cuts[k][0] > best and (left := count - _lost(rows, cuts[k][1])) > best:
+                # cuts[k][0] bounds the pairs of every leaf below the child
+                _cut(rows, cuts[k][1], log)
+                count = left
+                break
+        else:
+            return best_ks, best_rows
 
 
 def search(omega: PairSet) -> tuple[dict[int, int], tuple[int, ...]]:
@@ -173,11 +167,13 @@ def search(omega: PairSet) -> tuple[dict[int, int], tuple[int, ...]]:
     every prime, the first such N with the primes in increasing order and
     each k_p tried in increasing order; omega must be nonempty.
 
-    Every k_p in [lo, hi] is tried for the binding primes, with their grid
-    masks.  A free prime's lowest k keeps every pair, so its branch is the
-    subtree without it, no other k beats it, and the first maximizer in
-    lexicographic order is unchanged; it gets k = lo."""
-    table, grid = prime_table(omega), _join_rows(omega.rows, omega.n_right)
-    best, kept = _search_exhaustive(_per_prime_masks(omega, grid, table), grid)
-    rows = _split_rows(kept, omega.n_left, omega.n_right)
+    Every k_p in [lo, hi] is tried for the binding primes, from a best
+    count one below the greedy leaf's, so the first maximizer is still the
+    one found.  A free prime's lowest k keeps every pair, so its branch is
+    the subtree without it, no other k beats it, and the first maximizer
+    in lexicographic order is unchanged; it gets k = lo."""
+    per_prime = _per_prime_masks(omega, table := prime_table(omega))
+    greedy = _greedy(per_prime, list(omega.rows), len(omega))
+    ks, rows = _search_exhaustive(per_prime, list(omega.rows), greedy - 1)
+    best = {p: lo + k for (p, lo, *_), k in zip(per_prime, ks)}
     return {p: lo for p, (lo, *_) in table.items()} | best, rows

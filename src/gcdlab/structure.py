@@ -111,10 +111,10 @@ def find_modulus(inst: GcdInstance, omega: PairSet) -> StructuredInstance:
     return the structured instance of that N.
 
     Exact: depth first over k_p in [min valuation, max valuation] for the
-    primes whose lowest k loses a pair, each with its grid masks; every
-    other prime keeps its lowest k (modulus.search).  Ties go to the first
-    maximizer with the primes in increasing order.  The achieved
-    |Omega'|/|Omega| is reported, never asserted to reach 1/2.
+    primes whose lowest k loses a pair, cutting Omega's rows one prime at a
+    time, from the greedy leaf's count; every other prime keeps its lowest
+    k (modulus.search).  Ties go to the first maximizer with the primes in
+    increasing order.  |Omega'|/|Omega| is reported, never asserted >= 1/2.
     """
     from .modulus import search
 

@@ -635,6 +635,13 @@ def test_input_faults_exit_2_with_one_error_line(argv, tmp_path, capsys):
     assert named in err
 
 
+@pytest.mark.parametrize("field", ["X", "Y"])
+def test_a_zero_range_exits_2_naming_the_field(field, tmp_path, capsys):
+    # the range is read before any element is placed in it
+    code, out, err = run_argv(["stats", _materialise(f"{{{field}=0}}", tmp_path)], capsys)
+    assert (code, out, err) == (2, "", f"error: field {field}: 0 must be positive\n")
+
+
 @pytest.mark.parametrize(
     "argv, flag, leaf",
     [

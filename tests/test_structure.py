@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from gcdlab.arith import factorize, is_squarefree, rational_valuations
 from gcdlab.families import remark2_family
 from gcdlab.instance import GcdInstance, InstanceError, PairSet, build_omega_gcd, read_instance
-from gcdlab.modulus import _cells, _join_rows, _per_prime_masks, _split_rows, _spread, prime_table
+from gcdlab.modulus import _cut, _greedy, _per_prime_masks, _search_exhaustive, prime_table
 from gcdlab.structure import (
     DefectError,
     InternalConsistencyError,
@@ -186,65 +187,28 @@ def _ranges(om) -> dict[int, range]:
 
 
 def test_per_prime_masks_match_bruteforce():
-    # masks are built for the binding primes alone, and a prime is dropped
-    # exactly when its lowest k keeps every pair
+    # cuts are built for the binding primes alone, and a prime is dropped
+    # exactly when its lowest k keeps every pair; each (p, k) cuts Omega's
+    # rows to the pairs it keeps, and its bound is at least their number
     dropped = kept = 0
     for inst in _oracle_instances():
         om = build_omega_gcd(inst)
         ranges = _ranges(om)
-        masks = _per_prime_masks(om, grid(om), prime_table(om))
-        binding = [p for p, *_ in masks]
+        per_prime = _per_prime_masks(om, prime_table(om))
+        binding = [p for p, *_ in per_prime]
         assert binding == [p for p, r in ranges.items() if _kept_by(om, p, r[0]) != list(edges(om))]
-        for p, lo, hi, by_k in masks:
-            assert range(lo, hi + 1) == ranges[p] and list(by_k) == list(ranges[p])
-            for k in ranges[p]:
-                assert list(edges(from_grid(om.A, om.B, by_k[k]))) == _kept_by(om, p, k)
+        for p, lo, hi, cuts in per_prime:
+            assert range(lo, hi + 1) == ranges[p] and len(cuts) == len(ranges[p])
+            for k, (most, groups) in zip(ranges[p], cuts):
+                rows = list(om.rows)
+                _cut(rows, groups, [])
+                assert list(edges(PairSet(om.A, om.B, tuple(rows)))) == _kept_by(om, p, k)
+                assert most >= len(_kept_by(om, p, k))
+                # only the classes that lose a column are listed
+                assert all(lose for _, lose in groups)
         dropped += len(ranges) - len(binding)
         kept += len(binding)
     assert dropped and kept
-
-
-def test_cells_equal_the_product():
-    # a spread has bit i*width for each row i; _cells sums shifted copies of
-    # it in place of the product when the columns, or their complement, are
-    # at most width/60
-    rng = random.Random(59)
-    for width in (7, 61, 130, 300):
-        A, B = range(10, 30), range(width, 2 * width)
-        om = build_omega_gcd(GcdInstance.build(A, B, 1, 10, width, check_ranges=False))
-        for _ in range(30):
-            rows = rng.getrandbits(om.n_left)
-            spread = _spread(rows, width)
-            assert spread == sum(1 << (i * width) for i in range(om.n_left) if rows >> i & 1)
-            few = sum(1 << j for j in rng.sample(range(width), rng.randint(0, width // 60 + 1)))
-            for cols in (few, (1 << width) - 1 - few, rng.getrandbits(width)):
-                assert _cells(spread, cols, width) == spread * cols
-
-
-def test_spread_times_a_column_mask_is_the_cells():
-    inst = GcdInstance.build([4, 6, 8, 9, 10], [4, 6, 8], 2, 4, 4, check_ranges=False)
-    om = build_omega_gcd(inst)
-    every = edges(PairSet(om.A, om.B, (0b111,) * 5))
-    for rows in range(1 << 5):
-        for cols in range(1 << 3):
-            cells = edges(from_grid(om.A, om.B, _spread(rows, 3) * cols))
-            assert list(cells) == [
-                e for k, e in enumerate(every) if rows >> (k // 3) & 1 and cols >> (k % 3) & 1
-            ]
-
-
-def test_split_rows_undoes_join_rows():
-    # the search joins Omega's rows into one grid and cuts its result back
-    # into rows from the grid's bytes, at widths on and off a byte boundary
-    rng = random.Random(83)
-    for n in (1, 7, 8, 9, 63, 64, 65, 151):
-        full = (1 << n) - 1
-        for m in (1, 2, 128, 129, 300):
-            mixed = [rng.choice((0, full, rng.getrandbits(n))) for _ in range(m)]
-            for rows in ([0] * m, [full] * m, [rng.getrandbits(n) for _ in range(m)], mixed):
-                joined = _join_rows(rows, n)
-                assert joined == sum(r << i * n for i, r in enumerate(rows))
-                assert _split_rows(joined, m, n) == tuple(rows), (n, m)
 
 
 def _reference_modulus(om):
@@ -304,6 +268,22 @@ def test_find_modulus_equals_the_reference_search():
         assert (ms.n.value, grid(ms.omega_prime)) == _reference_modulus(om)
 
 
+def test_the_greedy_leaf_never_beats_the_optimum():
+    # the greedy count seeds the search's best, so it must not exceed the
+    # optimum; and the search hands the rows back as it found them
+    below = 0
+    for inst, om in _search_instances():
+        per_prime = _per_prime_masks(om, prime_table(om))
+        greedy = _greedy(per_prime, list(om.rows), len(om))
+        optimum = _reference_modulus(om)[1].bit_count()
+        assert greedy <= optimum
+        below += greedy < optimum
+        rows = list(om.rows)
+        _search_exhaustive(per_prime, rows, greedy - 1)
+        assert rows == list(om.rows)
+    assert below
+
+
 def test_a_free_prime_takes_its_lowest_k():
     # every pair joins v_2 = 1 (A) to v_2 = 0 (B), so k = 0 and k = 1 both
     # keep all of them at p = 2: 2 binds nowhere, takes its lowest k = 0,
@@ -312,7 +292,7 @@ def test_a_free_prime_takes_its_lowest_k():
     om = build_omega_gcd(inst)
     assert prime_table(om)[2][0] == 0  # lo = 0 at p = 2
     assert _kept_by(om, 2, 0) == _kept_by(om, 2, 1) == list(edges(om))
-    binding = _per_prime_masks(om, grid(om), prime_table(om))
+    binding = _per_prime_masks(om, prime_table(om))
     assert 2 not in [p for p, *_ in binding]
     exact = find_modulus(inst, om)
     assert exact.n.value % 2 == 1
@@ -364,6 +344,51 @@ def test_find_modulus_is_locally_optimal():
             movable = [e for e, f in fails.items() if f <= {p}]
             for k in r:
                 assert sum(kept(a, b, p, k) for a, b in movable) <= best, (p, k)
+
+
+def _benchmark_shaped_instances():
+    """Seeded instances in the shapes of the structure-dense benchmark, far
+    past the reference search: remark2 rungs of 51x61, 101x81 and 121x151
+    elements (all multiples of D in [X, 2X] x [Y, 2Y], X = 50D, 100D, 120D
+    and Y = 60D, 80D, 150D) with a tenth of each side swapped for
+    non-multiples of D; a sparse 80x80 set near 10^4 with D = 8; and a
+    uniform 300x300 set near 10^5 with D = 5."""
+    rng = random.Random(131)
+    out = []
+    for ka, kb in ((50, 60), (100, 80), (120, 150)):
+        D, sides = rng.randint(45, 55), []
+        for k in (ka, kb):
+            S = set(range(k * D, 2 * k * D + 1, D))
+            S -= set(rng.sample(sorted(S), round(len(S) / 10)))
+            while len(S) < k + 1:
+                if (v := rng.randint(k * D, 2 * k * D)) % D:
+                    S.add(v)
+            sides.append(sorted(S))
+        out.append(GcdInstance.build(*sides, D, ka * D, kb * D))
+    for n, lo, D in ((80, 5_000, 8), (300, 100_000, 5)):
+        X, Y = rng.randint(lo, 2 * lo), rng.randint(lo, 2 * lo)
+        A, B = rng.sample(range(X, 2 * X + 1), n), rng.sample(range(Y, 2 * Y + 1), n)
+        out.append(GcdInstance.build(sorted(A), sorted(B), D, X, Y))
+    return out
+
+
+def test_find_modulus_is_pinned_past_the_reference_search():
+    # N, |Omega'| and the sha256 of Omega''s rows, as the grid search found
+    # them; each instance has more k vectors than the reference search tries
+    pins = []
+    for inst in _benchmark_shaped_instances():
+        om = build_omega_gcd(inst)
+        assert _k_vectors(om) > 3000
+        si = find_modulus(inst, om)
+        rows = repr(si.omega_prime.rows).encode()
+        pins.append((si.n.value, len(si.omega_prime), hashlib.sha256(rows).hexdigest()))
+    assert pins == [
+        (50, 739, "be9c1b45fd11c471d9117de3aef64a41cc6b5bde25bdbb9c9e04745a335d6681"),
+        (48, 1878, "5537e91086266d36ec8973c3acf68f8d43fc60ed3c272d919b3f5dd8cad39a11"),
+        (45, 4302, "b1ca950176601d9a7ef5ab3a9d3b55a4543571b168fb3ef1f108516714b76f69"),
+        (12, 44, "7b7f2be802481a505757469f12c2f5c6df60077bf3e71982c76e91e3b7ddd9ff"),
+        (7, 1126, "d46e418e3aff49429d9b236894338c50407ed8d6883588bdf081e3b86ecc4c90"),
+    ]
 
 
 def test_defect_examples():
@@ -775,7 +800,8 @@ def test_corrupted_omega_prime_reports_the_pair_walks_first_offender():
         for n in ns:
             rows = sum(1 << i for i, a in enumerate(om.A) if has_defect(a, n))
             cols = sum(1 << j for j, b in enumerate(om.B) if has_defect(b, n))
-            corrupted = [grid(om) & _spread(rows, len(om.B)) * cols]
+            between = (row & cols if rows >> i & 1 else 0 for i, row in enumerate(om.rows))
+            corrupted = [grid(PairSet(om.A, om.B, tuple(between)))]
             corrupted += [
                 grid(si.omega_prime) | outside & rng.getrandbits(len(om.A) * len(om.B))
                 for _ in range(10)
