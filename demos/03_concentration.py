@@ -15,7 +15,6 @@ from gcdlab import (
     best_center,
     build_omega_gcd,
     concentration_report,
-    from_valuation_measure,
     min_admissible_c_interval,
     sigma_decomposition,
     tail_mass,
@@ -72,8 +71,7 @@ A = list(range(100, 201, 10))
 inst = GcdInstance.build(A, A, D=10, X=100, Y=100)
 omega = build_omega_gcd(inst)
 for p in (2, 5):
-    vm = valuation_measure(inst, omega, p)
-    rep = concentration_report(*from_valuation_measure(vm))
+    rep = concentration_report(*valuation_measure(omega, p))
     lo, hi = rep.c_interval
     print(
         f"p = {p}: lambda = {rep.lam:.4f}, c in [{lo:.6f}, {hi:.6f}] "

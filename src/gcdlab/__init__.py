@@ -2,11 +2,11 @@
 statistics on dyadic integer sets.
 
 The package provides exact arithmetic (arith), the instance model with pair
-censuses and bound evaluators (instance), valuation measures, modulus search
-and defect machinery (structure, with the search itself in modulus),
-concentration numerics (measure), the explicit example families (families),
-extremal search and violation hunting (search), and a command-line front end
-(cli).
+censuses and bound evaluators (instance), modulus search and defect
+machinery (structure, with the search itself in modulus), valuation measures
+and concentration numerics (measure), the explicit example families
+(families), extremal search and violation hunting (search), and a
+command-line front end (cli).
 
 `import gcdlab` loads no submodule: each exported name is imported from its
 module on first access (PEP 562), so a caller pays only for what it uses.
@@ -50,7 +50,6 @@ _EXPORTS = {
         "DefectDecomposition",
         "DefectError",
         "StructuredInstance",
-        "ValuationMeasure",
         "check_pivotal",
         "defect",
         "defect_census",
@@ -58,7 +57,6 @@ _EXPORTS = {
         "extract_witnesses",
         "find_modulus",
         "quad_identity",
-        "valuation_measure",
     ),
     "measure": (
         "ConcentrationReport",
@@ -68,10 +66,10 @@ _EXPORTS = {
         "WeightPair",
         "best_center",
         "concentration_report",
-        "from_valuation_measure",
         "min_admissible_c_interval",
         "sigma_decomposition",
         "tail_mass",
+        "valuation_measure",
     ),
     "families": (
         "FamilyReport",

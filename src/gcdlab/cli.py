@@ -86,8 +86,8 @@ def cmd_stats(args) -> tuple[dict, int]:
     inst = read_instance(args.instance)
     cfg = _config(args, inst)
     inst = inst._replace(epsilon=cfg["epsilon"], p0=cfg["p0"])
-    # each row is counted and dropped: stats never builds the |A||B| grid
-    size = sum(row.bit_count() for row in _omega_rows(inst))
+    # each row is counted and dropped: stats never holds all of Omega
+    size = sum(row.bit_count() for row in _omega_rows(inst.A, inst.B, inst.D))
     delta = Fraction(size, inst.size_product())
     pset, psml = prime_sets(inst.A + inst.B, inst.p0)
     summary = {
@@ -213,9 +213,9 @@ def cmd_measure(args) -> tuple[dict, int]:
         Measure2D,
         WeightPair,
         concentration_report,
-        from_valuation_measure,
         random_admissible_config,
         sweep_extremes,
+        valuation_measure,
     )
 
     modes = {"--point-mass": args.point_mass, "--instance": args.instance, "--random": args.random}
@@ -244,16 +244,14 @@ def cmd_measure(args) -> tuple[dict, int]:
         summary = _measure_summary(rep)
         summary["source"] = f"point-mass ({i}, {j})"
     elif inst is not None:
-        from .structure import valuation_measure
-
         omega = build_omega_gcd(inst)
         if not omega:
             raise InstanceError("pair set is empty; the edge measure is undefined")
-        vm = valuation_measure(inst, omega, args.prime)
-        rep = concentration_report(*from_valuation_measure(vm), cfg["epsilon"])
+        mu, w, lam = valuation_measure(omega, args.prime)
+        rep = concentration_report(mu, w, lam, cfg["epsilon"])
         summary = _measure_summary(rep)
         summary["source"] = f"valuation measure at p = {args.prime}"
-        records = [{"i": i, "j": j, "weight": w_} for (i, j), w_ in vm.mu.items()]
+        records = [{"i": i, "j": j, "weight": Fraction(m, mu.total)} for (i, j), m in mu.weights]
     else:
         import random as _random
 

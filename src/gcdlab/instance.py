@@ -295,15 +295,16 @@ def _indices(mask: int) -> list[int]:
     return [i for i, c in enumerate(reversed(format(mask, "b"))) if c == "1"]
 
 
-def _omega_rows(inst: GcdInstance):
-    """Row a of Omega for each a in A in turn, as a mask over B: the union
-    of the column masks of a's least divisors >= D, so no pair is tested."""
-    t = _gcd_threshold(inst.D)
+def _omega_rows(A, B, D):
+    """Row a of the gcd >= D relation for each FactoredNat a in A in turn, as
+    a mask over B: the union of the column masks of a's least divisors >= D,
+    so no pair is tested."""
+    t = _gcd_threshold(D)
     cols: dict[int, int] = defaultdict(int)
-    for j, b in enumerate(inst.B):
+    for j, b in enumerate(B):
         for d in _least_divisors_geq(b.factors, t):
             cols[d] |= 1 << j
-    for a in inst.A:
+    for a in A:
         row = 0
         for d in _least_divisors_geq(a.factors, t):
             row |= cols.get(d, 0)
@@ -313,7 +314,7 @@ def _omega_rows(inst: GcdInstance):
 def build_omega_gcd(inst: GcdInstance) -> PairSet:
     """All pairs (a, b) in A x B with gcd(a, b) >= D, density exact: the
     rows of _omega_rows."""
-    return PairSet(inst.A, inst.B, tuple(_omega_rows(inst)))
+    return PairSet(inst.A, inst.B, tuple(_omega_rows(inst.A, inst.B, inst.D)))
 
 
 def build_omega_ratio(A, B, Q) -> PairSet:

@@ -4,13 +4,13 @@ l^q'-normalized weight sequences x, y and q' = (2 + eps)/(1 + eps).
 
 Every object has one exact form: a measure is integer masses over one
 integer total, and each weight sequence is its q'-th powers alpha_i as
-integers over a total (x_i = alpha_i^(1/q') is only displayed), so valuation
-measures, counts over |Omega|, |A| and |B|, map on directly.  With epsilon =
-a/b every c_ij^(2b+a) is rational: the verdicts c_min >= 1/9 and c_min <= 1
-compare cross-multiplied integers, and the reported c_min, its enclosure and
-the tail ratio tail / lambda^(q + eps) each come from one integer root.
-Floats are displayed values, and the capped generator's caps, whose c <= 1
-the exact test certifies.
+integers over a total (x_i = alpha_i^(1/q') is only displayed), so the
+valuation measure at a prime p is its counts over |Omega|, |A| and |B|.
+With epsilon = a/b every c_ij^(2b+a) is rational: the verdicts c_min >= 1/9
+and c_min <= 1 compare cross-multiplied integers, and the reported c_min,
+its enclosure and the tail ratio tail / lambda^(q + eps) each come from one
+integer root.  Floats are displayed values, and the capped generator's caps,
+whose c <= 1 the exact test certifies.
 
 The lemma leaves the tail ratio's constant unspecified, so the ratio is
 reported and never checked against a bound.
@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import _iroot
-from .instance import decimal_fraction
+from .instance import PairSet, decimal_fraction
 
 __all__ = [
     "C_FLOOR",
@@ -39,7 +40,6 @@ __all__ = [
     "best_center",
     "capped_admissible_config",
     "concentration_report",
-    "from_valuation_measure",
     "min_admissible_c_interval",
     "random_admissible_config",
     "random_measure",
@@ -47,6 +47,7 @@ __all__ = [
     "sigma_decomposition",
     "sweep_extremes",
     "tail_mass",
+    "valuation_measure",
 ]
 
 LAMBDA_MAX = Fraction(4, 5)  # the lemma's hypothesis lambda <= 4/5
@@ -329,13 +330,26 @@ def concentration_report(
     )
 
 
-def from_valuation_measure(vm):
-    """Bridge from per-prime valuation statistics: the edge measure becomes
-    mu, the densities alpha, beta give x_i = alpha_i^(1/q'), and lambda =
-    p^(-1/q).  Returns (mu, weights, PrimeLambda(vm.p))."""
-    mu = Measure2D.from_dict(vm.mu)
-    w = WeightPair.from_densities(vm.alpha, vm.beta)
-    return mu, w, PrimeLambda(vm.p)
+def valuation_measure(omega: PairSet, p: int) -> tuple[Measure2D, WeightPair, PrimeLambda]:
+    """(mu, weights, PrimeLambda(p)) at the prime p, as integer counts: mu is
+    the pairs of omega in each class (v_p(a), v_p(b)) over |omega|, alpha
+    and beta the elements of A and of B in each class v_p over |A| and |B|.
+    B's indices are grouped into column classes, and each row of omega is
+    counted against them; omega must be nonempty."""
+    if not omega:
+        raise ValueError("omega is empty: the edge measure is undefined")
+    va = [a.valuation(p) for a in omega.A]
+    cols: dict[int, int] = defaultdict(int)
+    for j, b in enumerate(omega.B):
+        cols[b.valuation(p)] |= 1 << j
+    counts: Counter[tuple[int, int]] = Counter()
+    for v, row in zip(va, omega.rows):
+        for w, C in cols.items():
+            counts[v, w] += (row & C).bit_count()
+    alpha = tuple(sorted(Counter(va).items()))
+    beta = tuple((j, C.bit_count()) for j, C in sorted(cols.items()))
+    mu = Measure2D(tuple((ij, c) for ij, c in sorted(counts.items()) if c), len(omega))
+    return mu, WeightPair(alpha, len(va), beta, len(omega.B)), PrimeLambda(p)
 
 
 class SweepExtremes(NamedTuple):

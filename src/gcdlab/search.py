@@ -12,13 +12,13 @@ how close one came.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import factorize
-from .instance import GcdInstance, InternalConsistencyError, build_omega_gcd, chase_diagonal_bound
+from .instance import GcdInstance, InternalConsistencyError, _omega_rows, build_omega_gcd
+from .instance import chase_diagonal_bound
 
 __all__ = [
     "SearchResult",
@@ -93,10 +93,6 @@ def _subset(universe: list[int], mask: int) -> tuple[int, ...]:
     return tuple(v for i, v in enumerate(universe) if mask >> i & 1)
 
 
-def _compat_masks(ua: list[int], ub: list[int], D: int) -> list[int]:
-    return [sum(1 << i for i, a in enumerate(ua) if math.gcd(a, b) >= D) for b in ub]
-
-
 def _closed_sets(compat: list[int], n: int) -> set[int]:
     """The full mask on n bits and every intersection of masks in compat."""
     closed = {(1 << n) - 1}
@@ -110,7 +106,7 @@ def _bipartite_max(ua: list[int], ub: list[int], D: int):
     B is every b whose column contains A, and A is the intersection of B's
     columns (all of ua if B is empty).  A tie goes to the largest A read as
     a bitmask."""
-    compat = _compat_masks(ua, ub, D)
+    compat = list(_omega_rows(map(factorize, ub), map(factorize, ua), D))
     closed = _closed_sets(compat, len(ua))
     best, a = max((a.bit_count() * sum(a & c == a for c in compat), a) for a in closed)
     if not best:
@@ -125,7 +121,7 @@ def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
     would extend it): it is closed.  A closed set is a clique iff it lies in
     the column of each member.  A tie goes to the least sorted tuple."""
     u = list(range(max(X, D), 2 * X + 1))
-    compat = _compat_masks(u, u, D)
+    compat = list(_omega_rows(map(factorize, u), map(factorize, u), D))
     closed = _closed_sets(compat, len(u))
     cliques = [a for a in closed if all(a & c == a for i, c in enumerate(compat) if a >> i & 1)]
     size = max(a.bit_count() for a in cliques)
@@ -136,7 +132,7 @@ def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
     """Exact delta-threshold search: enumerate A; for fixed A and |B| = m the
     best achievable good-pair count is the sum of the m largest degrees, so
     feasibility per m reduces to a prefix-sum test."""
-    compat = _compat_masks(ua, ub, D)
+    compat = list(_omega_rows(map(factorize, ub), map(factorize, ua), D))
     best = 0
     best_pair = ((), ())
     for amask in range(1, 1 << len(ua)):

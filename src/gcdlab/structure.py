@@ -1,7 +1,7 @@
-"""Structural machinery around a GCD instance: per-prime valuation measures,
-the search for a modulus N concentrating valuations, pivotal-pair filtering,
-defect decompositions a = N * a_plus / a_minus, the defect-count census, and
-extraction of a witness pair certifying the delta^-2 product bound.
+"""Structural machinery around a GCD instance: the search for a modulus N
+concentrating valuations, pivotal-pair filtering, defect decompositions
+a = N * a_plus / a_minus, the defect-count census, and extraction of a
+witness pair certifying the delta^-2 product bound.
 
 All densities and comparisons are exact rationals; defect arithmetic is
 exact integer arithmetic.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -28,7 +27,6 @@ __all__ = [
     "PrimeWitness",
     "QuadIdentity",
     "StructuredInstance",
-    "ValuationMeasure",
     "check_pivotal",
     "defect",
     "defect_census",
@@ -37,52 +35,12 @@ __all__ = [
     "find_modulus",
     "product_bound",
     "quad_identity",
-    "valuation_measure",
     "witness_chain",
 ]
 
 
 class DefectError(ValueError):
     """Some |v_p(a/N)| >= 2, so the (a_plus, a_minus) split is undefined."""
-
-
-# ---------------------------------------------------------------------------
-# Valuation measures
-# ---------------------------------------------------------------------------
-
-
-class ValuationMeasure(NamedTuple):
-    """Relative densities at a prime p: alpha_i = |A_i|/|A| for the slices
-    A_i = {a : v_p(a) = i}, beta_j likewise for B, and the edge measure
-    mu(i, j) = |Omega restricted to A_i x B_j| / |Omega|."""
-
-    p: int
-    alpha: dict[int, Fraction]
-    beta: dict[int, Fraction]
-    mu: dict[tuple[int, int], Fraction]
-
-
-def valuation_measure(inst: GcdInstance, omega: PairSet, p: int) -> ValuationMeasure:
-    """Exact (alpha, beta, mu) at prime p; omega must be nonempty.  B's
-    indices are grouped into classes by v_p, and each row of omega is
-    counted against those classes."""
-    if not omega:
-        raise ValueError("omega is empty: the edge measure is undefined")
-    va = [a.valuation(p) for a in inst.A]
-    cols: dict[int, int] = defaultdict(int)
-    for j, b in enumerate(inst.B):
-        cols[b.valuation(p)] |= 1 << j
-    counts: Counter[tuple[int, int]] = Counter()
-    for v, row in zip(va, omega.rows):
-        for w, C in cols.items():
-            counts[v, w] += (row & C).bit_count()
-    nA, nB, nE = len(inst.A), len(inst.B), len(omega)
-    return ValuationMeasure(
-        p,
-        {i: Fraction(c, nA) for i, c in sorted(Counter(va).items())},
-        {j: Fraction(C.bit_count(), nB) for j, C in sorted(cols.items())},
-        {ij: Fraction(c, nE) for ij, c in sorted(counts.items()) if c},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from .instance import gcd_census
 from .measure import (
     best_center,
     capped_admissible_config,
-    from_valuation_measure,
     min_admissible_c_interval,
     random_admissible_config,
     random_measure,
     sigma_decomposition,
     sweep_extremes,
     tail_mass,
+    valuation_measure,
 )
 from .search import (
     SearchSpace,
@@ -34,7 +34,7 @@ from .search import (
     hunt_violations,
     random_structured_instance,
 )
-from .structure import defect_census_sweep, quad_identity, valuation_measure
+from .structure import defect_census_sweep, quad_identity
 
 __all__ = [
     "CheckResult",
@@ -246,8 +246,7 @@ def check_concentration(
     for idx in range(n_exact):
         si = random_structured_instance(rng_exact, max_scale=24, max_side=8)
         p = min(p for el in si.base.A + si.base.B for p in el.primes())
-        vm = valuation_measure(si.base, si.omega, p)
-        lo, hi, ok, _ = min_admissible_c_interval(*from_valuation_measure(vm), epsilon)
+        lo, hi, ok, _ = min_admissible_c_interval(*valuation_measure(si.omega, p), epsilon)
         if not ok:
             failures.append(
                 {"exact_config": idx, "interval": (lo, hi), "reason": "certified c < 1/9"}

@@ -698,7 +698,10 @@ def measure_argv(draw):
 
 @pytest.mark.slow
 @settings(
-    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=measure_argv())
 def test_measure_fuzz_ends_in_an_exit_code_and_one_line(argv, capsys):
@@ -781,7 +784,10 @@ def any_argv(draw):
 
 @pytest.mark.slow
 @settings(
-    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=any_argv())
 def test_every_subcommand_fuzz_ends_in_an_exit_code_and_one_line(argv, monkeypatch, capsys):
@@ -889,6 +895,7 @@ def test_only_the_structure_subcommands_load_the_structure_layer():
         (["stats", GOLDEN_INSTANCE], set()),
         (["family", "remark2", "--X", "8", "--D", "2"], set()),
         (["measure", "--point-mass", "0", "0", "--lambda", "0.5"], set()),
+        (["measure", "--instance", GOLDEN_INSTANCE, "--prime", "2"], set()),
         (["search", "exhaustive", "--X", "4", "--D", "2"], set()),
         (["search", "exhaustive", "--X", "4", "--D", "2", "--force-equal"], set()),
         (["defect", "--a", "12", "--n", "6"], {"gcdlab.structure"}),

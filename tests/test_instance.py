@@ -125,7 +125,7 @@ def test_row_count_equals_the_grid_and_the_naive_census():
     ]
     for A, B, D in cases:
         inst = GcdInstance.build(A, B, D, 1, 1, check_ranges=False)
-        rows, om = list(_omega_rows(inst)), build_omega_gcd(inst)
+        rows, om = list(_omega_rows(inst.A, inst.B, inst.D)), build_omega_gcd(inst)
         assert sum(r.bit_count() for r in rows) == len(om) == count_pairs_geq_naive(A, B, D)
 
 
@@ -243,7 +243,7 @@ def test_prime_sets_reads_as_the_census_helpers_do():
     assert prime_sets(["12", factorize(35)], 5) == prime_sets([12, 35], 5)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     st.sets(st.integers(min_value=1, max_value=5000), min_size=1, max_size=8),
     st.integers(min_value=0, max_value=100),
@@ -680,7 +680,7 @@ def _grammar_value(text: str):
     return None if sep == "/" and int(tail) == 0 else Fraction(text)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(text=NUMBER_TEXT)
 def test_number_text_reads_as_its_fraction_or_not_at_all(text):
     expected = _grammar_value(text)
@@ -726,7 +726,10 @@ def instance_doc(draw):
 
 
 @settings(
-    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(doc=instance_doc())
 def test_a_malformed_instance_file_ends_in_an_exit_code_and_one_line(doc, tmp_path, capsys):
@@ -748,7 +751,7 @@ def _outcome(read):
         return str(exc)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(doc=instance_doc())
 def test_a_file_and_a_library_call_read_the_same_values_alike(doc):
     from_file = _outcome(lambda: instance_from_json(json.dumps(doc)))

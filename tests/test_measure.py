@@ -1,12 +1,19 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gcdlab.instance import GcdInstance, build_omega_gcd, epsilon_fraction, read_instance
+from gcdlab.instance import (
+    GcdInstance,
+    PairSet,
+    build_omega_gcd,
+    epsilon_fraction,
+    read_instance,
+)
 from gcdlab.measure import (
     Measure2D,
     PrimeLambda,
@@ -14,18 +21,18 @@ from gcdlab.measure import (
     best_center,
     capped_admissible_config,
     concentration_report,
-    from_valuation_measure,
     min_admissible_c_interval,
     random_admissible_config,
     random_measure,
     sigma_decomposition,
     sweep_extremes,
     tail_mass,
+    valuation_measure,
 )
 from gcdlab import verify
 from gcdlab.search import random_structured_instance
-from gcdlab.structure import valuation_measure
 from gcdlab.verify import check_concentration
+from pairset_views import edges
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 HALF = Fraction(1, 2)
@@ -266,7 +273,7 @@ def test_exact_enclosure_matches_the_mpmath_reference():
             epsilon = epsilons[configs % len(epsilons)]
             eps = epsilon_fraction(epsilon)
             n = 2 * eps.denominator + eps.numerator
-            mu, w, lam = from_valuation_measure(valuation_measure(si.base, si.omega, p))
+            mu, w, lam = valuation_measure(si.omega, p)
             lo, hi, ok, _ = min_admissible_c_interval(mu, w, lam, eps)
             # c_min^n exactly: lambda^n = p^-b and x_i^n = alpha_i^(a+b)
             alpha = {i: Fraction(a, w.alpha_total) for i, a in w.alpha}
@@ -294,7 +301,7 @@ def test_reported_c_min_lies_in_its_interval():
         si = random_structured_instance(rng, max_scale=24, max_side=8)
         primes = sorted({p for el in si.base.A + si.base.B for p in el.primes()})
         for p in primes[:3]:
-            mu, w, lam = from_valuation_measure(valuation_measure(si.base, si.omega, p))
+            mu, w, lam = valuation_measure(si.omega, p)
             rep = concentration_report(mu, w, lam)
             lo, hi = rep.c_interval
             assert lo <= rep.c_min <= hi, (configs, p)
@@ -303,21 +310,21 @@ def test_reported_c_min_lies_in_its_interval():
 
 def test_valuation_bridge_reads_epsilon_as_its_decimal():
     # at epsilon = 0.55 the binary value of the float gives another q'; the
-    # float is read once, at the boundary, and the bridge takes the fraction
+    # float is read once, at the boundary, and the report takes the fraction
     inst = read_instance(GOLDEN / "remark2.instance.json")
-    vm = valuation_measure(inst, build_omega_gcd(inst), 3)
+    mu, w, lam = valuation_measure(build_omega_gcd(inst), 3)
     eps = epsilon_fraction(0.55)
-    mu, w, lam = from_valuation_measure(vm)
     rep = concentration_report(mu, w, lam, eps)
     decimal, binary = Fraction(11, 20), Fraction(0.55)
     assert eps == decimal
     assert rep.lam == 3.0 ** (-1.0 / float(2 + decimal))
     inv = {e: 1.0 / float((2 + e) / (1 + e)) for e in (decimal, binary)}
     assert inv[decimal] != inv[binary]
+    beta = dict(w.beta)
     gamma = 1.0 - max(
-        float(a) ** inv[decimal] * float(vm.beta[i]) ** inv[decimal]
-        for i, a in vm.alpha.items()
-        if i in vm.beta
+        (a / w.alpha_total) ** inv[decimal] * (beta[i] / w.beta_total) ** inv[decimal]
+        for i, a in w.alpha
+        if i in beta
     )
     assert rep.gamma == gamma
 
@@ -325,9 +332,8 @@ def test_valuation_bridge_reads_epsilon_as_its_decimal():
 def test_epsilon_near_one_certifies_remark2_in_under_a_second():
     # epsilon = 999/1000 raises to the power n = 2999, the largest the cap allows
     inst = read_instance(GOLDEN / "remark2.instance.json")
-    vm = valuation_measure(inst, build_omega_gcd(inst), 2)
+    mu, w, lam = valuation_measure(build_omega_gcd(inst), 2)
     eps = Fraction(999, 1000)
-    mu, w, lam = from_valuation_measure(vm)
     start = time.perf_counter()
     rep = concentration_report(mu, w, lam, eps)
     assert time.perf_counter() - start < 1.0
@@ -403,8 +409,7 @@ def test_valuation_bridge_point_mass():
     inst = GcdInstance.build([15, 30], [15, 30], 15, 15, 15)
     om = build_omega_gcd(inst)
     for p in (3, 5):
-        vm = valuation_measure(inst, om, p)
-        mu, w, lam = from_valuation_measure(vm)
+        mu, w, lam = valuation_measure(om, p)
         rep = concentration_report(mu, w, lam)
         assert rep.tail == 0 and rep.ratio == 0
         assert rep.c_lower_ok
@@ -417,8 +422,7 @@ def test_valuation_bridge_general_instance():
     A = list(range(100, 201, 10))
     inst = GcdInstance.build(A, A, 10, 100, 100)
     om = build_omega_gcd(inst)
-    vm = valuation_measure(inst, om, 2)
-    mu, w, lam = from_valuation_measure(vm)
+    mu, w, lam = valuation_measure(om, 2)
     assert lam == PrimeLambda(2)
     rep = concentration_report(mu, w, lam)
     assert rep.lam == pytest.approx(2 ** (-1 / 2.5))
@@ -426,11 +430,116 @@ def test_valuation_bridge_general_instance():
     assert rep.sigma.total == mu.total
 
 
+def totals_match(mu, w) -> bool:
+    """mu's masses add up to its total, and alpha and beta to theirs."""
+    return (
+        sum(m for _, m in mu.weights) == mu.total
+        and sum(a for _, a in w.alpha) == w.alpha_total
+        and sum(b for _, b in w.beta) == w.beta_total
+    )
+
+
+def test_valuation_measure_example():
+    inst = GcdInstance.build([2, 3, 4], [2, 6], 2, 2, 2, check_ranges=False)
+    om = build_omega_gcd(inst)
+    assert {(a.value, b.value) for a, b in edges(om)} == {
+        (2, 2), (2, 6), (4, 2), (4, 6), (3, 6),
+    }
+    mu, w, lam = valuation_measure(om, 2)
+    assert mu == Measure2D((((0, 1), 1), ((1, 1), 2), ((2, 1), 2)), 5)
+    assert w == WeightPair(((0, 1), (1, 1), (2, 1)), 3, ((1, 2),), 2)
+    assert lam == PrimeLambda(2)
+    assert totals_match(mu, w)
+
+
+def test_valuation_measure_point_cases():
+    # all elements coprime to p: mass sits at (0, 0)
+    inst = GcdInstance.build([3, 5], [3, 5], 1, 3, 3)
+    mu, _, _ = valuation_measure(build_omega_gcd(inst), 2)
+    assert mu.weights == (((0, 0), 4),) and mu.total == 4
+    # all elements sharing v_p = 1: mass at (1, 1)
+    inst2 = GcdInstance.build([6, 10], [6, 10], 2, 6, 6)
+    mu2, _, _ = valuation_measure(build_omega_gcd(inst2), 2)
+    assert mu2.weights == (((1, 1), 4),) and mu2.total == 4
+
+
+def test_valuation_measure_sums_random():
+    rng = random.Random(41)
+    for _ in range(50):
+        A = sorted({rng.randint(10, 20) for _ in range(rng.randint(1, 6))})
+        B = sorted({rng.randint(10, 20) for _ in range(rng.randint(1, 6))})
+        om = build_omega_gcd(GcdInstance.build(A, B, 1, 10, 10))
+        for p in (2, 3, 5):
+            mu, w, _ = valuation_measure(om, p)
+            assert totals_match(mu, w)
+            assert (mu.total, w.alpha_total, w.beta_total) == (len(om), len(A), len(B))
+
+
+def _v(p: int, n: int) -> int:
+    k = 0
+    while n % p == 0:
+        n, k = n // p, k + 1
+    return k
+
+
+def test_valuation_measure_matches_grouped_edges():
+    # oracle: mu, alpha and beta are the counts of the pairs of Omega, of A
+    # and of B grouped by their valuations, with keys in increasing order;
+    # 101 divides no element below 202, and 11 often none
+    rng = random.Random(2078)
+    for _ in range(120):
+        X = rng.choice((16, 64, 120, 300))
+        A = rng.sample(range(X, 2 * X + 1), rng.randint(1, 12))
+        B = rng.sample(range(X, 2 * X + 1), rng.randint(1, 12))
+        inst = GcdInstance.build(A, B, rng.randint(1, 8), X, X, check_ranges=False)
+        om = build_omega_gcd(inst)
+        if not om:
+            continue
+        for p in (2, 3, 5, 7, 11, 101):
+            mu, w, _ = valuation_measure(om, p)
+            pairs = [(_v(p, a.value), _v(p, b.value)) for a, b in edges(om)]
+            groups = {
+                "mu": ((mu.weights, mu.total), len(om), Counter(pairs)),
+                "alpha": ((w.alpha, w.alpha_total), len(A), Counter(_v(p, a) for a in A)),
+                "beta": ((w.beta, w.beta_total), len(B), Counter(_v(p, b) for b in B)),
+            }
+            for name, (got, total, counts) in groups.items():
+                assert got == (tuple(sorted(counts.items())), total), (A, B, p, name)
+
+
+def test_valuation_measure_rejects_empty():
+    inst = GcdInstance.build([3], [5], 1, 3, 5, check_ranges=False)
+    with pytest.raises(ValueError):
+        valuation_measure(PairSet(inst.A, inst.B, (0,)), 2)
+
+
+def test_valuation_counts_report_as_their_normalized_fractions():
+    # the counts over |Omega|, |A| and |B| and the same measure reduced from
+    # its probabilities give one report, field by field: every displayed
+    # value depends only on the rationals
+    for path in sorted(GOLDEN.glob("*.instance.json")):
+        omega = build_omega_gcd(read_instance(path))
+        for p in (2, 3, 5):
+            mu, w, lam = valuation_measure(omega, p)
+            reduced = (
+                Measure2D.from_dict({ij: Fraction(m, mu.total) for ij, m in mu.weights}),
+                WeightPair.from_densities(
+                    {i: Fraction(a, w.alpha_total) for i, a in w.alpha},
+                    {j: Fraction(b, w.beta_total) for j, b in w.beta},
+                ),
+            )
+            for eps in (HALF, Fraction(3, 10), Fraction(999, 1000)):
+                got = concentration_report(mu, w, lam, eps)
+                want = concentration_report(*reduced, lam, eps)
+                for field, value in want._asdict().items():
+                    assert getattr(got, field) == value, (path.name, p, eps, field)
+
+
 def test_prime_lambda_report_shows_the_lambda_its_verdict_used():
     inst = read_instance(GOLDEN / "remark2.instance.json")
     omega = build_omega_gcd(inst)
     for p in (2, 3, 5):
-        mu, w, lam = from_valuation_measure(valuation_measure(inst, omega, p))
+        mu, w, lam = valuation_measure(omega, p)
         for eps in (HALF, Fraction(3, 10), Fraction(1, 4), Fraction(999, 1000)):
             rep = concentration_report(mu, w, lam, eps)
             assert rep.lam == float(p) ** (-1.0 / float(2 + eps)), (p, eps)

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
@@ -25,101 +24,12 @@ from gcdlab.structure import (
     extract_witnesses,
     find_modulus,
     quad_identity,
-    valuation_measure,
     witness_chain,
 )
 from gcdlab.verify import random_pivotal_triple, random_structured_set
 from pairset_views import edges, from_grid, grid
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def sums_to_one(vm) -> bool:
-    """alpha, beta and mu of a valuation measure each sum to exactly 1."""
-    one = Fraction(1)
-    return (
-        sum(vm.alpha.values()) == one
-        and sum(vm.beta.values()) == one
-        and sum(vm.mu.values()) == one
-    )
-
-
-def test_valuation_measure_example():
-    inst = GcdInstance.build([2, 3, 4], [2, 6], 2, 2, 2, check_ranges=False)
-    om = build_omega_gcd(inst)
-    assert {(a.value, b.value) for a, b in edges(om)} == {
-        (2, 2), (2, 6), (4, 2), (4, 6), (3, 6),
-    }
-    vm = valuation_measure(inst, om, 2)
-    assert vm.alpha == {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
-    assert vm.beta == {1: Fraction(1)}
-    assert vm.mu == {(0, 1): Fraction(1, 5), (1, 1): Fraction(2, 5), (2, 1): Fraction(2, 5)}
-    assert sums_to_one(vm)
-
-
-def test_valuation_measure_point_cases():
-    # all elements coprime to p: mass sits at (0, 0)
-    inst = GcdInstance.build([3, 5], [3, 5], 1, 3, 3)
-    om = build_omega_gcd(inst)
-    vm = valuation_measure(inst, om, 2)
-    assert vm.mu == {(0, 0): Fraction(1)}
-    # all elements sharing v_p = 1: mass at (1, 1)
-    inst2 = GcdInstance.build([6, 10], [6, 10], 2, 6, 6)
-    om2 = build_omega_gcd(inst2)
-    vm2 = valuation_measure(inst2, om2, 2)
-    assert vm2.mu == {(1, 1): Fraction(1)}
-
-
-def test_valuation_measure_sums_random():
-    rng = random.Random(41)
-    for _ in range(50):
-        A = sorted({rng.randint(10, 20) for _ in range(rng.randint(1, 6))})
-        B = sorted({rng.randint(10, 20) for _ in range(rng.randint(1, 6))})
-        inst = GcdInstance.build(A, B, 1, 10, 10)
-        om = build_omega_gcd(inst)
-        for p in (2, 3, 5):
-            assert sums_to_one(valuation_measure(inst, om, p))
-
-
-def _v(p: int, n: int) -> int:
-    k = 0
-    while n % p == 0:
-        n, k = n // p, k + 1
-    return k
-
-
-def test_valuation_measure_matches_grouped_edges():
-    # oracle: alpha, beta and mu are the counts of A, B and the pairs of
-    # Omega grouped by their valuations, with keys in increasing order;
-    # 101 divides no element below 202, and 11 often none
-    rng = random.Random(2078)
-    for _ in range(120):
-        X = rng.choice((16, 64, 120, 300))
-        A = rng.sample(range(X, 2 * X + 1), rng.randint(1, 12))
-        B = rng.sample(range(X, 2 * X + 1), rng.randint(1, 12))
-        inst = GcdInstance.build(A, B, rng.randint(1, 8), X, X, check_ranges=False)
-        om = build_omega_gcd(inst)
-        if not om:
-            continue
-        for p in (2, 3, 5, 7, 11, 101):
-            vm = valuation_measure(inst, om, p)
-            pairs = [(_v(p, a.value), _v(p, b.value)) for a, b in edges(om)]
-            groups = {
-                "alpha": (len(inst.A), Counter(_v(p, a.value) for a in inst.A)),
-                "beta": (len(inst.B), Counter(_v(p, b.value) for b in inst.B)),
-                "mu": (len(om), Counter(pairs)),
-            }
-            for name, (total, counts) in groups.items():
-                want = {k: Fraction(c, total) for k, c in sorted(counts.items())}
-                got = getattr(vm, name)
-                assert list(got.items()) == list(want.items()), (A, B, p, name)
-
-
-def test_valuation_measure_rejects_empty():
-    inst = GcdInstance.build([3], [5], 1, 3, 5, check_ranges=False)
-    empty = PairSet(inst.A, inst.B, (0,))
-    with pytest.raises(ValueError):
-        valuation_measure(inst, empty, 2)
 
 
 def test_check_pivotal_examples():
@@ -459,7 +369,7 @@ def near_triples(draw):
     return near(), near(), prod(p**e for p, e in zip(_KERNEL_PRIMES, n_exp))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(near_triples())
 def test_merge_kernels_equal_the_dict_reference(triple):
     a, b, N = triple
