@@ -7,11 +7,12 @@ pairs sorted by prime.  Factorization takes one gcd of n with the product of
 the trial primes (those up to TRIAL_LIMIT, or up to about sqrt(n) for a
 smaller n) and divides out only the primes of that gcd; a larger cofactor
 goes to Miller-Rabin, perfect-power roots, and Brent's variant of Pollard
-rho.  Miller-Rabin uses
-the published witness set proven for n's size, so is_prime is exact below
-psi_13 = 3317044064679887385961981 and raises ValueError above it for a
-number that no witness shows composite.  The prime sieve up to TRIAL_LIMIT
-is built once at import; primes_up_to sieves afresh past it.
+rho, which raises ValueError for a cofactor it cannot split within a
+budget of about 2**20 steps.  Miller-Rabin uses the published witness set
+proven for n's size, so is_prime is exact below psi_13 =
+3317044064679887385961981 and raises ValueError above it for a number that
+no witness shows composite.  The prime sieve up to TRIAL_LIMIT is built
+once at import; primes_up_to sieves afresh past it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ __all__ = [
 TRIAL_LIMIT = 1 << 11
 _TRIAL_SQUARE = TRIAL_LIMIT * TRIAL_LIMIT
 _END = (math.inf, 0)  # rational_valuations' sentinel past the last prime of N
+# Brent's rounds r = 1, 2, ..., 2**18 sum to this: about 2**20 polynomial steps
+_RHO_BUDGET = (1 << 19) - 1
 
 # Deterministic Miller-Rabin: the first k prime bases prove every n below
 # psi_k, the least strong pseudoprime to all of them (Jaeschke, Math. Comp.
@@ -127,15 +130,18 @@ def is_prime(n: int) -> bool:
 
 
 def _brent(n: int) -> int:
-    """One nontrivial factor of an odd composite n (deterministic schedule)."""
-    if n % 2 == 0:
-        return 2
-    c = 1
+    """One nontrivial factor of an odd composite n (deterministic schedule).
+    The round lengths r, summed over every polynomial tried, may not pass
+    _RHO_BUDGET (about 2**20 polynomial steps): past it, ValueError."""
+    c, spent = 1, 0
     while True:
         y, r, q = 2, 1, 1
         g = 1
         x = ys = y
         while g == 1:
+            spent += r
+            if spent > _RHO_BUDGET:
+                raise ValueError(f"cannot split {n} within the rho step budget")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -265,9 +271,14 @@ class FactoredNat(NamedTuple):
         return str(self.value)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 10)
 def _factored(n: int) -> FactoredNat:
-    # the one factorization cache: a hit returns the same object, not a copy
+    # the one factorization cache: a hit returns the same object, not a copy.
+    # The hits that pay recur within a few hundred values (the hunt's draws
+    # over [4, 80], the delta = 1 windows, the defect census's generator);
+    # a value read from an instance file or drawn at random is factorized
+    # once, and the object that owns it keeps it alive, so a larger bound
+    # would only hold the history of a run.
     return FactoredNat(n, _factor_int(n))
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcdlab import arith
 from gcdlab.search import (
     SearchResult,
     SearchSpace,
@@ -340,6 +341,16 @@ def test_hunt_violation_detail_carries_the_product_bound(monkeypatch):
             assert v.kind == "structured-product-bound"
             assert v.detail["N"] == si.n.value and v.detail["delta_prime"] == str(d)
             assert v.detail["bound"] == str(bound)
+
+
+def test_the_factorization_cache_holds_the_hunts_working_set():
+    # the hunt's values recur (its draws over [4, 80], the delta = 1 windows),
+    # so a second run finds every one of them still cached
+    arith._factored.cache_clear()
+    hunt_violations(scale_limit=12, seed=6006, n_structured=200)
+    misses = arith._factored.cache_info().misses
+    hunt_violations(scale_limit=12, seed=6006, n_structured=200)
+    assert arith._factored.cache_info().misses == misses
 
 
 def test_hunt_is_deterministic():

@@ -180,7 +180,8 @@ def test_find_modulus_equals_the_reference_search():
 
 def test_the_greedy_leaf_never_beats_the_optimum():
     # the greedy count seeds the search's best, so it must not exceed the
-    # optimum; and the search hands the rows back as it found them
+    # optimum; the search from it finds what the search from no incumbent
+    # finds, and hands the rows back as it found them
     below = 0
     for inst, om in _search_instances():
         per_prime = _per_prime_masks(om, prime_table(om))
@@ -189,8 +190,9 @@ def test_the_greedy_leaf_never_beats_the_optimum():
         assert greedy <= optimum
         below += greedy < optimum
         rows = list(om.rows)
-        _search_exhaustive(per_prime, rows, greedy - 1)
+        found = _search_exhaustive(per_prime, rows, greedy - 1)
         assert rows == list(om.rows)
+        assert found == _search_exhaustive(per_prime, rows, -1)
     assert below
 
 
