@@ -4,13 +4,15 @@
 # element into its defect a = N * a_plus / a_minus, and extract the witness
 # pair that certifies the delta'^-2 product bound.
 
+from fractions import Fraction
+
 from gcdlab import (
     GcdInstance,
     build_omega_gcd,
     defect_census,
-    extract_witnesses,
     find_modulus,
     quad_identity,
+    witness_chain,
 )
 
 print("=" * 72)
@@ -69,11 +71,15 @@ print()
 print("=" * 72)
 print("4. Witness extraction")
 print("=" * 72)
-rep = extract_witnesses(si)
-print(f"delta' = {rep.delta_prime}")
-print(f"high-degree set size {rep.tilde_a_size} >= {rep.tilde_a_lower}")
-print(f"witness a = {rep.a} with a* = {rep.a_star} >= {rep.a_star_lower}")
-print(f"witness b = {rep.b} with b* = {rep.b_star} >= {rep.b_star_lower}")
-print(f"a* b* = {rep.quad_product} <= 4XY/D^2 = {rep.quad_cap}")
-print(f"|A||B| = {rep.size_product} <= 1000 delta'^-2 XY/D^2 = {float(rep.prop_bound):.1f}")
-print(f"verdict: holds = {rep.holds}, chain verified = {rep.chain_ok}")
+chain = witness_chain(si)
+m, dp = len(si.omega_prime), si.delta_prime  # m = delta' |A||B|
+print(f"delta' = {dp}")
+print(f"high-degree set size {chain.tilde_a_size} >= {Fraction(m, 4 * len(inst.B))}")
+a_lower, b_lower = Fraction(m, 8 * len(inst.B)), Fraction(m, 8 * len(inst.A))
+print(f"witness a = {inst.A[chain.ia].value} with a* = {chain.a_star} >= {a_lower}")
+print(f"witness b = {inst.B[chain.ib].value} with b* = {chain.b_star} >= {b_lower}")
+scale = inst.X * inst.Y / (inst.D * inst.D)
+print(f"a* b* = {chain.a_star * chain.b_star} <= 4XY/D^2 = {4 * scale}")
+bound = 1000 * scale / (dp * dp)
+print(f"|A||B| = {inst.size_product()} <= 1000 delta'^-2 XY/D^2 = {float(bound):.1f}")
+print(f"verdict: holds = {chain.holds}, chain verified = {chain.chain_ok}")

@@ -54,9 +54,9 @@ _EXPORTS = {
         "defect",
         "defect_census",
         "defect_census_sweep",
-        "extract_witnesses",
         "find_modulus",
         "quad_identity",
+        "witness_chain",
     ),
     "measure": (
         "ConcentrationReport",

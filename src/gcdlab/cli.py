@@ -114,12 +114,10 @@ def cmd_stats(args) -> tuple[dict, int]:
 
 
 def cmd_structure(args) -> tuple[dict, int]:
-    from .structure import extract_witnesses, find_modulus
+    from .structure import find_modulus, witness_chain
 
     inst = read_instance(args.instance)
     omega = build_omega_gcd(inst)
-    if not omega:
-        raise InstanceError("pair set is empty; nothing to structure")
     si = find_modulus(inst, omega)
     records = []
     op = si.omega_prime
@@ -137,7 +135,9 @@ def cmd_structure(args) -> tuple[dict, int]:
                         "degree": degree,
                     }
                 )
-    witness = extract_witnesses(si)
+    chain = witness_chain(si)
+    if not chain.chain_ok:
+        raise InternalConsistencyError("witness chain failed to verify")
     summary = {
         "N": str(si.n.value),
         "N_factors": [[p, e] for p, e in si.n.factors],
@@ -146,12 +146,41 @@ def cmd_structure(args) -> tuple[dict, int]:
         "fraction": si.fraction,
         "delta": omega.delta,
         "delta_prime": si.delta_prime,
-        "witness": witness,
-        "holds": witness.holds,
+        "witness": _witness_summary(si, chain),
+        "holds": chain.holds,
     }
     if si.fraction < Fraction(1, 2):
         summary["warning"] = "pivotal fraction below 1/2 (possible for non-minimal instances)"
     return make_report("structure", _config(args), summary, records), 0
+
+
+def _witness_summary(si, chain) -> dict:
+    """structure's witness section: witness_chain's pair and verdicts, with
+    each threshold it passed as an exact Fraction (m = |Omega'|)."""
+    from .structure import product_bound
+
+    inst, m = si.base, len(si.omega_prime)
+    nA, nB = len(inst.A), len(inst.B)
+    return {
+        "a": inst.A[chain.ia].value,
+        "b": inst.B[chain.ib].value,
+        "a_star": chain.a_star,
+        "b_star": chain.b_star,
+        "delta_prime": si.delta_prime,
+        "delta_omega": si.omega.delta,
+        "tilde_a_size": chain.tilde_a_size,
+        "tilde_a_lower": Fraction(m, 4 * nB),
+        "deg_a": chain.deg_a,
+        "deg_lower": Fraction(m, 4 * nA),
+        "a_star_lower": Fraction(m, 8 * nB),
+        "b_star_lower": Fraction(m, 8 * nA),
+        "quad_product": chain.a_star * chain.b_star,
+        "quad_cap": 4 * inst.X * inst.Y / (inst.D * inst.D),
+        "size_product": inst.size_product(),
+        "prop_bound": product_bound(si),
+        "holds": chain.holds,
+        "chain_ok": chain.chain_ok,
+    }
 
 
 def cmd_defect(args) -> tuple[dict, int]:
@@ -244,10 +273,7 @@ def cmd_measure(args) -> tuple[dict, int]:
         summary = _measure_summary(rep)
         summary["source"] = f"point-mass ({i}, {j})"
     elif inst is not None:
-        omega = build_omega_gcd(inst)
-        if not omega:
-            raise InstanceError("pair set is empty; the edge measure is undefined")
-        mu, w, lam = valuation_measure(omega, args.prime)
+        mu, w, lam = valuation_measure(build_omega_gcd(inst), args.prime)
         rep = concentration_report(mu, w, lam, cfg["epsilon"])
         summary = _measure_summary(rep)
         summary["source"] = f"valuation measure at p = {args.prime}"

@@ -414,15 +414,25 @@ def theorem1_bound(inst: GcdInstance, delta, small_primes=None) -> tuple[float, 
     return _bound(len(small_primes), inst.epsilon, delta, scale, inst.size_product())
 
 
+def _check_window(values, X: Fraction) -> None:
+    """ValueError naming the first of the int values outside [X, 2X]."""
+    xn, xd = X.numerator, X.denominator
+    for v in values:
+        if not xn <= v * xd <= 2 * xn:
+            raise ValueError(f"element {v} outside [{X}, {2 * X}]")
+
+
 def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
     """The trivial diagonal bound: pairwise gcd >= D forces gaps >= D, so a
     set in [X, 2X] has at most floor(X/D) + 1 elements.
 
-    Raises ValueError if some pair has gcd < D (caller precondition).
+    A is read as its distinct values.  Raises ValueError if one lies outside
+    [X, 2X] or some pair has gcd < D (caller preconditions).
     Returns (holds, max_allowed).
     """
-    vals = _values(A, "A")
+    vals = sorted(set(_values(A, "A")))
     X, D = _number(X, "X"), _number(D, "D")
+    _check_window(vals, X)
     t = _gcd_threshold(D)
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
@@ -431,9 +441,7 @@ def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
                 raise ValueError(
                     f"precondition violated: gcd({vals[i]}, {vals[j]}) = {g} < {D}"
                 )
-    for u, v in zip(vals, vals[1:]):
-        if v - u < D:
-            raise RuntimeError(f"gap {v - u} below {D} despite pairwise gcd >= {D}")
+    # distinct values: gcd(u, v) divides v - u > 0, so each gap is >= ceil(D)
     max_allowed = int(X / D) + 1
     return len(vals) <= max_allowed, max_allowed
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .arith import FactoredNat, factorize, rational_valuations
 from .instance import GcdInstance, InstanceError, InternalConsistencyError, PairSet
-from .instance import _elements, _indices, _number
+from .instance import _check_window, _elements, _indices, _number
 
 __all__ = [
     "DefectCensus",
@@ -31,7 +31,6 @@ __all__ = [
     "defect",
     "defect_census",
     "defect_census_sweep",
-    "extract_witnesses",
     "find_modulus",
     "product_bound",
     "quad_identity",
@@ -250,10 +249,7 @@ def _census_table(S, N: FactoredNat, X: Fraction) -> tuple[list[int], list[int],
     lie in [X, 2X], sorted by a_star: the a_star values and the prefix
     maxima of a_plus^2 and of a_minus^2."""
     elems = _elements(S, "S")
-    xn, xd = X.numerator, X.denominator
-    for el in elems:
-        if not xn <= el.value * xd <= 2 * xn:
-            raise ValueError(f"element {el.value} outside [{X}, {2 * X}]")
+    _check_window([el.value for el in elems], X)
     ds = sorted((d.a_star, d.a_plus**2, d.a_minus**2) for d in [defect(el, N) for el in elems])
     return (
         [star for star, _, _ in ds],
@@ -304,31 +300,6 @@ def defect_census_sweep(S, N, X) -> tuple[DefectCensus, ...]:
     return tuple(
         _census_at(table, N.value, X, Fraction(1 << k)) for k in range(max(top.bit_length(), 1))
     )
-
-
-class WitnessReport(NamedTuple):
-    """Witness pair (a, b) with large defects, plus the verified chain that
-    forces |A||B| <= 1000 * delta'^-2 * XY/D^2 for the filtered density
-    delta' = |Omega'| / (|A||B|)."""
-
-    a: int
-    b: int
-    a_star: int
-    b_star: int
-    delta_prime: Fraction
-    delta_omega: Fraction
-    tilde_a_size: int
-    tilde_a_lower: Fraction  # delta' |A| / 4
-    deg_a: int
-    deg_lower: Fraction  # delta' |B| / 4
-    a_star_lower: Fraction  # delta' |A| / 8
-    b_star_lower: Fraction  # delta' |B| / 8
-    quad_product: int  # a_star * b_star
-    quad_cap: Fraction  # 4XY/D^2
-    size_product: int
-    prop_bound: Fraction  # 1000 delta'^-2 XY/D^2
-    holds: bool
-    chain_ok: bool
 
 
 class WitnessChain(NamedTuple):
@@ -417,34 +388,3 @@ def witness_chain(si: StructuredInstance) -> WitnessChain:
     )
     holds = sd * m * m <= 1000 * sn * size
     return WitnessChain(ia, ib, len(tilde_a), deg_a, a_star, b_star, chain_ok, holds)
-
-
-def extract_witnesses(si: StructuredInstance) -> WitnessReport:
-    """The report of witness_chain's pair and verdicts, with every
-    threshold it passed; InternalConsistencyError if the chain fails."""
-    chain = witness_chain(si)
-    if not chain.chain_ok:
-        raise InternalConsistencyError("witness chain failed to verify")
-    inst, m = si.base, len(si.omega_prime)
-    nA, nB, size = len(inst.A), len(inst.B), inst.size_product()
-    sn, sd = _scale(inst)
-    return WitnessReport(
-        a=inst.A[chain.ia].value,
-        b=inst.B[chain.ib].value,
-        a_star=chain.a_star,
-        b_star=chain.b_star,
-        delta_prime=Fraction(m, size),
-        delta_omega=si.omega.delta,
-        tilde_a_size=chain.tilde_a_size,
-        tilde_a_lower=Fraction(m, 4 * nB),
-        deg_a=chain.deg_a,
-        deg_lower=Fraction(m, 4 * nA),
-        a_star_lower=Fraction(m, 8 * nB),
-        b_star_lower=Fraction(m, 8 * nA),
-        quad_product=chain.a_star * chain.b_star,
-        quad_cap=Fraction(4 * sn, sd),
-        size_product=size,
-        prop_bound=product_bound(si),
-        holds=chain.holds,
-        chain_ok=True,
-    )

@@ -14,9 +14,9 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import divisors, is_squarefree, radical
+from .arith import divisors, factorize, is_squarefree, radical
 from .families import sec5_family
-from .instance import gcd_census
+from .instance import _omega_rows, gcd_census
 from .measure import (
     best_center,
     capped_admissible_config,
@@ -132,9 +132,11 @@ def random_structured_set(rng: random.Random):
 
 
 def check_census_oracle(seed: int = 1001, n_instances: int = 200) -> CheckResult:
-    """Fast census equals the naive double loop, exactly, on every seeded
-    instance and threshold in _CENSUS_D_VALUES.  The census and the loop
-    run once per instance, and each threshold counts from both."""
+    """The fast census and the bit count of Omega's rows (_omega_rows, which
+    stats counts through) each equal the naive double loop, exactly, on every
+    seeded instance and threshold in _CENSUS_D_VALUES.  The census and the
+    loop run once per instance, and each threshold counts from both and
+    builds the rows afresh."""
     start = time.perf_counter()
     rng = random.Random(seed)
     gcd = math.gcd
@@ -145,11 +147,15 @@ def check_census_oracle(seed: int = 1001, n_instances: int = 200) -> CheckResult
         pairs_total += len(A) * len(B)
         census = gcd_census(A, B)
         gcds = [gcd(a, b) for a in A for b in B]
+        fa, fb = [factorize(a) for a in A], [factorize(b) for b in B]
         for D in _CENSUS_D_VALUES:
             fast = sum(e for d, e in census if d >= D)
+            rows = sum(r.bit_count() for r in _omega_rows(fa, fb, D))
             naive = sum(1 for g in gcds if g >= D)
-            if fast != naive:
-                mismatches.append({"instance": idx, "D": D, "fast": fast, "naive": naive})
+            if fast != naive or rows != naive:
+                mismatches.append(
+                    {"instance": idx, "D": D, "fast": fast, "rows": rows, "naive": naive}
+                )
     return CheckResult(
         "census-oracle-equivalence",
         not mismatches,

@@ -96,7 +96,22 @@ def test_a_wrong_census_fails_the_census_oracle(monkeypatch):
     naive = sum(1 for a in A for b in B if gcd(a, b) >= 2)
     res = check_census_oracle(seed=5, n_instances=1)
     assert not res.ok
-    assert res.detail["mismatches"][0] == {"instance": 0, "D": 2, "fast": 1, "naive": naive}
+    assert res.detail["mismatches"][0] == {
+        "instance": 0, "D": 2, "fast": 1, "rows": naive, "naive": naive
+    }
+
+
+def test_a_wrong_row_builder_fails_the_census_oracle(monkeypatch):
+    # one extra row with one pair counts 1 too many at every threshold
+    rows = verify._omega_rows
+    monkeypatch.setattr(verify, "_omega_rows", lambda A, B, D: [*rows(A, B, D), 1])
+    A, B = random_census_instance(random.Random(5))
+    naive = sum(1 for a in A for b in B if gcd(a, b) >= 2)
+    res = check_census_oracle(seed=5, n_instances=1)
+    assert not res.ok
+    assert res.detail["mismatches"][0] == {
+        "instance": 0, "D": 2, "fast": naive, "rows": naive + 1, "naive": naive
+    }
 
 
 def _not_pivotal(quad):

@@ -181,14 +181,44 @@ def test_exit_1_on_violation(monkeypatch, capsys):
     assert doc["records"][0]["kind"] == "diagonal-gap-bound"
 
 
-def test_exit_1_on_an_internal_consistency_failure(monkeypatch, capsys):
-    def failing(si):
-        raise gcdlab.structure.InternalConsistencyError("stub")
+def _raising_chain(si):
+    raise gcdlab.structure.InternalConsistencyError("stub")
 
-    # cli imports extract_witnesses from gcdlab.structure when structure runs
-    monkeypatch.setattr(gcdlab.structure, "extract_witnesses", failing)
+
+_WITNESS_CHAIN = gcdlab.structure.witness_chain  # bound before any test patches it
+
+
+def _unverified_chain(si):
+    return _WITNESS_CHAIN(si)._replace(chain_ok=False)
+
+
+@pytest.mark.parametrize(
+    "fake, message",
+    [(_raising_chain, "stub"), (_unverified_chain, "witness chain failed to verify")],
+)
+def test_exit_1_on_an_internal_consistency_failure(monkeypatch, capsys, fake, message):
+    # cli imports witness_chain from gcdlab.structure when structure runs
+    monkeypatch.setattr(gcdlab.structure, "witness_chain", fake)
     code, out, err = run_cli(["structure", GOLDEN_INSTANCE], capsys)
-    assert (code, out, err) == (1, "", "internal consistency failure: stub\n")
+    assert (code, out, err) == (1, "", f"internal consistency failure: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["structure"], "error: omega is empty: nothing to structure\n"),
+        (
+            ["measure", "--prime", "2", "--instance"],
+            "error: omega is empty: the edge measure is undefined\n",
+        ),
+    ],
+)
+def test_an_empty_pair_set_exits_2_with_the_library_message(tmp_path, capsys, argv, line):
+    # gcd(5, 7) = 1 < 2: Omega is empty, and find_modulus or
+    # valuation_measure refuses it
+    path = _materialise('{"A": ["5"], "B": ["7"], "D": "2", "X": "5", "Y": "7"}', tmp_path)
+    code, out, err = run_cli([*argv, path], capsys)
+    assert (code, out, err) == (2, "", line)
 
 
 def test_structure_without_a_kept_pair_exits_2(tmp_path, capsys):

@@ -308,13 +308,29 @@ def test_theorem1_no_overflow_at_many_small_primes():
 def test_chase_examples():
     assert chase_diagonal_bound([4, 6, 8], 4, 2) == (True, 3)
     assert chase_diagonal_bound([6], 6, 3) == (True, 3)
-    # recomputed from the definitions: all pairwise gcds are 2, 3, 5 >= 2
-    assert chase_diagonal_bound([6, 10, 15], 6, 2) == (True, 4)
+    # recomputed from the definitions: all pairwise gcds are 5, 2, 3 >= 2
+    assert chase_diagonal_bound([10, 15, 18], 9, 2) == (True, 5)
 
 
 def test_chase_rejects_low_gcd():
-    with pytest.raises(ValueError):
-        chase_diagonal_bound([4, 9], 4, 2)
+    with pytest.raises(ValueError, match=r"precondition violated: gcd\(4, 7\) = 1 < 2"):
+        chase_diagonal_bound([4, 7], 4, 2)
+
+
+def test_chase_reads_a_as_its_distinct_values():
+    # a repeat is one element: no zero gap, and it is counted once
+    assert chase_diagonal_bound([6, 6], 6, 6) == (True, 2)
+    assert chase_diagonal_bound([8, 4, 6, 4, 8], 4, 2) == (True, 3)
+
+
+def test_chase_refuses_an_element_outside_the_window():
+    # the bound is about sets in [X, 2X]: 18 > 12 is refused, not counted
+    with pytest.raises(ValueError, match=r"^element 18 outside \[6, 12\]$"):
+        chase_diagonal_bound([6, 12, 18, 24], 6, 6)
+    # the window is exact at a fractional X: 7 < 15/2 is outside [15/2, 15]
+    with pytest.raises(ValueError, match=r"^element 7 outside \[15/2, 15\]$"):
+        chase_diagonal_bound([7, 14], "7.5", 7)
+    assert chase_diagonal_bound([8, 15], "7.5", 1) == (True, 8)
 
 
 def test_factored_items_count_as_their_values():
@@ -327,8 +343,8 @@ def test_factored_items_count_as_their_values():
     chain = [12, 18, 24]
     want = chase_diagonal_bound(chain, 12, 6)
     assert chase_diagonal_bound([factorize(v) for v in chain], 12, 6) == want == (True, 3)
-    with pytest.raises(ValueError, match=r"gcd\(4, 9\) = 1 < 2"):
-        chase_diagonal_bound([factorize(4), factorize(9)], 4, 2)
+    with pytest.raises(ValueError, match=r"gcd\(4, 7\) = 1 < 2"):
+        chase_diagonal_bound([factorize(4), factorize(7)], 4, 2)
 
 
 def test_theorem51_examples():

@@ -2,20 +2,18 @@ import json
 from fractions import Fraction
 
 from gcdlab.arith import factorize
-from gcdlab.instance import GcdInstance, build_omega_gcd
 from gcdlab.reports import jsonable, make_report, to_canonical_json
-from gcdlab.structure import extract_witnesses, find_modulus
+from gcdlab.structure import defect_census
 
 
-def test_witness_report_renders_as_a_dict_of_its_fields():
-    inst = GcdInstance.build([4, 6, 8], [4, 6, 8], 2, 4, 4)
-    rep = extract_witnesses(find_modulus(inst, build_omega_gcd(inst)))
+def test_a_record_renders_as_a_dict_of_its_fields():
+    rep = defect_census([6, 9, 12], 6, 6, Fraction(3, 4))
     doc = jsonable(rep)
     assert list(doc) == list(rep._fields)
     for name, value in zip(rep._fields, rep):
         assert doc[name] == (str(value) if isinstance(value, Fraction) else value), name
     assert json.loads(json.dumps(doc)) == doc
-    assert isinstance(doc["holds"], bool) and isinstance(doc["delta_prime"], str)
+    assert isinstance(doc["holds"], bool) and doc["bound"] == "3/2"
 
 
 def test_factored_natural_in_a_summary_renders_value_and_factors():

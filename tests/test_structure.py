@@ -10,18 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdlab.arith import factorize, is_squarefree, rational_valuations
+from gcdlab.cli import _witness_summary
 from gcdlab.families import remark2_family
 from gcdlab.instance import GcdInstance, InstanceError, PairSet, build_omega_gcd, read_instance
 from gcdlab.modulus import _cut, _greedy, _per_prime_masks, _search_exhaustive, prime_table
 from gcdlab.structure import (
     DefectError,
-    InternalConsistencyError,
     StructuredInstance,
     check_pivotal,
     defect,
     defect_census,
     defect_census_sweep,
-    extract_witnesses,
     find_modulus,
     quad_identity,
     witness_chain,
@@ -525,34 +524,34 @@ def test_defect_census_sweep_equals_per_t_census():
             )
 
 
-def test_extract_witnesses_remark2():
+def test_witness_chain_remark2():
     A = list(range(100, 201, 10))
     inst = GcdInstance.build(A, A, 10, 100, 100)
     si = find_modulus(inst, build_omega_gcd(inst))
-    rep = extract_witnesses(si)
-    assert rep.holds and rep.chain_ok
-    assert rep.a_star >= rep.a_star_lower
-    assert rep.b_star >= rep.b_star_lower
-    assert Fraction(rep.quad_product) <= rep.quad_cap
+    chain = witness_chain(si)
+    assert chain.holds and chain.chain_ok
+    m = len(si.omega_prime)
+    assert 8 * len(inst.B) * chain.a_star >= m
+    assert 8 * len(inst.A) * chain.b_star >= m
+    assert chain.a_star * chain.b_star <= 4 * inst.X * inst.Y / inst.D**2
 
 
-def test_extract_witnesses_single_pair():
+def test_witness_chain_single_pair():
     inst = GcdInstance.build([4], [6], 2, 4, 6, check_ranges=False)
     si = find_modulus(inst, build_omega_gcd(inst))
-    rep = extract_witnesses(si)
-    assert rep.delta_prime == 1
-    assert (rep.a, rep.b) == (4, 6)
-    assert rep.holds and rep.chain_ok
+    chain = witness_chain(si)
+    assert si.delta_prime == 1
+    assert (inst.A[chain.ia].value, inst.B[chain.ib].value) == (4, 6)
+    assert chain.holds and chain.chain_ok
 
 
-def test_extract_witnesses_random_sweep():
+def test_witness_chain_random_sweep():
     from gcdlab.search import random_structured_instance
 
     rng = random.Random(61)
     for _ in range(100):
-        si = random_structured_instance(rng)
-        rep = extract_witnesses(si)
-        assert rep.holds and rep.chain_ok
+        chain = witness_chain(random_structured_instance(rng))
+        assert chain.holds and chain.chain_ok
 
 
 def test_the_modulus_is_canonical_without_a_recheck():
@@ -591,14 +590,12 @@ def assert_integer_verdicts_match(si):
     chain = witness_chain(si)
     quad_cap, prop_bound, holds, chain_ok = fraction_verdicts(si, chain)
     assert (chain.holds, chain.chain_ok) == (holds, chain_ok)
+    # structure reports only a chain that verified
     if chain_ok:
-        rep = extract_witnesses(si)
-        assert (rep.quad_cap, rep.prop_bound, rep.holds, rep.chain_ok) == (
+        w = _witness_summary(si, chain)
+        assert (w["quad_cap"], w["prop_bound"], w["holds"], w["chain_ok"]) == (
             quad_cap, prop_bound, holds, True
         )
-    else:
-        with pytest.raises(InternalConsistencyError, match="failed to verify"):
-            extract_witnesses(si)
     return chain
 
 
