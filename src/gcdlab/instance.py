@@ -426,12 +426,14 @@ def chase_diagonal_bound(A, X, D) -> tuple[bool, int]:
     """The trivial diagonal bound: pairwise gcd >= D forces gaps >= D, so a
     set in [X, 2X] has at most floor(X/D) + 1 elements.
 
-    A is read as its distinct values.  Raises ValueError if one lies outside
-    [X, 2X] or some pair has gcd < D (caller preconditions).
+    A is read as its distinct values.  Raises ValueError if D < 1, if one
+    lies outside [X, 2X] or if some pair has gcd < D (caller preconditions).
     Returns (holds, max_allowed).
     """
     vals = sorted(set(_values(A, "A")))
     X, D = _number(X, "X"), _number(D, "D")
+    if D < 1:  # X / D would divide by zero or flip the bound's sign
+        raise ValueError(f"D = {D} must be >= 1")
     _check_window(vals, X)
     t = _gcd_threshold(D)
     for i in range(len(vals)):

@@ -1,12 +1,16 @@
 """The modulus search behind structure.find_modulus.
 
-The valuation classes of A and B at a prime are bitmasks over their
-indices, and Omega's rows are integers over B (see instance.PairSet).  A
-constraint (p, k) acts on one row at a time: a row a with v = v_p(a) keeps
-the columns whose v_p is within 1 of k if v = k, the columns of class k if
-|v - k| = 1, and nothing otherwise.  The search cuts a copy of Omega's rows
-by one prime per depth, touching only the rows whose allowed columns are
-not all of B, undoes each cut from a log, and starts from the greedy leaf.
+The valuation classes of B at a prime are bitmasks over its indices, those
+of A lists of the indices of rows with a pair, and Omega's rows are
+integers over B (see instance.PairSet).  A constraint (p, k) acts on one
+row at a time: a row a with v = v_p(a) keeps the columns whose v_p is
+within 1 of k if v = k, the columns of class k if |v - k| = 1, and nothing
+otherwise.  The set-up reads the factors of B and then of A once, for each
+prime's exponent range and B's classes, and builds A's classes and the
+constraints only for the primes whose lowest k loses a pair.  The search
+cuts a copy of Omega's rows by one prime per depth, touching only the rows
+whose allowed columns are not all of B, undoes each cut from a log, and
+starts from the greedy leaf.
 
 The structure module imports this one on first use, so the commands that
 never search (stats, defect) do not compile it.
@@ -19,81 +23,96 @@ from itertools import compress
 
 from .instance import PairSet
 
-
-def prime_table(omega: PairSet) -> dict[int, tuple]:
-    """{p: (lo, hi, rows, cols)} over every prime of A u B in increasing
-    order: the least and greatest v_p over A u B, and the valuation classes
-    of A and B, {v: bitmask of the indices with v_p = v} without empty
-    classes."""
-    sides = []
-    for S in (omega.A, omega.B):
-        classes = defaultdict(dict)
-        for i, el in enumerate(S):
-            for p, e in el.factors:
-                classes[p][e] = classes[p].get(e, 0) | 1 << i
-        sides.append((classes, (1 << len(S)) - 1))
-    (by_a, full_a), (by_b, full_b) = sides
-    table = {}
-    for p in sorted(by_a.keys() | by_b.keys()):
-        rows, cols = by_a.get(p, {}), by_b.get(p, {})
-        if rest := full_a - sum(rows.values()):
-            rows[0] = rest
-        if rest := full_b - sum(cols.values()):
-            cols[0] = rest
-        lo = 0 if 0 in rows or 0 in cols else min(min(rows), min(cols))
-        table[p] = lo, max(max(rows), max(cols)), rows, cols
-    return table
+# bin(mask) reversed and past its "0b", as bytes 0 and 1: compress's selectors
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _per_prime_masks(omega: PairSet, table):
-    """(p, lo, hi, cuts) for each prime of the table that binds, with
-    cuts[k - lo] = (most, groups) for the constraint (p, k): groups holds
-    (indices, lose) for each valuation class of A with a pair whose allowed
-    columns are not all of B, lose the columns its rows lose; most bounds
-    the pairs of Omega that (p, k) keeps, and so of any subset of Omega.
+def _levels(omega: PairSet):
+    """({p: lo} over every prime of A u B in increasing order, and
+    [(p, lo, hi, cuts)] over the primes that bind), lo and hi the least and
+    greatest v_p over A u B.  cuts[k - lo] = (most, groups) for the
+    constraint (p, k): groups holds (indices, lose) for each valuation class
+    of A with a pair whose allowed columns are not all of B, lose the
+    columns its rows lose; most bounds the pairs of Omega that (p, k) keeps,
+    and so of any subset of Omega.
 
     p binds when its lowest k = lo loses a pair: a row or a column with
     v_p >= lo + 2 has a pair, or a pair joins a row and a column with
-    v_p >= lo + 1.  That is decided on Omega's rows."""
-    paired, live, full_b = 0, 0, (1 << omega.n_right) - 1  # the columns and rows with a pair
-    for i, row in enumerate(omega.rows):
+    v_p = lo + 1.  That is decided on the exponent ranges and B's classes,
+    before A's classes are built for the binding primes alone."""
+    A, B, rows = omega.A, omega.B, omega.rows
+    full_b = (1 << len(B)) - 1
+    exps, cols = defaultdict(list), defaultdict(dict)  # v_p over B then A; B's classes
+    for j, b in enumerate(B):
+        for p, w in b.factors:
+            exps[p].append(w)
+            at = cols[p]
+            at[w] = at.get(w, 0) | 1 << j
+    for a in A:
+        for p, v in a.factors:
+            exps[p].append(v)
+    size = len(A) + len(B)
+    lows = dict.fromkeys(sorted(exps), 0)
+    for p, e in exps.items():
+        if len(e) == size:  # p divides every element
+            lows[p] = min(e)
+    paired, live = 0, 0  # the columns and rows with a pair
+    for i, row in enumerate(rows):
         paired, live = paired | row, live | bool(row) << i
     binding = {
-        p for j, b in enumerate(omega.B) if paired >> j & 1
-        for p, w in b.factors if w > table[p][0] + 1
+        p for j, b in enumerate(B) if paired >> j & 1
+        for p, w in b.factors if w > lows[p] + 1
     }
-    binding |= {  # full_b minus the class of lo are the columns with v_p > lo
-        p for a, row in zip(omega.A, omega.rows) if row for p, v in a.factors
-        if v > (lo := table[p][0]) + 1 or v > lo and row & (full_b - table[p][3].get(lo, 0))
+    binding |= {
+        p for a, row in zip(A, rows) if row for p, v in a.factors
+        if v > (lo := lows[p]) + 1 or v > lo and row & cols[p].get(lo + 1, 0)
     }
-    # members[p][v], the rows with a pair and v_p = v > 0; size[p][v], their pairs
-    members, size = {p: defaultdict(list) for p in binding}, {p: defaultdict(int) for p in binding}
-    for i, (a, row) in enumerate(zip(omega.A, omega.rows)):
-        for p, v in a.factors:
-            if row and p in binding:
-                members[p][v].append(i)
-                size[p][v] += row.bit_count()
-    out, total, index = [], len(omega), list(range(omega.n_left))
+    # members[p], A's rows with a pair and v_p = v > 0 as {v: indices} and
+    # {v: their pairs}; divides[p], those rows as a bitmask
+    members = {p: (defaultdict(list), defaultdict(int)) for p in binding}
+    divides = dict.fromkeys(binding, 0)
+    for i, (a, row) in enumerate(zip(A, rows)):
+        if row:
+            for p, v in a.factors:
+                if p in divides:
+                    by_v, pairs = members[p]
+                    by_v[v].append(i)
+                    pairs[v] += row.bit_count()
+                    divides[p] |= 1 << i
+    out, total, index = [], len(omega), list(range(len(A)))
     for p in sorted(binding):
-        lo, hi, rows, cols = table[p]
-        by_v, sz, cuts = members[p], size[p], []
-        # the rows of class 0 with a pair, each index one shared int of index
-        if zero := list(compress(index, map("1".__eq__, reversed(bin(rows.get(0, 0) & live))))):
-            by_v[0] = zero
+        lo, hi, at, (by_v, pairs) = lows[p], max(exps[p]), cols[p], members[p]
+        if rest := full_b - sum(at.values()):
+            at[0] = rest
+        zero = []  # the rows of class 0 with a pair, each index one shared int of index
+        if undivided := live - divides[p]:
+            by_v[0] = zero = list(compress(index, bin(undivided)[:1:-1].encode().translate(_BITS)))
+        # (p, k) keeps no pair of a class of A outside k - 1, k and k + 1,
+        # and of class 0 none outside the columns of class 1 if k = 1; B's
+        # classes and A's pair counts at k - 1, k and k + 1 roll along with k
+        cuts = []
+        below, at_k = at.get(lo - 1, 0), at.get(lo, 0)
+        most_below, most_at = pairs.get(lo - 1, 0), pairs.get(lo, 0)
         for k in range(lo, hi + 1):
-            at_k = cols.get(k, 0)
-            near = cols.get(k - 1, 0) | at_k | cols.get(k + 1, 0)
-            # (p, k) keeps no pair of a class of A outside k - 1, k and k + 1,
-            # and of class 0 none outside the columns of class 1 if k = 1
-            most = sz[k - 1] + sz[k] + sz[k + 1]
+            above, most_above = at.get(k + 1, 0), pairs.get(k + 1, 0)
+            lose_k, lose_next = full_b - (below | at_k | above), full_b - at_k
+            most = most_below + most_at + most_above
             if k < 2 and zero:
                 most += at_k.bit_count() * len(zero) if k else total
-            cuts.append((most, [
-                (ids, lose) for v, ids in by_v.items()
-                if (lose := full_b - (near if v == k else at_k if abs(v - k) == 1 else 0))
-            ]))
+            groups = []
+            for v, ids in by_v.items():
+                if v == k:
+                    if lose_k:
+                        groups.append((ids, lose_k))
+                elif v == k - 1 or v == k + 1:
+                    if lose_next:
+                        groups.append((ids, lose_next))
+                else:
+                    groups.append((ids, full_b))
+            cuts.append((most, groups))
+            below, at_k, most_below, most_at = at_k, above, most_at, most_above
         out.append((p, lo, hi, cuts))
-    return out
+    return lows, out
 
 
 def _lost(rows: list[int], groups) -> int:
@@ -172,8 +191,7 @@ def search(omega: PairSet) -> tuple[dict[int, int], tuple[int, ...]]:
     one found.  A free prime's lowest k keeps every pair, so its branch is
     the subtree without it, no other k beats it, and the first maximizer
     in lexicographic order is unchanged; it gets k = lo."""
-    per_prime = _per_prime_masks(omega, table := prime_table(omega))
+    lows, per_prime = _levels(omega)
     greedy = _greedy(per_prime, list(omega.rows), len(omega))
     ks, rows = _search_exhaustive(per_prime, list(omega.rows), greedy - 1)
-    best = {p: lo + k for (p, lo, *_), k in zip(per_prime, ks)}
-    return {p: lo for p, (lo, *_) in table.items()} | best, rows
+    return lows | {p: lo + k for (p, lo, *_), k in zip(per_prime, ks)}, rows

@@ -317,6 +317,14 @@ def test_chase_rejects_low_gcd():
         chase_diagonal_bound([4, 7], 4, 2)
 
 
+def test_chase_refuses_d_below_one():
+    # D = 0 would divide by zero and D = -2 would report a false violation
+    for D in (0, -2):
+        with pytest.raises(ValueError, match=rf"^D = {D} must be >= 1$"):
+            chase_diagonal_bound([4, 6], 4, D)
+    assert chase_diagonal_bound([4, 6], 4, 1) == (True, 5)
+
+
 def test_chase_reads_a_as_its_distinct_values():
     # a repeat is one element: no zero gap, and it is counted once
     assert chase_diagonal_bound([6, 6], 6, 6) == (True, 2)

@@ -513,6 +513,7 @@ def test_valuation_measure_rejects_empty():
         valuation_measure(PairSet(inst.A, inst.B, (0,)), 2)
 
 
+@pytest.mark.slow
 def test_valuation_counts_report_as_their_normalized_fractions():
     # the counts over |Omega|, |A| and |B| and the same measure reduced from
     # its probabilities give one report, field by field: every displayed

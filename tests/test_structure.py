@@ -13,7 +13,8 @@ from gcdlab.arith import factorize, is_squarefree, rational_valuations
 from gcdlab.cli import _witness_summary
 from gcdlab.families import remark2_family
 from gcdlab.instance import GcdInstance, InstanceError, PairSet, build_omega_gcd, read_instance
-from gcdlab.modulus import _cut, _greedy, _per_prime_masks, _search_exhaustive, prime_table
+from gcdlab.modulus import _cut, _greedy, _levels, _search_exhaustive
+from gcdlab.search import random_structured_instance
 from gcdlab.structure import (
     DefectError,
     StructuredInstance,
@@ -95,17 +96,21 @@ def _ranges(om) -> dict[int, range]:
     return {p: range(min(v), max(v) + 1) for p, v in vals.items()}
 
 
-def test_per_prime_masks_match_bruteforce():
-    # cuts are built for the binding primes alone, and a prime is dropped
-    # exactly when its lowest k keeps every pair; each (p, k) cuts Omega's
-    # rows to the pairs it keeps, and its bound is at least their number
+def test_levels_match_bruteforce():
+    # every prime gets the least v_p over A u B as its lowest k; cuts are
+    # built for the binding primes alone, and a prime is dropped exactly
+    # when its lowest k keeps every pair; each (p, k) cuts Omega's rows to
+    # the pairs it keeps, and its bound is at least their number
     dropped = kept = 0
+    kinds = set()
     for inst in _oracle_instances():
         om = build_omega_gcd(inst)
         ranges = _ranges(om)
-        per_prime = _per_prime_masks(om, prime_table(om))
+        lows, per_prime = _levels(om)
+        assert list(lows.items()) == [(p, r[0]) for p, r in ranges.items()]
         binding = [p for p, *_ in per_prime]
         assert binding == [p for p, r in ranges.items() if _kept_by(om, p, r[0]) != list(edges(om))]
+        kinds |= _kinds(om, lows, binding)
         for p, lo, hi, cuts in per_prime:
             assert range(lo, hi + 1) == ranges[p] and len(cuts) == len(ranges[p])
             for k, (most, groups) in zip(ranges[p], cuts):
@@ -118,6 +123,26 @@ def test_per_prime_masks_match_bruteforce():
         dropped += len(ranges) - len(binding)
         kept += len(binding)
     assert dropped and kept
+    assert kinds == {"lo > 0", "free", "binds through a row only", "class 0"}
+
+
+def _kinds(om, lows, binding) -> set:
+    """The branches of the set-up that om's primes take: a prime dividing
+    every element, a free prime, a binding prime whose paired columns all
+    have v_p <= lo + 1, and a binding prime with a paired row it does not
+    divide."""
+    kinds = set()
+    for p, lo in lows.items():
+        if lo:
+            kinds.add("lo > 0")
+        if p not in binding:
+            kinds.add("free")
+            continue
+        if all(b.valuation(p) <= lo + 1 for _, b in edges(om)):
+            kinds.add("binds through a row only")
+        if any(not a.valuation(p) for a, _ in edges(om)):
+            kinds.add("class 0")
+    return kinds
 
 
 def _reference_modulus(om):
@@ -177,13 +202,25 @@ def test_find_modulus_equals_the_reference_search():
         assert (ms.n.value, grid(ms.omega_prime)) == _reference_modulus(om)
 
 
+def test_find_modulus_equals_the_reference_search_on_hunt_draws():
+    # the hunt's own draws at the battery's seed: the first 300 with at most
+    # 3000 k vectors
+    rng, tried = random.Random(6006), 0
+    for _ in range(300):
+        si = random_structured_instance(rng)
+        if _k_vectors(si.omega) <= 3000:
+            tried += 1
+            assert (si.n.value, grid(si.omega_prime)) == _reference_modulus(si.omega)
+    assert tried == 244
+
+
 def test_the_greedy_leaf_never_beats_the_optimum():
     # the greedy count seeds the search's best, so it must not exceed the
     # optimum; the search from it finds what the search from no incumbent
     # finds, and hands the rows back as it found them
     below = 0
     for inst, om in _search_instances():
-        per_prime = _per_prime_masks(om, prime_table(om))
+        per_prime = _levels(om)[1]
         greedy = _greedy(per_prime, list(om.rows), len(om))
         optimum = _reference_modulus(om)[1].bit_count()
         assert greedy <= optimum
@@ -201,9 +238,9 @@ def test_a_free_prime_takes_its_lowest_k():
     # and N is odd
     inst = GcdInstance.build([6, 10, 14, 22], [9, 15, 21, 26, 33], 3, 6, 9, check_ranges=False)
     om = build_omega_gcd(inst)
-    assert prime_table(om)[2][0] == 0  # lo = 0 at p = 2
+    lows, binding = _levels(om)
+    assert lows[2] == 0  # lo = 0 at p = 2
     assert _kept_by(om, 2, 0) == _kept_by(om, 2, 1) == list(edges(om))
-    binding = _per_prime_masks(om, prime_table(om))
     assert 2 not in [p for p, *_ in binding]
     exact = find_modulus(inst, om)
     assert exact.n.value % 2 == 1
