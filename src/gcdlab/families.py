@@ -25,6 +25,9 @@ __all__ = [
     "squarefree_instance",
 ]
 
+FAMILY_WINDOW_MAX = 10**4  # cap on the elements of one remark2 or remark3 window
+SEC5_X_MAX = 600  # cap on sec5's X
+
 
 class FamilyReport(NamedTuple):
     family: str
@@ -44,7 +47,12 @@ def _integer(x, name: str) -> int:
     return x
 
 
-def _multiples_in_window(d: int, X: int) -> list[int]:
+def _multiples_in_window(d: int, X: int, name: str = "X") -> list[int]:
+    """The multiples of d in [X, 2X]; ValueError naming the field when they
+    are more than FAMILY_WINDOW_MAX, counted before any is listed."""
+    if (n := 2 * X // d - (X - 1) // d) > FAMILY_WINDOW_MAX:
+        limit = f"above FAMILY_WINDOW_MAX = {FAMILY_WINDOW_MAX}"
+        raise ValueError(f"field {name}: [{X}, {2 * X}] holds {n} multiples of {d}, {limit}")
     lo = -(-X // d) * d  # first multiple >= X
     return list(range(lo, 2 * X + 1, d))
 
@@ -56,7 +64,7 @@ def remark2_family(X: int, Y: int, D: int):
     if D < 1 or D > min(X, Y):
         raise ValueError(f"need 1 <= D <= min(X, Y), got D = {D}")
     A = _multiples_in_window(D, X)
-    B = _multiples_in_window(D, Y)
+    B = _multiples_in_window(D, Y, "Y")
     checks = []
     good = count_pairs_geq_fast(A, B, D)
     delta = Fraction(good, len(A) * len(B))
@@ -120,6 +128,8 @@ def sec5_family(X: int):
     """
     if _integer(X, "X") < 2:
         raise ValueError(f"need X >= 2, got {X}")
+    if X > SEC5_X_MAX:
+        raise ValueError(f"field X: {X} is above SEC5_X_MAX = {SEC5_X_MAX}")
     P = primorial(X).value
     values = {}
     squarefrees = [m for m in range(1, X + 1) if is_squarefree(m)]

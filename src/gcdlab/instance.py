@@ -262,7 +262,8 @@ class PairSet(NamedTuple):
 
 def _gcd_threshold(D) -> int:
     # gcds are integers, so gcd >= D is the same test as gcd >= ceil(D)
-    return max(1, math.ceil(_number(D, "D")))
+    exact = D if type(D) is Fraction else _number(D, "D")
+    return max(1, -(-exact.numerator // exact.denominator))
 
 
 def _least_divisors_geq(factors, t: int) -> list[int]:

@@ -231,16 +231,19 @@ def tail_mass(mu: Measure2D, k: int) -> int:
 
 
 def _best_tail(mu: Measure2D) -> tuple[int, int]:
-    """(k, tail_mass(mu, k)) for the k of best_center.  Only a k with (k, k)
-    within L1 distance 1 of a support point keeps any mass; every other k
-    sums the whole mass as k = lo - 1 does, so it is not evaluated."""
-    lo, _ = mu.coordinate_range()
-    best_k, best_tail = lo - 1, mu.total
-    for k in sorted({k for (i, j), _ in mu.weights if abs(i - j) <= 1 for k in (i, j)}):
-        t = tail_mass(mu, k)
-        if t < best_tail:
-            best_k, best_tail = k, t
-    return best_k, best_tail
+    """(k, tail_mass(mu, k)) for the k of best_center, in one pass: k keeps
+    the mass of the point (k, k) and of each point with |i - j| = 1 and k in
+    {i, j}.  With no such point every k keeps nothing, and k = lo - 1."""
+    kept: dict[int, int] = {}
+    for (i, j), m in mu.weights:
+        if -1 <= i - j <= 1:
+            kept[i] = kept.get(i, 0) + m
+            if i != j:
+                kept[j] = kept.get(j, 0) + m
+    k, most = min(kept.items(), key=lambda km: (-km[1], km[0]), default=(None, 0))
+    if not most:
+        k = mu.coordinate_range()[0] - 1
+    return k, mu.total - most
 
 
 def best_center(mu: Measure2D) -> int:

@@ -41,21 +41,20 @@ def _levels(omega: PairSet):
     v_p = lo + 1.  That is decided on the exponent ranges and B's classes,
     before A's classes are built for the binding primes alone."""
     A, B, rows = omega.A, omega.B, omega.rows
-    full_b = (1 << len(B)) - 1
-    exps, cols = defaultdict(list), defaultdict(dict)  # v_p over B then A; B's classes
-    for j, b in enumerate(B):
-        for p, w in b.factors:
-            exps[p].append(w)
-            at = cols[p]
-            at[w] = at.get(w, 0) | 1 << j
-    for a in A:
-        for p, v in a.factors:
-            exps[p].append(v)
-    size = len(A) + len(B)
-    lows = dict.fromkeys(sorted(exps), 0)
-    for p, e in exps.items():
-        if len(e) == size:  # p divides every element
-            lows[p] = min(e)
+    n_b = len(B)
+    full_b = (1 << n_b) - 1
+    seen, cols = {}, defaultdict(dict)  # p: (count, least, greatest v_p); B's classes
+    for j, el in enumerate(B + A):
+        for p, v in el.factors:
+            n, lo, hi = seen.get(p, (0, v, v))
+            seen[p] = n + 1, lo if lo < v else v, hi if hi > v else v
+            if j < n_b:
+                at = cols[p]
+                at[v] = at.get(v, 0) | 1 << j
+    lows = dict.fromkeys(sorted(seen), 0)
+    for p, (n, lo, _) in seen.items():
+        if n == len(A) + n_b:  # p divides every element
+            lows[p] = lo
     paired, live = 0, 0  # the columns and rows with a pair
     for i, row in enumerate(rows):
         paired, live = paired | row, live | bool(row) << i
@@ -81,7 +80,7 @@ def _levels(omega: PairSet):
                     divides[p] |= 1 << i
     out, total, index = [], len(omega), list(range(len(A)))
     for p in sorted(binding):
-        lo, hi, at, (by_v, pairs) = lows[p], max(exps[p]), cols[p], members[p]
+        lo, hi, at, (by_v, pairs) = lows[p], seen[p][2], cols[p], members[p]
         if rest := full_b - sum(at.values()):
             at[0] = rest
         zero = []  # the rows of class 0 with a pair, each index one shared int of index

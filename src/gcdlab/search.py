@@ -195,13 +195,13 @@ def random_structured_instance(
         ua, ub = range(X, 2 * X + 1), range(Y, 2 * Y + 1)
         mult_a = range(X + -X % D, 2 * X + 1, D)  # the multiples of D in [X, 2X]
         mult_b = range(Y + -Y % D, 2 * Y + 1, D)
-        na = rng.randint(2, max_side)
-        nb = rng.randint(2, max_side)
+        na = min(rng.randint(2, max_side), len(ua))
+        nb = min(rng.randint(2, max_side), len(ub))
         A = set(rng.sample(mult_a, min(2, len(mult_a))))
         B = set(rng.sample(mult_b, min(2, len(mult_b))))
-        while len(A) < min(na, len(ua)):
+        while len(A) < na:
             A.add(rng.choice(ua))
-        while len(B) < min(nb, len(ub)):
+        while len(B) < nb:
             B.add(rng.choice(ub))
         # valid by construction, so built without GcdInstance.build's checks
         inst = GcdInstance(

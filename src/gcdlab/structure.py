@@ -75,7 +75,7 @@ def find_modulus(inst: GcdInstance, omega: PairSet) -> StructuredInstance:
     """
     from .modulus import search
 
-    if not omega:
+    if not any(omega.rows):
         raise ValueError("omega is empty: nothing to structure")
     ks, rows = search(omega)
     factors = tuple((p, k) for p, k in ks.items() if k > 0)
@@ -347,9 +347,9 @@ def witness_chain(si: StructuredInstance) -> WitnessChain:
     sd a_star b_star <= 4 sn, and |A||B| <= 1000 delta'^-2 XY/D^2 iff
     sd m^2 <= 1000 sn |A||B|.
     """
-    if not si.omega_prime:
-        raise ValueError("omega_prime is empty: no witnesses exist")
     inst, m, rows = si.base, len(si.omega_prime), si.omega_prime.rows
+    if not m:
+        raise ValueError("omega_prime is empty: no witnesses exist")
     nA, nB, size = len(inst.A), len(inst.B), inst.size_product()
 
     def largest_star(S, indices, scale: int):

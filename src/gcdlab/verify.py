@@ -119,10 +119,10 @@ def random_structured_set(rng: random.Random):
             break
         v = rng.choice(sf_divs)
         u = rng.randint(v, 2 * v)
-        # v | rad(N) | N, so N * u / v is an integer
-        if math.gcd(u, v) != 1 or not is_squarefree(u):
+        # v | rad(N) | N, so N * u / v is an integer; one already in S adds nothing
+        if (el := N * u // v) in S or math.gcd(u, v) != 1 or not is_squarefree(u):
             continue
-        S.add(N * u // v)
+        S.add(el)
     return sorted(S), N, N
 
 

@@ -1,10 +1,11 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from gcdlab import cli
+from gcdlab import cli, families
 from gcdlab.arith import is_squarefree
 from gcdlab.families import (
     remark2_family,
@@ -162,3 +163,40 @@ def test_squarefree_sets_are_squarefree():
 def test_remark2_census_against_naive():
     A, B, rep = remark2_family(30, 20, 5)
     assert count_pairs_geq_naive(A, B, 5) == len(A) * len(B)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["remark2", "--X", "10000", "--D", "1"], "field X: [10000, 20000] holds 10001 multiples"),
+        (["remark2", "--X", "8", "--Y", "70000", "--D", "7"], "field Y: [70000, 140000]"),
+        (["remark3", "--X", "10000", "--D", "2", "--delta", "1/2"], "field X: [10000, 20000]"),
+        (["sec5", "--X", "601"], "field X: 601 is above SEC5_X_MAX = 600"),
+    ],
+)
+def test_a_family_past_its_limit_exits_2_before_building(argv, message, capsys):
+    start = time.perf_counter()
+    code = cli.main(["family", *argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith("error: " + message) and out.err.count("\n") == 1
+    assert elapsed < 0.25  # refused before any element is listed
+
+
+def test_family_limits_are_inclusive(monkeypatch):
+    # the count of multiples of d in [X, 2X] is exact at each side of the limit
+    monkeypatch.setattr(families, "FAMILY_WINDOW_MAX", 5)
+    monkeypatch.setattr(families, "SEC5_X_MAX", 7)
+    A, B, _ = remark2_family(4, 4, 1)
+    assert len(A) == len(B) == 5
+    assert len(remark3_family(9, 4, Fraction(1, 2))[0]) == 5  # D0 = 2 over [9, 18]
+    assert sec5_family(7)[1].parameters == {"X": 7}
+    for call in (
+        lambda: remark2_family(5, 4, 1),
+        lambda: remark2_family(4, 5, 1),
+        lambda: remark3_family(10, 4, Fraction(1, 2)),
+        lambda: sec5_family(8),
+    ):
+        with pytest.raises(ValueError, match="above"):
+            call()

@@ -14,7 +14,9 @@ count a per-prime greedy choice also reached.  The `measure` goldens are
 the concentration reports of remark2's valuation measures at p = 2 and
 p = 5, with their certified c_interval, of a point mass off the diagonal
 (c_min = 1/lambda exactly) and of a seeded random sweep, whose extremes
-come from exact integer comparisons.
+come from exact integer comparisons.  The `verify` goldens are the quick
+battery's reports at seeds 0 and 1: every check's detail (pair totals,
+extremes of c_min, capped tail ratios, hunt sizes) with no timing in it.
 """
 
 from pathlib import Path
@@ -82,3 +84,11 @@ def test_measure_sweep_and_point_mass_bytes_match_golden(name, argv, fmt, capsys
     out = capsys.readouterr()
     assert code == 0 and out.err == ""
     assert out.out.encode() == (GOLDEN / f"{name}.measure.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_quick_battery_bytes_match_golden(seed, capsys):
+    code = cli.main(["verify", "all", "--quick", "--seed", str(seed)])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert out.out.encode() == (GOLDEN / f"quick_seed_{seed}.verify.json").read_bytes()

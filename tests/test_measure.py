@@ -18,6 +18,7 @@ from gcdlab.measure import (
     Measure2D,
     PrimeLambda,
     WeightPair,
+    _best_tail,
     best_center,
     capped_admissible_config,
     concentration_report,
@@ -112,6 +113,7 @@ def test_best_center_examples():
     assert best_center(Measure2D.point_mass(7, 7)) == 7
     assert best_center(Measure2D.from_dict({(3, 3): 9, (0, 5): 1})) == 3
     assert best_center(Measure2D.from_dict({(0, 0): 1, (1, 1): 1})) == 0
+    assert best_center(Measure2D.from_dict({(0, 1): 1, (1, 0): 1})) == 0  # 0 and 1 tie
 
 
 def test_best_center_is_argmin():
@@ -133,8 +135,12 @@ def full_scan_center(mu: Measure2D) -> int:
 
 
 def test_best_center_equals_the_full_scan():
+    """The one-pass tail (_best_tail) names the full scan's center and its
+    tail_mass: on random measures (about 800 of them with tied centers), on
+    the capped family's grids and on supports with no point within distance
+    1 of the diagonal (where every center keeps nothing)."""
     rng = random.Random(83)
-    near = 0
+    measures = []
     for n in range(3000):
         span = (1, 2, 6)[n % 3]
         mu = random_measure(rng, span=span)
@@ -143,8 +149,18 @@ def test_best_center_equals_the_full_scan():
             mu = Measure2D.from_dict(
                 {pt: Fraction(v, sum(raw)) for (pt, _), v in zip(mu.weights, raw)}
             )
+        measures.append(mu)
+    for lam in verify._CAPPED_LAMBDAS:
+        measures += [capped_admissible_config(rng, lam)[0] for _ in range(40)]
+    for _ in range(300):
+        starts = rng.sample(range(-6, 7), rng.randint(1, 5))
+        off = {(i, i + rng.choice((-1, 1)) * rng.randint(2, 5)): rng.randint(1, 9) for i in starts}
+        measures.append(Measure2D.from_dict(off))
+    near = 0
+    for mu in measures:
         k = best_center(mu)
         assert k == full_scan_center(mu)
+        assert _best_tail(mu) == (k, tail_mass(mu, k))
         near += k >= mu.coordinate_range()[0]
     assert near > 1000  # most measures keep some mass near their center
 
