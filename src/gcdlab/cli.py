@@ -21,6 +21,7 @@ from .instance import (
     GcdInstance,
     InstanceError,
     InternalConsistencyError,
+    _members,
     _omega_rows,
     build_omega_gcd,
     decimal_fraction,
@@ -121,9 +122,14 @@ def cmd_structure(args) -> tuple[dict, int]:
     si = find_modulus(inst, omega)
     records = []
     op = si.omega_prime
-    for side, elems, lines in (("A", op.A, op.rows), ("B", op.B, op.col_bits())):
-        for el, line in zip(elems, lines):
-            if degree := line.bit_count():
+    index, col_degrees = range(op.n_right), [0] * op.n_right  # each b's pairs in Omega'
+    for row in op.rows:
+        for j in _members(index, row):
+            col_degrees[j] += 1
+    row_degrees = map(int.bit_count, op.rows)
+    for side, elems, degrees in (("A", op.A, row_degrees), ("B", op.B, col_degrees)):
+        for el, degree in zip(elems, degrees):
+            if degree:
                 d = si.defects[el]
                 records.append(
                     {

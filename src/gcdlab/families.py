@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import is_squarefree, primorial
-from .instance import InstanceError, _number, count_pairs_geq_fast, theorem51_bound
+from .arith import factorize, is_squarefree, primorial
+from .instance import InstanceError, _number, _omega_rows, theorem51_bound
 
 __all__ = [
     "FamilyReport",
@@ -27,6 +27,7 @@ __all__ = [
 
 FAMILY_WINDOW_MAX = 10**4  # cap on the elements of one remark2 or remark3 window
 SEC5_X_MAX = 600  # cap on sec5's X
+SQUAREFREE_N_MAX = 4000  # cap on squarefree's n: its ratio relation has n^2 pairs
 
 
 class FamilyReport(NamedTuple):
@@ -66,7 +67,7 @@ def remark2_family(X: int, Y: int, D: int):
     A = _multiples_in_window(D, X)
     B = _multiples_in_window(D, Y, "Y")
     checks = []
-    good = count_pairs_geq_fast(A, B, D)
+    good = sum(map(int.bit_count, _omega_rows(map(factorize, A), map(factorize, B), D)))
     delta = Fraction(good, len(A) * len(B))
     if delta == 1:
         checks.append("delta-equals-1")
@@ -100,7 +101,8 @@ def remark3_family(X: int, D: int, delta):
     A = _multiples_in_window(d0, X)
     if not A:
         raise ValueError(f"no multiple of D0 = {d0} in [{X}, {2 * X}]")
-    good = count_pairs_geq_fast(A, A, D)
+    factored = list(map(factorize, A))
+    good = sum(map(int.bit_count, _omega_rows(factored, factored, D)))
     measured = Fraction(good, len(A) ** 2)
     reference = (X * X) / (float(delta) ** 2 * D * D)
     report = FamilyReport(
@@ -185,6 +187,8 @@ def squarefree_instance(n: int, Q, epsilon: Fraction = Fraction(1, 2), p0: int =
     epsilon and p0."""
     if _integer(n, "n") < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n > SQUAREFREE_N_MAX:
+        raise ValueError(f"field n: {n} is above SQUAREFREE_N_MAX = {SQUAREFREE_N_MAX}")
     A = [m for m in range(1, n + 1) if is_squarefree(m)]
     Q = _number(Q, "Q")
     delta, bound, holds = theorem51_bound(A, A, Q, epsilon, p0)

@@ -15,6 +15,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
 from .arith import FactoredNat, divisors, factorize, is_squarefree
@@ -224,7 +225,8 @@ def _infer_range(S: tuple[FactoredNat, ...], name: str) -> Fraction:
 class PairSet(NamedTuple):
     """A set of ordered pairs (a, b) in A x B with its exact density, stored
     as one row per element of A: bit j of rows[i] is set iff (A[i], B[j])
-    is a pair.  Size, density and the column bitsets are views of the rows.
+    is a pair.  Size and density are views of the rows; the columns of a
+    row, or of any mask over B, are read with _members(B, mask).
 
     len() is the number of pairs, not of fields, so _replace and _make
     raise TypeError; a copy with other rows is PairSet(A, B, rows).
@@ -248,16 +250,6 @@ class PairSet(NamedTuple):
     @property
     def delta(self) -> Fraction:
         return Fraction(len(self), self.n_left * self.n_right)
-
-    def col_bits(self) -> list[int]:
-        """Column j of the pair set as an integer: bit i is set iff
-        (A[i], B[j]) is a pair; one step per pair, from each row's top bit."""
-        cols = [0] * self.n_right
-        for i, row in enumerate(self.rows):
-            while row:
-                cols[j := row.bit_length() - 1] |= 1 << i
-                row ^= 1 << j
-        return cols
 
 
 def _gcd_threshold(D) -> int:
@@ -291,9 +283,13 @@ def _least_divisors_geq(factors, t: int) -> list[int]:
     return out
 
 
-def _indices(mask: int) -> list[int]:
-    """The indices of the set bits of mask, in increasing order."""
-    return [i for i, c in enumerate(reversed(format(mask, "b"))) if c == "1"]
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress's bytes 0 and 1
+
+
+def _members(items, mask: int):
+    """The items at the set bits of mask, in order: items[i] for each bit i
+    of mask below len(items), as an iterator."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_SELECTORS))
 
 
 def _omega_rows(A, B, D):

@@ -2,7 +2,8 @@
 
 The valuation classes of B at a prime are bitmasks over its indices, those
 of A lists of the indices of rows with a pair, and Omega's rows are
-integers over B (see instance.PairSet).  A constraint (p, k) acts on one
+integers over B (see instance.PairSet); a mask's members are read with
+instance._members.  A constraint (p, k) acts on one
 row at a time: a row a with v = v_p(a) keeps the columns whose v_p is
 within 1 of k if v = k, the columns of class k if |v - k| = 1, and nothing
 otherwise.  The set-up reads the factors of B and then of A once, for each
@@ -19,12 +20,8 @@ never search (stats, defect) do not compile it.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import compress
 
-from .instance import PairSet
-
-# bin(mask) reversed and past its "0b", as bytes 0 and 1: compress's selectors
-_BITS = bytes.maketrans(b"01", b"\0\1")
+from .instance import PairSet, _members
 
 
 def _levels(omega: PairSet):
@@ -59,8 +56,7 @@ def _levels(omega: PairSet):
     for i, row in enumerate(rows):
         paired, live = paired | row, live | bool(row) << i
     binding = {
-        p for j, b in enumerate(B) if paired >> j & 1
-        for p, w in b.factors if w > lows[p] + 1
+        p for b in _members(B, paired) for p, w in b.factors if w > lows[p] + 1
     }
     binding |= {
         p for a, row in zip(A, rows) if row for p, v in a.factors
@@ -85,7 +81,7 @@ def _levels(omega: PairSet):
             at[0] = rest
         zero = []  # the rows of class 0 with a pair, each index one shared int of index
         if undivided := live - divides[p]:
-            by_v[0] = zero = list(compress(index, bin(undivided)[:1:-1].encode().translate(_BITS)))
+            by_v[0] = zero = list(_members(index, undivided))
         # (p, k) keeps no pair of a class of A outside k - 1, k and k + 1,
         # and of class 0 none outside the columns of class 1 if k = 1; B's
         # classes and A's pair counts at k - 1, k and k + 1 roll along with k

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import factorize
-from .instance import GcdInstance, InternalConsistencyError, _omega_rows, build_omega_gcd
+from .instance import GcdInstance, InternalConsistencyError, _members, _omega_rows, build_omega_gcd
 from .instance import chase_diagonal_bound
 
 __all__ = [
@@ -89,10 +89,6 @@ class SearchResult(NamedTuple):
     max_product: int
 
 
-def _subset(universe: list[int], mask: int) -> tuple[int, ...]:
-    return tuple(v for i, v in enumerate(universe) if mask >> i & 1)
-
-
 def _closed_sets(compat: list[int], n: int) -> set[int]:
     """The full mask on n bits and every intersection of masks in compat."""
     closed = {(1 << n) - 1}
@@ -111,7 +107,7 @@ def _bipartite_max(ua: list[int], ub: list[int], D: int):
     best, a = max((a.bit_count() * sum(a & c == a for c in compat), a) for a in closed)
     if not best:
         return (), (), 0
-    return _subset(ua, a), tuple(b for b, c in zip(ub, compat) if a & c == a), best
+    return tuple(_members(ua, a)), tuple(b for b, c in zip(ub, compat) if a & c == a), best
 
 
 def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
@@ -123,9 +119,9 @@ def max_pairwise_compatible(X: int, D: int) -> tuple[int, ...]:
     u = list(range(max(X, D), 2 * X + 1))
     compat = list(_omega_rows(map(factorize, u), map(factorize, u), D))
     closed = _closed_sets(compat, len(u))
-    cliques = [a for a in closed if all(a & c == a for i, c in enumerate(compat) if a >> i & 1)]
+    cliques = [a for a in closed if all(a & c == a for c in _members(compat, a))]
     size = max(a.bit_count() for a in cliques)
-    return min(_subset(u, a) for a in cliques if a.bit_count() == size)
+    return min(tuple(_members(u, a)) for a in cliques if a.bit_count() == size)
 
 
 def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
@@ -144,7 +140,7 @@ def _threshold_exact(ua: list[int], ub: list[int], D: int, target: Fraction):
             if Fraction(prefix) >= target * na * m and na * m > best:
                 best = na * m
                 chosen_b = tuple(sorted(-d[1] for d in degs[:m]))
-                best_pair = (_subset(ua, amask), chosen_b)
+                best_pair = (tuple(_members(ua, amask)), chosen_b)
     return best_pair[0], best_pair[1], best
 
 

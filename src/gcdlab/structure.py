@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .arith import FactoredNat, factorize, rational_valuations
 from .instance import GcdInstance, InstanceError, InternalConsistencyError, PairSet
-from .instance import _check_window, _elements, _indices, _number
+from .instance import _check_window, _elements, _members, _number
 
 __all__ = [
     "DefectCensus",
@@ -111,7 +111,7 @@ class StructuredInstance(NamedTuple):
         for r in rows:
             paired |= r  # the columns with a pair
         left = [i for i, r in enumerate(rows) if r]
-        right = _indices(paired)
+        right = list(_members(range(len(B)), paired))
         defects, vals = {}, {}  # vals[el] = v(el/N), keyed by the primes of el*
         for el in sorted({A[i] for i in left} | {B[j] for j in right}):
             vals[el] = v = rational_valuations(el, n)
@@ -131,7 +131,7 @@ class StructuredInstance(NamedTuple):
                 clash |= masks.get(p, 0)
             clash &= rows[i]
             if clash:
-                b = B[(clash & -clash).bit_length() - 1]
+                b = next(_members(B, clash))
                 raise ValueError(f"pair ({A[i]}, {b}) in omega_prime is not pivotal for N = {n}")
         return cls(base, omega, n, omega_prime, defects)
 
@@ -372,7 +372,7 @@ def witness_chain(si: StructuredInstance) -> WitnessChain:
             f"no a in tilde A has a_star >= {Fraction(m, 8 * nB)}; "
             "the defect-count bound should make this impossible"
         )
-    ib = largest_star(inst.B, _indices(rows[ia]), 8 * nA)
+    ib = largest_star(inst.B, _members(range(nB), rows[ia]), 8 * nA)
     if ib is None:
         raise InternalConsistencyError(
             f"no b adjacent to {inst.A[ia]} has b_star >= {Fraction(m, 8 * nA)}"

@@ -1,7 +1,7 @@
 """Views of a PairSet that only the tests read, taken from its rows
-directly, apart from the column bitsets under test.  The grid layout (bit
-i*|B| + j for the pair (A[i], B[j])) lives only here: the reference modulus
-search and the pins compare grid integers, and no module of gcdlab has one."""
+directly.  The grid layout (bit i*|B| + j for the pair (A[i], B[j])) lives
+only here: the reference modulus search and the pins compare grid integers,
+and no module of gcdlab has one."""
 
 from gcdlab.instance import PairSet
 

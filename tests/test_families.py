@@ -77,6 +77,21 @@ def test_remark3_examples():
     assert rep.measured_delta >= Fraction(1, 6)  # the density law at m = 3
 
 
+def test_remark3_density_is_the_naive_census():
+    # each window has pairs with gcd exactly D, so a count of gcd > D fails
+    for X, D, delta in [
+        (40, 4, Fraction(1, 2)),
+        (60, 5, Fraction(1)),
+        (1000, 30, Fraction(1, 3)),
+        (3000, 40, Fraction(1, 4)),
+        (800, 21, Fraction(1, 3)),
+        (1000, 9, Fraction(1, 3)),
+    ]:
+        A, B, rep = remark3_family(X, D, delta)
+        assert rep.measured_delta == Fraction(count_pairs_geq_naive(A, A, D), len(A) ** 2)
+        assert any(math.gcd(a, b) == D for a in A for b in A), (X, D, delta)
+
+
 def test_remark3_reads_delta_as_the_cli_does(capsys):
     # the float 0.3 is 3/10, as the flag reads it, so D0 = floor(3/10 * 10) = 3
     A, B, rep = remark3_family(40, 10, 0.3)
@@ -172,6 +187,10 @@ def test_remark2_census_against_naive():
         (["remark2", "--X", "8", "--Y", "70000", "--D", "7"], "field Y: [70000, 140000]"),
         (["remark3", "--X", "10000", "--D", "2", "--delta", "1/2"], "field X: [10000, 20000]"),
         (["sec5", "--X", "601"], "field X: 601 is above SEC5_X_MAX = 600"),
+        (
+            ["squarefree", "--n", "4001", "--Q", "100"],
+            "field n: 4001 is above SQUAREFREE_N_MAX = 4000",
+        ),
     ],
 )
 def test_a_family_past_its_limit_exits_2_before_building(argv, message, capsys):
@@ -184,10 +203,13 @@ def test_a_family_past_its_limit_exits_2_before_building(argv, message, capsys):
     assert elapsed < 0.25  # refused before any element is listed
 
 
-def test_family_limits_are_inclusive(monkeypatch):
+def test_family_limits_are_inclusive(monkeypatch, capsys):
     # the count of multiples of d in [X, 2X] is exact at each side of the limit
     monkeypatch.setattr(families, "FAMILY_WINDOW_MAX", 5)
     monkeypatch.setattr(families, "SEC5_X_MAX", 7)
+    monkeypatch.setattr(families, "SQUAREFREE_N_MAX", 7)
+    assert cli.main(["family", "squarefree", "--n", "7", "--Q", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["parameters"]["n"] == 7
     A, B, _ = remark2_family(4, 4, 1)
     assert len(A) == len(B) == 5
     assert len(remark3_family(9, 4, Fraction(1, 2))[0]) == 5  # D0 = 2 over [9, 18]
@@ -197,6 +219,7 @@ def test_family_limits_are_inclusive(monkeypatch):
         lambda: remark2_family(4, 5, 1),
         lambda: remark3_family(10, 4, Fraction(1, 2)),
         lambda: sec5_family(8),
+        lambda: squarefree_instance(8, 100),
     ):
         with pytest.raises(ValueError, match="above"):
             call()

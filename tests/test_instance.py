@@ -16,6 +16,7 @@ from gcdlab.instance import (
     GcdInstance,
     InstanceError,
     _least_divisors_geq,
+    _members,
     _omega_rows,
     build_omega_gcd,
     build_omega_ratio,
@@ -93,9 +94,6 @@ def test_omega_views_match_naive_census():
         assert om.rows == tuple(
             sum(1 << j for j, b in enumerate(om.B) if (a, b) in pairs) for a in om.A
         )
-        assert om.col_bits() == [
-            sum(1 << i for i, a in enumerate(om.A) if (a, b) in pairs) for b in om.B
-        ]
         Q = Fraction(D) * 3
         ratio = build_omega_ratio(A, B, Q)
         naive = [
@@ -105,6 +103,59 @@ def test_omega_views_match_naive_census():
             if a.value * b.value <= Q * math.gcd(a.value, b.value) ** 2
         ]
         assert list(edges(ratio)) == naive, (A, B, Q)
+
+
+def test_members_are_the_items_at_the_set_bits():
+    items = [f"x{i}" for i in range(75)]  # more items than any mask below has bits
+    for mask in (0, 1, 1 << 69, 1 << 64, (1 << 70) - 1, 0b1011_0010, (1 << 70) - 2):
+        assert list(_members(items, mask)) == [v for i, v in enumerate(items) if mask >> i & 1]
+    assert list(_members(range(3), 0b11110)) == [1, 2]  # bits past the items are dropped
+    assert list(_members([], (1 << 10) - 1)) == []
+
+
+def _structure_degrees(path: Path, capsys):
+    """({side: {value: degree}} of structure's records at path, the same read
+    from its Omega' by a naive transpose, and the transpose's column degrees),
+    or None if structure exits 2."""
+    from gcdlab.structure import find_modulus
+
+    if cli.main(["structure", str(path)]):
+        capsys.readouterr()
+        return None
+    records = json.loads(capsys.readouterr().out)["records"]
+    reported = {"A": {}, "B": {}}
+    for r in records:
+        reported[r["side"]][r["value"]] = r["degree"]
+    inst = read_instance(str(path))
+    op = find_modulus(inst, build_omega_gcd(inst)).omega_prime
+    cols = [sum(row >> j & 1 for row in op.rows) for j in range(op.n_right)]
+    naive = {
+        "A": {str(a.value): row.bit_count() for a, row in zip(op.A, op.rows) if row},
+        "B": {str(b.value): d for b, d in zip(op.B, cols) if d},
+    }
+    return reported, naive, cols
+
+
+def test_structure_degrees_equal_a_naive_transpose(tmp_path, capsys):
+    paths = sorted(GOLDEN.glob("*.instance.json"))
+    rng = random.Random(3707)
+    for k, n_b in enumerate([1, 1, 1, 2, 3, 5, 8, 13, 21] * 2):
+        X = rng.randrange(30, 300)
+        A = rng.sample(range(X, 2 * X + 1), rng.randrange(1, 20))
+        B = rng.sample(range(X, 2 * X + 1), n_b)
+        inst = GcdInstance.build(A, B, rng.randrange(2, 8), X, X)
+        (path := tmp_path / f"seeded{k}.json").write_text(instance_to_json(inst))
+        paths.append(path)
+    ran, empty_column, one_column = 0, False, False
+    for path in paths:
+        if (got := _structure_degrees(path, capsys)) is None:
+            continue
+        reported, naive, cols = got
+        assert reported == naive, path
+        ran += 1
+        empty_column |= 0 in cols
+        one_column |= len(cols) == 1
+    assert ran >= 15 and empty_column and one_column
 
 
 def test_row_count_equals_the_grid_and_the_naive_census():
